@@ -3,19 +3,25 @@
 :meth:`repro.cache.lru.LruCache.simulate` historically replayed each
 set's substream with a per-access Python loop — the dominant cost of
 every cache run.  This module replaces that loop with numpy passes
-built on three exact identities (derivations in DESIGN.md §10):
+built on exact identities (derivations in DESIGN.md §10):
 
-1. **Self-synchronization.**  A true-LRU set's stack after any access
+1. **Per-set MRU re-reads.**  An access to the line its own set touched
+   last always hits and leaves every stack unchanged, so it can be
+   dropped before any replay work.  Texture footprints alternate
+   between 2–4 lines in different sets (A B C D A B C D …), so 89–96%
+   of a frame's accesses that are not consecutive repeats are such
+   re-reads.
+2. **Self-synchronization.**  A true-LRU set's stack after any access
    sequence is exactly its W most-recently-used *distinct* lines in
    recency order — independent of hit/miss outcomes and of whatever
    the stack held before those W distinct lines appeared.
-2. **Chunk decomposition.**  Splitting a set's substream into chunks,
+3. **Chunk decomposition.**  Splitting a set's substream into chunks,
    the stack after a chunk equals the chunk's own recency list (as if
    replayed from an empty stack) merged in front of the pre-chunk
    stack's not-reaccessed lines, truncated to W.  So every (set, chunk)
    group can be replayed from an *empty* stack in parallel, and only
    the short merge is sequential across chunks.
-3. **Boundary distances.**  Within a group, any access after the first
+4. **Boundary distances.**  Within a group, any access after the first
    occurrence of its line has a stack distance fully determined by the
    group's own history, so the empty-stack replay classifies it
    exactly.  A group-first access to line L hits iff L sits at depth k
@@ -24,12 +30,13 @@ built on three exact identities (derivations in DESIGN.md §10):
    the number of distinct in-group lines seen so far — the start-stack
    lines already reaccessed would otherwise be double counted.
 
-The replay therefore runs three vector stages: a round-based replay of
-all (set, chunk) groups at once from empty stacks, a short sequential
-stitch that merges per-chunk recency lists into running per-set stacks,
-and one batch pass resolving every group-first access against its
-recorded start stack.  The scalar path in ``lru.py`` remains the
-bit-exact reference; property tests assert equivalence.
+After the re-read filter, the replay runs three vector stages on the
+surviving accesses: a round-based replay of all (set, chunk) groups at
+once from empty stacks, a prefix scan that merges per-chunk recency
+lists into running per-set stacks, and one batch pass resolving every
+group-first access against its recorded start stack.  The scalar path
+in ``lru.py`` remains the bit-exact reference; property tests assert
+equivalence.
 """
 
 from __future__ import annotations
@@ -38,10 +45,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-#: Deduped accesses per chunk.  More chunks widen the parallel replay
-#: (more groups per round, fewer rounds) but add boundary accesses and
-#: merge-scan work.
-CHUNK_TARGET_LEN = 8192
+#: Stream positions per chunk, counted before the re-read filter.  More
+#: chunks widen the parallel replay (more groups per round, fewer
+#: rounds) but add boundary accesses and prefix-scan work.
+CHUNK_TARGET_LEN = 32768
 
 #: Once fewer than this many groups still have unreplayed accesses, the
 #: round loop hands the stragglers to a scalar finish — per-call numpy
@@ -52,54 +59,51 @@ _PAD = np.int64(-1)
 
 
 def replay(
-    deduped: np.ndarray,
+    lines: np.ndarray,
     num_sets: int,
     ways: int,
     initial: Dict[int, List[int]],
 ) -> Optional[Tuple[np.ndarray, Dict[int, List[int]]]]:
     """Vectorized equivalent of the scalar per-set LRU replay.
 
-    ``deduped`` is the access stream with consecutive duplicates
-    already collapsed; ``initial`` is the current MRU-first content of
-    each set (not mutated).  Returns the per-access miss mask and the
-    replacement set contents, or ``None`` when the stream needs the
-    scalar reference path (negative lines, or address ranges whose
-    sort keys would overflow int64).
+    ``lines`` is the access stream; ``initial`` is the current
+    MRU-first content of each set (not mutated).  Returns the
+    per-access miss mask and the replacement set contents, or ``None``
+    when the stream needs the scalar reference path (negative lines, or
+    address ranges whose sort keys would overflow int64).
     """
-    n = int(len(deduped))
-    if n == 0:
+    total = int(len(lines))
+    if total == 0:
         return np.zeros(0, dtype=bool), {k: list(v) for k, v in initial.items()}
-    if int(deduped.min()) < 0:
+    if int(lines.min()) < 0:
         return None
 
     sets_total = int(num_sets)
     width = int(ways)
     chunk_len = int(CHUNK_TARGET_LEN)
-    chunks = max(1, -(-n // chunk_len))
+    chunks = max(1, -(-total // chunk_len))
 
-    max_line = int(deduped.max())
+    max_line = int(lines.max())
     # Line-major boundary keys are line * chunks + chunk; guard the
     # int64 arithmetic for both the stream and the start stacks.
     key_cap = 2**62 // chunks
     if max_line >= key_cap:
         return None
-    for ways_list in initial.values():
+    init_stack = np.full((sets_total, width), _PAD, dtype=np.int64)
+    for set_index, ways_list in initial.items():
         for held in ways_list:
             if held < 0 or held >= key_cap:
                 return None
+        head = ways_list[:width]
+        init_stack[set_index, : len(head)] = head
 
     if sets_total & (sets_total - 1) == 0:
-        line_sets = deduped & (sets_total - 1)
+        line_sets = lines & (sets_total - 1)
     else:
-        line_sets = deduped % sets_total
-    positions = np.arange(n, dtype=np.int32)
-    if chunk_len & (chunk_len - 1) == 0:
-        chunk_id = positions >> (chunk_len.bit_length() - 1)
-    else:
-        chunk_id = positions // chunk_len
+        line_sets = lines % sets_total
 
     # Work order: stably sorting by *set* alone yields exactly the
-    # stable sort by (set, chunk) group id — chunk ids are already
+    # stable sort by (set, chunk) group id — chunk ids are
     # non-decreasing in stream order — and set indices are narrow
     # enough for numpy's radix pass (stable sort of <= 16-bit keys).
     if sets_total <= 256:
@@ -111,9 +115,29 @@ def replay(
     else:
         sort_sets = line_sets
     order = np.argsort(sort_sets, kind="stable")
-    ws = sort_sets[order]
-    wl = deduped[order]
-    wc = chunk_id[order]
+    sorted_lines = lines[order]
+
+    # -- identity 1: drop per-set MRU re-reads ----------------------------
+    # In set order an access re-reads its set's MRU line iff it equals
+    # its predecessor (equal lines share a set) or, as the set's first
+    # access, the MRU line the set held on entry.
+    fresh = np.empty(total, dtype=bool)
+    fresh[0] = True
+    np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=fresh[1:])
+    sorted_sets = sort_sets[order]
+    # First position of every set (an absent set repeats the next one's).
+    entry = np.searchsorted(sorted_sets, np.arange(sets_total))
+    entry = entry[entry < total]
+    fresh[entry] = sorted_lines[entry] != init_stack[sorted_sets[entry], 0]
+    survivors = np.flatnonzero(fresh)
+    n = len(survivors)
+    if n == 0:
+        return np.zeros(total, dtype=bool), {k: list(v) for k, v in initial.items()}
+
+    wl = sorted_lines[survivors]
+    ws = sorted_sets[survivors]
+    source = order[survivors]
+    wc = source // chunk_len
 
     bounds = np.flatnonzero((ws[1:] != ws[:-1]) | (wc[1:] != wc[:-1])) + 1
     gstarts = np.concatenate(([0], bounds))
@@ -203,11 +227,6 @@ def replay(
     g_sorted = gids[by_len]
     finals[g_sorted % chunks, g_sorted // chunks] = stack.T
 
-    init_stack = np.full((sets_total, width), _PAD, dtype=np.int64)
-    for set_index, ways_list in initial.items():
-        head = ways_list[:width]
-        init_stack[set_index, : len(head)] = head
-
     prefix = finals
     d = 1
     while d < chunks:
@@ -231,6 +250,12 @@ def replay(
     rows = start_states[b_chunk, b_group // chunks]
     eq = rows == wl[boundary][:, None]
     found = eq.any(axis=1)
+    miss[boundary] = ~found
+    # Only lines found in the start stack can hit; most group-first
+    # accesses are first touches, so narrow the distance work to them.
+    kept = np.flatnonzero(found)
+    boundary, b_start, b_rank = boundary[kept], b_start[kept], b_rank[kept]
+    rows, eq, b_chunk = rows[kept], eq[kept], b_chunk[kept]
     depth = eq.argmax(axis=1)
     above = cols[None, :] < depth[:, None]
     # Rank of each start-stack line's own first in-group access (n when
@@ -244,7 +269,7 @@ def replay(
     surviving = row_rank >= b_rank[:, None]
     distinct_before = fo_cum[boundary] - fo_cum[b_start]
     dist = distinct_before + np.sum(above & surviving, axis=1)
-    miss[boundary] = ~(found & (dist < width))
+    miss[boundary] = dist >= width
 
     result_sets: Dict[int, List[int]] = {}
     for set_index in range(sets_total):
@@ -252,8 +277,8 @@ def replay(
         if row_list:
             result_sets[set_index] = row_list
 
-    out = np.zeros(n, dtype=bool)
-    out[order] = miss
+    out = np.zeros(total, dtype=bool)
+    out[source[miss]] = True
     return out, result_sets
 
 
@@ -262,20 +287,21 @@ def _merge_stacks(newer: np.ndarray, older: np.ndarray, width: int) -> np.ndarra
 
     ``newer`` holds the most recent distinct lines; ``older`` lines
     already present in ``newer`` sit there at their new recency and are
-    dropped, the rest follow in order, truncated to ``width``.  The
-    operation is associative, which is what lets the caller scan it.
+    dropped, the rest follow in order, truncated to ``width``.  Both
+    are packed MRU-first, so a kept older line lands at column
+    ``count(newer lines) + (kept lines up to it) - 1``.  The operation
+    is associative, which is what lets the caller scan it.
     """
-    big = 2 * width + 1
-    cols = np.arange(width)
+    newer, older = np.broadcast_arrays(newer, older)
     carried = (older[..., :, None] == newer[..., None, :]).any(axis=-1)
-    key_new = np.where(newer != _PAD, cols, big)
-    key_old = np.where((older != _PAD) & ~carried, width + cols, big)
-    keys = np.concatenate((key_new, key_old), axis=-1)
-    vals = np.concatenate((newer, older), axis=-1)
-    sel = np.argsort(keys, axis=-1, kind="stable")
-    merged_vals = np.take_along_axis(vals, sel, axis=-1)[..., :width]
-    merged_keys = np.take_along_axis(keys, sel, axis=-1)[..., :width]
-    return np.where(merged_keys == big, _PAD, merged_vals)
+    kept = (older != _PAD) & ~carried
+    dest = np.cumsum(kept, axis=-1)
+    dest += np.count_nonzero(newer != _PAD, axis=-1)[..., None] - 1
+    kept &= dest < width
+    merged = newer.copy()
+    at = np.nonzero(kept)
+    merged[at[:-1] + (dest[at],)] = older[at]
+    return merged
 
 
 def _finish_scalar(

@@ -6,10 +6,13 @@ Two equivalent interfaces are provided:
   implementation, used directly by unit and property tests.
 * :meth:`LruCache.simulate` — whole address streams at once.  It
   exploits two exact identities to stay fast in Python: an access to
-  the line just accessed always hits (so consecutive duplicates can be
-  collapsed), and accesses to different sets never interact (so the
-  stream can be stably partitioned per set and each set replayed
-  independently).  Both paths produce bit-identical miss masks.
+  the line its set accessed last always hits and changes nothing (so
+  such re-reads can be dropped), and accesses to different sets never
+  interact (so the stream can be stably partitioned per set and each
+  set replayed independently).  Both replays drop consecutive
+  repeats; the batch replay (:mod:`repro.cache.batchlru`) then drops
+  every other per-set re-read too.  All paths produce bit-identical
+  miss masks.
 
 The cache is *stateful across calls*, so long streams can be fed in
 chunks.
@@ -17,7 +20,7 @@ chunks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -31,19 +34,16 @@ class LruCache:
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self._sets: Dict[int, List[int]] = {}
-        self._last_line: Optional[int] = None
 
     def reset(self) -> None:
         """Empty the cache."""
         self._sets.clear()
-        self._last_line = None
 
     # -- reference path ------------------------------------------------------
 
     def access(self, line: int) -> bool:
         """Access one line; returns True on hit."""
         line = int(line)
-        self._last_line = line
         ways = self._sets.setdefault(line % self.config.num_sets, [])
         try:
             position = ways.index(line)
@@ -77,14 +77,13 @@ class LruCache:
         if n == 0:
             return misses
 
-        # Collapse consecutive duplicates: repeats always hit.
+        # Collapse consecutive duplicates: repeats always hit.  The batch
+        # replay finds these too (with every other re-read of a set's MRU
+        # line), but this one compare halves the input of its set sort.
         keep = np.empty(n, dtype=bool)
-        keep[0] = self._last_line is None or lines[0] != self._last_line
+        keep[0] = True
         np.not_equal(lines[1:], lines[:-1], out=keep[1:])
         positions = np.flatnonzero(keep)
-        self._last_line = int(lines[-1])
-        if len(positions) == 0:
-            return misses
         deduped = lines[positions]
 
         if not force_scalar:

@@ -69,3 +69,39 @@ def tiny_bench_scene() -> Scene:
 
 def make_rng(seed: int = 7) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def footprint_stream(
+    rng: np.random.Generator, num_sets: int, length: int
+) -> np.ndarray:
+    """A cache line stream shaped like trilinear texture footprints.
+
+    Each step re-reads a footprint of 2-4 lines in distinct sets (as
+    many as the geometry has), A B C D A B C D ..., with jitter: a line
+    skipped or doubled, one line swapped for another tag in its set,
+    and occasional jumps to a fresh footprint.  Tags come from a small
+    range, so old lines come back.  In set order nearly every access
+    re-reads the line already MRU in its set, unlike uniform streams.
+    """
+
+    def fresh() -> list:
+        size = min(int(rng.integers(2, 5)), num_sets)
+        sets = rng.choice(num_sets, size=size, replace=False)
+        return [int(tag) * num_sets + int(s) for tag, s in
+                zip(rng.integers(0, 8, size=size), sets)]
+
+    footprint = fresh()
+    lines: list = []
+    while len(lines) < length:
+        roll = rng.random()
+        if roll < 0.05:
+            footprint = fresh()
+        elif roll < 0.2:
+            at = int(rng.integers(len(footprint)))
+            footprint[at] = int(rng.integers(0, 8)) * num_sets + footprint[at] % num_sets
+        for line in footprint:
+            roll = rng.random()
+            if roll < 0.1:
+                continue
+            lines.extend([line, line] if roll > 0.9 else [line])
+    return np.asarray(lines[:length], dtype=np.int64)

@@ -25,6 +25,7 @@ from repro.raster.raster import (
 )
 from repro.texture.filtering import TrilinearFilter
 from repro.workloads.scenes import build_scene
+from tests.conftest import footprint_stream
 
 
 @pytest.fixture(scope="module")
@@ -108,16 +109,22 @@ def test_lru_replay_matches_scalar_under_random_chunking(
     monkeypatch, num_sets, ways
 ):
     rng = np.random.default_rng(603 + num_sets * 8 + ways)
-    for chunk in (3, 17, int(rng.integers(32, 4096)), batchlru.CHUNK_TARGET_LEN):
+    default = batchlru.CHUNK_TARGET_LEN
+    for chunk in (3, 17, int(rng.integers(32, 4096)), default):
         monkeypatch.setattr(batchlru, "CHUNK_TARGET_LEN", chunk)
-        lines = _random_stream(rng, int(rng.integers(1, 6000)))
+        streams = [_random_stream(rng, int(rng.integers(1, 6000)))]
+        if chunk != default:
+            # Texture footprints: mostly per-set MRU re-reads, which the
+            # replay drops before chunking.
+            streams.append(footprint_stream(rng, num_sets, int(rng.integers(1, 6000))))
         config = _config(num_sets, ways)
-        batched, scalar = LruCache(config), LruCache(config)
-        assert np.array_equal(
-            batched.simulate(lines),
-            scalar.simulate(lines, force_scalar=True),
-        )
-        assert batched.contents() == scalar.contents()
+        for lines in streams:
+            batched, scalar = LruCache(config), LruCache(config)
+            assert np.array_equal(
+                batched.simulate(lines),
+                scalar.simulate(lines, force_scalar=True),
+            )
+            assert batched.contents() == scalar.contents()
 
 
 def test_lru_replay_is_call_split_invariant(monkeypatch):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import CacheConfig, LruCache
+from tests.conftest import footprint_stream
 
 
 def geometry(sets: int, ways: int) -> CacheConfig:
@@ -129,3 +130,85 @@ class TestAccessSimulateEquivalence:
         assert (
             chunked.simulate(probe) == reference_mask(fresh_reference, probe)
         ).all()
+
+
+def set_mru_rereads(stream: np.ndarray, num_sets: int) -> list:
+    """Positions re-reading their set's MRU line that are not repeats.
+
+    These are the accesses the batch replay drops beyond plain
+    consecutive duplicates; a call that starts at one of them begins
+    with a hit on the MRU line the previous call left in its set.
+    """
+    found, last_in_set = [], {}
+    previous = None
+    for position, line in enumerate(stream.tolist()):
+        if line != previous and last_in_set.get(line % num_sets) == line:
+            found.append(position)
+        last_in_set[line % num_sets] = previous = line
+    return found
+
+
+# Footprint streams need sets for their lines to spread over; 3 and 6
+# cover the modulo (non-power-of-two) set index.
+footprint_geometries = st.tuples(
+    st.sampled_from([1, 3, 4, 6, 64]), st.integers(min_value=1, max_value=4)
+)
+
+
+class TestFootprintStreams:
+    """Texture-shaped streams, where most accesses re-read a set's MRU line."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        geo=footprint_geometries,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        length=st.integers(min_value=1, max_value=800),
+        data=st.data(),
+    )
+    def test_chunked_simulate_matches_access(self, geo, seed, length, data):
+        config = geometry(*geo)
+        stream = footprint_stream(np.random.default_rng(seed), config.num_sets, length)
+        reference = LruCache(config)
+        expected = reference_mask(reference, stream)
+
+        # One call boundary lands on an access that hits the MRU line
+        # its set kept from the previous call, when the stream has one.
+        cuts = data.draw(
+            st.lists(st.integers(min_value=0, max_value=length), max_size=4),
+            label="cuts",
+        )
+        rereads = set_mru_rereads(stream, config.num_sets)
+        if rereads:
+            cuts.append(data.draw(st.sampled_from(rereads), label="mru_cut"))
+        chunked = LruCache(config)
+        got = np.concatenate(
+            [chunked.simulate(part) for part in np.split(stream, sorted(cuts))]
+        )
+        assert (got == expected).all()
+        assert chunked.contents() == reference.contents()
+
+    def test_call_starting_on_set_mru_hits(self):
+        """The entry MRU check: a call whose first access is its set's MRU."""
+        config = geometry(3, 2)
+        # Lines 4, 7, 10 and 13 share set 1; 5 sits in set 2.  The second
+        # call opens on 7 (MRU of set 1, not the last line read) and then
+        # on 5 (the last line read by the previous call).  The third
+        # opens on 7 again, now set 1's LRU line: a hit that reorders
+        # the set, so 13 must evict 10 and the final 7 must hit.
+        calls = [[4, 7, 5], [7, 5, 4, 7, 10], [7, 13, 7]]
+        reference = LruCache(config)
+        expected = reference_mask(reference, sum(calls, []))
+        cache = LruCache(config)
+        got = np.concatenate(
+            [cache.simulate(np.asarray(call, dtype=np.int64)) for call in calls]
+        )
+        assert got.tolist() == expected.tolist()
+        assert got[3:5].tolist() == [False, False]
+        assert got[8:].tolist() == [False, True, False]
+        assert cache.contents() == reference.contents()
+
+    def test_streams_are_dominated_by_set_mru_rereads(self):
+        """The generator exercises the re-read filter, unlike uniform streams."""
+        stream = footprint_stream(np.random.default_rng(5), 64, 4000)
+        repeats = int(np.count_nonzero(stream[1:] == stream[:-1]))
+        assert len(set_mru_rereads(stream, 64)) + repeats > 0.6 * len(stream)
