@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Assemble results/*.txt into one distributable REPORT.md.
 
-Run after the benchmark harness:
+Run after regenerating the results:
 
-    pytest benchmarks/ --benchmark-only
+    repro-experiments all --out results/
     python scripts/gen_report.py
 """
 
@@ -23,40 +23,43 @@ SECTIONS = [
     ("fig5_imbalance_sli", "Figure 5 (top right) — imbalance, SLI"),
     ("fig5_speedup_block", "Figure 5 (bottom left) — perfect-cache speedup, block"),
     ("fig5_speedup_sli", "Figure 5 (bottom right) — perfect-cache speedup, SLI"),
-    ("fig6_massive_block", "Figure 6 — locality, 32massive, block"),
-    ("fig6_massive_sli", "Figure 6 — locality, 32massive, SLI"),
-    ("fig6_teapot_block", "Figure 6 — locality, teapot, block"),
-    ("fig6_teapot_sli", "Figure 6 — locality, teapot, SLI"),
-    ("fig7_speedup_block", "Figure 7 — speedups, block, 1x bus"),
-    ("fig7_speedup_sli", "Figure 7 — speedups, SLI, 1x bus"),
+    ("fig6_massive32_1255_block", "Figure 6 — locality, 32massive, block"),
+    ("fig6_massive32_1255_sli", "Figure 6 — locality, 32massive, SLI"),
+    ("fig6_teapot_full_block", "Figure 6 — locality, teapot, block"),
+    ("fig6_teapot_full_sli", "Figure 6 — locality, teapot, SLI"),
+    ("fig7_block", "Figure 7 — speedups, block, 1x bus"),
+    ("fig7_sli", "Figure 7 — speedups, SLI, 1x bus"),
     ("fig7_ratio2_block", "Figure 7 companion — block, 2x bus"),
     ("fig7_ratio2_sli", "Figure 7 companion — SLI, 2x bus"),
-    ("fig8_buffer_perfect", "Figure 8 — buffering, perfect cache"),
-    ("fig8_buffer_lru", "Figure 8 — buffering, 16KB cache"),
+    ("fig8_perfect", "Figure 8 — buffering, perfect cache"),
+    ("fig8_lru", "Figure 8 — buffering, 16KB cache"),
     ("ablation_cache_size", "Ablation — cache size"),
     ("ablation_cache_associativity", "Ablation — associativity"),
     ("ablation_interleaving", "Ablation — interleaving vs contiguous bands"),
     ("ablation_interleave_pattern", "Ablation — grid vs Morton dealing"),
     ("ablation_texture_blocking", "Ablation — texture blocking shape"),
     ("ablation_texel_format", "Ablation — texel format"),
-    ("ablation_submission_order", "Ablation — submission order"),
+    ("ablation_order", "Ablation — submission order"),
     ("ablation_routing", "Ablation — bbox vs oracle routing"),
     ("ablation_early_z", "Ablation — early-Z"),
-    ("seed_sensitivity", "Robustness — generator seeds"),
+    ("seeds", "Robustness — generator seeds"),
     ("scale_stability", "Methodology — scale stability"),
     ("cad_contrast", "Methodology — Viewperf/CAD contrast"),
     ("future_dynamic", "Future work — dynamic load balancing"),
-    ("future_l2_interframe", "Future work — inter-frame L2"),
-    ("comparison_sort_last", "Comparison — sort-last"),
-    ("validation_prefetch", "Validation — prefetch latency hiding"),
-    ("validation_overlap", "Validation — overlap closed form"),
-    ("extension_geometry_stage", "Extension — finite-rate geometry stage"),
+    ("future_l2", "Future work — inter-frame L2"),
+    ("sort_last", "Comparison — sort-last"),
+    ("prefetch", "Validation — prefetch latency hiding"),
+    ("overlap", "Validation — overlap closed form"),
+    ("geometry_stage", "Extension — finite-rate geometry stage"),
+    ("vt_distribution", "Extension — distributions under virtual texturing"),
 ]
 
 
 def main() -> None:
     if not RESULTS.is_dir():
-        raise SystemExit("results/ not found — run the benchmark harness first")
+        raise SystemExit(
+            "results/ not found — run `repro-experiments all --out results/` first"
+        )
     available = {path.stem: path for path in RESULTS.glob("*.txt")}
     parts = [
         "# Reproduction report",

@@ -2,11 +2,11 @@
 # Reproduce the whole paper: tests, every table/figure, extensions.
 #
 # Usage:
-#   scripts/reproduce.sh          # default scale (0.25 linear)
-#   REPRO_SCALE=0.5 scripts/reproduce.sh
+#   scripts/reproduce.sh          # each experiment's declared default scale
+#   REPRO_SCALE=0.5 scripts/reproduce.sh   # one scale for every experiment
 #   REPRO_WORKERS=8 scripts/reproduce.sh   # parallel Figure-7 panels
 #
-# Outputs land in results/ (one .txt per table/figure).
+# Outputs land in results/ (one .txt per table/figure panel).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -14,8 +14,8 @@ cd "$(dirname "$0")/.."
 echo "== test suite =="
 python -m pytest tests/ -q
 
-echo "== benchmark harness (all tables & figures) =="
-python -m pytest benchmarks/ --benchmark-only -q
+echo "== every table & figure =="
+repro-experiments all --out results/
 
 echo "== assemble REPORT.md and docs/API.md =="
 python scripts/gen_report.py

@@ -5,7 +5,7 @@ HPCA 2000).
 A trace-driven, cycle-level simulator of a parallel sort-middle
 texture-mapping engine built from commodity nodes with private 16 KB
 texture caches, plus the synthetic virtual-reality workloads, analysis
-drivers and benchmark harness that regenerate every table and figure of
+drivers and experiment specs that regenerate every table and figure of
 the paper's evaluation.
 
 Quick start::

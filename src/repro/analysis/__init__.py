@@ -1,8 +1,8 @@
 """Experiment drivers.
 
 One module per figure/table of the paper, plus scene characterisation
-(Table 1) and plain-text rendering helpers.  The benchmark harness in
-``benchmarks/`` is a thin wrapper over these functions.
+(Table 1) and plain-text rendering helpers.  The experiment specs in
+:mod:`repro.analysis.experiments` are declared over these functions.
 """
 
 from repro.analysis.characterize import characterize_scene

@@ -1,8 +1,11 @@
-"""Canonical experiment definitions — registry shim.
+"""Canonical experiment definitions.
 
-One module per figure/table family; importing them here populates the
-:data:`EXPERIMENTS` registry that the ``repro-experiments`` CLI and the
-pytest-benchmark harness resolve names from.  Every public experiment
+One module per figure/table family; importing them here registers every
+:class:`~repro.expfw.spec.ExperimentSpec` in
+:data:`repro.expfw.spec.SPECS`, the one registry the
+``repro-experiments`` CLI, the job service and the search driver
+resolve names from.  ``repro-experiments all --out results/`` writes
+each spec's panel points to ``results/``.  Every public experiment
 function is re-exported so ``from repro.analysis import experiments``
 keeps working unchanged.
 """
@@ -17,7 +20,6 @@ from repro.analysis.experiments.common import (
     PROCESSOR_COUNTS,
     SLI_LINES,
 )
-from repro.analysis.experiments.registry import EXPERIMENTS, register, resolve
 from repro.analysis.experiments.table1 import table1
 from repro.analysis.experiments.fig5 import fig5_imbalance, fig5_speedup
 from repro.analysis.experiments.fig6 import fig6
@@ -55,7 +57,6 @@ __all__ = [
     "ALL_PROCESSOR_COUNTS",
     "BLOCK_WIDTHS",
     "BUFFER_SIZES",
-    "EXPERIMENTS",
     "FIG8_WIDTHS",
     "PROCESSOR_COUNTS",
     "SLI_LINES",
@@ -79,8 +80,6 @@ __all__ = [
     "fig8",
     "future_dynamic",
     "future_l2_interframe",
-    "register",
-    "resolve",
     "scale_stability",
     "seed_sensitivity",
     "table1",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.analysis.buffering import buffer_sweep
-from repro.analysis.experiments.registry import register
+from repro.analysis.experiments.common import register_scale_specs
 from repro.analysis.load_balance import imbalance_percent
 from repro.analysis.locality import texel_to_fragment_ratio
 from repro.analysis.performance import SpeedupStudy
@@ -323,28 +323,38 @@ def ablation_early_z(scale: float, num_processors: int = 16) -> str:
     )
 
 
-register("ablations", "cache geometry, interleaving and blocking ablations")(
-    lambda scale: "\n\n".join(
-        (
-            ablation_cache_size(scale),
-            ablation_cache_associativity(scale),
-            ablation_interleaving(scale),
-            ablation_texture_blocking(scale),
-        )
-    )
-)
-register("ablation-order", "ablation: submission order vs triangle-buffer need")(
-    ablation_submission_order
-)
-register("ablation-routing", "ablation: bounding-box vs oracle coverage routing")(
-    ablation_routing
-)
-register("ablation-texel-format", "ablation: 32-bit vs 16-bit texel formats")(
-    ablation_texel_format
-)
-register("ablation-interleave-pattern", "ablation: grid vs Morton-curve block dealing")(
-    ablation_interleave_pattern
-)
-register("ablation-early-z", "ablation: late-Z (paper) vs early-Z fragment rejection")(
-    ablation_early_z
+register_scale_specs(
+    ("ablation-cache-size", "ablation: texel/fragment vs cache size", ablation_cache_size),
+    (
+        "ablation-cache-associativity",
+        "ablation: texel/fragment vs cache associativity",
+        ablation_cache_associativity,
+    ),
+    (
+        "ablation-interleaving",
+        "ablation: interleaved blocks vs contiguous bands",
+        ablation_interleaving,
+    ),
+    (
+        "ablation-texture-blocking",
+        "ablation: 4x4 texture blocking vs 16x1 raster lines",
+        ablation_texture_blocking,
+    ),
+    (
+        "ablation-order",
+        "ablation: submission order vs triangle-buffer need",
+        ablation_submission_order,
+    ),
+    ("ablation-routing", "ablation: bounding-box vs oracle coverage routing", ablation_routing),
+    ("ablation-texel-format", "ablation: 32-bit vs 16-bit texel formats", ablation_texel_format),
+    (
+        "ablation-interleave-pattern",
+        "ablation: grid vs Morton-curve block dealing",
+        ablation_interleave_pattern,
+    ),
+    (
+        "ablation-early-z",
+        "ablation: late-Z (paper) vs early-Z fragment rejection",
+        ablation_early_z,
+    ),
 )

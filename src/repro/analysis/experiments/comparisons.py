@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.experiments.registry import register
+from repro.analysis.experiments.common import register_scale_specs
 from repro.analysis.tables import format_table
 from repro.distribution import BlockInterleaved
 from repro.workloads import SCENE_NAMES, build_scene
@@ -60,6 +60,6 @@ def comparison_sort_last(scale: float, num_processors: int = 16) -> str:
     )
 
 
-register("sort-last", "comparison: sort-middle vs sort-last architecture")(
-    comparison_sort_last
+register_scale_specs(
+    ("sort-last", "comparison: sort-middle vs sort-last architecture", comparison_sort_last),
 )

@@ -2,29 +2,46 @@
 
 from __future__ import annotations
 
-from repro.analysis.experiments.common import ALL_PROCESSOR_COUNTS, FAMILY_ROW_LABEL, family_sizes
-from repro.analysis.experiments.registry import register
+from repro.analysis.experiments.common import (
+    ALL_PROCESSOR_COUNTS,
+    FAMILIES,
+    FAMILY_ROW_LABEL,
+    SCALE,
+    family_sizes,
+    text_runner,
+)
 from repro.analysis.locality import locality_sweep
 from repro.analysis.tables import format_series
-from repro.workloads import build_scene
+from repro.expfw.params import Param, ParamSpace
+from repro.expfw.spec import ExperimentSpec, register_spec
+from repro.workloads import SCENE_NAMES, build_scene
 
 
-def fig6(scene_name: str, family: str, scale: float) -> str:
+def fig6(scene: str, family: str, scale: float) -> str:
     """Figure 6: texel-to-fragment ratio, 16 KB caches, infinite bus."""
-    scene = build_scene(scene_name, scale)
-    sweep = locality_sweep(scene, family, family_sizes(family), ALL_PROCESSOR_COUNTS)
+    sweep = locality_sweep(
+        build_scene(scene, scale), family, family_sizes(family), ALL_PROCESSOR_COUNTS
+    )
     rounded = {key: round(value, 3) for key, value in sweep.items()}
     return format_series(
-        f"Figure 6: texel/fragment, {scene_name}, {family} (scale={scale})",
+        f"Figure 6: texel/fragment, {scene}, {family} (scale={scale})",
         rounded,
         row_label=FAMILY_ROW_LABEL[family],
     )
 
 
-register("fig6", "texel/fragment locality")(
-    lambda scale: "\n\n".join(
-        fig6(scene, family, scale)
-        for scene in ("massive32_1255", "teapot_full")
-        for family in ("block", "sli")
+FIG6 = register_spec(
+    ExperimentSpec(
+        name="fig6",
+        description="texel/fragment locality",
+        space=ParamSpace(
+            (
+                SCALE,
+                Param.choice("scene", "massive32_1255", SCENE_NAMES, help="workload"),
+                Param.choice("family", "block", FAMILIES, help="distribution family"),
+            )
+        ),
+        runner=text_runner(fig6),
+        panels={"scene": ("massive32_1255", "teapot_full"), "family": FAMILIES},
     )
 )

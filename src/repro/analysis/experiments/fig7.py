@@ -5,26 +5,30 @@ scene panels fan out over ``REPRO_WORKERS`` processes, sharing their
 scene/routing/replay artifacts through the pipeline's disk store.
 
 The experiment is declared as an :class:`~repro.expfw.spec.ExperimentSpec`:
-``fig7-ratio2`` is no longer a copy-pasted lambda but a derived child
-spec (same runner, ``bus_ratio=2.0`` default and a narrower scene
-list), and the ``family`` panel axis rebuilds the legacy two-panel CLI
-text byte-for-byte.  The trial template is what the auto-search driver
-tunes: tile size / SLI height following the family, FIFO depth, and
-cache geometry.
+``fig7-ratio2`` is a derived child spec (same runner, ``bus_ratio=2.0``
+default and a narrower scene list), and the ``family`` panel axis
+writes one ``results/`` file per family.  The trial template is what
+the auto-search driver tunes: tile size / SLI height following the
+family, FIFO depth, and cache geometry.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from repro.analysis.experiments.common import FAMILY_ROW_LABEL, PROCESSOR_COUNTS, family_sizes
+from repro.analysis.experiments.common import (
+    FAMILIES,
+    FAMILY_ROW_LABEL,
+    PROCESSOR_COUNTS,
+    SCALE,
+    family_sizes,
+    text_runner,
+)
 from repro.analysis.performance import SpeedupStudy
 from repro.analysis.tables import format_series
 from repro.expfw.params import Param, ParamSpace
-from repro.expfw.spec import ExperimentSpec, RunResult, TrialTemplate, register_spec
+from repro.expfw.spec import ExperimentSpec, TrialTemplate, register_spec
 from repro.workloads import SCENE_NAMES, build_scene
-
-FAMILIES = ("block", "sli")
 
 #: Search axes beyond the distribution size (the paper's §4 knobs).
 FIFO_DEPTHS = (10, 100, 10000)
@@ -77,17 +81,6 @@ def fig7(
     return header + "\n\n" + "\n\n".join(blocks)
 
 
-def _run_fig7(params: Mapping[str, object]) -> RunResult:
-    return RunResult(
-        text=fig7(
-            params["family"],
-            params["scale"],
-            bus_ratio=params["bus_ratio"],
-            scenes=params["scenes"],
-        )
-    )
-
-
 def _fig7_axes(params: Mapping[str, object]) -> dict:
     """The tunable machine point: size follows the family."""
     return {
@@ -103,13 +96,13 @@ FIG7 = register_spec(
         description="speedups, 1x bus",
         space=ParamSpace(
             (
-                Param.number("scale", 0.25, minimum=0.001, maximum=1.0, help="scene scale"),
+                SCALE,
                 Param.choice("family", "block", FAMILIES, help="distribution family"),
                 Param.number("bus_ratio", 1.0, minimum=0.1, maximum=16.0, help="bus texel/pixel"),
                 Param.names("scenes", SCENE_NAMES, SCENE_NAMES, help="scene panels"),
             )
         ),
-        runner=_run_fig7,
+        runner=text_runner(fig7),
         panels={"family": FAMILIES},
         trial=TrialTemplate(
             base={"scene": "massive32_1255", "processors": 64, "cache": "lru"},

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from repro.analysis.buffering import buffer_sweep
-from repro.analysis.experiments.common import BUFFER_SIZES, FIG8_WIDTHS
-from repro.analysis.experiments.registry import register
+from repro.analysis.experiments.common import BUFFER_SIZES, FIG8_WIDTHS, SCALE, text_runner
 from repro.analysis.tables import format_series
+from repro.expfw.params import Param, ParamSpace
+from repro.expfw.spec import ExperimentSpec, register_spec
 from repro.workloads import build_scene
 
 
@@ -31,6 +32,18 @@ def fig8(cache: str, scale: float, bus_ratio: float = 2.0) -> str:
     )
 
 
-register("fig8", "triangle-buffer study")(
-    lambda scale: fig8("perfect", scale) + "\n\n" + fig8("lru", scale)
+FIG8 = register_spec(
+    ExperimentSpec(
+        name="fig8",
+        description="triangle-buffer study",
+        space=ParamSpace(
+            (
+                SCALE,
+                Param.choice("cache", "perfect", ("perfect", "lru"), help="cache model"),
+                Param.number("bus_ratio", 2.0, minimum=0.1, maximum=16.0, help="bus texel/pixel"),
+            )
+        ),
+        runner=text_runner(fig8),
+        panels={"cache": ("perfect", "lru")},
+    )
 )

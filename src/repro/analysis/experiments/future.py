@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.experiments.registry import register
+from repro.analysis.experiments.common import register_scale_specs
 from repro.analysis.tables import format_table
 from repro.distribution import BlockInterleaved
 from repro.workloads import build_scene
@@ -99,10 +99,12 @@ def extension_geometry_stage(
     )
 
 
-register("future-dynamic", "Sec. 9 future work: dynamic tile assignment")(future_dynamic)
-register("future-l2", "Sec. 9 future work: inter-frame L2 vs viewpoint pan")(
-    future_l2_interframe
-)
-register("geometry-stage", "extension: finite-rate geometry stage (balanced machine)")(
-    extension_geometry_stage
+register_scale_specs(
+    ("future-dynamic", "Sec. 9 future work: dynamic tile assignment", future_dynamic),
+    ("future-l2", "Sec. 9 future work: inter-frame L2 vs viewpoint pan", future_l2_interframe),
+    (
+        "geometry-stage",
+        "extension: finite-rate geometry stage (balanced machine)",
+        extension_geometry_stage,
+    ),
 )

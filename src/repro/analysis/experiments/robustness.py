@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.experiments.common import BLOCK_WIDTHS
-from repro.analysis.experiments.registry import register
+from repro.analysis.experiments.common import BLOCK_WIDTHS, register_scale_specs
 from repro.analysis.load_balance import imbalance_percent
 from repro.analysis.locality import texel_to_fragment_ratio
 from repro.analysis.performance import SpeedupStudy
@@ -142,10 +141,8 @@ def scale_stability(
     )
 
 
-register("seeds", "robustness: conclusions across generator seeds")(seed_sensitivity)
-register("cad-contrast", "contrast: Viewperf-style CAD frame vs VR frame (Sec. 4.2)")(
-    cad_contrast
-)
-register("scale-stability", "methodology: headline metrics across scene scales")(
-    scale_stability
+register_scale_specs(
+    ("seeds", "robustness: conclusions across generator seeds", seed_sensitivity),
+    ("cad-contrast", "contrast: Viewperf-style CAD frame vs VR frame (Sec. 4.2)", cad_contrast),
+    ("scale-stability", "methodology: headline metrics across scene scales", scale_stability),
 )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.experiments.registry import register
+from repro.analysis.experiments.common import register_scale_specs
 from repro.analysis.tables import format_table
 from repro.workloads import SCENE_NAMES, build_scene
 
@@ -33,4 +33,4 @@ def table1(scale: float) -> str:
     return f"Table 1 (scale={scale}): scene characteristics\n{table}"
 
 
-register("table1", "scene characteristics")(table1)
+register_scale_specs(("table1", "scene characteristics", table1))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.experiments.registry import register
+from repro.analysis.experiments.common import register_scale_specs
 from repro.analysis.tables import format_table
 from repro.workloads import build_scene
 
@@ -59,9 +59,7 @@ def validation_prefetch(scale: float, latency: float = 50.0) -> str:
     )
 
 
-register("prefetch", "validation: pixel-FIFO latency hiding (Igehy assumption)")(
-    validation_prefetch
-)
-register("overlap", "validation: routing overlap vs the Chen et al. model")(
-    validation_overlap_model
+register_scale_specs(
+    ("prefetch", "validation: pixel-FIFO latency hiding (Igehy assumption)", validation_prefetch),
+    ("overlap", "validation: routing overlap vs the Chen et al. model", validation_overlap_model),
 )

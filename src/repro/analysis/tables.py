@@ -1,6 +1,6 @@
 """Plain-text rendering of experiment output.
 
-The benchmark harness prints the same rows/series the paper's tables
+The experiments print the same rows/series the paper's tables
 and figures report; these helpers keep that output aligned and uniform.
 """
 

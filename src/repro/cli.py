@@ -5,7 +5,7 @@ Examples::
     repro-experiments list
     repro-experiments table1
     repro-experiments fig6 --scale 0.5
-    repro-experiments all --scale 0.25 --out results/
+    repro-experiments all --out results/
     repro-experiments run --scene truc640 --processors 4 --size 16 \
         --trace-out trace.json --metrics-out metrics.json
     repro-experiments dump-trace --scene quake --path quake.trace
@@ -30,9 +30,10 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.experiments import EXPERIMENTS
+import repro.analysis.experiments  # noqa: F401  (registers every spec in SPECS)
 from repro.errors import ConfigurationError, ReproError
-from repro.workloads.scenes import experiment_scale
+from repro.expfw.spec import PANEL_SEPARATOR, SPECS, require_spec
+from repro.workloads.scenes import DEFAULT_SCALE, SCALE_ENV_VAR, experiment_scale
 
 #: Utility commands handled outside the experiment registry.
 _COMMANDS = {
@@ -79,14 +80,15 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "linear scene scale in (0, 1]; 1.0 is the paper's frame size "
-            "(default: REPRO_SCALE env var or 0.25)"
+            "(default: REPRO_SCALE env var, else each experiment's declared "
+            f"scale; {DEFAULT_SCALE} for run/dump-trace)"
         ),
     )
     parser.add_argument(
         "--out",
         type=Path,
         default=None,
-        help="directory to also write each result into (one .txt per experiment)",
+        help="directory to also write each result into (one .txt per panel point)",
     )
     parser.add_argument(
         "--scene",
@@ -317,31 +319,26 @@ def _apply_workers(raw: str) -> None:
     os.environ[WORKERS_ENV_VAR] = str(parse_worker_count(raw, label="--workers"))
 
 
-def _run_one(name: str, scale: float, out: Optional[Path]) -> None:
-    description, runner = EXPERIMENTS[name]
+def _run_one(name: str, scale: Optional[float], out: Optional[Path]) -> None:
+    """Run one spec; with ``out``, write one ``<stem>.txt`` per panel point."""
+    spec = require_spec(name)
     started = time.perf_counter()
-    text = runner(scale)
+    panels = spec.panel_texts(scale)
     elapsed = time.perf_counter() - started
-    print(text)
-    print(f"[{name}: {description} — {elapsed:.1f}s]\n")
+    print(PANEL_SEPARATOR.join(text for _, text in panels))
+    print(f"[{name}: {spec.description} — {elapsed:.1f}s]\n")
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"{name.replace('-', '_')}.txt").write_text(text + "\n")
+        for stem, text in panels:
+            (out / f"{stem}.txt").write_text(text + "\n")
 
 
 def _list_registry() -> None:
-    from repro.expfw.spec import SPECS
-
-    width = max(
-        max(len(name) for name in EXPERIMENTS),
-        max(len(name) for name in _COMMANDS),
-    )
+    width = max(len(name) for name in list(SPECS) + list(_COMMANDS))
     print("experiments:")
-    for name, (description, _) in EXPERIMENTS.items():
-        print(f"  {name.ljust(width)}  {description}")
-        spec = SPECS.get(name)
-        if spec is not None:
-            print(f"  {'':{width}}    params: {spec.describe_params()}")
+    for name, spec in SPECS.items():
+        print(f"  {name.ljust(width)}  {spec.description}")
+        print(f"  {'':{width}}    params: {spec.describe_params()}")
     print("\ncommands:")
     for name, description in _COMMANDS.items():
         print(f"  {name.ljust(width)}  {description}")
@@ -562,7 +559,7 @@ def _inline_json(raw: Optional[str], label: str) -> dict:
     return value
 
 
-def _search(args, scale: float) -> int:
+def _search(args, scale: Optional[float]) -> int:
     from repro.expfw import ClientDispatcher, parse_search_payload, render_report, run_search
 
     if args.search_experiment is None:
@@ -572,7 +569,8 @@ def _search(args, scale: float) -> int:
         print("error: search needs --budget <amount>", file=sys.stderr)
         return 2
     overrides = _inline_json(args.overrides, "--overrides")
-    overrides.setdefault("scale", scale)
+    if scale is not None:
+        overrides.setdefault("scale", scale)
     payload = {
         "experiment": args.search_experiment,
         "budget": args.budget,
@@ -681,10 +679,15 @@ def _main(argv: Optional[List[str]] = None) -> int:
     if args.experiment == "replay":
         return _replay(args)
 
-    scale = args.scale if args.scale is not None else experiment_scale()
-    if not 0 < scale <= 1:
+    # Unset --scale and REPRO_SCALE leave every experiment at its
+    # declared default scale; single machine points use DEFAULT_SCALE.
+    scale = args.scale
+    if scale is None and SCALE_ENV_VAR in os.environ:
+        scale = experiment_scale()
+    if scale is not None and not 0 < scale <= 1:
         print(f"error: --scale must be in (0, 1], got {scale}", file=sys.stderr)
         return 2
+    point_scale = DEFAULT_SCALE if scale is None else scale
 
     if args.experiment == "submit":
         # An unset --scale defers to the service's default for the job.
@@ -692,20 +695,20 @@ def _main(argv: Optional[List[str]] = None) -> int:
     elif args.experiment == "search":
         status = _search(args, scale)
     elif args.experiment == "run":
-        status = _run_point(args, scale)
+        status = _run_point(args, point_scale)
     elif args.experiment == "dump-trace":
-        status = _dump_trace(args, scale)
+        status = _dump_trace(args, point_scale)
     elif args.experiment == "replay-trace":
         status = _replay_trace(args)
     elif args.experiment == "batch":
         status = _run_batch(args)
     else:
         if args.experiment == "all":
-            names = list(EXPERIMENTS)
-        elif args.experiment in EXPERIMENTS:
+            names = list(SPECS)
+        elif args.experiment in SPECS:
             names = [args.experiment]
         else:
-            known = ", ".join(list(EXPERIMENTS) + list(_COMMANDS))
+            known = ", ".join(list(SPECS) + list(_COMMANDS))
             print(
                 f"error: unknown experiment {args.experiment!r}; choose from {known}",
                 file=sys.stderr,

@@ -5,8 +5,8 @@ three composable pieces:
 
 * :mod:`repro.expfw.params` / :mod:`repro.expfw.spec` — typed
   parameter spaces and :class:`ExperimentSpec` objects (defaults,
-  bounds, inheritance, per-run overrides) registered alongside the
-  legacy experiment registry;
+  bounds, inheritance, per-run overrides) registered in
+  :data:`SPECS`, the one experiment registry;
 * :mod:`repro.expfw.archive` — a content-addressed
   :class:`RunArchive` of re-runnable JSON records (resolved params,
   artifact keys, metrics, git/config fingerprint) layered on the

@@ -1,37 +1,37 @@
-"""Declarative experiment specs over the legacy experiment registry.
+"""Declarative experiment specs: the one experiment registry.
 
-An :class:`ExperimentSpec` lifts one registered experiment into a
-typed object: a :class:`~repro.expfw.params.ParamSpace` (defaults,
-bounds, choices), a runner that maps resolved params to a
-:class:`RunResult`, optional *panels* (axes whose joined sub-runs form
-the legacy CLI text — the ``block``/``sli`` pairing every figure
-hand-rolled before), and an optional :class:`TrialTemplate` describing
-how the auto-search driver turns the experiment into tunable machine
-points (tile size / SLI height / FIFO depth / cache geometry).
+An :class:`ExperimentSpec` is one named experiment as a typed object:
+a :class:`~repro.expfw.params.ParamSpace` (defaults, bounds, choices),
+a runner that maps resolved params to a :class:`RunResult`, optional
+*panels* (axes whose sub-runs are joined into the CLI text and written
+as one ``results/`` file each — the ``block``/``sli`` pairing every
+figure hand-rolled before), and an optional :class:`TrialTemplate`
+describing how the auto-search driver turns the experiment into
+tunable machine points (tile size / SLI height / FIFO depth / cache
+geometry).
 
-:func:`register_spec` registers the spec **and** a legacy adapter in
-:data:`repro.analysis.experiments.registry.EXPERIMENTS`, so existing
-callers (CLI names, job submissions, benchmarks) keep working while
-new callers resolve the spec through :func:`require_spec`.  Specs
-derive children with :meth:`ExperimentSpec.derive` — parameter
-inheritance with per-child default overrides (``fig7-ratio2`` is
-``fig7`` with ``bus_ratio=2.0`` and a narrower scene list).
+:func:`register_spec` adds a spec to :data:`SPECS`, which the CLI, the
+job service and the search driver resolve names from through
+:func:`require_spec`.  Specs derive children with
+:meth:`ExperimentSpec.derive` — parameter inheritance with per-child
+default overrides (``fig7-ratio2`` is ``fig7`` with ``bus_ratio=2.0``
+and a narrower scene list).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.expfw.params import Param, ParamSpace
 from repro.pipeline.keys import fingerprint
 
-#: Spec registry: experiment name -> spec (parallel to EXPERIMENTS).
+#: Spec registry: experiment name -> spec, in registration order.
 SPECS: Dict[str, "ExperimentSpec"] = {}
 
-#: Separator the legacy figure text used between panel sub-runs.
+#: Separator between panel sub-runs in the joined CLI text.
 PANEL_SEPARATOR = "\n\n"
 
 #: Sentinel: ``derive`` keeps the parent's panels unless told otherwise.
@@ -117,18 +117,31 @@ class ExperimentSpec:
         """Resolve and execute one run."""
         return self.runner(self.resolve(overrides))
 
-    def render(self, scale: float) -> str:
-        """The legacy CLI text: panel sub-runs joined by a blank line.
+    def panel_points(
+        self, scale: Optional[float] = None
+    ) -> List[Tuple[str, Dict[str, object]]]:
+        """``(results stem, resolved params)`` for every panel point.
 
-        This is the exact string the hand-rolled registry lambdas used
-        to build (``fn("block", scale) + "\\n\\n" + fn("sli", scale)``),
-        now driven by the spec's own grid enumeration.
+        ``scale=None`` keeps the spec's declared default.  The stem is
+        the spec name with ``-`` -> ``_``, then ``_<value>`` for each
+        panel axis in declaration order; a spec without panels has one
+        point whose stem is its bare name.
         """
-        base = {"scale": scale}
-        if not self.panels:
-            return self.run(base).text
-        points = self.space.grid(self.panels, base=base)
-        return PANEL_SEPARATOR.join(self.runner(point).text for point in points)
+        axes = self.panels or {}
+        base = {} if scale is None else {"scale": scale}
+        prefix = self.name.replace("-", "_")
+        return [
+            (prefix + "".join(f"_{point[axis]}" for axis in axes), point)
+            for point in self.space.grid(axes, base=base)
+        ]
+
+    def panel_texts(self, scale: Optional[float] = None) -> List[Tuple[str, str]]:
+        """Run every panel point: ``(results stem, text)`` in order."""
+        return [(stem, self.runner(point).text) for stem, point in self.panel_points(scale)]
+
+    def render(self, scale: Optional[float] = None) -> str:
+        """The CLI text: panel sub-runs joined by a blank line."""
+        return PANEL_SEPARATOR.join(text for _, text in self.panel_texts(scale))
 
     # -- identity ----------------------------------------------------
 
@@ -182,13 +195,10 @@ class ExperimentSpec:
 
 
 def register_spec(spec: ExperimentSpec) -> ExperimentSpec:
-    """Register a spec and its legacy ``runner(scale) -> str`` adapter."""
-    from repro.analysis.experiments.registry import register
-
+    """Add a spec to :data:`SPECS` (names are unique)."""
     if spec.name in SPECS:
         raise ConfigurationError(f"experiment spec {spec.name!r} registered twice")
     SPECS[spec.name] = spec
-    register(spec.name, spec.description)(spec.render)
     return spec
 
 
@@ -197,9 +207,8 @@ def require_spec(name: str) -> ExperimentSpec:
     import repro.analysis.experiments  # noqa: F401  (registers the specs)
 
     if name not in SPECS:
-        known = ", ".join(sorted(SPECS)) or "none registered"
         raise ConfigurationError(
-            f"experiment {name!r} has no declarative spec; specs exist for: {known}"
+            f"unknown experiment {name!r}; choose from {', '.join(SPECS)}"
         )
     return SPECS[name]
 

@@ -3,11 +3,12 @@
 A :class:`JobSpec` is a declarative experiment request, validated at
 submission time against the registries the rest of the system already
 maintains — scene names against ``repro.workloads.scenes.SCENE_SPECS``
-and experiment names against
-``repro.analysis.experiments.registry.EXPERIMENTS``.  Two kinds exist:
+and experiment names against ``repro.expfw.spec.SPECS``.  Three kinds
+exist:
 
-* ``experiment`` — run one registered figure/table experiment at a
-  scale (``{"experiment": "fig6", "scale": 0.125}``);
+* ``experiment`` — render one experiment spec at a scale
+  (``{"experiment": "fig6", "scale": 0.125}``; an omitted scale is the
+  spec's declared default);
 * ``simulate`` — run one machine point (``{"scene": "truc640",
   "processors": 16, "family": "block", "size": 16, ...}``) with the
   same machine vocabulary as ``repro.analysis.batch`` campaigns;
@@ -149,7 +150,6 @@ def spec_from_payload(payload: Dict) -> JobSpec:
     experiment/scene names, or out-of-range parameters — the HTTP
     layer maps that to a 400 response.
     """
-    from repro.analysis.experiments.registry import EXPERIMENTS
     from repro.workloads.scenes import SCENE_NAMES, SCENE_SPECS
 
     if not isinstance(payload, dict):
@@ -162,17 +162,17 @@ def spec_from_payload(payload: Dict) -> JobSpec:
             f"choose from {', '.join(sorted(known))}"
         )
 
+    if "experiment" in payload:
+        from repro.expfw.spec import require_spec
+
+        name = payload["experiment"]
+        scale_param = require_spec(name).space.param("scale")
+        scale = scale_param.validate(payload.get("scale", scale_param.default))
+        return JobSpec(kind="experiment", experiment=name, scale=scale)
+
     scale = _number(payload, "scale", default=0.25)
     if not 0 < scale <= 1:
         raise ConfigurationError(f"scale must be in (0, 1], got {scale}")
-
-    if "experiment" in payload:
-        name = payload["experiment"]
-        if name not in EXPERIMENTS:
-            raise ConfigurationError(
-                f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}"
-            )
-        return JobSpec(kind="experiment", experiment=name, scale=scale)
 
     scene = payload.get("scene")
     vt_scene = payload.get("vt_scene")
@@ -387,10 +387,9 @@ def execute_payload(payload: Dict) -> Dict:
     started = time.perf_counter()
     metrics: Optional[Dict[str, float]] = None
     if spec.kind == "experiment":
-        from repro.analysis.experiments.registry import resolve
+        from repro.expfw.spec import require_spec
 
-        _description, runner = resolve(spec.experiment)
-        text = runner(spec.scale)
+        text = require_spec(spec.experiment).render(spec.scale)
     elif spec.kind == "vt":
         text, metrics = _simulate_vt(spec)
     else:

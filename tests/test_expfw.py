@@ -148,12 +148,6 @@ class TestSpecs:
         for name, legacy in cases.items():
             assert require_spec(name).render(SCALE) == legacy
 
-    def test_registry_adapter_runs_the_spec(self):
-        from repro.analysis.experiments.registry import EXPERIMENTS
-
-        _description, runner = EXPERIMENTS["fig5-imbalance"]
-        assert runner(SCALE) == require_spec("fig5-imbalance").render(SCALE)
-
     def test_derived_spec_inherits_and_overrides(self):
         parent = require_spec("fig7")
         child = require_spec("fig7-ratio2")

@@ -18,12 +18,13 @@ import socket
 import struct
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from repro import obs, pipeline
-from repro.analysis.experiments.registry import EXPERIMENTS
+from repro.analysis.experiments.common import SCALE as SCALE_PARAM
 from repro.cli import main
 from repro.errors import (
     BackpressureError,
@@ -32,6 +33,7 @@ from repro.errors import (
     SimulationError,
     StaleLeaseError,
 )
+from repro.expfw import SPECS, ExperimentSpec, ParamSpace, RunResult, register_spec
 from repro.service import (
     DONE,
     FAILED,
@@ -101,13 +103,28 @@ def make_scheduler():
         scheduler.stop(timeout=5.0)
 
 
+@contextmanager
+def registered(name, text):
+    """Register a throwaway spec whose runner returns ``text(scale)``."""
+    register_spec(
+        ExperimentSpec(
+            name=name,
+            description=f"service test {name}",
+            space=ParamSpace((SCALE_PARAM,)),
+            runner=lambda params: RunResult(text=text(params["scale"])),
+        )
+    )
+    try:
+        yield name
+    finally:
+        del SPECS[name]
+
+
 @pytest.fixture
 def echo_experiment():
     """A registered throwaway experiment with a trivial runner."""
-    name = "svc-test-echo"
-    EXPERIMENTS[name] = ("service test echo", lambda scale: f"echo@{scale:g}")
-    yield name
-    del EXPERIMENTS[name]
+    with registered("svc-test-echo", lambda scale: f"echo@{scale:g}") as name:
+        yield name
 
 
 class TestJobSpec:
@@ -281,9 +298,7 @@ class TestJobLifecycle:
         assert metrics["jobs"][DONE] == 1 and metrics["counters"]["completed"] == 1
 
     def test_failure_is_terminal_with_the_error(self, isolated_store, make_scheduler):
-        name = "svc-test-boom"
-        EXPERIMENTS[name] = ("always fails", lambda scale: 1 / 0)
-        try:
+        with registered("svc-test-boom", lambda scale: 1 / 0) as name:
             scheduler = make_scheduler(workers=0, default_retries=0).start()
             job, _ = scheduler.submit({"experiment": name, "scale": SCALE})
             done = scheduler.wait(job.id, timeout=30)
@@ -292,8 +307,6 @@ class TestJobLifecycle:
             # A failed job releases its key: resubmission runs again.
             retry, deduped = scheduler.submit({"experiment": name, "scale": SCALE})
             assert not deduped and retry.id != job.id
-        finally:
-            del EXPERIMENTS[name]
 
     def test_unknown_job_id(self, make_scheduler):
         with pytest.raises(ServiceError, match="unknown job"):
@@ -304,15 +317,13 @@ class TestRetryBackoff:
     def test_exponential_backoff_schedule(self, isolated_store, make_scheduler):
         """Two failures then success: sleeps follow base * factor**n."""
         attempts = []
-        name = "svc-test-flaky"
         def flaky(scale):
             attempts.append(scale)
             if len(attempts) < 3:
                 raise RuntimeError(f"flake #{len(attempts)}")
             return "recovered"
-        EXPERIMENTS[name] = ("flaky", flaky)
         sleeps = []
-        try:
+        with registered("svc-test-flaky", flaky) as name:
             scheduler = make_scheduler(
                 workers=0,
                 default_retries=3,
@@ -326,16 +337,12 @@ class TestRetryBackoff:
             assert sleeps == [0.5, 1.0]
             assert scheduler.metrics()["counters"]["retries"] == 2
             assert scheduler.result(job.result_key)["text"] == "recovered"
-        finally:
-            del EXPERIMENTS[name]
 
     def test_budget_exhaustion_fails_after_all_retries(
         self, isolated_store, make_scheduler
     ):
-        name = "svc-test-hopeless"
-        EXPERIMENTS[name] = ("hopeless", lambda scale: 1 / 0)
         sleeps = []
-        try:
+        with registered("svc-test-hopeless", lambda scale: 1 / 0) as name:
             scheduler = make_scheduler(workers=0, sleep=sleeps.append).start()
             job, _ = scheduler.submit(
                 {"experiment": name, "scale": SCALE, "retries": 2}
@@ -343,8 +350,6 @@ class TestRetryBackoff:
             done = scheduler.wait(job.id, timeout=30)
             assert done.state == FAILED and done.attempts == 3
             assert len(sleeps) == 2  # one backoff between each attempt pair
-        finally:
-            del EXPERIMENTS[name]
 
     def test_backoff_is_capped(self, make_scheduler):
         scheduler = make_scheduler(backoff_base=10.0, backoff_max=15.0)

@@ -146,11 +146,10 @@ def test_vt_distribution_experiment_text(quake_frames):
 
 
 def test_vt_distribution_is_registered():
-    from repro.analysis.experiments.registry import EXPERIMENTS
-    from repro.expfw.spec import require_spec
+    from repro.expfw.spec import SPECS, require_spec
 
-    assert "vt-distribution" in EXPERIMENTS
     spec = require_spec("vt-distribution")
+    assert SPECS["vt-distribution"] is spec
     assert spec.trial is not None
     axes = spec.trial.axes_for(spec.resolve({}))
     assert set(axes) == {"family", "size", "cache_kb", "vt_pages", "vt_residency"}
