@@ -12,6 +12,9 @@ end to end:
    expire; the coordinator requeues the job and a surviving worker
    completes it (``lease_expiries`` and ``requeues`` both advance).
 3. Resubmitting a finished payload is a cache hit — no worker runs.
+4. A job whose ``timeout`` is shorter than its run (``retries: 0``)
+   ends ``timed-out`` at its lease's deadline and ``timeouts``
+   advances: the coordinator enforces job timeouts on remote workers.
 
     PYTHONPATH=src python scripts/cluster_smoke.py
 """
@@ -32,6 +35,11 @@ from repro.service import ServiceClient  # noqa: E402
 
 QUICK = {"scene": "truc640", "scale": 0.0625, "processors": 4, "size": 16}
 SLOW = {"scene": "truc640", "scale": 0.5, "processors": 16, "size": 16}
+#: Runs for most of a second on one worker; allowed a tenth of one.
+TOO_SLOW = {
+    "scene": "truc640", "scale": 0.5, "processors": 16, "size": 8,
+    "timeout": 0.1, "retries": 0,
+}
 WORKER_IDS = ("w1", "w2", "w3")
 LEASE_TIMEOUT = 2.0
 
@@ -143,6 +151,18 @@ def main() -> int:
 
             text = client.result(done["result_key"])["text"]
             assert "truc640" in text, text
+
+            # 4. A remote attempt past its job timeout ends the job.
+            timeouts_before = client.metrics()["counters"]["timeouts"]
+            late = client.wait(client.submit(TOO_SLOW)["id"], timeout=600)
+            assert late["state"] == "timed-out", late
+            assert late["attempts"] == 1, late
+            counters = client.metrics()["counters"]
+            assert counters["timeouts"] == timeouts_before + 1, counters
+            print(
+                f"cluster smoke: timeout OK — a {TOO_SLOW['timeout']}s job "
+                f"ended {late['state']} on a remote worker"
+            )
             print(f"cluster smoke: OK — {len(WORKER_IDS)} workers, {text.strip()}")
             return 0
         finally:

@@ -62,9 +62,8 @@ def share_artifacts() -> None:
     Guarantees a ``REPRO_ARTIFACT_DIR`` exists (exported through the
     environment so child processes inherit it) and flushes every
     disk-eligible memory entry, so workers hydrate already-computed
-    stage prefixes instead of rebuilding them.  Called before any
-    process pool is created — both by :func:`run_tasks` and by the
-    experiment job service's supervised pool.
+    stage prefixes instead of rebuilding them.  :func:`run_tasks`
+    calls it before creating its process pool.
     """
     from repro import pipeline
 

@@ -130,8 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         default=None,
         help=(
-            "worker processes for parallel sweeps and the job service, "
-            "0 runs inline (overrides the REPRO_WORKERS env var)"
+            "worker processes for parallel sweeps, 0 runs inline; serve: "
+            "in-process worker threads, at least 1 (overrides the "
+            "REPRO_WORKERS env var)"
         ),
     )
     parser.add_argument(
@@ -179,8 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-local-workers",
         action="store_true",
         help=(
-            "serve: run as a pure coordinator — no local execution, jobs "
-            "are only handed to remote workers through the lease protocol"
+            "serve: run as a pure coordinator — start no in-process "
+            "workers; jobs run only on `worker` processes leasing them"
         ),
     )
     service.add_argument(
@@ -194,8 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         help=(
-            "serve: seconds a remote worker may go without a heartbeat "
-            "before its job is requeued (default: 30)"
+            "serve: seconds any worker, in-process or remote, may go "
+            "without a heartbeat before its job is requeued (default: 30)"
         ),
     )
     service.add_argument(
@@ -459,8 +460,7 @@ def _serve(args) -> int:
     from repro.service import Scheduler, serve
 
     scheduler = Scheduler(
-        workers=0 if args.no_local_workers else worker_count(),
-        local=not args.no_local_workers,
+        local_workers=0 if args.no_local_workers else max(1, worker_count()),
         max_queue_depth=args.max_queue_depth,
         lease_timeout=args.lease_timeout,
     )

@@ -38,3 +38,7 @@ class BackpressureError(ServiceError):
 class StaleLeaseError(ServiceError):
     """A lease id that is unknown, expired, or already released; the
     worker holding it must abandon the attempt (HTTP 410)."""
+
+    #: Same branch point as a ``ServiceClient`` error's HTTP status, so
+    #: a worker reacts alike in-process and over HTTP.
+    status = 410

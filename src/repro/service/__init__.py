@@ -1,25 +1,25 @@
-"""Experiment job service: async scheduler, supervised worker pool,
+"""Experiment job service: scheduler, lease-based workers,
 content-addressed result store, stdlib HTTP front end.
 
 The figure sweeps stop being blocking foreground CLI runs: a
 long-running ``repro-experiments serve`` process accepts declarative
-job submissions over HTTP, runs them on a supervised process pool
-(per-job timeout, bounded retries with exponential backoff, pool-crash
-recovery), and stores every result content-addressed by the job's
-pipeline key — duplicate submissions coalesce into one computation and
-repeat clients get cache hits.
+job submissions over HTTP and stores every result content-addressed by
+the job's pipeline key — duplicate submissions coalesce into one
+computation and repeat clients get cache hits.
 
-Beyond the single process, the service scales out as a small cluster:
-remote :class:`WorkerNode` processes pull jobs from the coordinator
-over HTTP through a lease + heartbeat + requeue-on-expiry protocol,
-and a shared ``REPRO_ARTIFACT_DIR`` disk tier lets any node serve any
-cached result.
+Every attempt runs under a lease (per-job timeout, bounded retries
+with exponential backoff, requeue when a worker stops heartbeating).
+The coordinator's own in-process :class:`WorkerNode` threads and
+remote ``WorkerNode`` processes pulling over HTTP use the same four
+lease verbs, so the service scales out as a small cluster with no
+second execution path; a shared ``REPRO_ARTIFACT_DIR`` disk tier lets
+any node serve any cached result.
 
 Public surface::
 
     from repro.service import Scheduler, ServiceClient, WorkerNode, serve
 
-    scheduler = Scheduler(workers=2).start()
+    scheduler = Scheduler(local_workers=2).start()
     job, deduped = scheduler.submit({"scene": "truc640", "scale": 0.125})
     scheduler.wait(job.id)
 
@@ -49,7 +49,7 @@ from repro.service.http import ServiceHTTPServer, make_server, serve
 from repro.service.leases import Lease, LeaseManager
 from repro.service.queue import JobQueue
 from repro.service.results import RESULT_STAGE, ResultStore
-from repro.service.scheduler import Scheduler, SupervisedPool
+from repro.service.scheduler import Scheduler
 from repro.service.worker import WorkerNode, default_worker_id
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "Scheduler",
     "ServiceClient",
     "ServiceHTTPServer",
-    "SupervisedPool",
     "WorkerNode",
     "default_worker_id",
     "execute_payload",

@@ -17,12 +17,14 @@ Endpoints (all JSON):
 * ``GET /searches`` / ``GET /searches/<id>`` — search progress: state
   (``running``/``done``/``failed``), trial count, the archived report
   key and the winning configuration.
-* ``GET /healthz`` — liveness: status, workers, dispatcher threads.
+* ``GET /healthz`` — liveness: status, local workers, live threads.
 * ``GET /metrics`` — queue depth (total and per tenant), jobs by
   state, retry/timeout/requeue/lease counters, result-store hit rate,
   per-stage pipeline stats, and the ``obs`` metrics-registry snapshot.
 
-Worker-fleet endpoints (the lease protocol remote workers pull with):
+Worker endpoints (the lease protocol; each forwards to the
+:class:`~repro.service.scheduler.Scheduler` verb of the same name,
+which the coordinator's in-process workers call directly):
 
 * ``POST /leases`` — body ``{"worker": "<name>"}``; ``200`` with the
   lease document (id, job record, execution payload, timeout) or
@@ -31,14 +33,15 @@ Worker-fleet endpoints (the lease protocol remote workers pull with):
   lease is stale (the worker must abandon the attempt).
 * ``POST /leases/<id>/complete`` — body is the result payload; stores
   it and finishes the job (``410`` if stale — the result is still
-  kept, it is content-addressed).
+  kept if the lease was granted and the payload's ``key`` is the job's
+  result key; it is content-addressed).
 * ``POST /leases/<id>/fail`` — body ``{"error": "..."}``; consumes
   retry budget with delayed-requeue backoff.
 * ``GET /leases`` — active leases (introspection).
 
 The server is a ``ThreadingHTTPServer`` so slow pollers never block
-submissions; all actual work happens in the scheduler's dispatchers
-and the remote workers.  A client dropping the connection mid-response
+submissions; all actual work happens in the workers, in-process or
+remote.  A client dropping the connection mid-response
 (``BrokenPipeError``/``ConnectionResetError``) is counted into the
 ``service.http.disconnects`` metric instead of spraying tracebacks.
 """
@@ -184,22 +187,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_lease(self, payload: dict) -> None:
         worker = payload.get("worker") if isinstance(payload, dict) else None
-        if not isinstance(worker, str) or not worker.strip():
-            self._error(400, "a lease request needs a non-empty 'worker' name")
-            return
-        lease = self.server.scheduler.lease_next(worker.strip())
+        lease = self.server.scheduler.lease(worker)
         if lease is None:
             self._no_content()
-            return
-        self._send(
-            200,
-            {
-                "lease_id": lease.id,
-                "timeout": lease.timeout,
-                "job": lease.job.to_json(),
-                "payload": lease.job.spec.to_payload(),
-            },
-        )
+        else:
+            self._send(200, lease)
 
     def _post_lease_action(self, path: str, payload: dict) -> None:
         scheduler = self.server.scheduler
@@ -209,15 +201,12 @@ class _Handler(BaseHTTPRequestHandler):
             return
         lease_id, action = unquote(parts[1]), parts[2]
         if action == "heartbeat":
-            lease = scheduler.heartbeat_lease(lease_id)
-            self._send(200, {"lease_id": lease.id, "timeout": lease.timeout})
+            self._send(200, scheduler.heartbeat(lease_id))
         elif action == "complete":
-            job = scheduler.complete_lease(lease_id, payload)
-            self._send(200, job.to_json())
+            self._send(200, scheduler.complete(lease_id, payload))
         elif action == "fail":
             error = payload.get("error") if isinstance(payload, dict) else None
-            job = scheduler.fail_lease(lease_id, str(error or "worker failure"))
-            self._send(200, job.to_json())
+            self._send(200, scheduler.fail(lease_id, str(error or "worker failure")))
         else:
             self._error(404, f"unknown lease action {action!r}")
 

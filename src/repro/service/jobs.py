@@ -23,9 +23,9 @@ submissions describing the same computation address the same result:
 the service coalesces them into one execution and serves repeats from
 the content-addressed result store.
 
-:func:`execute_payload` is the module-level (picklable) function the
-supervised worker pool runs; it revalidates the payload in the worker
-and returns a JSON-serializable result payload.
+:func:`execute_payload` is the function every worker runs on its
+leased payload; it revalidates the payload in the worker and returns a
+JSON-serializable result payload.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class JobSpec:
 
     def to_payload(self) -> Dict:
         """Plain-dict form that round-trips through ``spec_from_payload``
-        (what gets pickled into a worker process)."""
+        (what a worker receives in its lease)."""
         if self.kind == "experiment":
             return {"experiment": self.experiment, "scale": self.scale}
         payload = {
@@ -303,8 +303,9 @@ def _integer(payload: Dict, name: str, default: int, minimum: Optional[int]) -> 
 class Job:
     """One submitted request moving through the service's state machine.
 
-    ``queued → running → done | failed | timed-out``; a pool crash or
-    an expired worker lease sends a running job back to ``queued``.
+    ``queued → running → done | failed | timed-out``; a worker lease
+    that misses its heartbeat sends a running job back to ``queued``,
+    and so does a failed or timed-out attempt with retry budget left.
     Mutations happen under the scheduler's lock; readers get consistent
     JSON via :meth:`to_json`.
 
@@ -377,11 +378,12 @@ class Job:
 
 
 def execute_payload(payload: Dict) -> Dict:
-    """Run one job payload; the function the worker pool executes.
+    """Run one job payload; the function every worker executes.
 
-    Module-level and driven by a plain dict so it pickles into worker
-    processes; revalidates there (workers import the same registries).
-    Returns a JSON-serializable result payload.
+    Driven by a plain dict so it runs the same in a remote worker
+    process as in the coordinator; revalidates the payload (workers
+    import the same registries).  Returns a JSON-serializable result
+    payload.
     """
     spec = spec_from_payload(payload)
     started = time.perf_counter()

@@ -3,8 +3,8 @@
 Dispatch order is decided in three tiers:
 
 1. **priority class** — lower ``job.priority`` values always run first;
-2. **requeue lane** — jobs pushed with ``front=True`` (pool-crash or
-   lease-expiry recovery) drain before fresh submissions of the same
+2. **requeue lane** — jobs pushed with ``front=True`` (recovery
+   from a lease that missed its heartbeat) drain before fresh submissions of the same
    priority, and replay in **FIFO order among themselves**: work that
    entered the system earlier is re-dispatched earlier;
 3. **tenant fairness** — fresh jobs of the same priority round-robin

@@ -1,35 +1,33 @@
-"""Async scheduler and supervised worker pool of the experiment service.
+"""Scheduler of the experiment service: one lease-based execution path.
 
 The :class:`Scheduler` owns the whole job lifecycle: submissions are
 validated into :class:`~repro.service.jobs.Job` records, coalesced on
 their content-addressed result key (a duplicate of a queued/running
 job attaches to it; a duplicate of a completed one is served from the
-result store), and dispatched from a tenant-fair priority queue onto
-any mix of three execution backends:
+result store), and handed out from a tenant-fair priority queue
+through the **lease protocol** — :meth:`lease` / :meth:`heartbeat` /
+:meth:`complete` / :meth:`fail`, the same verbs and JSON documents as
+:class:`~repro.service.client.ServiceClient`.  Every attempt runs
+under a lease: ``local_workers`` in-process
+:class:`~repro.service.worker.WorkerNode` threads call these verbs
+directly, remote worker processes call them over HTTP, and
+``local_workers=0`` makes the scheduler a pure coordinator.
 
-* a supervised in-process pool (``workers >= 1``);
-* the dispatcher thread itself (``workers == 0``, inline mode);
-* **remote worker nodes** pulling jobs over HTTP through the lease
-  protocol (:meth:`lease_next` / :meth:`heartbeat_lease` /
-  :meth:`complete_lease` / :meth:`fail_lease`), with ``local=False``
-  turning the scheduler into a pure coordinator.
-
-Failure semantics:
+Failure semantics, identical for every worker:
 
 * an attempt that raises is retried with exponential backoff up to the
-  job's retry budget, then the job is marked ``failed`` — remote
-  attempts use the same budget and backoff curve, but back off by
-  delaying the requeue instead of sleeping a dispatcher;
-* an attempt that exceeds the job's timeout marks the attempt
-  timed-out and **restarts the pool** to reclaim the stuck worker
-  (``ProcessPoolExecutor`` cannot cancel a running task), retrying
-  within the same budget before the job ends ``timed-out``;
-* a worker process dying (``BrokenProcessPool``) — or a remote
-  worker's **lease expiring** without a heartbeat — requeues the
-  in-flight job at the front of its priority class in FIFO order; an
-  infrastructure failure does not consume the job's retry budget, but
-  repeated ones (``max_requeues``) eventually fail the job instead of
-  poisoning the queue.
+  job's retry budget, then the job is marked ``failed``; the retry is
+  **delayed** in a heap the reaper flushes back into the queue once
+  the backoff elapses (no thread sleeps);
+* an attempt still running at its lease's job deadline
+  (``grant + timeout``, never extended by heartbeats) counts as
+  timed out and is retried within the same budget before the job ends
+  ``timed-out``;
+* a worker whose lease misses its **heartbeat** deadline (crashed,
+  killed, partitioned) loses the job: it is requeued at the front of
+  its priority class in FIFO order.  An infrastructure loss does not
+  consume the retry budget, but repeated ones (``max_requeues``)
+  eventually fail the job instead of poisoning the queue.
 
 ``max_queue_depth`` bounds the fresh-submission backlog: past it,
 :meth:`submit` raises :class:`~repro.errors.BackpressureError` (the
@@ -38,8 +36,7 @@ hits are never rejected — they add no queue pressure.
 
 All durations (uptime, job durations, lease deadlines, backoff
 schedules) are monotonic-clock deltas; wall-clock reads only produce
-display timestamps.  Inline mode cannot preempt a running attempt, so
-per-job timeouts are only enforced with a process pool.
+display timestamps.
 """
 
 from __future__ import annotations
@@ -48,20 +45,16 @@ import heapq
 import itertools
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs, pipeline
-from repro.analysis.parallel import share_artifacts
 from repro.errors import (
     BackpressureError,
+    ConfigurationError,
     ServiceError,
     StaleLeaseError,
     UnknownJobError,
 )
-from repro.obs.spans import span
 from repro.service.jobs import (
     DEFAULT_TENANT,
     DONE,
@@ -72,65 +65,23 @@ from repro.service.jobs import (
     TERMINAL_STATES,
     TIMED_OUT,
     Job,
-    execute_payload,
     parse_submission,
 )
-from repro.service.leases import Lease, LeaseManager
+from repro.service.leases import LeaseManager
 from repro.service.queue import JobQueue
 from repro.service.results import ResultStore
+from repro.service.worker import WorkerNode
 
-
-class SupervisedPool:
-    """A restartable ``ProcessPoolExecutor``.
-
-    Before (re)creating the pool the parent's pipeline artifacts are
-    spilled to the shared disk store (same plumbing as
-    ``analysis.parallel.run_tasks``) so workers hydrate precomputed
-    stage prefixes.  ``restart()`` terminates the worker processes —
-    the only way to reclaim one stuck in a timed-out task — and builds
-    a fresh executor; in-flight futures fail with
-    ``BrokenProcessPool`` and their jobs are requeued by the scheduler.
-    """
-
-    def __init__(self, workers: int) -> None:
-        self.workers = workers
-        self._lock = threading.Lock()
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self.restarts = 0
-
-    def submit(self, fn: Callable, *args):
-        with self._lock:
-            if self._pool is None:
-                share_artifacts()
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            return self._pool.submit(fn, *args)
-
-    def restart(self) -> None:
-        """Kill the worker processes and drop the executor."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-            if pool is None:
-                return
-            self.restarts += 1
-            for process in list(getattr(pool, "_processes", {}).values()):
-                process.terminate()
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def shutdown(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            for process in list(getattr(pool, "_processes", {}).values()):
-                process.terminate()
-            pool.shutdown(wait=False, cancel_futures=True)
+#: Idle seconds between an in-process worker's lease attempts.
+_LOCAL_POLL = 0.02
 
 
 class Scheduler:
-    """The experiment job service: queue + execution backends + results."""
+    """The experiment job service: queue + lease protocol + results."""
 
     def __init__(
         self,
-        workers: int = 0,
+        local_workers: int = 1,
         default_timeout: Optional[float] = None,
         default_retries: int = 2,
         backoff_base: float = 0.5,
@@ -139,20 +90,17 @@ class Scheduler:
         max_requeues: int = 3,
         max_queue_depth: Optional[int] = None,
         lease_timeout: float = 30.0,
-        local: bool = True,
         reaper_interval: float = 0.05,
         results: Optional[ResultStore] = None,
-        executor: Optional[Callable[[Dict], Dict]] = None,
-        sleep: Callable[[float], None] = time.sleep,
         registry: Optional[obs.MetricsRegistry] = None,
     ) -> None:
-        if workers < 0:
-            raise ServiceError(f"workers must be >= 0, got {workers}")
+        if local_workers < 0:
+            raise ServiceError(f"local_workers must be >= 0, got {local_workers}")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ServiceError(
                 f"max_queue_depth must be >= 1 or None, got {max_queue_depth}"
             )
-        self.workers = workers
+        self.local_workers = local_workers
         self.default_timeout = default_timeout
         self.default_retries = default_retries
         self.backoff_base = backoff_base
@@ -160,19 +108,15 @@ class Scheduler:
         self.backoff_max = backoff_max
         self.max_requeues = max_requeues
         self.max_queue_depth = max_queue_depth
-        self.local = local
         self.reaper_interval = reaper_interval
         self.queue = JobQueue()
         self.leases = LeaseManager(timeout=lease_timeout)
         self.results = results if results is not None else ResultStore()
-        self._executor = executor if executor is not None else execute_payload
-        self._sleep = sleep
-        self._pool = SupervisedPool(workers) if workers >= 1 and local else None
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._live_by_key: Dict[str, Job] = {}
-        #: Remote-retry backlog: (ready_monotonic, tiebreak, job) heap
-        #: the reaper flushes back into the queue once backoff elapses.
+        #: Retry backlog: (ready_monotonic, tiebreak, job) heap the
+        #: reaper flushes back into the queue once backoff elapses.
         self._delayed: List[Tuple[float, int, Job]] = []
         #: worker name -> last-seen monotonic stamp (lease or heartbeat).
         self._workers_seen: Dict[str, float] = {}
@@ -189,7 +133,6 @@ class Scheduler:
             "failed": 0,
             "retries": 0,
             "timeouts": 0,
-            "pool_restarts": 0,
             "requeues": 0,
             "rejected": 0,
             "leases": 0,
@@ -216,35 +159,27 @@ class Scheduler:
     # -- lifecycle ---------------------------------------------------
 
     def start(self) -> "Scheduler":
-        """Spawn the dispatcher threads (if executing locally) and the
-        lease/backoff reaper."""
+        """Spawn the in-process worker threads and the lease reaper."""
         if self._threads:
             return self
         self._stop.clear()
-        if self.local:
-            for index in range(max(1, self.workers)):
-                thread = threading.Thread(
-                    target=self._dispatch_loop,
-                    name=f"repro-dispatch-{index}",
-                    daemon=True,
-                )
-                thread.start()
-                self._threads.append(thread)
-        reaper = threading.Thread(
-            target=self._reaper_loop, name="repro-lease-reaper", daemon=True
-        )
-        reaper.start()
-        self._threads.append(reaper)
+        for index in range(self.local_workers):
+            node = WorkerNode(client=self, worker_id=f"local-{index}", poll=_LOCAL_POLL)
+            self._spawn(f"repro-local-{index}", node.run, stop=self._stop)
+        self._spawn("repro-lease-reaper", self._reaper_loop)
         return self
 
+    def _spawn(self, name: str, target, **kwargs) -> None:
+        thread = threading.Thread(target=target, kwargs=kwargs, name=name, daemon=True)
+        thread.start()
+        self._threads.append(thread)
+
     def stop(self, timeout: float = 5.0) -> None:
-        """Stop dispatching and tear the worker pool down."""
+        """Stop the worker threads and the reaper."""
         self._stop.set()
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads.clear()
-        if self._pool is not None:
-            self._pool.shutdown()
 
     # -- submission --------------------------------------------------
 
@@ -322,74 +257,6 @@ class Scheduler:
         found, payload = self.results.get(key)
         return payload if found else None
 
-    # -- dispatch ----------------------------------------------------
-
-    def _dispatch_loop(self) -> None:
-        while not self._stop.is_set():
-            job = self.queue.pop(timeout=0.05)
-            if job is None:
-                continue
-            try:
-                self._run_job(job)
-            except Exception as exc:  # defensive: never kill a dispatcher
-                with self._lock:
-                    self._count("failed")
-                    self._finish(job, FAILED, f"scheduler error: {exc}")
-
-    def _run_job(self, job: Job) -> None:
-        # The result may have appeared while the job sat in the queue
-        # (another dispatcher finished the same key first).
-        found, _payload = self.results.peek(job.result_key)
-        if found:
-            with self._lock:
-                job.cached = True
-                self._finish(job, DONE)
-            return
-        with self._lock:
-            job.state = RUNNING
-            job.mark_started()
-        while True:
-            with self._lock:
-                job.attempts += 1
-            try:
-                payload = self._execute(job)
-            except BrokenProcessPool:
-                # Either requeued (picked up again from the queue) or
-                # failed after too many crashes; this dispatch is over.
-                self._requeue_after_crash(job)
-                return
-            except FutureTimeoutError:
-                with self._lock:
-                    self._count("timeouts")
-                if self._pool is not None:
-                    # The worker is still grinding on the dead attempt;
-                    # restarting the pool is the only way to reclaim it.
-                    self._pool.restart()
-                    with self._lock:
-                        self._count("pool_restarts")
-                if not self._backoff_or_finish(job, TIMED_OUT, "attempt timed out"):
-                    return
-            except Exception as exc:
-                if not self._backoff_or_finish(job, FAILED, str(exc) or repr(exc)):
-                    return
-            else:
-                self.results.put(job.result_key, payload)
-                with self._lock:
-                    self._count("completed")
-                    self._finish(job, DONE)
-                return
-
-    def _execute(self, job: Job) -> Dict:
-        payload = job.spec.to_payload()
-        # The span times the whole attempt (dispatcher-side, so it
-        # covers pool scheduling + the worker's run) and lands in the
-        # ``span.service.execute`` histogram of /metrics.
-        with span("service.execute", kind=job.spec.kind, job=job.id):
-            if self._pool is None:
-                return self._executor(payload)
-            future = self._pool.submit(self._executor, payload)
-            return future.result(timeout=job.timeout)
-
     def _backoff_delay(self, attempts: int) -> float:
         """Exponential backoff before attempt ``attempts + 1``."""
         return min(
@@ -397,43 +264,20 @@ class Scheduler:
             self.backoff_max,
         )
 
-    def _backoff_or_finish(self, job: Job, state: str, error: str) -> bool:
-        """Retry with backoff if budget remains; else finish. True = retry."""
-        with self._lock:
-            if job.attempts > job.retries:
-                if state == FAILED:
-                    self._count("failed")
-                self._finish(job, state, error)
-                return False
-            self._count("retries")
-            job.error = error  # visible while the retry is pending
-        self._sleep(self._backoff_delay(job.attempts))
-        return True
-
-    def _requeue_after_crash(self, job: Job) -> bool:
-        """Recover from a dead worker pool; False = job finished failed."""
-        self._pool.restart()
-        with self._lock:
-            self._count("pool_restarts")
-            if not self._requeue_infrastructure_locked(
-                job, "worker pool crashed repeatedly while running this job"
-            ):
-                return False
-        self.queue.push(job, front=True)
-        return True
-
-    def _requeue_infrastructure_locked(self, job: Job, fail_error: str) -> bool:
-        """Shared crash/lease-expiry bookkeeping; caller holds the lock
-        and, on ``True``, pushes the job back to the queue front."""
-        job.requeues += 1
-        job.attempts -= 1  # the lost attempt never really ran
-        if job.requeues > self.max_requeues:
-            self._count("failed")
-            self._finish(job, FAILED, fail_error)
-            return False
-        self._count("requeues")
+    def _retry_or_finish(self, job: Job, state: str, error: str) -> None:
+        """Spend the attempt against the retry budget: queue a delayed
+        retry, or finish the job in ``state`` once the budget is gone.
+        The caller holds the lock."""
+        if job.attempts > job.retries:
+            if state == FAILED:
+                self._count("failed")
+            self._finish(job, state, error)
+            return
+        self._count("retries")
+        job.error = error  # visible while the retry is pending
         job.state = QUEUED
-        return True
+        ready = self.leases.now() + self._backoff_delay(job.attempts)
+        heapq.heappush(self._delayed, (ready, next(self._delay_ids), job))
 
     def _finish(self, job: Job, state: str, error: Optional[str] = None) -> None:
         """Terminal transition; caller holds the lock."""
@@ -441,15 +285,22 @@ class Scheduler:
         if self._live_by_key.get(job.result_key) is job:
             del self._live_by_key[job.result_key]
 
-    # -- remote workers: lease / heartbeat / complete / fail ----------
+    def _publish_active(self) -> None:
+        self.registry.gauge("service.leases_active").set(len(self.leases))
 
-    def lease_next(self, worker: str) -> Optional[Lease]:
-        """Hand the next queued job to a remote worker under a lease.
+    # -- the lease protocol: lease / heartbeat / complete / fail -------
 
-        Returns ``None`` when the queue is empty.  Jobs whose result
-        appeared while they sat queued are finished as cache hits and
-        skipped, same as the local dispatch path.
+    def lease(self, worker: str) -> Optional[Dict]:
+        """Hand the next queued job to ``worker`` under a lease.
+
+        Returns the lease document (``lease_id``, ``timeout``, ``job``,
+        ``payload``), or ``None`` when the queue is empty.  Jobs whose
+        result appeared while they sat queued are finished as cache
+        hits and skipped.
         """
+        if not isinstance(worker, str) or not worker.strip():
+            raise ConfigurationError("a lease request needs a non-empty 'worker' name")
+        worker = worker.strip()
         while True:
             job = self.queue.pop(timeout=0)
             if job is None:
@@ -459,6 +310,7 @@ class Scheduler:
                 with self._lock:
                     job.cached = True
                     self._finish(job, DONE)
+                self.leases.forget(job)
                 continue
             with self._lock:
                 job.state = RUNNING
@@ -468,88 +320,96 @@ class Scheduler:
                 self._workers_seen[worker] = time.monotonic()
             lease = self.leases.grant(job, worker)
             self.registry.counter("service.leases").labels(worker=worker).inc()
-            self.registry.gauge("service.leases_active").set(len(self.leases))
-            return lease
+            self._publish_active()
+            return lease.document()
 
-    def heartbeat_lease(self, lease_id: str) -> Lease:
+    def heartbeat(self, lease_id: str) -> Dict:
         """Renew a worker's claim; stale leases raise ``StaleLeaseError``."""
         lease = self.leases.heartbeat(lease_id)
         with self._lock:
             self._count("heartbeats")
             self._workers_seen[lease.worker] = time.monotonic()
         self.registry.counter("service.heartbeats").labels(worker=lease.worker).inc()
-        return lease
+        return {"lease_id": lease.id, "timeout": lease.timeout}
 
-    def complete_lease(self, lease_id: str, payload: Dict) -> Job:
+    def complete(self, lease_id: str, payload: Dict) -> Dict:
         """A worker delivered its result: store it and finish the job.
 
-        The result is stored even if the lease went stale in flight —
-        it is content-addressed, so a duplicate execution elsewhere
-        will coalesce on it — but a stale lease still raises so the
-        worker knows its claim was lost.
+        A report on a lease that went stale in flight raises, so the
+        worker knows its claim was lost.  Its result is still kept when
+        the lease was really granted and ``payload["key"]`` is that
+        job's result key — results are content-addressed, so a requeued
+        twin coalesces on it.  A report on a lease id that was never
+        granted stores nothing.
         """
         try:
             lease = self.leases.release(lease_id)
         except StaleLeaseError:
-            key = payload.get("key") if isinstance(payload, dict) else None
-            if key:
-                self.results.put(key, payload)
+            self._reap_once()  # settle the lease if it only just expired
+            late = self.leases.late(lease_id)
+            if (
+                late is not None
+                and isinstance(payload, dict)
+                and payload.get("key") == late.job.result_key
+            ):
+                self.results.put(late.job.result_key, payload)
             raise
         self.results.put(lease.job.result_key, payload)
         with self._lock:
             self._count("completed")
             self._finish(lease.job, DONE)
-        self.registry.gauge("service.leases_active").set(len(self.leases))
-        return lease.job
+        # The result is stored: a late report has nothing left to add.
+        self.leases.forget(lease.job)
+        self._publish_active()
+        return lease.job.to_json()
 
-    def fail_lease(self, lease_id: str, error: str) -> Job:
-        """A worker's attempt raised: consume retry budget with backoff.
-
-        Unlike the local path the coordinator cannot sleep a dispatcher,
-        so the retry is **delayed**: the job re-enters the queue once
-        its backoff elapses (the reaper flushes it).
-        """
-        lease = self.leases.release(lease_id)
-        job = lease.job
+    def fail(self, lease_id: str, error: str) -> Dict:
+        """A worker's attempt raised: consume retry budget with backoff."""
+        job = self.leases.release(lease_id).job
         with self._lock:
-            if job.attempts > job.retries:
-                self._count("failed")
-                self._finish(job, FAILED, error)
-            else:
-                self._count("retries")
-                job.error = error  # visible while the retry is pending
-                job.state = QUEUED
-                ready = time.monotonic() + self._backoff_delay(job.attempts)
-                heapq.heappush(self._delayed, (ready, next(self._delay_ids), job))
-        self.registry.gauge("service.leases_active").set(len(self.leases))
-        return job
+            self._retry_or_finish(job, FAILED, error)
+        self._publish_active()
+        return job.to_json()
 
     def _reaper_loop(self) -> None:
-        """Requeue jobs of expired leases and flush elapsed backoffs."""
+        """Settle expired leases and flush elapsed backoffs."""
         while not self._stop.is_set():
             self._reap_once()
             self._stop.wait(self.reaper_interval)
 
     def _reap_once(self) -> None:
-        for lease in self.leases.harvest_expired():
-            requeue = False
-            with self._lock:
-                self._count("lease_expiries")
-                requeue = self._requeue_infrastructure_locked(
-                    lease.job,
-                    f"lease expired repeatedly (last worker: {lease.worker})",
-                )
-            if requeue:
-                self.queue.push(lease.job, front=True)
-        self.registry.gauge("service.leases_active").set(len(self.leases))
-        now = time.monotonic()
-        ready: List[Job] = []
+        overdue, silent = self.leases.harvest_expired()
+        lost: List[Job] = []
         with self._lock:
+            for lease in overdue:
+                self._count("timeouts")
+                self._retry_or_finish(lease.job, TIMED_OUT, "attempt timed out")
+            for lease in silent:
+                # An infrastructure loss: the attempt does not count.
+                job = lease.job
+                self._count("lease_expiries")
+                job.requeues += 1
+                job.attempts -= 1
+                if job.requeues > self.max_requeues:
+                    self._count("failed")
+                    self._finish(
+                        job,
+                        FAILED,
+                        f"lease expired repeatedly (last worker: {lease.worker})",
+                    )
+                else:
+                    self._count("requeues")
+                    job.state = QUEUED
+                    lost.append(job)
+            now = self.leases.now()
+            ready: List[Job] = []
             while self._delayed and self._delayed[0][0] <= now:
-                _ready_at, _tiebreak, job = heapq.heappop(self._delayed)
-                ready.append(job)
+                ready.append(heapq.heappop(self._delayed)[2])
+        for job in lost:
+            self.queue.push(job, front=True)
         for job in ready:
-            self.queue.push(job)  # a retry, not an infra failure: back lane
+            self.queue.push(job)  # a retry, not an infrastructure loss: back lane
+        self._publish_active()
 
     # -- auto-search (the POST /searches convenience) -----------------
 
@@ -558,7 +418,7 @@ class Scheduler:
 
         Trials are dispatched back through :meth:`submit`, so they ride
         the normal queue — deduped on result keys, executed by the
-        local pool or the remote worker fleet, counted in ``/metrics``
+        local or remote workers, counted in ``/metrics``
         — while the driver archives every trial and the final report
         into the shared :class:`~repro.expfw.archive.RunArchive`.
         Returns the search's JSON state record (state ``running``).
@@ -653,8 +513,8 @@ class Scheduler:
         return {
             "uptime_seconds": time.monotonic() - self._started_monotonic,
             "started_at": self._started_at,
-            "workers": self.workers,
-            "local_execution": self.local,
+            "local_workers": self.local_workers,
+            "local_execution": self.local_workers > 0,
             "queue_depth": len(self.queue),
             "max_queue_depth": self.max_queue_depth,
             "tenants": tenants,
@@ -675,8 +535,8 @@ class Scheduler:
     def healthz(self) -> Dict:
         return {
             "status": "ok",
-            "workers": self.workers,
-            "local_execution": self.local,
-            "dispatchers": sum(thread.is_alive() for thread in self._threads),
+            "local_workers": self.local_workers,
+            "local_execution": self.local_workers > 0,
+            "threads": sum(thread.is_alive() for thread in self._threads),
             "uptime_seconds": time.monotonic() - self._started_monotonic,
         }

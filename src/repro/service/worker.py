@@ -1,28 +1,36 @@
-"""Remote worker node: pulls jobs from a coordinator over HTTP.
+"""Worker node: pulls jobs from a coordinator through the lease protocol.
 
 One :class:`WorkerNode` is one member of the fleet.  Its loop is the
 lease protocol from the worker's side::
 
-    lease = POST /leases {"worker": name}      # or 204: sleep, retry
-    ... execute the payload locally ...
-    POST /leases/<id>/heartbeat                # background, every timeout/3
-    POST /leases/<id>/complete  <result>       # or /fail {"error": ...}
+    lease = client.lease(name)            # POST /leases; None: sleep, retry
+    ... execute the payload ...
+    client.heartbeat(lease_id)            # background, every timeout/3
+    client.complete(lease_id, result)     # or client.fail(lease_id, error)
 
-Execution happens in this process with the same module-level
-:func:`~repro.service.jobs.execute_payload` the in-process pool uses,
-so a worker sharing ``REPRO_ARTIFACT_DIR`` with the coordinator (and
-the rest of the fleet) hydrates precomputed pipeline stages from the
+The client is either a :class:`~repro.service.client.ServiceClient`
+talking HTTP to a remote coordinator (the CLI ``worker`` verb), or the
+:class:`~repro.service.scheduler.Scheduler` itself, which implements
+the same four verbs: the coordinator's own local workers are
+``WorkerNode`` threads, so every attempt — local or remote — runs
+through this one loop.  Each attempt is timed as a ``service.execute``
+span.
+
+Execution calls :func:`~repro.service.jobs.execute_payload`; a remote
+worker sharing ``REPRO_ARTIFACT_DIR`` with the coordinator (and the
+rest of the fleet) hydrates precomputed pipeline stages from the
 shared disk tier and publishes results any node can serve.
 
-If the worker dies mid-job (SIGKILL, OOM, container eviction) its
+If a remote worker dies mid-job (SIGKILL, OOM, container eviction) its
 heartbeats stop, the coordinator's lease expires, and the job is
 requeued at the front of its priority class — no worker-side cleanup
 is needed, which is exactly what makes the node disposable.
 
-A stale-lease answer (HTTP 410) on heartbeat or completion means the
-coordinator already gave the job away; the worker abandons the attempt
-and pulls fresh work.  Completion results are content-addressed, so
-even an abandoned attempt's delivered result is kept and coalesced.
+A stale-lease answer (status 410) on heartbeat or report means the
+coordinator already took the job back (heartbeats stopped, or the
+attempt ran past the job's timeout); the worker abandons the attempt
+and pulls fresh work.  A late result is still kept when the
+coordinator granted the lease, because results are content-addressed.
 """
 
 from __future__ import annotations
@@ -30,9 +38,10 @@ from __future__ import annotations
 import os
 import socket
 import threading
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ServiceError
+from repro.obs.spans import span
 from repro.service.client import ServiceClient
 from repro.service.jobs import execute_payload
 
@@ -43,18 +52,23 @@ def default_worker_id() -> str:
 
 
 class WorkerNode:
-    """One pull-based worker in the cluster."""
+    """One pull-based worker; ``client`` defaults to HTTP at ``url``."""
 
     def __init__(
         self,
-        url: str,
+        url: Optional[str] = None,
         worker_id: Optional[str] = None,
         poll: float = 0.5,
         executor: Callable[[Dict], Dict] = execute_payload,
-        client: Optional[ServiceClient] = None,
+        client: Optional[Any] = None,
         announce: Optional[Callable[[str], None]] = None,
     ) -> None:
-        self.client = client if client is not None else ServiceClient(url)
+        if client is None:
+            if url is None:
+                raise ServiceError("a WorkerNode needs a coordinator url or client")
+            client = ServiceClient(url)
+        self.url = url
+        self.client = client
         self.worker_id = worker_id if worker_id else default_worker_id()
         self.poll = poll
         self.executor = executor
@@ -78,7 +92,7 @@ class WorkerNode:
         attempts finished); returns the number of completed jobs."""
         stop = stop if stop is not None else threading.Event()
         attempts = 0
-        self._say(f"pulling from {self.client.base_url}")
+        self._say(f"pulling from {self.url or 'the in-process scheduler'}")
         while not stop.is_set():
             if max_jobs is not None and attempts >= max_jobs:
                 break
@@ -114,7 +128,9 @@ class WorkerNode:
         )
         heartbeat.start()
         try:
-            result = self.executor(payload)
+            kind = job["result_key"].split("/", 1)[0]
+            with span("service.execute", kind=kind, job=job["id"]):
+                result = self.executor(payload)
         except Exception as exc:  # the job's failure, not the worker's
             heartbeat_stop.set()
             heartbeat.join()
@@ -154,10 +170,16 @@ class WorkerNode:
         self._say(f"completed {job['id']}")
 
     def _report_failure(self, lease_id: str, job: Dict, error: str) -> None:
-        self.failed += 1
         try:
             self.client.fail(lease_id, error)
-            self._say(f"{job['id']} failed: {error}")
         except ServiceError as exc:
-            self.abandoned += 1
+            # 410 (the job was taken back) or no answer at all: the
+            # coordinator settles this attempt without us.
+            if getattr(exc, "status", None) in (None, 410):
+                self.abandoned += 1
+            else:
+                self.failed += 1
             self._say(f"could not report failure of {job['id']} ({exc})")
+            return
+        self.failed += 1
+        self._say(f"{job['id']} failed: {error}")

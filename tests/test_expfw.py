@@ -486,7 +486,7 @@ class TestSearchService:
         from repro.service.http import make_server
 
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
-        scheduler = Scheduler(workers=0).start()
+        scheduler = Scheduler(local_workers=1).start()
         server = make_server(scheduler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

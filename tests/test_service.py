@@ -1,17 +1,19 @@
 """Tests for the experiment job service (`repro.service`).
 
 Covers the job state machine (queued → running → done/failed/timed-out),
-retry/backoff scheduling with an injected fake clock, duplicate-submission
+retry/backoff scheduling on a fake lease clock, duplicate-submission
 coalescing on the content-addressed result key, HTTP endpoint round trips
-against an ephemeral server, worker-pool crash recovery, and the cluster
-machinery: FIFO requeue ordering, tenant-fair queuing, monotonic duration
-accounting, backpressure, client-disconnect handling, and the remote
-worker lease/heartbeat/requeue-on-expiry protocol.
+against an ephemeral server, and the one execution path every attempt
+takes — a worker holding a lease: job timeouts, a worker killed
+mid-job, FIFO requeue ordering, tenant-fair queuing, monotonic duration
+accounting, backpressure, client-disconnect handling, and the
+lease/heartbeat/requeue-on-expiry protocol in-process and over HTTP.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -68,9 +70,9 @@ def _kill_once(payload):
     return {"key": "k", "text": "survived", "elapsed_seconds": 0.0}
 
 
-def _sleep_forever(payload):
-    time.sleep(60.0)
-    return {"key": "k", "text": "slept", "elapsed_seconds": 60.0}
+def _doomed_worker(url):
+    """A remote worker process that dies inside its first attempt."""
+    WorkerNode(url, worker_id="doomed", poll=0.02, executor=_kill_once).run(max_jobs=1)
 
 
 @pytest.fixture
@@ -286,7 +288,7 @@ class TestResultStore:
 
 class TestJobLifecycle:
     def test_queued_running_done(self, isolated_store, make_scheduler, echo_experiment):
-        scheduler = make_scheduler(workers=0)
+        scheduler = make_scheduler(local_workers=1)
         job, deduped = scheduler.submit({"experiment": echo_experiment, "scale": SCALE})
         assert not deduped and job.state == QUEUED
         scheduler.start()
@@ -299,7 +301,7 @@ class TestJobLifecycle:
 
     def test_failure_is_terminal_with_the_error(self, isolated_store, make_scheduler):
         with registered("svc-test-boom", lambda scale: 1 / 0) as name:
-            scheduler = make_scheduler(workers=0, default_retries=0).start()
+            scheduler = make_scheduler(local_workers=1, default_retries=0).start()
             job, _ = scheduler.submit({"experiment": name, "scale": SCALE})
             done = scheduler.wait(job.id, timeout=30)
             assert done.state == FAILED and "division" in done.error
@@ -310,62 +312,90 @@ class TestJobLifecycle:
 
     def test_unknown_job_id(self, make_scheduler):
         with pytest.raises(ServiceError, match="unknown job"):
-            make_scheduler(workers=0).job("job-404")
+            make_scheduler(local_workers=1).job("job-404")
+
+
+class FakeMonotonic:
+    def __init__(self, start: float = 100.0) -> None:
+        self.t = start
+
+    def now(self) -> float:
+        return self.t
+
+    def advance(self, seconds: float) -> None:
+        self.t += seconds
+
+
+def fake_clock_coordinator(make_scheduler, **kwargs):
+    """An unstarted pure coordinator whose leases and delayed retries
+    run on a fake monotonic clock."""
+    # A private registry: worker-labeled counters must not leak
+    # between tests that reuse worker names.
+    scheduler = make_scheduler(
+        local_workers=0, registry=obs.MetricsRegistry(), **kwargs
+    )
+    clock = FakeMonotonic()
+    scheduler.leases = LeaseManager(timeout=5.0, clock=clock.now)
+    return scheduler, clock
 
 
 class TestRetryBackoff:
+    def _run_until_settled(self, scheduler, clock, job):
+        """Drive one worker through every attempt; return the backoff
+        waits the delayed-retry heap scheduled between them."""
+        node = WorkerNode(client=scheduler, worker_id="solo")
+        waits = []
+        while job.state not in (DONE, FAILED):
+            node.run(max_jobs=1)
+            if scheduler._delayed:
+                waits.append(scheduler._delayed[0][0] - clock.now())
+                clock.advance(waits[-1])
+                scheduler._reap_once()
+        return waits
+
     def test_exponential_backoff_schedule(self, isolated_store, make_scheduler):
-        """Two failures then success: sleeps follow base * factor**n."""
+        """Two failures then success: retries wait base * factor**n."""
         attempts = []
         def flaky(scale):
             attempts.append(scale)
             if len(attempts) < 3:
                 raise RuntimeError(f"flake #{len(attempts)}")
             return "recovered"
-        sleeps = []
         with registered("svc-test-flaky", flaky) as name:
-            scheduler = make_scheduler(
-                workers=0,
+            scheduler, clock = fake_clock_coordinator(
+                make_scheduler,
                 default_retries=3,
                 backoff_base=0.5,
                 backoff_factor=2.0,
-                sleep=sleeps.append,
-            ).start()
+            )
             job, _ = scheduler.submit({"experiment": name, "scale": SCALE})
-            done = scheduler.wait(job.id, timeout=30)
-            assert done.state == DONE and done.attempts == 3
-            assert sleeps == [0.5, 1.0]
+            assert self._run_until_settled(scheduler, clock, job) == [0.5, 1.0]
+            assert job.state == DONE and job.attempts == 3
             assert scheduler.metrics()["counters"]["retries"] == 2
             assert scheduler.result(job.result_key)["text"] == "recovered"
 
     def test_budget_exhaustion_fails_after_all_retries(
         self, isolated_store, make_scheduler
     ):
-        sleeps = []
         with registered("svc-test-hopeless", lambda scale: 1 / 0) as name:
-            scheduler = make_scheduler(workers=0, sleep=sleeps.append).start()
+            scheduler, clock = fake_clock_coordinator(make_scheduler)
             job, _ = scheduler.submit(
                 {"experiment": name, "scale": SCALE, "retries": 2}
             )
-            done = scheduler.wait(job.id, timeout=30)
-            assert done.state == FAILED and done.attempts == 3
-            assert len(sleeps) == 2  # one backoff between each attempt pair
+            waits = self._run_until_settled(scheduler, clock, job)
+            assert job.state == FAILED and job.attempts == 3
+            assert len(waits) == 2  # one backoff between each attempt pair
 
     def test_backoff_is_capped(self, make_scheduler):
         scheduler = make_scheduler(backoff_base=10.0, backoff_max=15.0)
-        job = Job(id="x", spec=spec_from_payload({"experiment": "table1"}), retries=5)
-        job.attempts = 4
-        sleeps = []
-        scheduler._sleep = sleeps.append
-        assert scheduler._backoff_or_finish(job, FAILED, "err")
-        assert sleeps == [15.0]
+        assert scheduler._backoff_delay(4) == 15.0
 
 
 class TestCoalescing:
     def test_live_duplicates_share_one_job(
         self, isolated_store, make_scheduler, echo_experiment
     ):
-        scheduler = make_scheduler(workers=0)  # not started: jobs stay queued
+        scheduler = make_scheduler(local_workers=1)  # not started: jobs stay queued
         payload = {"experiment": echo_experiment, "scale": SCALE}
         first, deduped_first = scheduler.submit(payload)
         second, deduped_second = scheduler.submit(payload)
@@ -378,7 +408,7 @@ class TestCoalescing:
     def test_resubmission_after_completion_hits_the_store(
         self, isolated_store, make_scheduler, echo_experiment
     ):
-        scheduler = make_scheduler(workers=0).start()
+        scheduler = make_scheduler(local_workers=1).start()
         payload = {"experiment": echo_experiment, "scale": SCALE}
         first, _ = scheduler.submit(payload)
         scheduler.wait(first.id, timeout=30)
@@ -392,22 +422,32 @@ class TestCoalescing:
     def test_different_options_same_computation_coalesce(
         self, isolated_store, make_scheduler, echo_experiment
     ):
-        scheduler = make_scheduler(workers=0)
+        scheduler = make_scheduler(local_workers=1)
         first, _ = scheduler.submit({"experiment": echo_experiment, "priority": 3})
         second, deduped = scheduler.submit({"experiment": echo_experiment, "retries": 9})
         assert deduped and second is first
 
 
-@pytest.fixture
-def http_service(isolated_store, make_scheduler, echo_experiment):
-    """A live ephemeral-port server + client around an inline scheduler."""
-    scheduler = make_scheduler(workers=0).start()
+@contextmanager
+def serving(scheduler):
+    """Serve ``scheduler`` on an ephemeral port; yields a client."""
     server = make_server(scheduler, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield ServiceClient(server.url), scheduler, echo_experiment
-    server.shutdown()
-    server.server_close()
+    try:
+        yield ServiceClient(server.url)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def http_service(isolated_store, make_scheduler, echo_experiment):
+    """A live ephemeral-port server + client around a scheduler with
+    one in-process worker."""
+    scheduler = make_scheduler(local_workers=1).start()
+    with serving(scheduler) as client:
+        yield client, scheduler, echo_experiment
 
 
 class TestHTTP:
@@ -428,7 +468,7 @@ class TestHTTP:
         metrics = client.metrics()
         assert metrics["queue_depth"] == 0
         assert metrics["jobs"][DONE] == 1
-        for counter in ("retries", "timeouts", "pool_restarts", "deduped"):
+        for counter in ("retries", "timeouts", "deduped"):
             assert counter in metrics["counters"]
         assert set(metrics["result_store"]) == {"hits", "misses", "hit_rate"}
         assert "pipeline" in metrics
@@ -438,6 +478,8 @@ class TestHTTP:
         assert set(snapshot) == {"counters", "gauges", "histograms"}
         assert snapshot["counters"]["service.submitted"] == 1
         assert snapshot["counters"]["service.completed"] == 1
+        # The in-process worker took the job under a lease, like any other.
+        assert snapshot["counters"]["service.leases{worker=local-0}"] >= 1
         assert snapshot["gauges"]["service.queue_depth"] == 0
         assert snapshot["gauges"]["service.jobs{state=done}"] == 1
         assert snapshot["histograms"]["span.service.execute"]["count"] == 1
@@ -490,33 +532,86 @@ class TestCliServiceVerbs:
         assert "cannot reach service" in capsys.readouterr().err
 
 
-class TestPoolRecovery:
+class TestFailureRecovery:
+    """A worker killed mid-job and an attempt past its timeout, each
+    once, on the lease path every attempt takes."""
+
     def test_killed_worker_is_requeued_and_completes(
         self, isolated_store, make_scheduler, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(_MARKER_ENV, str(tmp_path / "crash-marker"))
-        scheduler = make_scheduler(workers=1, executor=_kill_once).start()
-        job, _ = scheduler.submit({"experiment": "table1", "scale": SCALE})
+        scheduler = make_scheduler(
+            local_workers=0,
+            lease_timeout=0.5,
+            reaper_interval=0.02,
+            registry=obs.MetricsRegistry(),
+        ).start()
+        with serving(scheduler) as client:
+            job, _ = scheduler.submit({"experiment": "table1", "scale": SCALE})
+            doomed = multiprocessing.get_context("fork").Process(
+                target=_doomed_worker, args=(client.base_url,)
+            )
+            doomed.start()
+            doomed.join(timeout=60)
+            assert doomed.exitcode == -signal.SIGKILL
+            survivor = WorkerNode(
+                client.base_url, worker_id="survivor", poll=0.02, executor=_kill_once
+            )
+            assert survivor.run(max_jobs=1) == 1
         done = scheduler.wait(job.id, timeout=60)
-        assert done.state == DONE
-        assert done.requeues == 1
+        assert done.state == DONE and done.requeues == 1 and done.attempts == 1
         assert scheduler.result(job.result_key)["text"] == "survived"
         counters = scheduler.metrics()["counters"]
-        assert counters["pool_restarts"] >= 1 and counters["requeues"] == 1
+        assert counters["lease_expiries"] == 1 and counters["requeues"] == 1
 
-    def test_timeout_marks_the_job_timed_out(
-        self, isolated_store, make_scheduler
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_attempt_past_its_timeout_ends_timed_out(
+        self, isolated_store, make_scheduler, retries
     ):
-        scheduler = make_scheduler(workers=1, executor=_sleep_forever).start()
-        job, _ = scheduler.submit(
-            {"experiment": "table1", "scale": SCALE, "timeout": 0.5, "retries": 0}
-        )
-        done = scheduler.wait(job.id, timeout=60)
-        assert done.state == TIMED_OUT
+        """Each attempt blocks past the job's timeout: every one times
+        out, and each late delivery is answered 410."""
+        release = threading.Event()
+
+        def blocked(payload):
+            release.wait(30.0)
+            key = spec_from_payload(payload).result_key()
+            return {"key": key, "text": "late but right"}
+
+        scheduler = make_scheduler(
+            local_workers=0,
+            backoff_base=0.01,
+            reaper_interval=0.02,
+            registry=obs.MetricsRegistry(),
+        ).start()
+        payload = {"experiment": "table1", "scale": SCALE}
+        job, _ = scheduler.submit({**payload, "timeout": 0.2, "retries": retries})
+        # One stuck worker per attempt: a timed-out attempt keeps its
+        # worker until it returns.
+        nodes = [
+            WorkerNode(client=scheduler, worker_id=f"stuck-{index}", poll=0.02,
+                       executor=blocked)
+            for index in range(retries + 1)
+        ]
+        threads = [
+            threading.Thread(target=node.run, kwargs={"max_jobs": 1}, daemon=True)
+            for node in nodes
+        ]
+        for thread in threads:
+            thread.start()
+        done = scheduler.wait(job.id, timeout=30)
+        assert done.state == TIMED_OUT and done.attempts == retries + 1
         counters = scheduler.metrics()["counters"]
-        assert counters["timeouts"] == 1
-        # The stuck worker was reclaimed by restarting the pool.
-        assert counters["pool_restarts"] >= 1
+        assert counters["timeouts"] == retries + 1
+        assert counters["retries"] == retries
+        assert counters["lease_expiries"] == 0
+        release.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert [(node.completed, node.abandoned) for node in nodes] == [(0, 1)] * len(nodes)
+        # The late result belongs to a granted lease of this job, so it
+        # was kept: the next submission is a result-store hit.
+        again, _ = scheduler.submit(payload)
+        assert again.cached and again.state == DONE
 
 
 class TestDurations:
@@ -560,7 +655,7 @@ class TestDurations:
         assert job.duration_seconds is None
 
     def test_uptime_is_monotonic(self, make_scheduler):
-        scheduler = make_scheduler(workers=0)
+        scheduler = make_scheduler(local_workers=1)
         scheduler._started_monotonic -= 7.0
         assert scheduler.metrics()["uptime_seconds"] >= 7.0
         assert scheduler.healthz()["uptime_seconds"] >= 7.0
@@ -570,7 +665,7 @@ class TestBackpressure:
     def test_submit_rejects_past_queue_depth(
         self, isolated_store, make_scheduler, echo_experiment
     ):
-        scheduler = make_scheduler(workers=0, max_queue_depth=1)  # not started
+        scheduler = make_scheduler(local_workers=1, max_queue_depth=1)  # not started
         scheduler.submit({"experiment": echo_experiment, "scale": 0.5})
         with pytest.raises(BackpressureError, match="retry later"):
             scheduler.submit({"experiment": echo_experiment, "scale": 0.25})
@@ -579,7 +674,7 @@ class TestBackpressure:
     def test_duplicates_and_cache_hits_bypass_backpressure(
         self, isolated_store, make_scheduler, echo_experiment
     ):
-        scheduler = make_scheduler(workers=0, max_queue_depth=1)
+        scheduler = make_scheduler(local_workers=1, max_queue_depth=1)
         scheduler.results.put(
             spec_from_payload({"experiment": echo_experiment, "scale": 0.125}).result_key(),
             {"text": "cached"},
@@ -593,7 +688,7 @@ class TestBackpressure:
         assert hit.state == DONE and hit.cached
 
     def test_http_answers_429(self, isolated_store, make_scheduler, echo_experiment):
-        scheduler = make_scheduler(workers=0, max_queue_depth=1)  # not started
+        scheduler = make_scheduler(local_workers=1, max_queue_depth=1)  # not started
         server = make_server(scheduler, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -631,7 +726,7 @@ class TestHTTPErrorMapping:
         self, isolated_store, make_scheduler, echo_experiment
     ):
         registry = obs.MetricsRegistry()
-        scheduler = make_scheduler(workers=0, registry=registry)
+        scheduler = make_scheduler(local_workers=1, registry=registry)
         server = make_server(scheduler, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -667,64 +762,43 @@ class TestHTTPErrorMapping:
             server.server_close()
 
 
-class FakeMonotonic:
-    def __init__(self, start: float = 100.0) -> None:
-        self.t = start
-
-    def now(self) -> float:
-        return self.t
-
-    def advance(self, seconds: float) -> None:
-        self.t += seconds
-
-
 class TestLeaseLifecycle:
-    """Two remote workers against one coordinator, fake lease clock."""
-
-    def _coordinator(self, make_scheduler, **kwargs):
-        # A private registry: worker-labeled counters must not leak
-        # between tests that reuse worker names.
-        scheduler = make_scheduler(
-            workers=0, local=False, registry=obs.MetricsRegistry(), **kwargs
-        )
-        clock = FakeMonotonic()
-        scheduler.leases = LeaseManager(timeout=5.0, clock=clock.now)
-        return scheduler, clock
+    """Two workers against one coordinator, fake lease clock."""
 
     def test_lease_heartbeat_expiry_requeue(
         self, isolated_store, make_scheduler, echo_experiment
     ):
-        scheduler, clock = self._coordinator(make_scheduler)
+        scheduler, clock = fake_clock_coordinator(make_scheduler)
         job1, _ = scheduler.submit({"experiment": echo_experiment, "scale": 0.5})
         job2, _ = scheduler.submit({"experiment": echo_experiment, "scale": 0.25})
 
-        lease1 = scheduler.lease_next("alpha")
-        lease2 = scheduler.lease_next("beta")
-        assert (lease1.job, lease2.job) == (job1, job2)
+        lease1 = scheduler.lease("alpha")
+        lease2 = scheduler.lease("beta")
+        assert (lease1["job"]["id"], lease2["job"]["id"]) == (job1.id, job2.id)
+        assert lease1["payload"] == {"experiment": echo_experiment, "scale": 0.5}
         assert job1.state == RUNNING and job1.attempts == 1
-        assert scheduler.lease_next("gamma") is None
+        assert scheduler.lease("gamma") is None
 
         # alpha keeps heartbeating past the original deadline; beta
         # goes silent and its lease expires.
         clock.advance(3.0)
-        scheduler.heartbeat_lease(lease1.id)
+        scheduler.heartbeat(lease1["lease_id"])
         clock.advance(3.0)  # t=106: beta expired at 105, alpha alive to 108
         scheduler._reap_once()
         assert job2.state == QUEUED and job2.requeues == 1
         assert job2.attempts == 0  # infrastructure loss, not a retry
-        with pytest.raises(StaleLeaseError):
-            scheduler.heartbeat_lease(lease2.id)
+        with pytest.raises(StaleLeaseError) as info:
+            scheduler.heartbeat(lease2["lease_id"])
+        assert info.value.status == 410  # what a worker branches on over HTTP too
 
         # alpha delivers job1, then picks up the requeued job2.
-        scheduler.complete_lease(
-            lease1.id, {"key": job1.result_key, "text": "one"}
+        record = scheduler.complete(
+            lease1["lease_id"], {"key": job1.result_key, "text": "one"}
         )
-        assert job1.state == DONE
-        lease3 = scheduler.lease_next("alpha")
-        assert lease3.job is job2
-        scheduler.complete_lease(
-            lease3.id, {"key": job2.result_key, "text": "two"}
-        )
+        assert record["state"] == DONE and job1.state == DONE
+        lease3 = scheduler.lease("alpha")
+        assert lease3["job"]["id"] == job2.id
+        scheduler.complete(lease3["lease_id"], {"key": job2.result_key, "text": "two"})
         assert job2.state == DONE
         assert scheduler.result(job2.result_key)["text"] == "two"
 
@@ -742,77 +816,125 @@ class TestLeaseLifecycle:
         self, isolated_store, make_scheduler, echo_experiment
     ):
         """Three in-flight jobs lost at once replay oldest-first."""
-        scheduler, clock = self._coordinator(make_scheduler)
+        scheduler, clock = fake_clock_coordinator(make_scheduler)
         jobs = [
             scheduler.submit({"experiment": echo_experiment, "scale": scale})[0]
             for scale in (0.5, 0.25, 0.125)
         ]
         for worker in ("w1", "w2", "w3"):
-            scheduler.lease_next(worker)
+            scheduler.lease(worker)
         clock.advance(6.0)
         scheduler._reap_once()
         assert [job.state for job in jobs] == [QUEUED] * 3
-        replay = [scheduler.lease_next("w1").job for _ in range(3)]
-        assert replay == jobs
+        replay = [scheduler.lease("w1")["job"]["id"] for _ in range(3)]
+        assert replay == [job.id for job in jobs]
 
     def test_worker_failure_consumes_retry_budget_with_delay(
         self, isolated_store, make_scheduler, echo_experiment
     ):
-        scheduler, _clock = self._coordinator(
+        scheduler, clock = fake_clock_coordinator(
             make_scheduler, backoff_base=0.01, backoff_factor=1.0
         )
         job, _ = scheduler.submit(
             {"experiment": echo_experiment, "scale": 0.5, "retries": 1}
         )
-        lease = scheduler.lease_next("alpha")
-        failed = scheduler.fail_lease(lease.id, "tile went missing")
-        assert failed.state == QUEUED and failed.error == "tile went missing"
+        lease = scheduler.lease("alpha")
+        failed = scheduler.fail(lease["lease_id"], "tile went missing")
+        assert failed["state"] == QUEUED and failed["error"] == "tile went missing"
         assert scheduler.metrics()["delayed_retries"] == 1
-        assert scheduler.lease_next("alpha") is None  # still backing off
-        time.sleep(0.05)
+        assert scheduler.lease("alpha") is None  # still backing off
+        clock.advance(0.01)
         scheduler._reap_once()
-        lease = scheduler.lease_next("alpha")
-        assert lease is not None and lease.job is job and job.attempts == 2
-        done = scheduler.fail_lease(lease.id, "tile went missing again")
-        assert done.state == FAILED and "again" in done.error
+        lease = scheduler.lease("alpha")
+        assert lease["job"]["id"] == job.id and job.attempts == 2
+        done = scheduler.fail(lease["lease_id"], "tile went missing again")
+        assert done["state"] == FAILED and "again" in done["error"]
         assert scheduler.metrics()["counters"]["retries"] == 1
+
+    def test_heartbeats_do_not_extend_the_job_deadline(
+        self, isolated_store, make_scheduler, echo_experiment
+    ):
+        scheduler, clock = fake_clock_coordinator(make_scheduler)
+        job, _ = scheduler.submit(
+            {"experiment": echo_experiment, "scale": 0.5, "timeout": 4.0, "retries": 0}
+        )
+        lease = scheduler.lease("alpha")
+        clock.advance(3.0)
+        scheduler.heartbeat(lease["lease_id"])  # heartbeat deadline now t=108
+        clock.advance(1.5)  # t=104.5: past the job deadline at t=104
+        with pytest.raises(StaleLeaseError):
+            scheduler.heartbeat(lease["lease_id"])
+        scheduler._reap_once()
+        assert job.state == TIMED_OUT and job.attempts == 1
+        counters = scheduler.metrics()["counters"]
+        assert counters["timeouts"] == 1
+        assert counters["lease_expiries"] == 0 and counters["requeues"] == 0
 
     def test_stale_completion_still_stores_the_result(
         self, isolated_store, make_scheduler, echo_experiment
     ):
-        scheduler, clock = self._coordinator(make_scheduler)
+        scheduler, clock = fake_clock_coordinator(make_scheduler)
         job, _ = scheduler.submit({"experiment": echo_experiment, "scale": 0.5})
-        lease = scheduler.lease_next("alpha")
+        lease = scheduler.lease("alpha")
         clock.advance(6.0)
         scheduler._reap_once()  # expired: the job went back to the queue
         with pytest.raises(StaleLeaseError):
-            scheduler.complete_lease(
-                lease.id, {"key": job.result_key, "text": "late but right"}
+            scheduler.complete(
+                lease["lease_id"], {"key": job.result_key, "text": "late but right"}
             )
         # The content-addressed result was kept; the requeued job
         # coalesces on it at its next dispatch instead of recomputing.
-        next_lease = scheduler.lease_next("beta")
+        next_lease = scheduler.lease("beta")
         assert next_lease is None
         assert job.state == DONE and job.cached
         assert scheduler.result(job.result_key)["text"] == "late but right"
 
+    def test_late_completion_must_name_its_own_job(
+        self, isolated_store, make_scheduler, echo_experiment
+    ):
+        scheduler, clock = fake_clock_coordinator(make_scheduler)
+        job, _ = scheduler.submit({"experiment": echo_experiment, "scale": 0.5})
+        other = spec_from_payload({"experiment": echo_experiment, "scale": 0.25})
+        lease = scheduler.lease("alpha")
+        clock.advance(6.0)
+        scheduler._reap_once()
+        with pytest.raises(StaleLeaseError):
+            scheduler.complete(
+                lease["lease_id"], {"key": other.result_key(), "text": "FORGED"}
+            )
+        assert scheduler.result(other.result_key()) is None
+        assert scheduler.result(job.result_key) is None
+        assert job.state == QUEUED
+
+    def test_stale_failure_report_counts_once(
+        self, isolated_store, make_scheduler, echo_experiment
+    ):
+        scheduler, clock = fake_clock_coordinator(make_scheduler)
+        scheduler.submit({"experiment": echo_experiment, "scale": 0.5, "retries": 0})
+
+        def explode_late(payload):
+            clock.advance(6.0)  # the lease expires under the attempt
+            scheduler._reap_once()
+            raise RuntimeError("too late to matter")
+
+        node = WorkerNode(client=scheduler, worker_id="late", executor=explode_late)
+        attempts = 1
+        node.run(max_jobs=attempts)
+        assert (node.completed, node.failed, node.abandoned) == (0, 0, 1)
+        assert node.completed + node.failed + node.abandoned == attempts
+
 
 @pytest.fixture
 def coordinator(isolated_store, make_scheduler, echo_experiment):
-    """A started remote-only coordinator behind a live HTTP server."""
+    """A started pure coordinator behind a live HTTP server."""
     scheduler = make_scheduler(
-        workers=0,
-        local=False,
+        local_workers=0,
         lease_timeout=5.0,
         reaper_interval=0.02,
         registry=obs.MetricsRegistry(),
     ).start()
-    server = make_server(scheduler, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield ServiceClient(server.url), scheduler, echo_experiment
-    server.shutdown()
-    server.server_close()
+    with serving(scheduler) as client:
+        yield client, scheduler, echo_experiment
 
 
 class TestLeaseProtocolHTTP:
@@ -835,6 +957,19 @@ class TestLeaseProtocolHTTP:
         with pytest.raises(ServiceError) as info:
             client.heartbeat(lease["lease_id"])
         assert info.value.status == 410
+
+    def test_forged_completion_stores_nothing(self, coordinator):
+        """A report on a lease id that was never granted is answered 410
+        and must not write the result store."""
+        client, _scheduler, _experiment = coordinator
+        key = spec_from_payload(dict(SIM_PAYLOAD)).result_key()
+        with pytest.raises(ServiceError) as info:
+            client.complete("lease-does-not-exist", {"key": key, "text": "FORGED"})
+        assert info.value.status == 410
+        job = client.submit(dict(SIM_PAYLOAD))
+        assert job["state"] == QUEUED and not job["cached"]
+        with pytest.raises(ServiceError, match="no result stored"):
+            client.result(key)
 
     def test_lease_requires_a_worker_name(self, coordinator):
         client, _scheduler, _experiment = coordinator
