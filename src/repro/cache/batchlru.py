@@ -34,16 +34,18 @@ After the re-read filter, the replay runs three vector stages on the
 surviving accesses: a round-based replay of all (set, chunk) groups at
 once from empty stacks, a prefix scan that merges per-chunk recency
 lists into running per-set stacks, and one batch pass resolving every
-group-first access against its recorded start stack.  The scalar path
-in ``lru.py`` remains the bit-exact reference; property tests assert
-equivalence.
+group-first access against its recorded start stack.  The stepwise
+and scalar per-set replays in ``tests/oracles`` are the bit-exact
+references; property tests assert equivalence.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
+
+from repro.errors import ConfigurationError
 
 #: Stream positions per chunk, counted before the re-read filter.  More
 #: chunks widen the parallel replay (more groups per round, fewer
@@ -63,20 +65,23 @@ def replay(
     num_sets: int,
     ways: int,
     initial: Dict[int, List[int]],
-) -> Optional[Tuple[np.ndarray, Dict[int, List[int]]]]:
+) -> Tuple[np.ndarray, Dict[int, List[int]]]:
     """Vectorized equivalent of the scalar per-set LRU replay.
 
     ``lines`` is the access stream; ``initial`` is the current
     MRU-first content of each set (not mutated).  Returns the
-    per-access miss mask and the replacement set contents, or ``None``
-    when the stream needs the scalar reference path (negative lines, or
-    address ranges whose sort keys would overflow int64).
+    per-access miss mask and the replacement set contents.  Raises
+    :class:`ConfigurationError` on negative lines and on address ranges
+    whose sort keys would overflow int64 (texture layouts stay far
+    below both limits).
     """
     total = int(len(lines))
     if total == 0:
         return np.zeros(0, dtype=bool), {k: list(v) for k, v in initial.items()}
     if int(lines.min()) < 0:
-        return None
+        raise ConfigurationError(
+            f"cache line addresses must be non-negative, got {int(lines.min())}"
+        )
 
     sets_total = int(num_sets)
     width = int(ways)
@@ -84,18 +89,19 @@ def replay(
     chunks = max(1, -(-total // chunk_len))
 
     max_line = int(lines.max())
+    init_stack = np.full((sets_total, width), _PAD, dtype=np.int64)
+    for set_index, ways_list in initial.items():
+        head = ways_list[:width]
+        init_stack[set_index, : len(head)] = head
     # Line-major boundary keys are line * chunks + chunk; guard the
     # int64 arithmetic for both the stream and the start stacks.
     key_cap = 2**62 // chunks
-    if max_line >= key_cap:
-        return None
-    init_stack = np.full((sets_total, width), _PAD, dtype=np.int64)
-    for set_index, ways_list in initial.items():
-        for held in ways_list:
-            if held < 0 or held >= key_cap:
-                return None
-        head = ways_list[:width]
-        init_stack[set_index, : len(head)] = head
+    highest = max(max_line, int(init_stack.max()))
+    if highest >= key_cap:
+        raise ConfigurationError(
+            f"cache line addresses must stay below {key_cap} for a "
+            f"{total}-access replay, got {highest}"
+        )
 
     if sets_total & (sets_total - 1) == 0:
         line_sets = lines & (sets_total - 1)

@@ -5,9 +5,11 @@ triangles through the distribution, replay each node's fragment stream
 through its private cache, then run the timing model.  Two timing paths
 exist — an exact fast path for machines whose triangle FIFO never fills
 (the paper's default 10 000-entry buffer) and the event-driven path for
-the finite-buffer study — and they agree cycle for cycle on the
-never-full case (``timing_mode`` lets tests force either path to
-enforce that claim).
+the finite-buffer study — chosen by whether ``fifo_capacity`` exceeds
+the deepest per-node triangle stream.  They agree cycle for cycle on
+the never-full case: tests set ``fifo_capacity`` equal to the deepest
+stream, which takes the event path while no push ever blocks, to
+enforce that claim.
 
 Everything upstream of the timing model is a pipeline artifact
 (:mod:`repro.pipeline`): ``build_routed_work`` memoizes the routing
@@ -32,11 +34,7 @@ from repro.core.node import drain_node
 from repro.core.results import MachineResult, NodeTimings
 from repro.core.routing import RoutedWork, build_routed_work
 from repro.distribution.single import SingleProcessor
-from repro.errors import ConfigurationError
 from repro.geometry.scene import Scene
-
-#: Valid ``timing_mode`` arguments of :func:`simulate_machine`.
-TIMING_MODES = ("auto", "fast", "event")
 
 
 def _fifo_is_effectively_infinite(config: MachineConfig, work: RoutedWork) -> bool:
@@ -50,22 +48,14 @@ def simulate_machine(
     config: MachineConfig,
     baseline_cycles: Optional[float] = None,
     routed: Optional[RoutedWork] = None,
-    timing_mode: str = "auto",
 ) -> MachineResult:
     """Simulate one frame of ``scene`` on the configured machine.
 
     ``routed`` lets callers that sweep timing-only parameters (FIFO
-    size, bus ratio) reuse one routing/cache replay across runs.
-    ``timing_mode`` selects the timing path: ``"auto"`` (the default)
-    takes the exact fast path whenever the FIFO can never fill,
-    ``"fast"`` forces it (only exact on a never-full machine) and
-    ``"event"`` forces the event-driven path — the two must agree
-    cycle for cycle on a never-full machine.
+    size, bus ratio) reuse one routing/cache replay across runs.  The
+    exact fast timing path runs whenever the FIFO can never fill, the
+    event-driven path otherwise.
     """
-    if timing_mode not in TIMING_MODES:
-        raise ConfigurationError(
-            f"timing_mode must be one of {TIMING_MODES}, got {timing_mode!r}"
-        )
     from repro import obs
     from repro.pipeline import stage_timer
 
@@ -89,15 +79,10 @@ def simulate_machine(
             scene.num_triangles, config.geometry_engines, config.geometry_cycles
         )
 
-    if timing_mode == "auto":
-        use_fast = _fifo_is_effectively_infinite(config, work)
-    else:
-        use_fast = timing_mode == "fast"
-
     extras: Dict[str, Any] = {}
     bus_totals: Dict[str, float] = {"transfers": 0, "texels": 0, "busy_cycles": 0.0}
     with stage_timer("timing"):
-        if use_fast:
+        if _fifo_is_effectively_infinite(config, work):
             finish = np.zeros(n)
             busy = np.zeros(n)
             stall = np.zeros(n)

@@ -7,13 +7,20 @@ reproduction's correctness rests on (DESIGN.md §9):
 * **determinism** (REPRO101–104) — no wall-clock reads, global PRNG
   state or set-iteration-order dependence inside the simulation core
   (``repro.sim``, ``repro.core``, ``repro.cache``, ``repro.raster``);
+  sources are classified by :mod:`repro.lintkit.flow.taint`, the
+  vocabulary REPRO111 shares;
 * **cycle accounting** (REPRO201–202) — no float ``==``/``!=`` on
   cycle/latency values, no true division into cycle counts;
 * **obs hygiene** (REPRO301–302) — hot paths resolve the recorder
   once (null-object pattern) and metric names follow ``dotted.lower``;
-* **concurrency** (REPRO401–402) — no bare ``except:`` in
-  ``repro.service``, and attributes guarded by a class lock are never
-  mutated outside it.
+* **concurrency** (REPRO401) — no bare ``except:`` in
+  ``repro.service``.
+
+With ``project=True`` (``repro-lint --project``) the dataflow rules
+of :mod:`repro.lintkit.flow` run too: key completeness
+(REPRO601–603), interprocedural determinism taint (REPRO111) and lock
+discipline (REPRO411/412 — attributes guarded by a class lock are
+never touched outside it), which has no per-file rule.
 
 Intentional exceptions live in ``lint-baseline.txt`` (one justified
 entry per finding) or inline via

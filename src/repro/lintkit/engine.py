@@ -139,6 +139,7 @@ def run(
     per-file pass too, so the tree is parsed exactly once.
     """
     rules = select_rules(list(select) if select is not None else None)
+    paths = list(paths)
     files = iter_python_files(paths)
     all_findings: List[Finding] = []
     if project:
@@ -162,7 +163,10 @@ def run(
     all_findings.sort(key=Finding.sort_key)
     if baseline is None:
         return Report(findings=all_findings, files_checked=len(files))
-    unsuppressed, suppressed, stale = baseline.partition(all_findings)
+    ran = {rule.id for rule in rules if project or not rule.requires_project}
+    unsuppressed, suppressed, stale = baseline.partition(
+        all_findings, ran=ran, checked=paths
+    )
     return Report(
         findings=unsuppressed,
         suppressed=suppressed,

@@ -1,14 +1,15 @@
-"""Taint-source vocabulary for the interprocedural determinism rules.
+"""Taint-source vocabulary: the one list of nondeterminism sources.
 
-Two source categories exist, shared with the per-file determinism
-rules (:mod:`repro.lintkit.rules.determinism`):
+Two source categories exist:
 
-* ``wall-clock`` — any call in ``WALL_CLOCK_CALLS``;
+* ``wall-clock`` — any call in :data:`WALL_CLOCK_CALLS`;
 * ``rng`` — the process-global PRNG surfaces: ``random.<fn>`` (except
   an explicitly *seeded* ``random.Random(seed)``) and
   ``numpy.random.<fn>`` (except a *seeded* seedable constructor).
 
-:func:`source_category` classifies one call; the summary layer
+:func:`source_category` classifies one call.  The per-file determinism
+rules (REPRO101–103, :mod:`repro.lintkit.rules.determinism`) flag the
+sources written inside the deterministic perimeter; the summary layer
 propagates the categories through assignments, expressions and helper
 calls, so ``REPRO111`` can ask "does this function's return value
 derive from a clock or a global PRNG, however indirectly?".
@@ -19,7 +20,36 @@ from __future__ import annotations
 import ast
 from typing import FrozenSet, Optional
 
-from repro.lintkit.rules.determinism import WALL_CLOCK_CALLS, _SEEDABLE_CONSTRUCTORS
+#: Wall-clock reads; any of these makes a cycle count run-dependent.
+WALL_CLOCK_CALLS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.process_time",
+        "time.process_time_ns",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
+
+#: PRNG constructors that are deterministic *when seeded*.
+SEEDABLE_CONSTRUCTORS = frozenset(
+    {
+        "random.Random",
+        "numpy.random.default_rng",
+        "numpy.random.RandomState",
+        "numpy.random.Generator",
+        "numpy.random.SeedSequence",
+        "numpy.random.PCG64",
+        "numpy.random.Philox",
+    }
+)
 
 #: The taint categories a value can carry.
 WALL_CLOCK = "wall-clock"
@@ -39,7 +69,7 @@ def source_category(dotted: Optional[str], call: ast.Call) -> Optional[str]:
         return None
     if dotted in WALL_CLOCK_CALLS:
         return WALL_CLOCK
-    if dotted == "random.Random" or dotted in _SEEDABLE_CONSTRUCTORS:
+    if dotted in SEEDABLE_CONSTRUCTORS:
         # Seeded constructions are deterministic; unseeded draw entropy.
         if not call.args and not call.keywords:
             return RNG

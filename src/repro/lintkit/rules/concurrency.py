@@ -1,19 +1,18 @@
 """Concurrency-discipline rules (REPRO4xx) for the service layer.
 
 The scheduler and its helpers are the only truly multi-threaded code
-in the tree, and their locking convention is lexical: state shared
-between dispatcher threads is mutated inside ``with self._lock:``
-blocks.  REPRO402 machine-checks that convention — any attribute that
-is *sometimes* mutated under a class's lock must *always* be, except
-in ``__init__`` (no concurrent access yet) and in methods that declare
-the caller-holds-the-lock convention (a ``*_locked`` name or a
-docstring containing "holds the lock").
+in the tree.  REPRO401 (per file) bans bare ``except:`` there.  Lock
+discipline — state shared between threads is touched only inside
+``with self.<lock>:`` — needs a whole class at once and is checked in
+project mode by REPRO411/412 (:mod:`repro.lintkit.rules.lockflow`),
+which share this module's scope, mutation vocabulary and
+caller-holds-the-lock convention.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.lintkit.context import ModuleContext
 from repro.lintkit.findings import Finding
@@ -70,139 +69,9 @@ def _self_attribute(node: ast.expr) -> Optional[str]:
     return None
 
 
-def _is_lock_context(item: ast.withitem) -> bool:
-    """Whether a ``with`` item is ``self.<something lock-ish>``."""
-    attr = _self_attribute(item.context_expr)
-    return attr is not None and "lock" in attr.lower()
-
-
 def _caller_holds_lock(method: ast.FunctionDef) -> bool:
     """Methods exempt by the documented caller-holds-the-lock convention."""
     if method.name.endswith("_locked"):
         return True
     doc = ast.get_docstring(method) or ""
     return "holds the lock" in doc.lower()
-
-
-def _mutations(node: ast.AST) -> Iterator[Tuple[str, ast.AST]]:
-    """Yield ``(attr, node)`` for every ``self.X`` mutation under ``node``.
-
-    Covers assignment (``self.x = ...``), augmented assignment,
-    deletion, subscript stores (``self.x[k] = ...``, ``del self.x[k]``)
-    and in-place container methods (``self.x.append(...)``).
-    """
-    for child in ast.walk(node):
-        if isinstance(child, ast.Assign):
-            for target in child.targets:
-                yield from _mutation_targets(target, child)
-        elif isinstance(child, ast.AugAssign):
-            yield from _mutation_targets(child.target, child)
-        elif isinstance(child, ast.AnnAssign) and child.value is not None:
-            yield from _mutation_targets(child.target, child)
-        elif isinstance(child, ast.Delete):
-            for target in child.targets:
-                yield from _mutation_targets(target, child)
-        elif isinstance(child, ast.Call):
-            func = child.func
-            if isinstance(func, ast.Attribute) and func.attr in _MUTATING_METHODS:
-                attr = _self_attribute(func.value)
-                if attr is not None:
-                    yield attr, child
-
-
-def _mutation_targets(target: ast.expr, node: ast.AST) -> Iterator[Tuple[str, ast.AST]]:
-    attr = _self_attribute(target)
-    if attr is not None:
-        yield attr, node
-        return
-    if isinstance(target, ast.Subscript):
-        attr = _self_attribute(target.value)
-        if attr is not None:
-            yield attr, node
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            yield from _mutation_targets(element, node)
-
-
-class _MethodScan:
-    """Mutations of one method, split by lock protection."""
-
-    def __init__(self, method: ast.FunctionDef) -> None:
-        self.method = method
-        self.locked: List[Tuple[str, ast.AST]] = []
-        self.unlocked: List[Tuple[str, ast.AST]] = []
-        self._scan(method)
-
-    def _scan(self, node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue  # nested scopes have their own discipline
-            if isinstance(child, ast.With) and any(
-                _is_lock_context(item) for item in child.items
-            ):
-                # Everything lexically under the lock counts as locked,
-                # including nested for/if/with bodies.
-                for statement in child.body:
-                    self.locked.extend(_mutations(statement))
-                continue
-            self.unlocked.extend(_direct_mutations_shallow(child))
-            self._scan(child)
-
-
-def _direct_mutations_shallow(node: ast.AST) -> List[Tuple[str, ast.AST]]:
-    """Mutations attributable to exactly this node (no recursion)."""
-    out: List[Tuple[str, ast.AST]] = []
-    if isinstance(node, ast.Assign):
-        for target in node.targets:
-            out.extend(_mutation_targets(target, node))
-    elif isinstance(node, ast.AugAssign):
-        out.extend(_mutation_targets(node.target, node))
-    elif isinstance(node, ast.AnnAssign) and node.value is not None:
-        out.extend(_mutation_targets(node.target, node))
-    elif isinstance(node, ast.Delete):
-        for target in node.targets:
-            out.extend(_mutation_targets(target, node))
-    elif isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in _MUTATING_METHODS:
-            attr = _self_attribute(func.value)
-            if attr is not None:
-                out.append((attr, node))
-    return out
-
-
-@register
-class LockDisciplineRule(Rule):
-    id = "REPRO402"
-    title = "lock-guarded attributes are never mutated outside the lock"
-    scopes = CONCURRENT_SCOPES
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(ctx, node)
-
-    def _check_class(self, ctx: ModuleContext, cls: ast.ClassDef) -> Iterator[Finding]:
-        methods = [
-            stmt for stmt in cls.body if isinstance(stmt, ast.FunctionDef)
-        ]
-        scans: Dict[str, _MethodScan] = {m.name: _MethodScan(m) for m in methods}
-        guarded: Set[str] = set()
-        for scan in scans.values():
-            guarded.update(attr for attr, _node in scan.locked)
-        if not guarded:
-            return
-        for scan in scans.values():
-            method = scan.method
-            if method.name == "__init__" or _caller_holds_lock(method):
-                continue
-            for attr, site in scan.unlocked:
-                if attr in guarded:
-                    yield self.finding(
-                        ctx,
-                        site,
-                        f"`self.{attr}` is mutated under `{cls.name}`'s lock "
-                        f"elsewhere but written here without it; wrap the "
-                        "mutation in the lock or document the caller-holds-"
-                        "the-lock convention",
-                    )

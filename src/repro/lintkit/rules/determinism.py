@@ -4,7 +4,11 @@ The golden-value tests pin exact cycle counts; the simulation core
 must therefore be a pure function of its inputs.  These rules forbid
 the classic nondeterminism sources inside the hot packages: wall-clock
 reads, global PRNG state, and iteration whose order depends on a
-``set``'s hash layout.
+``set``'s hash layout.  REPRO101–103 classify calls through
+:func:`repro.lintkit.flow.taint.source_category`, the same source
+vocabulary REPRO111 propagates across helper calls; they are its
+zero-hop case, kept per file so the core perimeter is checked without
+``--project``.
 """
 
 from __future__ import annotations
@@ -14,6 +18,12 @@ from typing import Iterator, Optional, Tuple
 
 from repro.lintkit.context import ModuleContext
 from repro.lintkit.findings import Finding
+from repro.lintkit.flow.taint import (
+    RNG,
+    SEEDABLE_CONSTRUCTORS,
+    WALL_CLOCK,
+    source_category,
+)
 from repro.lintkit.registry import Rule, register
 
 #: Packages whose results must be bit-exact across runs.  The VT page
@@ -26,24 +36,6 @@ DETERMINISTIC_SCOPES: Tuple[str, ...] = (
     "repro.raster",
     "repro.texture.pages",
     "repro.workloads.vt",
-)
-
-#: Wall-clock reads; any of these makes a cycle count run-dependent.
-WALL_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
 )
 
 #: Scopes where only *duration arithmetic* on the wall clock is banned:
@@ -67,18 +59,6 @@ ADJUSTABLE_CLOCK_CALLS = frozenset(
         "datetime.datetime.utcnow",
         "datetime.datetime.today",
         "datetime.date.today",
-    }
-)
-
-#: numpy.random constructors that are deterministic *when seeded*.
-_SEEDABLE_CONSTRUCTORS = frozenset(
-    {
-        "numpy.random.default_rng",
-        "numpy.random.RandomState",
-        "numpy.random.Generator",
-        "numpy.random.SeedSequence",
-        "numpy.random.PCG64",
-        "numpy.random.Philox",
     }
 )
 
@@ -109,7 +89,7 @@ class WallClockRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             name = ctx.qualname(node.func)
-            if name in WALL_CLOCK_CALLS:
+            if source_category(name, node) == WALL_CLOCK:
                 yield self.finding(
                     ctx,
                     node,
@@ -160,22 +140,18 @@ class StdlibRandomRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             name = ctx.qualname(node.func)
-            if name is None:
+            if name is None or not name.startswith("random."):
                 continue
-            if name == "random.Random":
-                # A locally seeded Random(seed) instance is reproducible.
-                if not node.args and not node.keywords:
-                    yield self.finding(
-                        ctx, node, "`random.Random()` without a seed is nondeterministic"
-                    )
-                continue
-            if name.startswith("random."):
-                yield self.finding(
-                    ctx,
-                    node,
+            if source_category(name, node) != RNG:
+                continue  # a locally seeded Random(seed) is reproducible
+            if name in SEEDABLE_CONSTRUCTORS:
+                message = f"`{name}()` without a seed is nondeterministic"
+            else:
+                message = (
                     f"`{name}()` uses the process-global PRNG; thread a seeded "
-                    "generator through instead",
+                    "generator through instead"
                 )
+            yield self.finding(ctx, node, message)
 
 
 @register
@@ -191,20 +167,16 @@ class NumpyRandomRule(Rule):
             name = ctx.qualname(node.func)
             if name is None or not name.startswith("numpy.random."):
                 continue
-            if name in _SEEDABLE_CONSTRUCTORS:
-                if not node.args and not node.keywords:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"`{name}()` without an explicit seed draws OS entropy",
-                    )
-                continue
-            yield self.finding(
-                ctx,
-                node,
-                f"`{name}()` mutates numpy's global PRNG state; use a seeded "
-                "`numpy.random.default_rng(seed)` generator",
-            )
+            if source_category(name, node) != RNG:
+                continue  # a seeded constructor is reproducible
+            if name in SEEDABLE_CONSTRUCTORS:
+                message = f"`{name}()` without an explicit seed draws OS entropy"
+            else:
+                message = (
+                    f"`{name}()` mutates numpy's global PRNG state; use a seeded "
+                    "`numpy.random.default_rng(seed)` generator"
+                )
+            yield self.finding(ctx, node, message)
 
 
 def _set_expression(node: ast.expr) -> Optional[str]:

@@ -32,12 +32,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, List, Mapping, Optional, Tuple
 
 from repro.lintkit.findings import Finding
+from repro.lintkit.flow.summaries import (
+    FIELD,
+    PARAM,
+    analyze_function,
+    expression_labels,
+)
 from repro.lintkit.registry import ProjectRule, register
-
-# NOTE: repro.lintkit.flow is imported lazily inside the checks.  The
-# flow package's taint vocabulary imports rules.determinism, which
-# initializes this rules package — a module-level import back into
-# flow here would re-enter flow.summaries mid-initialization.
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lintkit.flow import Project
@@ -174,8 +175,6 @@ class _KeyCompletenessRule(ProjectRule):
                 "which has no such parameter or field — drop or update the "
                 "stale justification",
             )
-        from repro.lintkit.flow.summaries import FIELD, PARAM
-
         reached = self._reached_labels(project, info, entry)
         if reached is None:
             yield self.finding(
@@ -216,8 +215,6 @@ class _KeyCompletenessRule(ProjectRule):
     def _reached_labels(
         self, project: "Project", info: "FunctionInfo", entry: KeyedComputation
     ):
-        from repro.lintkit.flow.summaries import analyze_function, expression_labels
-
         if entry.key_dict_entry is not None:
             expr = _key_entry_expression(info.node, entry.key_dict_entry)
             if expr is None:

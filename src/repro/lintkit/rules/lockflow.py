@@ -1,15 +1,19 @@
 """Flow-sensitive lock discipline for the service layer (REPRO411/412).
 
-REPRO402 is syntactic: an attribute mutated under *some* ``with
-self._lock:`` must always be.  These rules upgrade that in three ways:
+The one lock-discipline check; it runs in project mode only
+(``repro-lint --project``), because it needs whole classes and their
+private-helper call sites.  For each class in ``repro.service``:
 
-* **locks are found by type, not name** — any attribute assigned a
-  ``threading.Lock``/``RLock``/``Condition`` in ``__init__`` counts
-  (``JobQueue._condition`` guards state but fails a name heuristic);
-* **guarded attributes are inferred from majority use** — an attribute
-  written after ``__init__`` whose accesses are *mostly* lock-held is
-  presumed guarded; immutable config read both inside and outside the
-  lock never qualifies (no post-init write);
+* **locks are found by type or by use** — any attribute assigned a
+  ``threading.Lock``/``RLock``/``Condition`` in ``__init__``
+  (``JobQueue._condition`` guards state but fails a name heuristic),
+  and any ``self.<…lock…>`` entered by a ``with`` statement (a lock
+  injected through ``__init__`` has no visible constructor);
+* **guarded attributes are inferred** — an attribute written after
+  ``__init__`` whose accesses are *mostly* lock-held is presumed
+  guarded; for writes (REPRO411) so is one written under a lock
+  anywhere after ``__init__``.  Immutable config read both inside and
+  outside the lock never qualifies (no post-init write);
 * **lock context flows through private helpers** — a method whose
   every in-class call site is lock-held inherits the lock context, to
   a fixpoint, alongside the explicit ``*_locked`` suffix and
@@ -17,11 +21,12 @@ self._lock:`` must always be.  These rules upgrade that in three ways:
 
 An access to a guarded attribute reachable outside the inferred lock
 is then flagged: writes as ``REPRO411``, reads as ``REPRO412`` (a
-racy read of scheduler state is how PR 7's reaper double-requeued
-leases).  Thread-safe *sub-objects* (queues, stores) are naturally
-exempt: calling their methods is a read of the attribute, and such
-attributes are rebound at most in ``__init__`` — no post-init write,
-never guarded.
+racy read of scheduler state is how the reaper once double-requeued
+leases).  ``__init__`` is exempt (no concurrent access yet).
+Thread-safe *sub-objects* (queues, stores) are naturally exempt:
+calling their methods is a read of the attribute, and such attributes
+are rebound at most in ``__init__`` — no post-init write, never
+guarded.
 """
 
 from __future__ import annotations
@@ -75,28 +80,28 @@ class _SelfCall:
 
 
 def _lock_attributes(ctx: "ModuleContext", cls: ast.ClassDef) -> Set[str]:
-    """Attributes holding a lock, by ``__init__`` assignment type."""
-    init = next(
-        (
-            stmt
-            for stmt in cls.body
-            if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
-        ),
-        None,
-    )
+    """Attributes holding a lock: by ``__init__`` assignment type, or
+    entered by a ``with self.<…lock…>:`` anywhere in the class."""
     locks: Set[str] = set()
-    if init is None:
-        return locks
-    for node in ast.walk(init):
-        if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
+    for method in cls.body:
+        if not isinstance(method, ast.FunctionDef):
             continue
-        dotted = ctx.qualname(node.value.func)
-        if dotted not in _LOCK_TYPES:
-            continue
-        for target in node.targets:
-            attr = _self_attribute(target)
-            if attr is not None:
-                locks.add(attr)
+        for node in ast.walk(method):
+            if isinstance(node, (ast.With, ast.AsyncWith)):
+                for item in node.items:
+                    attr = _self_attribute(item.context_expr)
+                    if attr is not None and "lock" in attr.lower():
+                        locks.add(attr)
+            elif (
+                method.name == "__init__"
+                and isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and ctx.qualname(node.value.func) in _LOCK_TYPES
+            ):
+                for target in node.targets:
+                    attr = _self_attribute(target)
+                    if attr is not None:
+                        locks.add(attr)
     return locks
 
 
@@ -131,7 +136,7 @@ class _MethodAccessScan:
             now_locked = locked
             for item in node.items:
                 attr = _self_attribute(item.context_expr)
-                if attr is not None and (attr in self._locks or "lock" in attr.lower()):
+                if attr is not None and attr in self._locks:
                     now_locked, held = True, attr
                 self._node(item.context_expr, locked, guard)
             self._statements(node.body, now_locked, held)
@@ -302,55 +307,59 @@ class _LockFlowRule(ProjectRule):
         for access in accesses:
             if access.method in held_methods and not access.locked:
                 access.locked = True  # inherited lock context
-        guarded = self._guarded_attributes(accesses)
+        guarded = self._guarded_attributes(accesses, cls.node.name)
         for access in accesses:
             if access.attr not in guarded or access.locked:
                 continue
             if access.write != self.flag_writes:
                 continue
-            guard, locked_count, total = guarded[access.attr]
+            guard, evidence = guarded[access.attr]
             verb = "write to" if access.write else "read of"
             yield self.finding(
                 ctx,
                 access.node,
                 f"{verb} `self.{access.attr}` outside `self.{guard}`, which "
-                f"is inferred to guard it ({locked_count}/{total} accesses "
-                f"in `{cls.node.name}` are lock-held); take the lock or "
+                f"is inferred to guard it ({evidence}); take the lock or "
                 "document the caller-holds-the-lock convention",
             )
 
-    @staticmethod
     def _guarded_attributes(
-        accesses: List[_Access],
-    ) -> Dict[str, Tuple[str, int, int]]:
-        """attr -> (majority guard, locked count, total count).
+        self, accesses: List[_Access], class_name: str
+    ) -> Dict[str, Tuple[str, str]]:
+        """attr -> (guarding lock, the evidence for it).
 
         Guarded means: written at least once after ``__init__`` *and*
-        lock-held accesses strictly outnumber unlocked ones.
+        either lock-held accesses strictly outnumber unlocked ones, or
+        — when writes are flagged — some write holds a lock.
         """
         by_attr: Dict[str, List[_Access]] = {}
         for access in accesses:
             by_attr.setdefault(access.attr, []).append(access)
-        guarded: Dict[str, Tuple[str, int, int]] = {}
+        guarded: Dict[str, Tuple[str, str]] = {}
         for attr, touches in by_attr.items():
             if not any(t.write for t in touches):
                 continue
             locked = [t for t in touches if t.locked]
-            if len(locked) <= len(touches) - len(locked):
+            locked_writes = [t for t in locked if t.write]
+            if len(locked) > len(touches) - len(locked):
+                evidence = (
+                    f"{len(locked)}/{len(touches)} accesses in `{class_name}` "
+                    "are lock-held"
+                )
+            elif self.flag_writes and locked_writes:
+                evidence = f"`{class_name}.{locked_writes[0].method}` writes it locked"
+            else:
                 continue
             guards = Counter(t.guard for t in locked if t.guard is not None)
             guard = guards.most_common(1)[0][0] if guards else "_lock"
-            guarded[attr] = (guard, len(locked), len(touches))
+            guarded[attr] = (guard, evidence)
         return guarded
 
 
 @register
 class UnlockedWriteRule(_LockFlowRule):
     id = "REPRO411"
-    title = (
-        "no writes to lock-guarded service state outside the inferred lock "
-        "(flow-sensitive upgrade of REPRO402)"
-    )
+    title = "no writes to lock-guarded service state outside the inferred lock"
     flag_writes = True
 
 

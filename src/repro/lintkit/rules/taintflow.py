@@ -12,8 +12,10 @@ from a perimeter function to a project function defined outside the
 perimeter, if the callee's return value derives from a taint source —
 directly or through further helpers, to a fixpoint — the *call site*
 is flagged.  Calls to functions inside the perimeter are skipped
-(REPRO101 already polices their bodies), as are unresolved calls
-(stdlib and third-party surfaces are REPRO101's vocabulary problem).
+(REPRO101–103 already police their bodies), as are unresolved calls:
+a stdlib source called directly is REPRO101–103's finding.  Both
+sides classify sources through one vocabulary,
+:func:`repro.lintkit.flow.taint.source_category`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from repro.lintkit.findings import Finding
+from repro.lintkit.flow.taint import describe
 from repro.lintkit.registry import ProjectRule, register
 from repro.lintkit.rules.determinism import DETERMINISTIC_SCOPES
 
@@ -45,8 +48,6 @@ class InterproceduralTaintRule(ProjectRule):
     scopes = DETERMINISTIC_SCOPES
 
     def check_project(self, project: "Project") -> Iterator[Finding]:
-        from repro.lintkit.flow.taint import describe
-
         symbols = project.symbols
         for info in symbols.functions.values():
             if not _in_perimeter(info.module):

@@ -6,17 +6,13 @@ scanline order), with the exact fill convention needed so that meshes
 of adjacent triangles draw every covered pixel exactly once.
 """
 
-from repro.raster.setup import EdgeEquations, triangle_setup
 from repro.raster.fragments import FragmentBuffer
-from repro.raster.raster import mip_level_for_scale, rasterize_scene, rasterize_triangle
+from repro.raster.raster import mip_level_for_scale, rasterize_scene
 from repro.raster.depth import depth_visible_mask, resolve_depth
 
 __all__ = [
-    "EdgeEquations",
-    "triangle_setup",
     "FragmentBuffer",
     "rasterize_scene",
-    "rasterize_triangle",
     "mip_level_for_scale",
     "depth_visible_mask",
     "resolve_depth",

@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import List, Optional
-
-import numpy as np
 
 from repro.geometry.scene import Scene
-from repro.geometry.triangle import Triangle
 from repro.raster.fragments import FragmentBuffer
-from repro.raster.setup import triangle_setup
 
 #: Deepest mip level the engine addresses (a 2**15 texture edge is far
 #: beyond anything the era's hardware supported).
@@ -30,97 +25,14 @@ def mip_level_for_scale(scale: float) -> int:
     return min(MAX_MIP_LEVEL, int(math.floor(math.log2(scale))))
 
 
-def rasterize_triangle(
-    triangle: Triangle,
-    width: int,
-    height: int,
-    triangle_id: int = 0,
-) -> Optional[dict]:
-    """Scan-convert one triangle; returns column arrays or ``None``.
-
-    Fragments come out in scanline order (rows top to bottom, pixels
-    left to right), the order a hardware scanner visits them.  Returns
-    ``None`` when the triangle covers no pixel centre.
-    """
-    if triangle.is_degenerate():
-        return None
-    equations = triangle_setup(triangle)
-    min_x, min_y, max_x, max_y = triangle.bounding_box()
-    # Pixel (i, j) has its centre at (i + 0.5, j + 0.5); find the pixel
-    # range whose centres can fall inside the bounding box.
-    x0 = max(0, int(math.ceil(min_x - 0.5)))
-    y0 = max(0, int(math.ceil(min_y - 0.5)))
-    x1 = min(width - 1, int(math.floor(max_x - 0.5)) + 1)
-    y1 = min(height - 1, int(math.floor(max_y - 0.5)) + 1)
-    if x1 < x0 or y1 < y0:
-        return None
-
-    xs = np.arange(x0, x1 + 1, dtype=np.int32)
-    ys = np.arange(y0, y1 + 1, dtype=np.int32)
-    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
-    px = grid_x + 0.5
-    py = grid_y + 0.5
-    covered = equations.covers(px, py)
-    if not covered.any():
-        return None
-
-    frag_x = grid_x[covered]
-    frag_y = grid_y[covered]
-    cx = frag_x + 0.5
-    cy = frag_y + 0.5
-
-    # Barycentric interpolation of (u, v).  Weight of a vertex is the
-    # edge function of the opposite edge over twice the area; with the
-    # winding normalised in triangle_setup the edges are (v0 v1),
-    # (v1 v2), (v2 v0), so vertex v0 faces edge 1, v1 faces edge 2 and
-    # v2 faces edge 0 — but setup may have swapped v1/v2, so interpolate
-    # from the original vertices via an explicit solve instead.
-    v0, v1, v2 = triangle.vertices
-    det = (v1.x - v0.x) * (v2.y - v0.y) - (v1.y - v0.y) * (v2.x - v0.x)
-    w1 = ((cx - v0.x) * (v2.y - v0.y) - (cy - v0.y) * (v2.x - v0.x)) / det
-    w2 = ((v1.x - v0.x) * (cy - v0.y) - (v1.y - v0.y) * (cx - v0.x)) / det
-    w0 = 1.0 - w1 - w2
-    frag_u = w0 * v0.u + w1 * v1.u + w2 * v2.u
-    frag_v = w0 * v0.v + w1 * v1.v + w2 * v2.v
-    frag_z = w0 * v0.z + w1 * v1.z + w2 * v2.z
-
-    level = mip_level_for_scale(triangle.texel_to_pixel_scale())
-    n = len(frag_x)
-    return {
-        "x": frag_x,
-        "y": frag_y,
-        "u": frag_u,
-        "v": frag_v,
-        "z": frag_z,
-        "level": np.full(n, level, dtype=np.int16),
-        "texture": np.full(n, triangle.texture, dtype=np.int32),
-        "triangle": np.full(n, triangle_id, dtype=np.int32),
-    }
-
-
 def rasterize_scene(scene: Scene) -> FragmentBuffer:
     """Rasterize every triangle of a scene, preserving submission order.
 
-    Delegates to the batch scan converter; the per-triangle path below
-    (:func:`rasterize_scene_scalar`) is the bit-exact reference the
-    equivalence property tests compare against.
+    Delegates to the batch scan converter; the per-triangle reference
+    rasterizer in ``tests/oracles`` is what the equivalence property
+    tests compare it against, bit for bit.
     """
     from repro.raster.batch import rasterize_scene_batch
 
     return rasterize_scene_batch(scene, mip_level_for_scale)
 
-
-def rasterize_scene_scalar(scene: Scene) -> FragmentBuffer:
-    """Reference rasterizer: one triangle at a time."""
-    columns: List[dict] = []
-    for index, triangle in enumerate(scene.triangles):
-        result = rasterize_triangle(triangle, scene.width, scene.height, index)
-        if result is not None:
-            columns.append(result)
-    if not columns:
-        return FragmentBuffer.empty(scene.num_triangles)
-    joined = {
-        name: np.concatenate([c[name] for c in columns])
-        for name in FragmentBuffer.COLUMNS
-    }
-    return FragmentBuffer(num_triangles=scene.num_triangles, **joined)

@@ -1,0 +1,29 @@
+"""Test-only reference implementations (oracles).
+
+``src/`` ships one implementation per pipeline layer: the batch scan
+converter and the chunk-parallel LRU replay.  The straightforward
+per-triangle and per-access versions they were derived from live
+here, unchanged, so equivalence property tests can compare the
+shipped code against them bit for bit:
+
+* :mod:`tests.oracles.raster` — triangle setup (edge equations, the
+  top-left fill rule) and the one-triangle-at-a-time rasterizer;
+* :mod:`tests.oracles.lru` — :class:`ReferenceLru`, the stepwise
+  ``access`` walk and the scalar per-set replay.
+"""
+
+from tests.oracles.lru import ReferenceLru
+from tests.oracles.raster import (
+    EdgeEquations,
+    rasterize_scene_scalar,
+    rasterize_triangle,
+    triangle_setup,
+)
+
+__all__ = [
+    "EdgeEquations",
+    "ReferenceLru",
+    "rasterize_scene_scalar",
+    "rasterize_triangle",
+    "triangle_setup",
+]

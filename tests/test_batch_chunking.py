@@ -3,7 +3,8 @@
 Every batch module processes its stream in bounded chunks so the flat
 working arrays stay cache-resident.  Chunk boundaries are pure
 implementation detail: wherever the split lands, the output must be
-bit-identical to the scalar reference and to any other split.  These
+bit-identical to the scalar reference (``tests/oracles``) and to any
+other split.  These
 tests randomize the split points (seeded) and assert exactly that for
 the raster scan converter, the fused texture address pass, and the
 chunked LRU replay.
@@ -19,13 +20,11 @@ from repro.cache.config import CacheConfig
 from repro.cache.lru import LruCache
 from repro.raster import batch as raster_batch
 from repro.raster.fragments import FragmentBuffer
-from repro.raster.raster import (
-    mip_level_for_scale,
-    rasterize_scene_scalar,
-)
+from repro.raster.raster import mip_level_for_scale
 from repro.texture.filtering import TrilinearFilter
 from repro.workloads.scenes import build_scene
 from tests.conftest import footprint_stream
+from tests.oracles import ReferenceLru, rasterize_scene_scalar
 
 
 @pytest.fixture(scope="module")
@@ -119,11 +118,8 @@ def test_lru_replay_matches_scalar_under_random_chunking(
             streams.append(footprint_stream(rng, num_sets, int(rng.integers(1, 6000))))
         config = _config(num_sets, ways)
         for lines in streams:
-            batched, scalar = LruCache(config), LruCache(config)
-            assert np.array_equal(
-                batched.simulate(lines),
-                scalar.simulate(lines, force_scalar=True),
-            )
+            batched, scalar = LruCache(config), ReferenceLru(config)
+            assert np.array_equal(batched.simulate(lines), scalar.replay(lines))
             assert batched.contents() == scalar.contents()
 
 

@@ -1,4 +1,8 @@
-"""Tests for the cache simulator: LRU correctness and cache models."""
+"""Tests for the cache simulator: LRU correctness and cache models.
+
+Behaviour tests drive the shipped ``LruCache.simulate``; equivalence
+properties compare it with the stepwise oracle in ``tests/oracles``.
+"""
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from repro.cache import CacheConfig, LruCache, NoCache, PerfectCache, make_cache_model
 from repro.cache.models import RealCache
 from repro.errors import ConfigurationError
+from tests.oracles import ReferenceLru
 
 
 def tiny_config(sets=2, ways=2):
@@ -35,51 +40,51 @@ class TestCacheConfig:
 
 
 class TestLruReference:
+    """Concrete true-LRU behaviour, driven through the shipped ``simulate``."""
+
     def test_first_access_misses_then_hits(self):
         cache = LruCache(tiny_config())
-        assert cache.access(0) is False
-        assert cache.access(0) is True
+        assert cache.simulate(np.array([0])).tolist() == [True]
+        assert cache.simulate(np.array([0])).tolist() == [False]
 
     def test_lru_eviction_order(self):
-        # 1 set, 2 ways: lines 0 and 2 map to set 0 with 2 sets? use
-        # direct construction: sets=1 -> every line maps to set 0.
+        # 1 set, 2 ways: every line maps to set 0.
         cache = LruCache(tiny_config(sets=1, ways=2))
-        cache.access(10)
-        cache.access(20)
-        cache.access(10)  # 10 is now MRU, 20 LRU
-        cache.access(30)  # evicts 20
-        assert cache.access(10) is True
-        assert cache.access(20) is False
+        # 10 is re-touched (MRU, 20 LRU), so 30 evicts 20.
+        misses = cache.simulate(np.array([10, 20, 10, 30, 10, 20]))
+        assert misses.tolist() == [True, True, False, True, False, True]
 
     def test_sets_are_independent(self):
         cache = LruCache(tiny_config(sets=2, ways=1))
-        cache.access(0)  # set 0
-        cache.access(1)  # set 1
-        assert cache.access(0) is True
-        assert cache.access(1) is True
-        cache.access(2)  # set 0, evicts 0
-        assert cache.access(1) is True
-        assert cache.access(0) is False
+        # 0 and 2 share set 0 (one way); 1 sits alone in set 1, so
+        # 2 evicting 0 leaves it untouched.
+        misses = cache.simulate(np.array([0, 1, 0, 1, 2, 1, 0]))
+        assert misses.tolist() == [True, True, False, False, True, False, True]
 
     def test_contents_snapshot_mru_first(self):
         cache = LruCache(tiny_config(sets=1, ways=3))
-        for line in (1, 2, 3, 1):
-            cache.access(line)
+        cache.simulate(np.array([1, 2, 3, 1]))
         assert cache.contents()[0] == [1, 3, 2]
 
     def test_reset_empties_cache(self):
         cache = LruCache(tiny_config())
-        cache.access(5)
+        cache.simulate(np.array([5]))
         cache.reset()
         assert cache.contents() == {}
-        assert cache.access(5) is False
+        assert cache.simulate(np.array([5])).tolist() == [True]
+
+    @pytest.mark.parametrize("line", [-1, 2**62], ids=["negative", "key-overflow"])
+    def test_rejects_unreplayable_line_addresses(self, line):
+        cache = LruCache(tiny_config())
+        with pytest.raises(ConfigurationError, match="cache line addresses"):
+            cache.simulate(np.array([0, line], dtype=np.int64))
 
 
 class TestLruBatched:
     def test_matches_reference_on_simple_stream(self):
         stream = np.array([0, 1, 0, 2, 64, 0, 1, 1, 1, 2])
         batched = LruCache(CacheConfig())
-        reference = LruCache(CacheConfig())
+        reference = ReferenceLru(CacheConfig())
         got = batched.simulate(stream)
         want = np.array([not reference.access(line) for line in stream])
         assert (got == want).all()
@@ -118,7 +123,7 @@ class TestLruBatched:
         config = tiny_config(sets=sets, ways=ways)
         stream = np.asarray(stream, dtype=np.int64)
         batched = LruCache(config).simulate(stream)
-        reference = LruCache(config)
+        reference = ReferenceLru(config)
         expected = np.array(
             [not reference.access(line) for line in stream], dtype=bool
         )

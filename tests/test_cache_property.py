@@ -1,9 +1,10 @@
-"""Property tests: ``LruCache.access`` and ``LruCache.simulate`` agree.
+"""Property tests: ``LruCache.simulate`` agrees with the stepwise oracle.
 
 The vectorised replay (``simulate``) must produce miss masks that are
-bit-identical to the stepwise reference (``access``) no matter how the
-stream is chunked, how the two entry points are interleaved on one
-stateful cache instance, or how skewed the address distribution is.
+bit-identical to the stepwise reference (``ReferenceLru.access`` in
+``tests/oracles``) no matter how the stream is chunked, how the two
+entry points are interleaved on one stateful cache instance, or how
+skewed the address distribution is.
 The timing model depends on this equivalence: the machine simulator
 replays caches in per-node chunks whose boundaries depend on the
 distribution, and the golden-value suite pins the resulting numbers.
@@ -17,14 +18,15 @@ from hypothesis import strategies as st
 
 from repro.cache import CacheConfig, LruCache
 from tests.conftest import footprint_stream
+from tests.oracles import ReferenceLru
 
 
 def geometry(sets: int, ways: int) -> CacheConfig:
     return CacheConfig(total_bytes=64 * sets * ways, line_bytes=64, ways=ways)
 
 
-def reference_mask(cache: LruCache, lines) -> np.ndarray:
-    """Stepwise miss mask via ``access`` (mutates ``cache``)."""
+def reference_mask(cache: ReferenceLru, lines) -> np.ndarray:
+    """Stepwise miss mask via the oracle's ``access`` (mutates ``cache``)."""
     return np.array([not cache.access(line) for line in lines], dtype=bool)
 
 
@@ -47,7 +49,7 @@ class TestAccessSimulateEquivalence:
         """Any chunking of ``simulate`` equals one ``access`` walk."""
         stream = np.asarray(stream, dtype=np.int64)
         config = geometry(*geo)
-        expected = reference_mask(LruCache(config), stream)
+        expected = reference_mask(ReferenceLru(config), stream)
 
         chunked = LruCache(config)
         masks = []
@@ -76,9 +78,9 @@ class TestAccessSimulateEquivalence:
         """
         stream = np.asarray(stream, dtype=np.int64)
         config = geometry(*geo)
-        expected = reference_mask(LruCache(config), stream)
+        expected = reference_mask(ReferenceLru(config), stream)
 
-        mixed = LruCache(config)
+        mixed = ReferenceLru(config)
         got = np.zeros(len(stream), dtype=bool)
         start = 0
         while start < len(stream):
@@ -116,7 +118,7 @@ class TestAccessSimulateEquivalence:
         # stand-in for texture working sets with a hot mip level.
         stream = (rng.random(length) ** 2 * 64).astype(np.int64)
         config = geometry(*geo)
-        expected = reference_mask(LruCache(config), stream)
+        expected = reference_mask(ReferenceLru(config), stream)
 
         chunked = LruCache(config)
         cuts = sorted(rng.integers(0, length + 1, size=2))
@@ -125,7 +127,7 @@ class TestAccessSimulateEquivalence:
         assert (got == expected).all()
         # Both walks must also leave identical *future* behaviour.
         probe = np.arange(16, dtype=np.int64)
-        fresh_reference = LruCache(config)
+        fresh_reference = ReferenceLru(config)
         reference_mask(fresh_reference, stream)
         assert (
             chunked.simulate(probe) == reference_mask(fresh_reference, probe)
@@ -168,7 +170,7 @@ class TestFootprintStreams:
     def test_chunked_simulate_matches_access(self, geo, seed, length, data):
         config = geometry(*geo)
         stream = footprint_stream(np.random.default_rng(seed), config.num_sets, length)
-        reference = LruCache(config)
+        reference = ReferenceLru(config)
         expected = reference_mask(reference, stream)
 
         # One call boundary lands on an access that hits the MRU line
@@ -196,7 +198,7 @@ class TestFootprintStreams:
         # opens on 7 again, now set 1's LRU line: a hit that reorders
         # the set, so 13 must evict 10 and the final 7 must hit.
         calls = [[4, 7, 5], [7, 5, 4, 7, 10], [7, 13, 7]]
-        reference = LruCache(config)
+        reference = ReferenceLru(config)
         expected = reference_mask(reference, sum(calls, []))
         cache = LruCache(config)
         got = np.concatenate(

@@ -146,11 +146,16 @@ class TestEventPathEquivalence:
         assert t_tiny > t_big
 
 
+def deepest_stream(work) -> int:
+    """Longest per-node triangle stream: the largest FIFO that can fill."""
+    return max(len(ids) for ids in work.triangles)
+
+
 class TestTimingModes:
-    def test_rejects_unknown_mode(self, flat_scene):
-        config = MachineConfig(distribution=SingleProcessor())
-        with pytest.raises(ConfigurationError):
-            simulate_machine(flat_scene, config, timing_mode="exact")
+    """The timing path follows ``fifo_capacity``: the fast path above the
+    deepest per-node stream, the event path at or below it.  At exactly
+    the deepest stream the event path runs but no push ever blocks, so
+    it must agree with the fast path cycle for cycle."""
 
     @pytest.mark.parametrize(
         "dist",
@@ -162,27 +167,33 @@ class TestTimingModes:
     ):
         """The claim the fast path rests on, enforced cycle for cycle."""
         work = build_routed_work(tiny_bench_scene, dist, cache_spec="lru")
-        config = MachineConfig(distribution=dist, cache="lru", bus_ratio=1.0)
-        fast = simulate_machine(
-            tiny_bench_scene, config, routed=work, timing_mode="fast"
+        fast_config = MachineConfig(distribution=dist, cache="lru", bus_ratio=1.0)
+        event_config = MachineConfig(
+            distribution=dist,
+            cache="lru",
+            bus_ratio=1.0,
+            fifo_capacity=deepest_stream(work),
         )
-        event = simulate_machine(
-            tiny_bench_scene, config, routed=work, timing_mode="event"
-        )
+        fast = simulate_machine(tiny_bench_scene, fast_config, routed=work)
+        event = simulate_machine(tiny_bench_scene, event_config, routed=work)
+        assert fast.extras == {}
+        assert event.extras["distributor_blocked_cycles"] == 0
         assert event.cycles == pytest.approx(fast.cycles)
         assert np.allclose(event.timings.finish, fast.timings.finish)
         assert np.allclose(event.timings.busy, fast.timings.busy)
 
     def test_auto_matches_forced_fast_on_big_fifo(self, tiny_bench_scene):
+        """One entry past the deepest stream already takes the fast path."""
         dist = BlockInterleaved(4, 16)
         work = build_routed_work(tiny_bench_scene, dist, cache_spec="perfect")
-        config = MachineConfig(distribution=dist, cache="perfect")
-        auto = simulate_machine(tiny_bench_scene, config, routed=work)
-        fast = simulate_machine(
-            tiny_bench_scene, config, routed=work, timing_mode="fast"
+        default = MachineConfig(distribution=dist, cache="perfect")
+        edge = MachineConfig(
+            distribution=dist, cache="perfect", fifo_capacity=deepest_stream(work) + 1
         )
+        auto = simulate_machine(tiny_bench_scene, default, routed=work)
+        fast = simulate_machine(tiny_bench_scene, edge, routed=work)
         assert auto.cycles == fast.cycles
-        assert auto.extras == {}  # fast path carries no event extras
+        assert auto.extras == {} and fast.extras == {}  # no event extras
 
 
 class TestMonotonicities:

@@ -390,7 +390,7 @@ def test_repro302_allows_dotted_lower_names():
 
 
 # ---------------------------------------------------------------------------
-# Concurrency rules (REPRO401-402)
+# Concurrency rules (REPRO401; lock discipline is project-mode REPRO411/412)
 
 
 def test_repro401_flags_bare_except():
@@ -424,79 +424,6 @@ def test_repro401_scoped_to_service_layer():
                 pass
     """
     assert rule_ids(src, module="repro.core.fake") == []
-
-
-_LOCKED_CLASS = """\
-    class Scheduler:
-        def __init__(self, lock):
-            self._lock = lock
-            self.jobs = []
-
-        def submit(self, job):
-            with self._lock:
-                self.jobs.append(job)
-
-        def drop(self):
-            {drop_body}
-"""
-
-
-def test_repro402_flags_unlocked_mutation():
-    src = _LOCKED_CLASS.format(drop_body="self.jobs.pop()")
-    assert rule_ids(src, module="repro.service.fake") == ["REPRO402"]
-
-
-def test_repro402_allows_locked_mutation():
-    src = textwrap.dedent(
-        """\
-        class Scheduler:
-            def submit(self, job):
-                with self._lock:
-                    self.jobs.append(job)
-
-            def drop(self):
-                with self._lock:
-                    self.jobs.pop()
-        """
-    )
-    assert analyze_source(src, module="repro.service.fake") == []
-
-
-def test_repro402_exempts_init():
-    # ``self.jobs = []`` in __init__ is unlocked but never flagged.
-    src = _LOCKED_CLASS.format(drop_body="pass")
-    assert rule_ids(src, module="repro.service.fake") == []
-
-
-def test_repro402_exempts_locked_suffix_methods():
-    src = textwrap.dedent(
-        """\
-        class Scheduler:
-            def submit(self, job):
-                with self._lock:
-                    self.jobs.append(job)
-
-            def drop_locked(self):
-                self.jobs.pop()
-        """
-    )
-    assert analyze_source(src, module="repro.service.fake") == []
-
-
-def test_repro402_exempts_holds_the_lock_docstring():
-    src = textwrap.dedent(
-        '''\
-        class Scheduler:
-            def submit(self, job):
-                with self._lock:
-                    self.jobs.append(job)
-
-            def drop(self):
-                """Pop one job; the caller holds the lock."""
-                self.jobs.pop()
-        '''
-    )
-    assert analyze_source(src, module="repro.service.fake") == []
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +607,8 @@ def test_select_rules_rejects_unknown_ids():
 
 
 def test_select_rules_narrows_the_active_set():
-    rules = select_rules(["REPRO101", "REPRO402"])
-    assert [rule.id for rule in rules] == ["REPRO101", "REPRO402"]
+    rules = select_rules(["REPRO101", "REPRO401"])
+    assert [rule.id for rule in rules] == ["REPRO101", "REPRO401"]
 
 
 def test_all_rules_catalog_is_complete():
@@ -696,7 +623,8 @@ def test_all_rules_catalog_is_complete():
         "REPRO301",
         "REPRO302",
         "REPRO401",
-        "REPRO402",
+        "REPRO411",
+        "REPRO412",
         "REPRO501",
     }
 

@@ -1,4 +1,11 @@
-"""Tests for triangle setup and scan conversion."""
+"""Tests for scan conversion.
+
+Behaviour tests (coverage, clipping, the fill rule, interpolation)
+drive the shipped ``rasterize_scene`` on small scenes; ``TestSetup``
+checks the edge-equation contract of the reference setup in
+``tests/oracles``, which the batch/reference equivalence tests in
+``test_batch_chunking`` rest on.
+"""
 
 import numpy as np
 import pytest
@@ -6,20 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Scene, Triangle, Vertex
-from repro.raster import (
-    FragmentBuffer,
-    mip_level_for_scale,
-    rasterize_scene,
-    rasterize_triangle,
-    triangle_setup,
-)
+from repro.raster import FragmentBuffer, mip_level_for_scale, rasterize_scene
 from repro.texture.texture import MipmappedTexture
 from tests.conftest import quad
+from tests.oracles import triangle_setup
 
 
 def tri(coords, texture=0):
     vertices = [Vertex(*c) for c in coords]
     return Triangle(vertices[0], vertices[1], vertices[2], texture=texture)
+
+
+def rasterize(*triangles, size=64):
+    """Rasterize ``triangles`` as one ``size`` x ``size`` scene."""
+    scene = Scene("raster", size, size, [MipmappedTexture(64, 64)], triangles)
+    return rasterize_scene(scene)
 
 
 class TestSetup:
@@ -43,32 +51,32 @@ class TestSetup:
 
 class TestRasterizeTriangle:
     def test_degenerate_returns_none(self):
-        assert rasterize_triangle(tri([(0, 0), (5, 5), (10, 10)]), 64, 64) is None
+        assert len(rasterize(tri([(0, 0), (5, 5), (10, 10)]))) == 0
 
     def test_offscreen_returns_none(self):
-        assert rasterize_triangle(tri([(100, 100), (110, 100), (100, 110)]), 64, 64) is None
+        assert len(rasterize(tri([(100, 100), (110, 100), (100, 110)]))) == 0
 
     def test_covers_no_pixel_centre_returns_none(self):
         # A sliver between two pixel-centre columns.
         sliver = tri([(3.6, 0), (3.9, 0), (3.75, 40)])
-        assert rasterize_triangle(sliver, 64, 64) is None
+        assert len(rasterize(sliver)) == 0
 
     def test_axis_aligned_right_triangle_pixel_count(self):
-        result = rasterize_triangle(tri([(0, 0), (8, 0), (0, 8)]), 64, 64)
+        result = rasterize(tri([(0, 0), (8, 0), (0, 8)]))
         # Pixel centres strictly inside x + y < 8: rows of 7, 6, ... 0.
         # (The diagonal is not a top-left edge, so it is excluded; the
         # matching quad half owns it — see the shared-diagonal test.)
-        assert len(result["x"]) == 28
+        assert len(result) == 28
 
     def test_clips_to_screen(self):
-        result = rasterize_triangle(tri([(-8, -8), (16, -8), (-8, 16)]), 64, 64)
-        assert len(result["x"]) > 0
-        assert (result["x"] >= 0).all() and (result["y"] >= 0).all()
+        result = rasterize(tri([(-8, -8), (16, -8), (-8, 16)]))
+        assert len(result) > 0
+        assert (result.x >= 0).all() and (result.y >= 0).all()
 
     def test_scanline_order(self):
-        result = rasterize_triangle(tri([(0, 0), (10, 0), (0, 10)]), 64, 64)
-        y = result["y"]
-        x = result["x"]
+        result = rasterize(tri([(0, 0), (10, 0), (0, 10)]))
+        y = result.y
+        x = result.x
         assert (np.diff(y) >= 0).all()
         same_row = np.diff(y) == 0
         assert (np.diff(x)[same_row] > 0).all()
@@ -77,21 +85,21 @@ class TestRasterizeTriangle:
         t = Triangle(
             Vertex(0, 0, 0, 0), Vertex(16, 0, 32, 0), Vertex(0, 16, 0, 32)
         )
-        result = rasterize_triangle(t, 64, 64)
+        result = rasterize(t)
         # The mapping is u = 2x, v = 2y at pixel centres.
-        assert result["u"] == pytest.approx(2 * (result["x"] + 0.5))
-        assert result["v"] == pytest.approx(2 * (result["y"] + 0.5))
+        assert result.u == pytest.approx(2 * (result.x + 0.5))
+        assert result.v == pytest.approx(2 * (result.y + 0.5))
         # scale 2 -> base mip level 1.
-        assert (result["level"] == 1).all()
+        assert (result.level == 1).all()
 
     def test_shared_quad_diagonal_drawn_exactly_once(self):
-        a, b = quad(0, 0, 16)
-        ra = rasterize_triangle(a, 64, 64, 0)
-        rb = rasterize_triangle(b, 64, 64, 1)
-        assert len(ra["x"]) + len(rb["x"]) == 256
-        keys_a = set(zip(ra["x"].tolist(), ra["y"].tolist()))
-        keys_b = set(zip(rb["x"].tolist(), rb["y"].tolist()))
-        assert not keys_a & keys_b
+        result = rasterize(*quad(0, 0, 16))
+        assert len(result) == 256
+        # 120 pixel centres lie strictly on each side of the diagonal;
+        # its 16 go to the half for which it is a top-left edge.
+        assert result.triangle_pixel_counts().tolist() == [120, 136]
+        keys = result.y.astype(np.int64) * 64 + result.x
+        assert len(np.unique(keys)) == 256
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -101,19 +109,12 @@ class TestRasterizeTriangle:
     )
     def test_property_quad_pixel_count_is_exact(self, x0, y0, size):
         """Two triangles of any on-screen quad cover size*size pixels once."""
-        total = 0
-        seen = set()
-        for index, t in enumerate(quad(x0, y0, size)):
-            result = rasterize_triangle(t, 64, 64, index)
-            if result is None:
-                continue
-            total += len(result["x"])
-            for key in zip(result["x"].tolist(), result["y"].tolist()):
-                assert key not in seen
-                seen.add(key)
+        result = rasterize(*quad(x0, y0, size))
+        keys = result.y.astype(np.int64) * 64 + result.x
+        assert len(np.unique(keys)) == len(result)
         clipped_w = min(x0 + size, 64) - x0
         clipped_h = min(y0 + size, 64) - y0
-        assert total == clipped_w * clipped_h
+        assert len(result) == clipped_w * clipped_h
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -129,8 +130,7 @@ class TestRasterizeTriangle:
     def test_property_fragment_count_close_to_area(self, coords):
         """Pixel count approximates geometric area for random triangles."""
         triangle = tri(coords)
-        result = rasterize_triangle(triangle, 64, 64)
-        count = 0 if result is None else len(result["x"])
+        count = len(rasterize(triangle))
         area = triangle.area()
         # Sampling error is bounded by roughly half the perimeter.
         perimeter = sum(
