@@ -1,41 +1,45 @@
 """Batch scan conversion: a whole scene's triangles in array passes.
 
-This is the engine's only rasterizer.  It evaluates every triangle's
-edge functions and barycentric interpolants over one flat
-candidate-pixel array instead of walking one bounding box at a time:
-a cheap per-triangle setup loop extracts the scalar edge/interpolation
-constants (including the scalar mip-level selection, whose
-``math.log2`` must stay bit-identical), then candidate pixels of many
-triangles are generated, tested, and interpolated together.
+This is the engine's only rasterizer.  Setup is the work the paper's
+setup engine performs at one triangle per 25 cycles; here it is one
+attribute sweep over the triangles plus array arithmetic (only the
+mip level stays a scalar call, so its ``math.log2`` is unchanged).
+For edge ``k`` from ``a_k`` to ``b_k`` of the positively-wound
+triangle, ``E_k(p) = dx_k * (p.y - ay_k) - dy_k * (p.x - ax_k)`` is
+positive strictly inside.  Pixel centres on an edge follow the
+top-left fill rule: screen y grows downward, so a *left* edge runs
+upward (``dy < 0``) and a *top* edge runs right (``dy == 0, dx > 0``),
+and only those edges own their boundary pixels.  A pixel on an edge
+shared by two triangles therefore belongs to exactly one of them;
+without the rule, meshes would show systematic overdraw and the
+depth-complexity accounting would drift.
 
-Setup is the work the paper's setup engine performs at one triangle
-per 25 cycles.  For edge ``k`` from ``a_k`` to ``b_k`` of the
-positively-wound triangle, ``E_k(p) = dx_k * (p.y - ay_k) - dy_k *
-(p.x - ax_k)`` is positive strictly inside.  Pixel centres on an edge
-follow the top-left fill rule: screen y grows downward, so a *left*
-edge runs upward (``dy < 0``) and a *top* edge runs right (``dy == 0,
-dx > 0``), and only those edges own their boundary pixels.  A pixel
-on an edge shared by two triangles therefore belongs to exactly one
-of them; without the rule, meshes would show systematic overdraw and
-the depth-complexity accounting would drift.
+Scanning is a span generator, like the paper's scanner, which visits
+only covered pixels.  In each (triangle, row), a ``dy < 0`` edge
+bounds the covered columns from the left, a ``dy > 0`` edge from the
+right, and a ``dy == 0`` edge keeps or empties the row.  The bounds
+are widened by ``_MARGIN`` pixels, the two pixels at each end are
+edge-tested with the exact expressions above, and only the exact span
+is generated.  Triangles with an edge of ``0 < |dy| < _SMALL_DY`` have
+every box pixel tested.  DESIGN.md §10 gives the exactness argument.
 
 Fragments come out in submission order, and within a triangle in
-scanline order (rows top to bottom, pixels left to right), the order a
-hardware scanner visits them.  The per-triangle reference rasterizer
-in ``tests/oracles`` evaluates the same expressions one triangle at a
-time; property tests assert the output :class:`FragmentBuffer`
-matches it column for column, bit for bit, under random triangle
-splits.
+scanline order (rows top to bottom, pixels left to right).  The
+per-triangle reference rasterizer in ``tests/oracles`` tests every
+pixel of every bounding box; property tests assert the output
+:class:`FragmentBuffer` matches it column for column, bit for bit,
+under random triangle splits and on adversarial scenes.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Optional
+from operator import attrgetter
+from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry.scene import Scene
+from repro.obs.registry import registry
 from repro.raster.fragments import FragmentBuffer
 
 #: Candidate pixels (bounding-box area) processed per pass — bounds the
@@ -43,190 +47,301 @@ from repro.raster.fragments import FragmentBuffer
 #: the hot arrays cache-resident.
 CHUNK_CANDIDATES = 1 << 18
 
+#: Pixels added on each side of a row's computed span before its ends
+#: are edge-tested.  The computed crossing of an edge is within far
+#: less than one pixel of where the edge test changes sign.
+_MARGIN = 1
 
-class _SpecTable:
-    """Per-triangle scalar constants, columnized for gathering."""
+#: Edges with ``0 < |dy|`` below this are too close to horizontal to
+#: trust their crossing; their triangle's rows are tested in full.
+_SMALL_DY = 1e-6
 
-    def __init__(self, columns: Dict[str, np.ndarray]) -> None:
-        self.columns = columns
+#: Beyond any pixel coordinate; marks a row without a covered pixel.
+_FAR = 1 << 40
 
-    def __len__(self) -> int:
-        return len(self.columns["x0"])
+#: Per-triangle attributes in one C-level sweep: the vertex positions,
+#: texture coordinates and depths, then the texture index.
+_ATTRIBUTES = attrgetter(
+    *(f"v{i}.{name}" for i in range(3) for name in ("x", "y", "u", "v", "z")),
+    "texture",
+)
+
+#: Per-triangle edge constants: origin, direction and fill-rule owner.
+_Edge = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _triangle_specs(
     scene: Scene, mip_level: Callable[[float], int]
-) -> Optional[_SpecTable]:
+) -> Optional[Dict[str, np.ndarray]]:
     """Extract edge and interpolation constants for live triangles.
 
     Mirrors the reference rasterizer exactly: degenerate triangles and empty
     pixel clips are dropped here, winding is normalised for the edge
     functions, and interpolation solves against the *original* vertex
-    order.
+    order.  Every expression is the reference's, evaluated on columns.
     """
-    rows: Dict[str, List[float]] = {name: [] for name in _SPEC_FIELDS}
-    width, height = scene.width, scene.height
-    for index, triangle in enumerate(scene.triangles):
-        if triangle.is_degenerate():
-            continue
-        min_x, min_y, max_x, max_y = triangle.bounding_box()
-        x0 = max(0, int(math.ceil(min_x - 0.5)))
-        y0 = max(0, int(math.ceil(min_y - 0.5)))
-        x1 = min(width - 1, int(math.floor(max_x - 0.5)) + 1)
-        y1 = min(height - 1, int(math.floor(max_y - 0.5)) + 1)
-        if x1 < x0 or y1 < y0:
-            continue
-
-        v0, v1, v2 = triangle.vertices
-        double_area = (v1.x - v0.x) * (v2.y - v0.y) - (v1.y - v0.y) * (v2.x - v0.x)
-        e0, e1, e2 = v0, v1, v2
-        if double_area < 0:
-            e1, e2 = e2, e1
-        for k, (a, b) in enumerate(((e0, e1), (e1, e2), (e2, e0))):
-            dx, dy = b.x - a.x, b.y - a.y
-            rows[f"ax{k}"].append(a.x)
-            rows[f"ay{k}"].append(a.y)
-            rows[f"dx{k}"].append(dx)
-            rows[f"dy{k}"].append(dy)
-            rows[f"tl{k}"].append(dy < 0 or (dy == 0 and dx > 0))
-
-        rows["x0"].append(x0)
-        rows["y0"].append(y0)
-        rows["cols"].append(x1 - x0 + 1)
-        rows["rows"].append(y1 - y0 + 1)
-        rows["v0x"].append(v0.x)
-        rows["v0y"].append(v0.y)
-        rows["det"].append(double_area)
-        rows["qx"].append(v2.y - v0.y)
-        rows["qy"].append(v2.x - v0.x)
-        rows["px"].append(v1.x - v0.x)
-        rows["py"].append(v1.y - v0.y)
-        for k, vertex in enumerate((v0, v1, v2)):
-            rows[f"u{k}"].append(vertex.u)
-            rows[f"v{k}"].append(vertex.v)
-            rows[f"z{k}"].append(vertex.z)
-        rows["texture"].append(triangle.texture)
-        rows["level"].append(mip_level(triangle.texel_to_pixel_scale()))
-        rows["id"].append(index)
-    if not rows["x0"]:
+    triangles = scene.triangles
+    if not triangles:
         return None
-    columns = {
-        name: np.asarray(values, dtype=_SPEC_FIELDS[name])
-        for name, values in rows.items()
+    table = np.array(list(map(_ATTRIBUTES, triangles)), dtype=np.float64)
+    vx, vy = table[:, 0:15:5], table[:, 1:15:5]
+
+    double_area = (vx[:, 1] - vx[:, 0]) * (vy[:, 2] - vy[:, 0]) - (
+        vy[:, 1] - vy[:, 0]
+    ) * (vx[:, 2] - vx[:, 0])
+    # Pixel (i, j) has its centre at (i + 0.5, j + 0.5); find the pixel
+    # range whose centres can fall inside the bounding box.
+    x0 = np.maximum(0.0, np.ceil(vx.min(axis=1) - 0.5))
+    y0 = np.maximum(0.0, np.ceil(vy.min(axis=1) - 0.5))
+    x1 = np.minimum(scene.width - 1.0, np.floor(vx.max(axis=1) - 0.5) + 1.0)
+    y1 = np.minimum(scene.height - 1.0, np.floor(vy.max(axis=1) - 0.5) + 1.0)
+    live = (np.abs(0.5 * double_area) >= 1e-12) & (x1 >= x0) & (y1 >= y0)
+    ids = np.flatnonzero(live)
+    if len(ids) == 0:
+        return None
+
+    table, vx, vy, det = table[ids], vx[ids], vy[ids], double_area[ids]
+    columns: Dict[str, np.ndarray] = {
+        "x0": x0[ids].astype(np.int64),
+        "y0": y0[ids].astype(np.int64),
+        "cols": (x1[ids] - x0[ids]).astype(np.int64) + 1,
+        "rows": (y1[ids] - y0[ids]).astype(np.int64) + 1,
+        "v0x": vx[:, 0],
+        "v0y": vy[:, 0],
+        "det": det,
+        "qx": vy[:, 2] - vy[:, 0],
+        "qy": vx[:, 2] - vx[:, 0],
+        "px": vx[:, 1] - vx[:, 0],
+        "py": vy[:, 1] - vy[:, 0],
+        "texture": table[:, 15].astype(np.int32),
+        "level": np.array(
+            [mip_level(triangles[i].texel_to_pixel_scale()) for i in ids.tolist()],
+            dtype=np.int16,
+        ),
+        "id": ids.astype(np.int32),
     }
-    return _SpecTable(columns)
-
-
-_SPEC_FIELDS: Dict[str, object] = {
-    "x0": np.int64,
-    "y0": np.int64,
-    "cols": np.int64,
-    "rows": np.int64,
-    "v0x": np.float64,
-    "v0y": np.float64,
-    "det": np.float64,
-    "qx": np.float64,
-    "qy": np.float64,
-    "px": np.float64,
-    "py": np.float64,
-    "texture": np.int32,
-    "level": np.int16,
-    "id": np.int32,
-}
-for _k in range(3):
-    _SPEC_FIELDS[f"ax{_k}"] = np.float64
-    _SPEC_FIELDS[f"ay{_k}"] = np.float64
-    _SPEC_FIELDS[f"dx{_k}"] = np.float64
-    _SPEC_FIELDS[f"dy{_k}"] = np.float64
-    _SPEC_FIELDS[f"tl{_k}"] = np.bool_
-    _SPEC_FIELDS[f"u{_k}"] = np.float64
-    _SPEC_FIELDS[f"v{_k}"] = np.float64
-    _SPEC_FIELDS[f"z{_k}"] = np.float64
-
-
-def _rasterize_span(spec: _SpecTable, first: int, last: int) -> Optional[Dict]:
-    """Scan-convert triangles ``[first, last)`` of the spec table."""
-    sel = slice(first, last)
-    col = spec.columns
-    areas = (col["cols"][sel] * col["rows"][sel]).astype(np.int64)
-    total = int(areas.sum())
-    if total == 0:
-        return None
-    offsets = np.concatenate(([0], np.cumsum(areas)[:-1]))
-
-    # Candidates of one triangle are contiguous, so per-triangle
-    # constants spread with np.repeat — much cheaper than gathering.
-    def spread(name: str) -> np.ndarray:
-        return np.repeat(col[name][sel], areas)
-
-    flat = np.arange(total, dtype=np.int64) - np.repeat(offsets, areas)
-    widths = spread("cols")
-    row = flat // widths
-    column = flat - row * widths
-    gx = spread("x0") + column
-    gy = spread("y0") + row
-    sample_x = gx + 0.5
-    sample_y = gy + 0.5
-
-    inside = np.ones(total, dtype=bool)
     for k in range(3):
-        edge = spread(f"dx{k}") * (sample_y - spread(f"ay{k}")) - spread(
-            f"dy{k}"
-        ) * (sample_x - spread(f"ax{k}"))
-        inside &= np.where(spread(f"tl{k}"), edge >= 0, edge > 0)
-    if not inside.any():
-        return None
-    tri = np.repeat(np.arange(first, last), areas)
+        columns[f"u{k}"] = table[:, 5 * k + 2]
+        columns[f"v{k}"] = table[:, 5 * k + 3]
+        columns[f"z{k}"] = table[:, 5 * k + 4]
 
-    tri = tri[inside]
-    frag_x = gx[inside]
-    frag_y = gy[inside]
-    cx = sample_x[inside]
-    cy = sample_y[inside]
+    # Edge functions run over the positively wound vertex order.
+    swap = det < 0
+    ex = [vx[:, 0], np.where(swap, vx[:, 2], vx[:, 1]), np.where(swap, vx[:, 1], vx[:, 2])]
+    ey = [vy[:, 0], np.where(swap, vy[:, 2], vy[:, 1]), np.where(swap, vy[:, 1], vy[:, 2])]
+    small = np.zeros(len(ids), dtype=bool)
+    for k in range(3):
+        a, b = k, (k + 1) % 3
+        dx, dy = ex[b] - ex[a], ey[b] - ey[a]
+        columns[f"ax{k}"], columns[f"ay{k}"] = ex[a], ey[a]
+        columns[f"dx{k}"], columns[f"dy{k}"] = dx, dy
+        columns[f"tl{k}"] = (dy < 0) | ((dy == 0) & (dx > 0))
+        small |= (dy != 0) & (np.abs(dy) < _SMALL_DY)
+    columns["full_scan"] = small
+    return columns
 
-    det = col["det"][tri]
-    rel_x = cx - col["v0x"][tri]
-    rel_y = cy - col["v0y"][tri]
-    w1 = (rel_x * col["qx"][tri] - rel_y * col["qy"][tri]) / det
-    w2 = (col["px"][tri] * rel_y - col["py"][tri] * rel_x) / det
+
+def _edge_passes(edge: _Edge, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """The exact edge test with the top-left rule at sample positions."""
+    ax, ay, dx, dy, top_left = edge
+    value = dx * (sy - ay) - dy * (sx - ax)
+    return np.where(top_left, value >= 0, value > 0)
+
+
+def _covered(edges: Sequence[_Edge], sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """Coverage at sample positions: every edge test passes."""
+    inside = _edge_passes(edges[0], sx, sy)
+    for edge in edges[1:]:
+        inside &= _edge_passes(edge, sx, sy)
+    return inside
+
+
+def _row_spans(
+    edges: Sequence[_Edge], sy: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact covered span ``[start, stop]`` of every row, and pixels tested.
+
+    ``left``/``right`` are the box columns of each row.  A row without
+    a covered pixel gets ``start > stop``.
+    """
+    lo = left.astype(np.float64)
+    hi = right.astype(np.float64)
+    open_row = np.ones(len(sy), dtype=bool)
+    for edge in edges:
+        ax, ay, dx, dy, _ = edge
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # Centre offset of the column where the edge crosses the row.
+            cross = ax + dx * (sy - ay) / dy - 0.5
+        lo = np.where(dy < 0, np.maximum(lo, np.ceil(cross) - _MARGIN), lo)
+        hi = np.where(dy > 0, np.minimum(hi, np.floor(cross) + _MARGIN), hi)
+        flat = dy == 0
+        if flat.any():
+            open_row &= ~flat | _edge_passes(edge, left + 0.5, sy)
+    lo = np.minimum(lo, right + 1).astype(np.int64)
+    hi = np.maximum(hi, left - 1).astype(np.int64)
+    hi[~open_row] = lo[~open_row] - 1
+
+    # Pixels two or more columns inside the widened span pass every
+    # edge; test the two pixels at each end.
+    probes = np.stack([lo, lo + 1, hi - 1, hi])
+    passed = _covered(edges, probes + 0.5, sy) & (probes >= lo) & (probes <= hi)
+    start = np.where(passed, probes, _FAR).min(axis=0)
+    stop = np.where(passed, probes, -_FAR).max(axis=0)
+    interior = hi - lo >= 4
+    start[interior] = np.minimum(start[interior], lo[interior] + 2)
+    stop[interior] = np.maximum(stop[interior], hi[interior] - 2)
+    return start, stop, np.clip(hi - lo + 1, 0, 4)
+
+
+def _full_row_spans(
+    edges: Sequence[_Edge], sy: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Like :func:`_row_spans`, testing every pixel of every row's box."""
+    widths = right - left + 1
+    total = int(widths.sum())
+    firsts = np.cumsum(widths) - widths
+    gx = np.arange(total, dtype=np.int64) + np.repeat(left - firsts, widths)
+    passed = _covered(
+        [tuple(np.repeat(part, widths) for part in edge) for edge in edges],
+        gx + 0.5,
+        np.repeat(sy, widths),
+    )
+    start = np.minimum.reduceat(np.where(passed, gx, _FAR), firsts)
+    stop = np.maximum.reduceat(np.where(passed, gx, -_FAR), firsts)
+    return start, stop, widths
+
+
+class _Rows(NamedTuple):
+    """The covered spans of one pass's rows, in scanline order."""
+
+    sel: slice  # the pass's triangles
+    heights: np.ndarray  # rows per triangle
+    gy: np.ndarray  # pixel row
+    start: np.ndarray  # first covered column
+    counts: np.ndarray  # covered pixels
+    qy_term: np.ndarray  # the row's ``rel_y * qy``
+    px_term: np.ndarray  # the row's ``px * rel_y``
+    tested: int  # pixels edge-tested
+
+
+def _scan_rows(spec: Dict[str, np.ndarray], first: int, last: int) -> _Rows:
+    """Find the covered span of every row of triangles ``[first, last)``."""
+    sel = slice(first, last)
+    heights = spec["rows"][sel]
+
+    # Rows of one triangle are contiguous, so per-triangle constants
+    # spread with np.repeat — much cheaper than gathering.
+    def per_row(name: str) -> np.ndarray:
+        return np.repeat(spec[name][sel], heights)
+
+    row_first = np.cumsum(heights) - heights
+    gy = np.arange(int(heights.sum()), dtype=np.int64) + np.repeat(
+        spec["y0"][sel] - row_first, heights
+    )
+    sy = gy + 0.5
+    left = per_row("x0")
+    right = left + per_row("cols") - 1
+    edges = [
+        tuple(per_row(f"{name}{k}") for name in ("ax", "ay", "dx", "dy", "tl"))
+        for k in range(3)
+    ]
+    start, stop, tested = _row_spans(edges, sy, left, right)
+    full = per_row("full_scan")
+    if full.any():
+        picked = np.flatnonzero(full)
+        start[picked], stop[picked], tested[picked] = _full_row_spans(
+            [tuple(part[picked] for part in edge) for edge in edges],
+            sy[picked],
+            left[picked],
+            right[picked],
+        )
+    # The barycentric solve's row terms, exactly as the reference forms
+    # them per pixel (``rel_y`` is the same for every pixel of a row).
+    rel_y = sy - per_row("v0y")
+    return _Rows(
+        sel=sel,
+        heights=heights,
+        gy=gy,
+        start=start,
+        counts=np.maximum(stop - start + 1, 0),
+        qy_term=rel_y * per_row("qy"),
+        px_term=per_row("px") * rel_y,
+        tested=int(tested.sum()),
+    )
+
+
+def _rasterize_span(
+    spec: Dict[str, np.ndarray], rows: _Rows, out: Dict[str, np.ndarray]
+) -> None:
+    """Generate and interpolate the fragments of ``rows`` into ``out``."""
+    counts = rows.counts
+    row_offsets = np.cumsum(counts) - counts
+    frag_x = np.arange(len(out["x"]), dtype=np.int64) + np.repeat(
+        rows.start - row_offsets, counts
+    )
+    per_triangle = np.add.reduceat(counts, np.cumsum(rows.heights) - rows.heights)
+
+    def spread(name: str) -> np.ndarray:
+        return np.repeat(spec[name][rows.sel], per_triangle)
+
+    det = spread("det")
+    rel_x = (frag_x + 0.5) - spread("v0x")
+    w1 = (rel_x * spread("qx") - np.repeat(rows.qy_term, counts)) / det
+    w2 = (np.repeat(rows.px_term, counts) - spread("py") * rel_x) / det
     w0 = 1.0 - w1 - w2
-    return {
-        "x": frag_x.astype(np.int32),
-        "y": frag_y.astype(np.int32),
-        "u": w0 * col["u0"][tri] + w1 * col["u1"][tri] + w2 * col["u2"][tri],
-        "v": w0 * col["v0"][tri] + w1 * col["v1"][tri] + w2 * col["v2"][tri],
-        "z": w0 * col["z0"][tri] + w1 * col["z1"][tri] + w2 * col["z2"][tri],
-        "level": col["level"][tri],
-        "texture": col["texture"][tri],
-        "triangle": col["id"][tri],
-    }
+    out["x"][:] = frag_x
+    out["y"][:] = np.repeat(rows.gy, counts)
+    for name in ("u", "v", "z"):
+        column = out[name]
+        np.multiply(w0, spread(f"{name}0"), out=column)
+        column += w1 * spread(f"{name}1")
+        column += w2 * spread(f"{name}2")
+    out["level"][:] = spread("level")
+    out["texture"][:] = spread("texture")
+    out["triangle"][:] = spread("id")
+
+
+def _passes(spec: Dict[str, np.ndarray]) -> Iterator[Tuple[int, int]]:
+    """Triangle ranges of at most ``CHUNK_CANDIDATES`` box pixels (or one)."""
+    ending = np.cumsum(spec["cols"] * spec["rows"])
+    first = 0
+    count = len(ending)
+    while first < count:
+        threshold = (ending[first - 1] if first else 0) + CHUNK_CANDIDATES
+        last = int(np.searchsorted(ending, threshold, side="left")) + 1
+        last = max(first + 1, min(last, count))
+        yield first, last
+        first = last
 
 
 def rasterize_scene_batch(
     scene: Scene, mip_level: Callable[[float], int]
 ) -> FragmentBuffer:
-    """Rasterize every triangle of a scene with flat array passes."""
+    """Rasterize every triangle of a scene with flat array passes.
+
+    A first sweep finds every row's covered span; the second writes
+    each pass's fragments straight into the output columns.  Adds the
+    pixels edge-tested and the fragments kept to the scene-labelled
+    ``raster.candidates`` and ``raster.fragments`` counters of
+    :mod:`repro.obs`.
+    """
     spec = _triangle_specs(scene, mip_level)
-    if spec is None:
-        return FragmentBuffer.empty(scene.num_triangles)
-    areas = spec.columns["cols"] * spec.columns["rows"]
-    ending = np.cumsum(areas)
-    pieces: List[Dict] = []
-    first = 0
-    count = len(spec)
-    while first < count:
-        threshold = (ending[first - 1] if first else 0) + CHUNK_CANDIDATES
-        last = int(np.searchsorted(ending, threshold, side="left")) + 1
-        last = max(first + 1, min(last, count))
-        piece = _rasterize_span(spec, first, last)
-        if piece is not None:
-            pieces.append(piece)
-        first = last
-    if not pieces:
-        return FragmentBuffer.empty(scene.num_triangles)
-    joined = {
-        name: np.concatenate([piece[name] for piece in pieces])
+    scans = [] if spec is None else [_scan_rows(spec, *span) for span in _passes(spec)]
+    sizes = [int(rows.counts.sum()) for rows in scans]
+    total = sum(sizes)
+    template = FragmentBuffer.empty()
+    columns = {
+        name: np.empty(total, dtype=getattr(template, name).dtype)
         for name in FragmentBuffer.COLUMNS
     }
-    return FragmentBuffer(num_triangles=scene.num_triangles, **joined)
-
+    offset = 0
+    for rows, size in zip(scans, sizes):
+        piece = {name: values[offset : offset + size] for name, values in columns.items()}
+        _rasterize_span(spec, rows, piece)
+        offset += size
+    metrics = registry()
+    metrics.counter("raster.candidates").labels(scene=scene.name).inc(
+        sum(rows.tested for rows in scans)
+    )
+    metrics.counter("raster.fragments").labels(scene=scene.name).inc(total)
+    return FragmentBuffer(num_triangles=scene.num_triangles, **columns)

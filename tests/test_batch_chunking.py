@@ -22,7 +22,8 @@ from repro.raster import batch as raster_batch
 from repro.raster.fragments import FragmentBuffer
 from repro.raster.raster import mip_level_for_scale
 from repro.texture.filtering import TrilinearFilter
-from repro.workloads.scenes import build_scene
+from repro.workloads.scenes import SCENE_SPECS, build_scene
+from repro.workloads.sequence import translate_scene
 from tests.conftest import footprint_stream
 from tests.oracles import ReferenceLru, rasterize_scene_scalar
 
@@ -61,6 +62,42 @@ def test_raster_batch_random_chunk_sizes(scene, fragments, monkeypatch):
         monkeypatch.setattr(raster_batch, "CHUNK_CANDIDATES", int(chunk))
         batched = raster_batch.rasterize_scene_batch(scene, mip_level_for_scale)
         assert_buffers_identical(batched, fragments)
+
+
+#: Every scene family at smoke scale, plus one frame moved off the
+#: pixel grid by a fractional offset.
+FRAMES = [(name, 0.0, 0.0) for name in SCENE_SPECS] + [("truc640", 3.37, -1.61)]
+
+
+@pytest.fixture(scope="module")
+def frames():
+    """Each frame of ``FRAMES`` with its reference fragments, built once."""
+    built = {}
+    for name, dx, dy in FRAMES:
+        frame = build_scene(name, scale=0.0625)
+        if dx or dy:
+            frame = translate_scene(frame, dx, dy)
+        built[name, dx, dy] = (frame, rasterize_scene_scalar(frame))
+    return built
+
+
+@pytest.mark.parametrize("chunk", [1, 401, raster_batch.CHUNK_CANDIDATES])
+@pytest.mark.parametrize("frame", FRAMES, ids=lambda f: "{}{:+}{:+}".format(*f))
+def test_raster_batch_matches_scalar_on_every_scene(frames, monkeypatch, frame, chunk):
+    scene, reference = frames[frame]
+    assert len(reference) > 0
+    monkeypatch.setattr(raster_batch, "CHUNK_CANDIDATES", chunk)
+    batched = raster_batch.rasterize_scene_batch(scene, mip_level_for_scale)
+    assert_buffers_identical(batched, reference)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name,scale", [("truc640", 1.0), ("room3", 0.5)])
+def test_raster_batch_matches_scalar_at_paper_scale(name, scale):
+    """The ``paper_frame`` and ``small_tris`` bench frames, bit for bit."""
+    scene = build_scene(name, scale=scale, cache=False)
+    batched = raster_batch.rasterize_scene_batch(scene, mip_level_for_scale)
+    assert_buffers_identical(batched, rasterize_scene_scalar(scene))
 
 
 def test_fused_texture_addresses_match_footprint_reference(scene, fragments):

@@ -4,19 +4,23 @@ Behaviour tests (coverage, clipping, the fill rule, interpolation)
 drive the shipped ``rasterize_scene`` on small scenes; ``TestSetup``
 checks the edge-equation contract of the reference setup in
 ``tests/oracles``, which the batch/reference equivalence tests in
-``test_batch_chunking`` rest on.
+``test_batch_chunking`` rest on.  ``TestOracleEquivalence`` feeds both
+adversarial scenes, where a span's ends are hardest to place.
 """
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.geometry import Scene, Triangle, Vertex
 from repro.raster import FragmentBuffer, mip_level_for_scale, rasterize_scene
 from repro.texture.texture import MipmappedTexture
 from tests.conftest import quad
-from tests.oracles import triangle_setup
+from tests.oracles import rasterize_scene_scalar, triangle_setup
 
 
 def tri(coords, texture=0):
@@ -138,6 +142,155 @@ class TestRasterizeTriangle:
             for a, b in zip(coords, coords[1:] + coords[:1])
         )
         assert abs(count - area) <= 0.75 * perimeter + 2
+
+
+#: Screen edge of the adversarial scenes.
+SIZE = 40
+
+#: ``|dy|`` of the near-horizontal edges, on both sides of the span
+#: generator's small-slope fallback.
+NEAR_HORIZONTAL = [1e-13, 1e-9, 1e-7, 1e-5, 1e-3]
+
+#: Pixel corners and pixel centres over the screen and a margin past
+#: every screen edge.
+corner = st.integers(min_value=-4, max_value=SIZE + 4).map(float)
+centre = corner.map(lambda x: x + 0.5)
+
+#: A position anywhere around the screen with a full mantissa (the
+#: fraction is a multiple of the golden ratio's, modulo 1), or a pixel
+#: corner or centre.  The range reaches past every screen edge, so
+#: triangles are clipped on all four sides.
+rough = st.builds(
+    lambda pixel, n: pixel + (n * 0.6180339887498949) % 1.0,
+    st.integers(min_value=-SIZE // 2, max_value=3 * SIZE // 2),
+    st.integers(min_value=0, max_value=10**6),
+)
+position = st.one_of(rough, corner, centre)
+
+
+@st.composite
+def adversarial_triangle(draw):
+    a, b, c = ([draw(position), draw(position)] for _ in range(3))
+    shape = draw(
+        st.sampled_from(
+            ["free", "centre", "horizontal", "near_horizontal", "sliver", "subpixel"]
+        )
+    )
+    if shape == "centre":
+        # Two edges end exactly on a pixel centre; their crossing of
+        # that row, computed from the far end, carries rounding error.
+        a = [draw(centre), draw(centre)]
+        b, c = [draw(rough), draw(rough)], [draw(rough), draw(rough)]
+    elif shape == "horizontal":
+        b[1] = a[1]
+    elif shape == "near_horizontal":
+        b[1] = a[1] + draw(st.sampled_from(NEAR_HORIZONTAL)) * draw(st.sampled_from([-1, 1]))
+    elif shape == "sliver":
+        # Near-vertical: two vertices within a fraction of a pixel in x.
+        b[0] = a[0] + draw(st.sampled_from([0.0, 1e-9, 1e-5, 0.01, 0.3]))
+        c[0] = a[0] + draw(st.floats(min_value=-0.5, max_value=0.5))
+    elif shape == "subpixel":
+        for vertex in (b, c):
+            vertex[0] = a[0] + draw(st.floats(min_value=-1, max_value=1))
+            vertex[1] = a[1] + draw(st.floats(min_value=-1, max_value=1))
+    texel = st.floats(min_value=-100, max_value=100)
+    return Triangle(
+        *(Vertex(x, y, draw(texel), draw(texel), draw(texel)) for x, y in (a, b, c)),
+        texture=draw(st.integers(min_value=0, max_value=1)),
+    )
+
+
+@st.composite
+def centre_fan(draw):
+    """Triangles around a vertex on a pixel centre, as in a mesh.
+
+    Every edge of the fan meets the centre exactly, and exactly one
+    triangle owns that pixel.  Each edge's crossing of the centre's row
+    is computed from its far end and carries rounding error.
+    """
+    cx, cy = draw(centre), draw(centre)
+    spokes = draw(st.integers(min_value=3, max_value=7))
+    turn = draw(st.floats(min_value=0, max_value=2 * math.pi))
+    rim = []
+    for i in range(spokes):
+        angle = turn + 2 * math.pi * (i + draw(st.floats(min_value=0, max_value=0.9))) / spokes
+        radius = draw(st.floats(min_value=0.7, max_value=SIZE))
+        rim.append((cx + radius * math.cos(angle), cy + radius * math.sin(angle)))
+    return [tri([(cx, cy), rim[i], rim[(i + 1) % spokes]]) for i in range(spokes)]
+
+
+#: Scenes mixing single adversarial triangles and pixel-centre fans.
+adversarial_triangles = st.lists(
+    st.one_of(adversarial_triangle().map(lambda t: [t]), centre_fan()),
+    min_size=1,
+    max_size=12,
+).map(lambda groups: [t for group in groups for t in group])
+
+
+def adversarial_scene(triangles):
+    textures = [MipmappedTexture(64, 64), MipmappedTexture(16, 16)]
+    return Scene("adversarial", SIZE, SIZE - 7, textures, triangles)
+
+
+def assert_same_buffers(left: FragmentBuffer, right: FragmentBuffer) -> None:
+    for name in FragmentBuffer.COLUMNS:
+        a, b = getattr(left, name), getattr(right, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+class TestOracleEquivalence:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(triangles=adversarial_triangles)
+    @example(
+        # Clipped by every screen edge: one triangle covers the screen.
+        triangles=[tri([(-30, -25), (3 * SIZE, -3), (-5, 3 * SIZE)])],
+    )
+    @example(
+        # A wide triangle over a near-horizontal edge of each listed |dy|.
+        triangles=[
+            tri([(-9, 20.5), (SIZE + 9, 20.5 + dy), (13.25, 2.5)]) for dy in NEAR_HORIZONTAL
+        ],
+    )
+    def test_matches_scalar_reference(self, triangles):
+        scene = adversarial_scene(triangles)
+        assert_same_buffers(rasterize_scene(scene), rasterize_scene_scalar(scene))
+
+
+class TestCandidateCounters:
+    """The span generator's saving, read from ``repro.obs``.
+
+    Coverage is the same whether a row's span or its whole box is
+    edge-tested, so only the counters tell the two apart.
+    """
+
+    @staticmethod
+    def counter(name: str, scene: Scene) -> float:
+        return obs.registry().counter(name).labels(scene=scene.name).value
+
+    def test_large_triangles_test_only_span_ends(self):
+        scene = Scene("large", 256, 192, [MipmappedTexture(64, 64)])
+        for coords in (
+            [(3.2, 1.7), (250.9, 40.3), (30.1, 188.8)],
+            [(128.5, -20.0), (270.0, 200.0), (-15.0, 150.25)],
+            [(10.0, 10.0), (200.0, 10.0), (10.0, 180.0)],
+        ):
+            scene.add(tri(coords))
+        before = {name: self.counter(name, scene) for name in ("raster.candidates", "raster.fragments")}
+        fragments = rasterize_scene(scene)
+
+        rows = 0
+        for triangle in scene.triangles:
+            _, min_y, _, max_y = triangle.bounding_box()
+            top = max(0, math.ceil(min_y - 0.5))
+            bottom = min(scene.height - 1, math.floor(max_y - 0.5) + 1)
+            rows += bottom - top + 1
+        candidates = self.counter("raster.candidates", scene) - before["raster.candidates"]
+        kept = self.counter("raster.fragments", scene) - before["raster.fragments"]
+        assert kept == len(fragments) > 0
+        assert candidates <= kept + 4 * rows
+        # The whole-box scan would test several times more.
+        assert candidates < len(fragments) / 2
 
 
 class TestMipSelection:
