@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""CI gate: golden-value regression check plus a traced CLI run.
+"""CI gate: golden-value regression check, a traced CLI run and a
+trace-file round trip.
 
-Two halves, both against the committed ``tests/golden/`` files:
+Three parts, all against the committed ``tests/golden/`` files:
 
 1. **Golden diff** — recompute every golden point in-process (via
    ``tests.golden_common``, the same helper the pytest suite uses) and
@@ -13,6 +14,9 @@ Two halves, both against the committed ``tests/golden/`` files:
    obs registry, and cross-check the summary line's cycle count against
    the golden file — proving the observability path and the plain path
    tell the same story.
+3. **Trace round trip** — ``dump-trace`` the same point's scene to a
+   file, simulate it with ``run --path`` and require the golden cycle
+   count, which pins the trace-file path.
 
     PYTHONPATH=src python scripts/golden_check.py
 """
@@ -60,15 +64,21 @@ def check_goldens() -> int:
     return 0
 
 
+def _cli(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv], capture_output=True, text=True,
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+
+
 def check_traced_cli_run() -> int:
     scene, family, size, processors = CLI_POINT
     golden = load_golden(golden_path(scene, family, size, processors))
     with tempfile.TemporaryDirectory(prefix="repro-golden-") as temp:
         trace_path = Path(temp) / "trace.json"
         metrics_path = Path(temp) / "metrics.json"
-        command = [
-            sys.executable, "-m", "repro.cli", "run",
-            "--scene", scene, "--family", family,
+        proc = _cli(
+            "run", "--scene", scene, "--family", family,
             "--size", str(size), "--processors", str(processors),
             "--scale", str(GOLDEN_SCALE),
             # A small FIFO forces the event-driven timing path, which is
@@ -78,10 +88,6 @@ def check_traced_cli_run() -> int:
             "--fifo", "8",
             "--trace-out", str(trace_path),
             "--metrics-out", str(metrics_path),
-        ]
-        proc = subprocess.run(
-            command, capture_output=True, text=True, cwd=ROOT,
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         )
         if proc.returncode != 0:
             print(f"traced run: FAILED (exit {proc.returncode})")
@@ -137,8 +143,32 @@ def check_traced_cli_run() -> int:
     return 0
 
 
+def check_trace_round_trip() -> int:
+    scene, family, size, processors = CLI_POINT
+    want = round(load_golden(golden_path(scene, family, size, processors))["metrics"]["cycles"])
+    with tempfile.TemporaryDirectory(prefix="repro-golden-") as temp:
+        path = str(Path(temp) / f"{scene}.trace")
+        steps = (
+            ("dump-trace", "--scene", scene, "--scale", str(GOLDEN_SCALE), "--path", path),
+            ("run", "--path", path, "--family", family,
+             "--size", str(size), "--processors", str(processors)),
+        )
+        for argv in steps:
+            proc = _cli(*argv)
+            if proc.returncode != 0:
+                print(f"trace round trip: {argv[0]} FAILED (exit {proc.returncode})")
+                print(proc.stdout + proc.stderr)
+                return 1
+    match = re.search(r"cycles=(\d+)", proc.stdout)
+    if match is None or int(match.group(1)) != want:
+        print(f"trace round trip: golden says cycles={want}, run --path printed {proc.stdout!r}")
+        return 1
+    print(f"trace round trip: OK — {scene} via a trace file, cycles={want}")
+    return 0
+
+
 def main() -> int:
-    return check_goldens() or check_traced_cli_run()
+    return check_goldens() or check_traced_cli_run() or check_trace_round_trip()
 
 
 if __name__ == "__main__":

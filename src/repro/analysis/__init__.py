@@ -27,7 +27,7 @@ from repro.analysis.heatmap import (
     node_load_bars,
     ownership_map,
 )
-from repro.analysis.export import results_to_csv, sweep_to_csv
+from repro.analysis.export import sweep_to_csv
 from repro.analysis.overlap import (
     overlap_validation,
     predicted_overlap,
@@ -35,7 +35,6 @@ from repro.analysis.overlap import (
     scene_predicted_overlap,
 )
 from repro.analysis.parallel import keyed_tasks, run_tasks
-from repro.analysis.batch import run_batch, run_batch_file
 from repro.analysis.ppm import (
     overdraw_image,
     owner_map_image,
@@ -68,15 +67,12 @@ __all__ = [
     "node_load_bars",
     "ownership_map",
     "sweep_to_csv",
-    "results_to_csv",
     "run_tasks",
     "keyed_tasks",
     "predicted_overlap",
     "scene_predicted_overlap",
     "scene_measured_overlap",
     "overlap_validation",
-    "run_batch",
-    "run_batch_file",
     "write_ppm",
     "read_ppm",
     "owner_map_image",

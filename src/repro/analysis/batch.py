@@ -1,38 +1,26 @@
-"""Batch simulation campaigns from JSON descriptions.
+"""Machine points from the job vocabulary.
 
-Downstream users rarely want the paper's exact grids; this module runs
-an arbitrary campaign described declaratively::
+A machine entry is a plain dict — the machine fields of a ``simulate``
+or ``vt`` job (:func:`repro.service.jobs.machine_from_payload`)::
 
-    {
-      "scale": 0.25,
-      "scenes": ["truc640", "quake"],
-      "machines": [
-        {"family": "block", "processors": 16, "size": 16},
-        {"family": "sli", "processors": 16, "size": 4,
-         "cache": "perfect", "bus_ratio": 2.0, "fifo": 100}
-      ]
-    }
+    {"family": "sli", "processors": 16, "size": 4,
+     "cache": "perfect", "bus_ratio": 2.0, "fifo": 100}
 
-Every machine entry accepts ``family`` (``block``/``sli``/``morton``/
-``bands``/``single``), ``processors``, ``size``, plus the optional knobs
-``cache`` (lru/perfect/none), ``cache_kb``, ``ways``, ``bus_ratio``,
-``fifo``, ``geometry_engines`` and ``geometry_cycles``.  Results come
-back as :class:`MachineResult` rows (speedups against each scene's
-matching single-processor baseline) and can be exported with
-:func:`repro.analysis.export.results_to_csv`.
+``family`` is ``block``/``sli``/``morton``/``bands``/``single``; the
+optional knobs are ``cache`` (lru/perfect/none), ``cache_kb``,
+``ways``, ``bus_ratio`` and ``fifo``.  These two factories turn an
+entry into the :class:`Distribution` and :class:`MachineConfig` that
+:func:`repro.core.machine.simulate_machine` runs.  A campaign of many
+points is a list of job payloads, run with
+:class:`repro.service.JobDispatcher`.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict
 
-from repro.analysis.export import results_to_csv
 from repro.cache.config import CacheConfig
 from repro.core.config import MachineConfig
-from repro.core.machine import simulate_machine, single_processor_baseline
-from repro.core.results import MachineResult
 from repro.distribution.base import Distribution
 from repro.distribution.block import BlockInterleaved
 from repro.distribution.contiguous import ContiguousBands
@@ -40,7 +28,6 @@ from repro.distribution.morton import MortonInterleaved
 from repro.distribution.single import SingleProcessor
 from repro.distribution.sli import ScanLineInterleaved
 from repro.errors import ConfigurationError
-from repro.workloads.scenes import build_scene
 
 
 def distribution_from_spec(spec: Dict, screen_height: int) -> Distribution:
@@ -75,49 +62,4 @@ def machine_config_from_spec(spec: Dict, distribution: Distribution) -> MachineC
         cache_config=cache_config,
         bus_ratio=float(spec.get("bus_ratio", 1.0)),
         fifo_capacity=int(spec.get("fifo", 10000)),
-        geometry_engines=int(spec.get("geometry_engines", 0)),
-        geometry_cycles=float(spec.get("geometry_cycles", 100.0)),
     )
-
-
-def run_batch(campaign: Dict) -> List[MachineResult]:
-    """Execute a campaign dict; returns one result per (scene, machine)."""
-    if "machines" not in campaign or not campaign["machines"]:
-        raise ConfigurationError("a campaign needs at least one machine entry")
-    scale = float(campaign.get("scale", 0.25))
-    scene_names = campaign.get("scenes", ["truc640"])
-
-    results: List[MachineResult] = []
-    for name in scene_names:
-        scene = build_scene(name, scale)
-        baselines: Dict[tuple, float] = {}
-        for spec in campaign["machines"]:
-            distribution = distribution_from_spec(spec, scene.height)
-            config = machine_config_from_spec(spec, distribution)
-            baseline_key = (
-                config.cache if isinstance(config.cache, str) else "custom",
-                config.cache_config,
-                config.bus_ratio,
-            )
-            if baseline_key not in baselines:
-                baselines[baseline_key] = single_processor_baseline(scene, config)
-            results.append(
-                simulate_machine(
-                    scene, config, baseline_cycles=baselines[baseline_key]
-                )
-            )
-    return results
-
-
-def run_batch_file(
-    path: Union[str, Path], csv_out: Union[str, Path, None] = None
-) -> List[MachineResult]:
-    """Load a campaign JSON file, run it, optionally write CSV."""
-    try:
-        campaign = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
-    results = run_batch(campaign)
-    if csv_out is not None:
-        results_to_csv(results, path=csv_out)
-    return results

@@ -1,9 +1,9 @@
 """CSV export of sweep results.
 
-Every experiment driver returns either ``{(row, column): value}``
-sweeps or :class:`MachineResult` objects; these helpers flatten both
-into CSV so the data can leave the terminal (spreadsheets, gnuplot,
-pandas) without adding plotting dependencies to the library.
+Sweep drivers return ``{(row, column): value}`` dicts; this helper
+flattens one into CSV so the data can leave the terminal
+(spreadsheets, gnuplot, pandas) without adding plotting dependencies
+to the library.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Tuple, Union
-
-from repro.core.results import MachineResult
+from typing import Dict, Optional, Tuple, Union
 
 
 def sweep_to_csv(
@@ -32,51 +30,6 @@ def sweep_to_csv(
     writer.writerow([row_label, column_label, value_label])
     for (row, column), value in sorted(sweep.items()):
         writer.writerow([row, column, value])
-    text = buffer.getvalue()
-    if path is not None:
-        Path(path).write_text(text)
-    return text
-
-
-RESULT_FIELDS = (
-    "scene_name",
-    "distribution",
-    "cache_name",
-    "bus_ratio",
-    "fifo_capacity",
-    "num_processors",
-    "cycles",
-    "speedup",
-    "efficiency",
-    "texel_to_fragment",
-    "imbalance_percent",
-)
-
-
-def results_to_csv(
-    results: Iterable[MachineResult],
-    path: Optional[Union[str, Path]] = None,
-) -> str:
-    """One CSV row per machine simulation."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(RESULT_FIELDS)
-    for result in results:
-        writer.writerow(
-            [
-                result.scene_name,
-                result.distribution,
-                result.cache_name,
-                result.bus_ratio,
-                result.fifo_capacity,
-                result.num_processors,
-                result.cycles,
-                "" if result.speedup is None else result.speedup,
-                "" if result.efficiency is None else result.efficiency,
-                result.texel_to_fragment,
-                result.work_imbalance_percent(),
-            ]
-        )
     text = buffer.getvalue()
     if path is not None:
         Path(path).write_text(text)

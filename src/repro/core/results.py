@@ -73,7 +73,7 @@ class MachineResult:
         return self.cache.texel_to_fragment
 
     def summary(self) -> str:
-        """One-line report, the grain ``run``/``replay-trace`` print."""
+        """One-line report, the grain ``run`` prints."""
         parts = [
             f"{self.scene_name:<16}",
             f"{self.distribution:<14}",

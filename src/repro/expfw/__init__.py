@@ -14,7 +14,8 @@ three composable pieces:
 * :mod:`repro.expfw.search` — a budgeted auto-search driver (grid +
   successive halving over simulated cycles or wall seconds) tuning
   tile size / SLI height / FIFO depth / cache geometry per workload,
-  dispatching trials inline or through the job service.
+  dispatching trials as jobs on an in-process scheduler or a running
+  service.
 """
 
 from repro.expfw.archive import (
@@ -29,9 +30,6 @@ from repro.expfw.archive import (
 from repro.expfw.params import Param, ParamSpace
 from repro.expfw.search import (
     Budget,
-    ClientDispatcher,
-    InlineDispatcher,
-    SchedulerDispatcher,
     SearchConfig,
     SearchDriver,
     parse_search_payload,
@@ -50,16 +48,13 @@ from repro.expfw.spec import (
 
 __all__ = [
     "Budget",
-    "ClientDispatcher",
     "ExperimentSpec",
-    "InlineDispatcher",
     "Param",
     "ParamSpace",
     "ReplayReport",
     "RunArchive",
     "RunResult",
     "SPECS",
-    "SchedulerDispatcher",
     "SearchConfig",
     "SearchDriver",
     "TrialTemplate",

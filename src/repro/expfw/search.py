@@ -12,13 +12,15 @@ or wall seconds runs out.  Two strategies:
   scene scale (cheap, low fidelity), the top ``1/eta`` per rung are
   promoted to the next scale, and only the finalists pay full price.
 
-Trials are dispatched through a pluggable dispatcher: inline
-(:class:`InlineDispatcher`), a running coordinator + worker fleet over
-HTTP (:class:`ClientDispatcher` — the CLI's ``search --url``), or a
-local :class:`~repro.service.scheduler.Scheduler` directly
-(:class:`SchedulerDispatcher` — the ``POST /searches`` path).  Every
-trial and the final search report are archived as re-runnable records
-(:mod:`repro.expfw.archive`).
+Trials run as jobs through one
+:class:`~repro.service.client.JobDispatcher`: on an in-process
+:class:`~repro.service.scheduler.Scheduler` with local worker threads
+(inline search, and the ``POST /searches`` path on the service's own
+scheduler), or over HTTP on a coordinator + worker fleet (the CLI's
+``search --url``).  Either way every trial is leased, retried and
+deduplicated like any other job.  :class:`TrialDispatcher` is the seam
+a test fake plugs into.  Every trial and the final search report are
+archived as re-runnable records (:mod:`repro.expfw.archive`).
 
 Determinism: the driver takes an **explicit seed** and threads it
 through a ``numpy.random.Generator`` — candidate subsampling and the
@@ -33,15 +35,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Protocol,
-    Sequence,
-)
+from typing import Dict, List, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -49,10 +43,6 @@ from repro.errors import ConfigurationError, ServiceError
 from repro.expfw.archive import RunArchive, environment_fingerprint, trial_record
 from repro.expfw.spec import ExperimentSpec, searchable_spec
 from repro.pipeline.keys import fingerprint
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only imports
-    from repro.service.client import ServiceClient
-    from repro.service.scheduler import Scheduler
 
 
 class TrialDispatcher(Protocol):
@@ -199,65 +189,6 @@ class Budget:
         return {"limit": self.limit, "unit": self.unit, "spent": self.spent}
 
 
-# -- dispatchers ------------------------------------------------------
-
-
-class InlineDispatcher:
-    """Execute trial payloads in this process."""
-
-    def run_many(self, payloads: Sequence[Dict]) -> List[Dict]:
-        from repro.service.jobs import execute_payload
-
-        return [execute_payload(dict(payload)) for payload in payloads]
-
-
-class ClientDispatcher:
-    """Dispatch trials as jobs to a running service over HTTP.
-
-    The whole wave is submitted before the first wait, so a worker
-    fleet behind the coordinator executes trials concurrently.
-    """
-
-    def __init__(self, client: "ServiceClient", timeout: float = 600.0) -> None:
-        self.client = client
-        self.timeout = timeout
-
-    def run_many(self, payloads: Sequence[Dict]) -> List[Dict]:
-        jobs = [self.client.submit(dict(payload)) for payload in payloads]
-        results = []
-        for job in jobs:
-            done = self.client.wait(job["id"], timeout=self.timeout)
-            if done["state"] != "done":
-                raise ServiceError(
-                    f"trial {job['id']} ended {done['state']}: {done.get('error')}"
-                )
-            results.append(self.client.result(done["result_key"]))
-        return results
-
-
-class SchedulerDispatcher:
-    """Dispatch trials through a local scheduler (``POST /searches``)."""
-
-    def __init__(self, scheduler: "Scheduler", timeout: float = 600.0) -> None:
-        self.scheduler = scheduler
-        self.timeout = timeout
-
-    def run_many(self, payloads: Sequence[Dict]) -> List[Dict]:
-        jobs = [self.scheduler.submit(dict(payload))[0] for payload in payloads]
-        results = []
-        for job in jobs:
-            done = self.scheduler.wait(job.id, timeout=self.timeout)
-            if done.state != "done":
-                raise ServiceError(
-                    f"trial {job.id} ended {done.state}: {done.error}"
-                )
-            payload = self.scheduler.result(done.result_key)
-            if payload is None:
-                raise ServiceError(f"trial {job.id} finished but has no result")
-            results.append(payload)
-        return results
-
-
 # -- trials -----------------------------------------------------------
 
 
@@ -290,12 +221,12 @@ class SearchDriver:
     def __init__(
         self,
         config: SearchConfig,
-        dispatcher: Optional[TrialDispatcher] = None,
+        dispatcher: TrialDispatcher,
         archive: Optional[RunArchive] = None,
     ) -> None:
         self.config = config
         self.spec: ExperimentSpec = searchable_spec(config.experiment)
-        self.dispatcher = dispatcher if dispatcher is not None else InlineDispatcher()
+        self.dispatcher = dispatcher
         self.archive = archive if archive is not None else RunArchive()
         self.rng = np.random.default_rng(config.seed)
         self.budget = Budget(config.budget, config.unit)
@@ -493,8 +424,21 @@ def run_search(
     dispatcher: Optional[TrialDispatcher] = None,
     archive: Optional[RunArchive] = None,
 ) -> Dict[str, object]:
-    """One-shot convenience over :class:`SearchDriver`."""
-    return SearchDriver(config, dispatcher=dispatcher, archive=archive).run()
+    """One-shot convenience over :class:`SearchDriver`.
+
+    With no ``dispatcher``, trials run on an in-process scheduler with
+    ``max(1, worker_count())`` local worker threads.
+    """
+    if dispatcher is not None:
+        return SearchDriver(config, dispatcher, archive=archive).run()
+    from repro.analysis.parallel import worker_count
+    from repro.service import JobDispatcher, Scheduler
+
+    scheduler = Scheduler(local_workers=max(1, worker_count())).start()
+    try:
+        return SearchDriver(config, JobDispatcher(scheduler), archive=archive).run()
+    finally:
+        scheduler.stop()
 
 
 def render_report(report: Dict[str, object]) -> str:

@@ -15,13 +15,20 @@ lease verbs, so the service scales out as a small cluster with no
 second execution path; a shared ``REPRO_ARTIFACT_DIR`` disk tier lets
 any node serve any cached result.
 
+Submitters have one protocol too: :class:`Scheduler` and
+:class:`ServiceClient` answer ``submit`` / ``wait`` / ``result`` with
+the same JSON documents, so one :class:`JobDispatcher` runs job waves
+in-process (inline search) or over HTTP (``search --url``,
+``submit --wait``).
+
 Public surface::
 
-    from repro.service import Scheduler, ServiceClient, WorkerNode, serve
+    from repro.service import JobDispatcher, Scheduler, ServiceClient, WorkerNode, serve
 
     scheduler = Scheduler(local_workers=2).start()
-    job, deduped = scheduler.submit({"scene": "truc640", "scale": 0.125})
-    scheduler.wait(job.id)
+    job = scheduler.submit({"scene": "truc640", "scale": 0.125})
+    scheduler.wait(job["id"])
+    JobDispatcher(scheduler).run_many([{"experiment": "table1"}])
 
     serve(scheduler, port=8765)          # blocking HTTP server
     ServiceClient("http://127.0.0.1:8765").run({"experiment": "table1"})
@@ -44,7 +51,7 @@ from repro.service.jobs import (
     parse_submission,
     spec_from_payload,
 )
-from repro.service.client import ServiceClient
+from repro.service.client import JobDispatcher, ServiceClient
 from repro.service.http import ServiceHTTPServer, make_server, serve
 from repro.service.leases import Lease, LeaseManager
 from repro.service.queue import JobQueue
@@ -62,6 +69,7 @@ __all__ = [
     "TERMINAL_STATES",
     "TIMED_OUT",
     "Job",
+    "JobDispatcher",
     "JobQueue",
     "JobSpec",
     "Lease",

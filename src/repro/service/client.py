@@ -11,6 +11,9 @@ Usage::
 
 Errors come back as :class:`~repro.errors.ServiceError` carrying the
 server's ``error`` message (or the transport failure).
+
+:class:`JobDispatcher` is the one submit/wait/result loop: it runs
+job waves on a client or, identically, on an in-process scheduler.
 """
 
 from __future__ import annotations
@@ -19,11 +22,40 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence
 from urllib.parse import quote
 
 from repro.errors import ServiceError
-from repro.service.jobs import TERMINAL_STATES
+from repro.service.jobs import DONE, TERMINAL_STATES
+
+
+class JobDispatcher:
+    """Run waves of job payloads on a service and collect their results.
+
+    ``service`` is a :class:`ServiceClient` or an in-process
+    :class:`~repro.service.scheduler.Scheduler`: both answer
+    ``submit`` / ``wait`` / ``result`` with the same JSON documents.
+    The whole wave is submitted before the first wait, so the workers
+    behind the service run its jobs concurrently.
+    """
+
+    def __init__(self, service: Any, timeout: float = 600.0) -> None:
+        self.service = service
+        self.timeout = timeout
+
+    def run_many(self, payloads: Sequence[Dict]) -> List[Dict]:
+        """Submit the whole wave, then collect each job's result in order."""
+        jobs = [self.service.submit(dict(payload)) for payload in payloads]
+        return [self.collect(job) for job in jobs]
+
+    def collect(self, job: Dict) -> Dict:
+        """Wait for a submitted job; its result payload, or raise."""
+        done = self.service.wait(job["id"], timeout=self.timeout)
+        if done["state"] != DONE:
+            raise ServiceError(
+                f"{done['id']} ended {done['state']}: {done.get('error') or 'no error recorded'}"
+            )
+        return self.service.result(done["result_key"])
 
 
 class ServiceClient:
@@ -129,12 +161,7 @@ class ServiceClient:
 
     def run(self, payload: Dict, timeout: float = 600.0) -> Dict:
         """Submit, wait, and return the result payload (or raise)."""
-        job = self.wait(self.submit(payload)["id"], timeout=timeout)
-        if job["state"] != "done":
-            raise ServiceError(
-                f"{job['id']} ended {job['state']}: {job.get('error') or 'no error recorded'}"
-            )
-        return self.result(job["result_key"])
+        return JobDispatcher(self, timeout=timeout).run_many([payload])[0]
 
     # -- transport ---------------------------------------------------
 

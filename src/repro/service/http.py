@@ -135,12 +135,7 @@ class _Handler(BaseHTTPRequestHandler):
                 job_id = unquote(path[len("/jobs/"):])
                 self._send(200, scheduler.job(job_id).to_json())
             elif path.startswith("/results/"):
-                key = unquote(path[len("/results/"):])
-                payload = scheduler.result(key)
-                if payload is None:
-                    self._error(404, f"no result stored for key {key!r}")
-                else:
-                    self._send(200, payload)
+                self._send(200, scheduler.result(unquote(path[len("/results/"):])))
             else:
                 self._error(404, f"unknown path {path!r}")
         except UnknownJobError as exc:
@@ -159,7 +154,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             if path == "/jobs":
-                self._post_job(payload)
+                self._send(202, self.server.scheduler.submit(payload))
             elif path == "/searches":
                 self._send(202, self.server.scheduler.start_search(payload))
             elif path == "/leases":
@@ -178,12 +173,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, str(exc))
         except ReproError as exc:
             self._error(500, str(exc))
-
-    def _post_job(self, payload: dict) -> None:
-        job, deduped = self.server.scheduler.submit(payload)
-        document = job.to_json()
-        document["deduped"] = deduped
-        self._send(202, document)
 
     def _post_lease(self, payload: dict) -> None:
         worker = payload.get("worker") if isinstance(payload, dict) else None

@@ -10,12 +10,14 @@ exist:
   (``{"experiment": "fig6", "scale": 0.125}``; an omitted scale is the
   spec's declared default);
 * ``simulate`` — run one machine point (``{"scene": "truc640",
-  "processors": 16, "family": "block", "size": 16, ...}``) with the
-  same machine vocabulary as ``repro.analysis.batch`` campaigns;
+  "processors": 16, "family": "block", "size": 16, ...}``) in the
+  machine vocabulary of :func:`machine_from_payload`;
 * ``vt`` — run one virtual-texturing pan sequence (``{"vt_scene":
   "vt-quake", "vt_pages": 16, "vt_residency": 0.5, "vt_frames": 3,
   ...}`` plus the same machine vocabulary), the trial unit the
   ``vt-distribution`` auto-search drives.
+
+A field the job's kind does not read is rejected, not dropped.
 
 Every spec derives a deterministic **result key** from the pipeline's
 content-identity vocabulary (:mod:`repro.pipeline.keys`), so two
@@ -33,10 +35,13 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 from threading import Event
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.pipeline.keys import scene_key
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.geometry.scene import Scene
 
 # -- job states -------------------------------------------------------
 
@@ -53,6 +58,16 @@ TERMINAL_STATES = (DONE, FAILED, TIMED_OUT)
 
 _FAMILIES = ("block", "sli", "morton", "bands", "single")
 _CACHES = ("lru", "perfect", "none")
+
+#: The field that names each job kind, in precedence order.
+_KIND_NAMES = {"experiment": "experiment", "vt": "vt_scene", "simulate": "scene"}
+_MACHINE_FIELDS = ("family", "processors", "size", "cache", "cache_kb", "ways", "bus_ratio", "fifo")
+#: The spec fields each kind reads; any other spec field is rejected.
+_KIND_FIELDS = {
+    "experiment": ("experiment", "scale"),
+    "simulate": ("scene", "scale") + _MACHINE_FIELDS,
+    "vt": ("vt_scene", "vt_pages", "vt_residency", "vt_frames", "scale") + _MACHINE_FIELDS,
+}
 
 #: Submission keys that configure scheduling rather than the computation.
 _OPTION_KEYS = ("priority", "timeout", "retries", "tenant")
@@ -146,12 +161,11 @@ class JobSpec:
 def spec_from_payload(payload: Dict) -> JobSpec:
     """Validate a submission dict into a :class:`JobSpec`.
 
-    Raises :class:`ConfigurationError` on unknown fields, unknown
-    experiment/scene names, or out-of-range parameters — the HTTP
-    layer maps that to a 400 response.
+    Raises :class:`ConfigurationError` on unknown fields, on fields the
+    job's kind does not read, on unknown experiment/scene names, or on
+    out-of-range parameters — the HTTP layer maps that to a 400
+    response.
     """
-    from repro.workloads.scenes import SCENE_NAMES, SCENE_SPECS
-
     if not isinstance(payload, dict):
         raise ConfigurationError(f"a job must be a JSON object, got {type(payload).__name__}")
     known = set(JobSpec.__dataclass_fields__) - {"kind"} | set(_OPTION_KEYS)
@@ -161,8 +175,19 @@ def spec_from_payload(payload: Dict) -> JobSpec:
             f"unknown job field(s) {', '.join(sorted(map(repr, unknown)))}; "
             f"choose from {', '.join(sorted(known))}"
         )
+    kinds = [kind for kind, name in _KIND_NAMES.items() if name in payload]
+    if not kinds:
+        raise ConfigurationError(
+            "a job needs an 'experiment' name, a 'scene' or a 'vt_scene'"
+        )
+    kind = kinds[0]
+    unread = set(payload) - set(_KIND_FIELDS[kind]) - set(_OPTION_KEYS)
+    if unread:
+        raise ConfigurationError(
+            f"{kind} jobs do not read {', '.join(sorted(map(repr, unread)))}"
+        )
 
-    if "experiment" in payload:
+    if kind == "experiment":
         from repro.expfw.spec import require_spec
 
         name = payload["experiment"]
@@ -173,44 +198,12 @@ def spec_from_payload(payload: Dict) -> JobSpec:
     scale = _number(payload, "scale", default=0.25)
     if not 0 < scale <= 1:
         raise ConfigurationError(f"scale must be in (0, 1], got {scale}")
-
-    scene = payload.get("scene")
-    vt_scene = payload.get("vt_scene")
-    if scene is None and vt_scene is None:
-        raise ConfigurationError(
-            "a job needs an 'experiment' name, a 'scene' or a 'vt_scene'"
-        )
-    if scene is not None and vt_scene is not None:
-        raise ConfigurationError("'scene' and 'vt_scene' are mutually exclusive")
-    if scene is not None and scene not in SCENE_SPECS:
-        raise ConfigurationError(
-            f"unknown scene {scene!r}; choose from {', '.join(SCENE_NAMES)}"
-        )
-    family = payload.get("family", "block")
-    if family not in _FAMILIES:
-        raise ConfigurationError(
-            f"unknown family {family!r}; choose from {', '.join(_FAMILIES)}"
-        )
-    cache = payload.get("cache", "lru")
-    if cache not in _CACHES:
-        raise ConfigurationError(
-            f"unknown cache {cache!r}; choose from {', '.join(_CACHES)}"
-        )
-    processors = _integer(payload, "processors", default=16, minimum=1)
-    size = _integer(payload, "size", default=16, minimum=1)
-    fifo = _integer(payload, "fifo", default=10000, minimum=1)
-    bus_ratio = _number(payload, "bus_ratio", default=1.0)
-    if bus_ratio <= 0:
-        raise ConfigurationError(f"bus_ratio must be positive, got {bus_ratio}")
-    cache_kb = ways = None
-    if "cache_kb" in payload:
-        cache_kb = _integer(payload, "cache_kb", default=16, minimum=1)
-    if "ways" in payload:
-        ways = _integer(payload, "ways", default=4, minimum=1)
-    if vt_scene is not None:
+    machine = machine_from_payload(payload)
+    if kind == "vt":
         from repro.texture.pages import VirtualTextureConfig
         from repro.workloads.vt import VT_SCENE_NAMES, VT_SCENE_SPECS
 
+        vt_scene = payload["vt_scene"]
         if vt_scene not in VT_SCENE_SPECS:
             raise ConfigurationError(
                 f"unknown VT scene {vt_scene!r}; choose from {', '.join(VT_SCENE_NAMES)}"
@@ -227,28 +220,50 @@ def spec_from_payload(payload: Dict) -> JobSpec:
             vt_residency=vt_residency,
             vt_frames=vt_frames,
             scale=scale,
-            family=family,
-            processors=processors,
-            size=size,
-            cache=cache,
-            cache_kb=cache_kb,
-            ways=ways,
-            bus_ratio=bus_ratio,
-            fifo=fifo,
+            **machine,
         )
-    return JobSpec(
-        kind="simulate",
-        scene=scene,
-        scale=scale,
-        family=family,
-        processors=processors,
-        size=size,
-        cache=cache,
-        cache_kb=cache_kb,
-        ways=ways,
-        bus_ratio=bus_ratio,
-        fifo=fifo,
-    )
+    from repro.workloads.scenes import SCENE_NAMES, SCENE_SPECS
+
+    scene = payload["scene"]
+    if scene not in SCENE_SPECS:
+        raise ConfigurationError(
+            f"unknown scene {scene!r}; choose from {', '.join(SCENE_NAMES)}"
+        )
+    return JobSpec(kind="simulate", scene=scene, scale=scale, **machine)
+
+
+def machine_from_payload(payload: Dict) -> Dict:
+    """Validate the machine fields of a payload, defaults filled in.
+
+    The result is the machine vocabulary of
+    :func:`repro.analysis.batch.machine_config_from_spec`; ``cache_kb``
+    and ``ways`` appear only when the payload sets them.
+    """
+    family = payload.get("family", "block")
+    if family not in _FAMILIES:
+        raise ConfigurationError(
+            f"unknown family {family!r}; choose from {', '.join(_FAMILIES)}"
+        )
+    cache = payload.get("cache", "lru")
+    if cache not in _CACHES:
+        raise ConfigurationError(
+            f"unknown cache {cache!r}; choose from {', '.join(_CACHES)}"
+        )
+    machine = {
+        "family": family,
+        "processors": _integer(payload, "processors", default=16, minimum=1),
+        "size": _integer(payload, "size", default=16, minimum=1),
+        "cache": cache,
+        "bus_ratio": _number(payload, "bus_ratio", default=1.0),
+        "fifo": _integer(payload, "fifo", default=10000, minimum=1),
+    }
+    if machine["bus_ratio"] <= 0:
+        raise ConfigurationError(f"bus_ratio must be positive, got {machine['bus_ratio']}")
+    if "cache_kb" in payload:
+        machine["cache_kb"] = _integer(payload, "cache_kb", default=16, minimum=1)
+    if "ways" in payload:
+        machine["ways"] = _integer(payload, "ways", default=4, minimum=1)
+    return machine
 
 
 def parse_submission(payload: Dict) -> Tuple[JobSpec, Dict]:
@@ -395,7 +410,9 @@ def execute_payload(payload: Dict) -> Dict:
     elif spec.kind == "vt":
         text, metrics = _simulate_vt(spec)
     else:
-        text, metrics = _simulate(spec)
+        from repro.workloads.scenes import build_scene
+
+        text, metrics = simulate_point(build_scene(spec.scene, spec.scale), _machine(spec))
     result = {
         "key": spec.result_key(),
         "text": text,
@@ -406,20 +423,10 @@ def execute_payload(payload: Dict) -> Dict:
     return result
 
 
-def _machine_vocabulary(spec: JobSpec) -> Dict:
-    machine = {
-        "family": spec.family,
-        "processors": spec.processors,
-        "size": spec.size,
-        "cache": spec.cache,
-        "bus_ratio": spec.bus_ratio,
-        "fifo": spec.fifo,
-    }
-    if spec.cache_kb is not None:
-        machine["cache_kb"] = spec.cache_kb
-    if spec.ways is not None:
-        machine["ways"] = spec.ways
-    return machine
+def _machine(spec: JobSpec) -> Dict:
+    """The spec's machine fields as a :func:`machine_from_payload` dict."""
+    fields = {name: getattr(spec, name) for name in _MACHINE_FIELDS}
+    return {name: value for name, value in fields.items() if value is not None}
 
 
 def _simulate_vt(spec: JobSpec) -> Tuple[str, Dict[str, float]]:
@@ -428,7 +435,7 @@ def _simulate_vt(spec: JobSpec) -> Tuple[str, Dict[str, float]]:
 
     result = run_vt_sequence(
         spec.vt_scene,
-        _machine_vocabulary(spec),
+        _machine(spec),
         scale=spec.scale,
         page_lines=spec.vt_pages,
         residency=spec.vt_residency,
@@ -446,13 +453,16 @@ def _simulate_vt(spec: JobSpec) -> Tuple[str, Dict[str, float]]:
     return result.summary(), metrics
 
 
-def _simulate(spec: JobSpec) -> Tuple[str, Dict[str, float]]:
+def simulate_point(scene: "Scene", machine: Dict) -> Tuple[str, Dict[str, float]]:
+    """Simulate one machine point on a built scene.
+
+    ``machine`` is a :func:`machine_from_payload` dict.  Returns the
+    one-line summary and the metrics of a ``simulate`` job; the
+    ``run --path`` verb calls this on a loaded trace file.
+    """
     from repro.analysis.batch import distribution_from_spec, machine_config_from_spec
     from repro.core.machine import simulate_machine, single_processor_baseline
-    from repro.workloads.scenes import build_scene
 
-    machine = _machine_vocabulary(spec)
-    scene = build_scene(spec.scene, spec.scale)
     distribution = distribution_from_spec(machine, scene.height)
     config = machine_config_from_spec(machine, distribution)
     baseline = single_processor_baseline(scene, config)

@@ -6,8 +6,11 @@ their content-addressed result key (a duplicate of a queued/running
 job attaches to it; a duplicate of a completed one is served from the
 result store), and handed out from a tenant-fair priority queue
 through the **lease protocol** — :meth:`lease` / :meth:`heartbeat` /
-:meth:`complete` / :meth:`fail`, the same verbs and JSON documents as
-:class:`~repro.service.client.ServiceClient`.  Every attempt runs
+:meth:`complete` / :meth:`fail`.  These verbs and the job verbs
+:meth:`submit` / :meth:`wait` / :meth:`result` take the names and
+return the JSON documents of the
+:class:`~repro.service.client.ServiceClient` methods, so one
+:class:`~repro.service.client.JobDispatcher` drives either.  Every attempt runs
 under a lease: ``local_workers`` in-process
 :class:`~repro.service.worker.WorkerNode` threads call these verbs
 directly, remote worker processes call them over HTTP, and
@@ -183,10 +186,11 @@ class Scheduler:
 
     # -- submission --------------------------------------------------
 
-    def submit(self, payload: Dict) -> Tuple[Job, bool]:
-        """Validate and enqueue a submission; returns ``(job, deduped)``.
+    def submit(self, payload: Dict) -> Dict:
+        """Validate and enqueue a submission; returns the job record
+        with a ``deduped`` flag (the ``POST /jobs`` document).
 
-        Duplicate of a live (queued/running) job → that job, ``True``.
+        Duplicate of a live (queued/running) job → that job, deduped.
         Duplicate of a stored result → a new job born ``done`` with the
         cached payload (a result-store hit).  Otherwise a fresh job is
         queued — unless the queue already sits at ``max_queue_depth``,
@@ -201,7 +205,7 @@ class Scheduler:
             live = self._live_by_key.get(key)
             if live is not None and live.state not in TERMINAL_STATES:
                 self._count("deduped")
-                return live, True
+                return {**live.to_json(), "deduped": True}
         found, _cached = self.results.get(key)
         with self._lock:
             # Re-check: another thread may have queued the same key
@@ -209,7 +213,7 @@ class Scheduler:
             live = self._live_by_key.get(key)
             if live is not None and live.state not in TERMINAL_STATES:
                 self._count("deduped")
-                return live, True
+                return {**live.to_json(), "deduped": True}
             if not found and self.max_queue_depth is not None:
                 if len(self.queue) >= self.max_queue_depth:
                     self._count("rejected")
@@ -230,10 +234,11 @@ class Scheduler:
                 self._count("cache_hits")
                 job.cached = True
                 job.finish(DONE)
-                return job, False
+                return {**job.to_json(), "deduped": False}
             self._live_by_key[key] = job
+            document = {**job.to_json(), "deduped": False}
         self.queue.push(job)
-        return job, False
+        return document
 
     def job(self, job_id: str) -> Job:
         with self._lock:
@@ -245,17 +250,20 @@ class Scheduler:
         with self._lock:
             return list(self._jobs.values())
 
-    def wait(self, job_id: str, timeout: Optional[float] = None) -> Job:
-        """Block until the job reaches a terminal state."""
+    def wait(self, job_id: str, timeout: Optional[float] = None) -> Dict:
+        """Block until the job reaches a terminal state; returns its record."""
         job = self.job(job_id)
         if not job.terminal.wait(timeout=timeout):
             raise ServiceError(f"{job_id} still {job.state} after {timeout}s")
-        return job
+        return job.to_json()
 
-    def result(self, key: str) -> Optional[Dict]:
-        """Client-facing result lookup (counts into the hit metrics)."""
+    def result(self, key: str) -> Dict:
+        """Client-facing result lookup (counts into the hit metrics);
+        a missing key raises :class:`~repro.errors.UnknownJobError`."""
         found, payload = self.results.get(key)
-        return payload if found else None
+        if not found:
+            raise UnknownJobError(f"no result stored for key {key!r}")
+        return payload
 
     def _backoff_delay(self, attempts: int) -> float:
         """Exponential backoff before attempt ``attempts + 1``."""
@@ -423,10 +431,11 @@ class Scheduler:
         into the shared :class:`~repro.expfw.archive.RunArchive`.
         Returns the search's JSON state record (state ``running``).
         """
-        from repro.expfw.search import SchedulerDispatcher, SearchDriver, parse_search_payload
+        from repro.expfw.search import SearchDriver, parse_search_payload
+        from repro.service.client import JobDispatcher
 
         config = parse_search_payload(payload)
-        driver = SearchDriver(config, dispatcher=SchedulerDispatcher(self))
+        driver = SearchDriver(config, dispatcher=JobDispatcher(self))
         with self._lock:
             search_id = f"search-{next(self._search_ids)}"
             record = {

@@ -1,16 +1,8 @@
-"""Tests for the JSON batch campaign runner."""
-
-import json
+"""Tests for the machine-entry factories of ``repro.analysis.batch``."""
 
 import pytest
 
-from repro.analysis.batch import (
-    distribution_from_spec,
-    machine_config_from_spec,
-    run_batch,
-    run_batch_file,
-)
-from repro.cli import main
+from repro.analysis.batch import distribution_from_spec, machine_config_from_spec
 from repro.distribution import (
     BlockInterleaved,
     ContiguousBands,
@@ -18,15 +10,6 @@ from repro.distribution import (
     SingleProcessor,
 )
 from repro.errors import ConfigurationError
-
-CAMPAIGN = {
-    "scale": 0.0625,
-    "scenes": ["blowout775"],
-    "machines": [
-        {"family": "block", "processors": 4, "size": 16},
-        {"family": "sli", "processors": 4, "size": 2, "cache": "perfect"},
-    ],
-}
 
 
 class TestSpecFactories:
@@ -52,61 +35,16 @@ class TestSpecFactories:
     def test_machine_config_knobs(self):
         dist = BlockInterleaved(4, 16)
         config = machine_config_from_spec(
-            {"cache_kb": 8, "ways": 2, "bus_ratio": 2.0, "fifo": 64,
-             "geometry_engines": 3},
+            {"cache_kb": 8, "ways": 2, "bus_ratio": 2.0, "fifo": 64},
             dist,
         )
         assert config.cache_config.total_bytes == 8192
         assert config.cache_config.ways == 2
         assert config.bus_ratio == 2.0
         assert config.fifo_capacity == 64
-        assert config.geometry_engines == 3
 
     def test_defaults(self):
         config = machine_config_from_spec({}, BlockInterleaved(2, 16))
         assert config.cache == "lru"
         assert config.cache_config is None
         assert config.fifo_capacity == 10000
-
-
-class TestRunBatch:
-    def test_one_result_per_scene_machine_pair(self):
-        results = run_batch(CAMPAIGN)
-        assert len(results) == 2
-        assert {r.distribution for r in results} == {"block16x4", "sli2x4"}
-        for result in results:
-            assert result.speedup is not None
-            assert 1.0 <= result.speedup <= 4.0 + 1e-9
-
-    def test_empty_machines_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_batch({"machines": []})
-
-    def test_file_round_trip_with_csv(self, tmp_path):
-        config_path = tmp_path / "campaign.json"
-        config_path.write_text(json.dumps(CAMPAIGN))
-        csv_path = tmp_path / "out.csv"
-        results = run_batch_file(config_path, csv_out=csv_path)
-        assert len(results) == 2
-        lines = csv_path.read_text().strip().splitlines()
-        assert len(lines) == 3  # header + 2 rows
-
-    def test_invalid_json_rejected(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigurationError):
-            run_batch_file(path)
-
-
-class TestBatchCli:
-    def test_cli_runs_campaign(self, tmp_path, capsys):
-        config_path = tmp_path / "campaign.json"
-        config_path.write_text(json.dumps(CAMPAIGN))
-        assert main(["batch", "--path", str(config_path), "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "block16x4" in out
-        assert (tmp_path / "batch.csv").exists()
-
-    def test_cli_requires_path(self, capsys):
-        assert main(["batch"]) == 2
-        assert "needs --path" in capsys.readouterr().err

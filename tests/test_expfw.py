@@ -475,6 +475,94 @@ class TestSearchDriver:
         assert replayed.metrics == trial["metrics"]
 
 
+class TestInlineSearch:
+    """Inline search runs its trials as jobs on an in-process scheduler."""
+
+    @pytest.fixture
+    def schedulers(self, monkeypatch):
+        """Record the scheduler ``run_search`` builds; give it private
+        result and metrics stores so earlier tests cannot pre-answer."""
+        import repro.service
+        from repro import obs
+        from repro.service import ResultStore, Scheduler
+
+        created = []
+
+        class Recording(Scheduler):
+            def __init__(self, **kwargs):
+                super().__init__(
+                    results=ResultStore(ArtifactStore(max_entries=64)),
+                    registry=obs.MetricsRegistry(),
+                    **kwargs,
+                )
+                created.append(self)
+
+        monkeypatch.setattr(repro.service, "Scheduler", Recording)
+        return created
+
+    def config(self, **kwargs):
+        base = dict(experiment="fig7", budget=1e10, seed=0, overrides={"scale": SCALE})
+        base.update(kwargs)
+        return SearchConfig(**base)
+
+    def test_every_trial_is_leased_or_a_cache_hit(self, tmp_path, schedulers):
+        report = run_search(
+            self.config(strategy="both", max_trials=2, rungs=2, wave=2),
+            archive=tiny_archive(tmp_path),
+        )
+        (scheduler,) = schedulers
+        counters = scheduler.metrics()["counters"]
+        trials = len(report["trials"])
+        assert trials == 5  # grid 2, halving rungs 2 + 1
+        assert counters["submitted"] == trials
+        assert counters["leases"] + counters["cache_hits"] == trials
+        assert scheduler.healthz()["threads"] == 0  # stopped after the search
+
+    def test_a_raising_trial_is_retried_like_a_service_job(
+        self, tmp_path, schedulers, monkeypatch
+    ):
+        from repro.service import jobs
+
+        real = jobs.simulate_point
+        calls = []
+
+        def flaky(scene, machine):
+            calls.append(machine)
+            if len(calls) == 1:
+                raise RuntimeError("transient texel bus fault")
+            return real(scene, machine)
+
+        monkeypatch.setattr(jobs, "simulate_point", flaky)
+        report = run_search(
+            self.config(strategy="grid", max_trials=1, wave=1),
+            archive=tiny_archive(tmp_path),
+        )
+        assert report["winner"]["metrics"]["cycles"] > 0
+        counters = schedulers[0].metrics()["counters"]
+        assert (counters["leases"], counters["retries"], counters["completed"]) == (2, 1, 1)
+
+    def test_a_trial_that_always_raises_spends_the_service_budget(
+        self, tmp_path, schedulers, monkeypatch
+    ):
+        from repro.errors import ServiceError
+        from repro.service import jobs
+        from repro.service.scheduler import Scheduler
+
+        def broken(scene, machine):
+            raise RuntimeError("texel bus meltdown")
+
+        monkeypatch.setattr(jobs, "simulate_point", broken)
+        with pytest.raises(ServiceError, match="ended failed: texel bus meltdown"):
+            run_search(
+                self.config(strategy="grid", max_trials=1, wave=1),
+                archive=tiny_archive(tmp_path),
+            )
+        counters = schedulers[0].metrics()["counters"]
+        # The same retry budget a service job gets: one attempt plus retries.
+        assert counters["leases"] == 1 + Scheduler().default_retries
+        assert counters["failed"] == 1
+
+
 # ---------------------------------------------------------------------------
 # Service integration
 

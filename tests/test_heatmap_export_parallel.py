@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.export import results_to_csv, sweep_to_csv
+from repro.analysis.export import sweep_to_csv
 from repro.analysis.heatmap import (
     PALETTE,
     ascii_heatmap,
@@ -89,21 +89,6 @@ class TestCsvExport:
         assert lines[1] == "8,4,2.0"
         assert lines[2] == "16,4,3.5"
         assert path.read_text() == text
-
-    def test_results_csv(self, flat_scene, tmp_path):
-        config = MachineConfig(distribution=BlockInterleaved(4, 8), cache="perfect")
-        result = simulate_machine(flat_scene, config, baseline_cycles=1000.0)
-        text = results_to_csv([result], path=tmp_path / "runs.csv")
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("scene_name,distribution")
-        assert "block8x4" in lines[1]
-        assert len(lines) == 2
-
-    def test_results_csv_handles_missing_baseline(self, flat_scene):
-        config = MachineConfig(distribution=BlockInterleaved(4, 8), cache="perfect")
-        result = simulate_machine(flat_scene, config)
-        text = results_to_csv([result])
-        assert ",," in text  # empty speedup/efficiency cells
 
 
 def _square(value):

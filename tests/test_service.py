@@ -34,8 +34,10 @@ from repro.errors import (
     ServiceError,
     SimulationError,
     StaleLeaseError,
+    UnknownJobError,
 )
 from repro.expfw import SPECS, ExperimentSpec, ParamSpace, RunResult, register_spec
+from repro.pipeline.store import ArtifactStore
 from repro.service import (
     DONE,
     FAILED,
@@ -43,6 +45,7 @@ from repro.service import (
     RUNNING,
     TIMED_OUT,
     Job,
+    JobDispatcher,
     JobQueue,
     LeaseManager,
     ResultStore,
@@ -129,6 +132,13 @@ def echo_experiment():
         yield name
 
 
+def submit(scheduler, payload):
+    """Submit through the JSON verb; returns the live job and the
+    ``deduped`` flag of the submission document."""
+    document = scheduler.submit(payload)
+    return scheduler.job(document["id"]), document["deduped"]
+
+
 class TestJobSpec:
     def test_experiment_spec_and_key(self):
         spec = spec_from_payload({"experiment": "table1", "scale": 0.25})
@@ -176,6 +186,19 @@ class TestJobSpec:
         assert spec.result_key() == spec_from_payload(dict(SIM_PAYLOAD)).result_key()
         with pytest.raises(ConfigurationError, match="timeout"):
             parse_submission({**SIM_PAYLOAD, "timeout": 0})
+
+    @pytest.mark.parametrize(
+        "payload, unread",
+        [
+            ({"experiment": "table1", "processors": 4, "family": "sli", "fifo": 3},
+             "experiment jobs do not read 'family', 'fifo', 'processors'"),
+            ({"scene": "quake", "vt_pages": 4}, "simulate jobs do not read 'vt_pages'"),
+            ({"scene": "quake", "vt_scene": "vt-quake"}, "vt jobs do not read 'scene'"),
+        ],
+    )
+    def test_rejects_fields_the_kind_does_not_read(self, payload, unread):
+        with pytest.raises(ConfigurationError, match=unread):
+            spec_from_payload(payload)
 
 
 class TestJobQueue:
@@ -289,12 +312,12 @@ class TestResultStore:
 class TestJobLifecycle:
     def test_queued_running_done(self, isolated_store, make_scheduler, echo_experiment):
         scheduler = make_scheduler(local_workers=1)
-        job, deduped = scheduler.submit({"experiment": echo_experiment, "scale": SCALE})
+        job, deduped = submit(scheduler, {"experiment": echo_experiment, "scale": SCALE})
         assert not deduped and job.state == QUEUED
         scheduler.start()
         done = scheduler.wait(job.id, timeout=30)
-        assert done.state == DONE and done.attempts == 1 and done.error is None
-        assert done.started_at is not None and done.finished_at is not None
+        assert done["state"] == DONE and done["attempts"] == 1 and done["error"] is None
+        assert done["started_at"] is not None and done["finished_at"] is not None
         assert scheduler.result(job.result_key)["text"] == f"echo@{SCALE:g}"
         metrics = scheduler.metrics()
         assert metrics["jobs"][DONE] == 1 and metrics["counters"]["completed"] == 1
@@ -302,12 +325,12 @@ class TestJobLifecycle:
     def test_failure_is_terminal_with_the_error(self, isolated_store, make_scheduler):
         with registered("svc-test-boom", lambda scale: 1 / 0) as name:
             scheduler = make_scheduler(local_workers=1, default_retries=0).start()
-            job, _ = scheduler.submit({"experiment": name, "scale": SCALE})
+            job, _ = submit(scheduler, {"experiment": name, "scale": SCALE})
             done = scheduler.wait(job.id, timeout=30)
-            assert done.state == FAILED and "division" in done.error
+            assert done["state"] == FAILED and "division" in done["error"]
             assert scheduler.metrics()["counters"]["failed"] == 1
             # A failed job releases its key: resubmission runs again.
-            retry, deduped = scheduler.submit({"experiment": name, "scale": SCALE})
+            retry, deduped = submit(scheduler, {"experiment": name, "scale": SCALE})
             assert not deduped and retry.id != job.id
 
     def test_unknown_job_id(self, make_scheduler):
@@ -368,7 +391,7 @@ class TestRetryBackoff:
                 backoff_base=0.5,
                 backoff_factor=2.0,
             )
-            job, _ = scheduler.submit({"experiment": name, "scale": SCALE})
+            job, _ = submit(scheduler, {"experiment": name, "scale": SCALE})
             assert self._run_until_settled(scheduler, clock, job) == [0.5, 1.0]
             assert job.state == DONE and job.attempts == 3
             assert scheduler.metrics()["counters"]["retries"] == 2
@@ -379,7 +402,7 @@ class TestRetryBackoff:
     ):
         with registered("svc-test-hopeless", lambda scale: 1 / 0) as name:
             scheduler, clock = fake_clock_coordinator(make_scheduler)
-            job, _ = scheduler.submit(
+            job, _ = submit(scheduler, 
                 {"experiment": name, "scale": SCALE, "retries": 2}
             )
             waits = self._run_until_settled(scheduler, clock, job)
@@ -397,8 +420,8 @@ class TestCoalescing:
     ):
         scheduler = make_scheduler(local_workers=1)  # not started: jobs stay queued
         payload = {"experiment": echo_experiment, "scale": SCALE}
-        first, deduped_first = scheduler.submit(payload)
-        second, deduped_second = scheduler.submit(payload)
+        first, deduped_first = submit(scheduler, payload)
+        second, deduped_second = submit(scheduler, payload)
         assert not deduped_first and deduped_second
         assert second is first
         metrics = scheduler.metrics()
@@ -410,9 +433,9 @@ class TestCoalescing:
     ):
         scheduler = make_scheduler(local_workers=1).start()
         payload = {"experiment": echo_experiment, "scale": SCALE}
-        first, _ = scheduler.submit(payload)
+        first, _ = submit(scheduler, payload)
         scheduler.wait(first.id, timeout=30)
-        second, deduped = scheduler.submit(payload)
+        second, deduped = submit(scheduler, payload)
         assert not deduped and second.id != first.id
         assert second.state == DONE and second.cached and second.attempts == 0
         snapshot = scheduler.metrics()["result_store"]
@@ -423,8 +446,8 @@ class TestCoalescing:
         self, isolated_store, make_scheduler, echo_experiment
     ):
         scheduler = make_scheduler(local_workers=1)
-        first, _ = scheduler.submit({"experiment": echo_experiment, "priority": 3})
-        second, deduped = scheduler.submit({"experiment": echo_experiment, "retries": 9})
+        first, _ = submit(scheduler, {"experiment": echo_experiment, "priority": 3})
+        second, deduped = submit(scheduler, {"experiment": echo_experiment, "retries": 9})
         assert deduped and second is first
 
 
@@ -503,11 +526,53 @@ class TestHTTP:
         assert payload["text"] == f"echo@{SCALE:g}"
 
 
+class TestJobDispatcher:
+    """One submit/wait/result loop over either service."""
+
+    def test_same_wave_same_results_in_process_and_over_http(
+        self, isolated_store, make_scheduler, echo_experiment
+    ):
+        wave = [
+            {"experiment": echo_experiment, "scale": 0.5},
+            dict(SIM_PAYLOAD),
+            {"experiment": echo_experiment, "scale": 0.25},
+        ]
+        results = {}
+        for via in ("scheduler", "http"):
+            # A private result store each, so both runs really execute.
+            scheduler = make_scheduler(
+                local_workers=2, results=ResultStore(ArtifactStore(max_entries=16))
+            ).start()
+            if via == "scheduler":
+                results[via] = JobDispatcher(scheduler, timeout=60).run_many(wave)
+            else:
+                with serving(scheduler) as client:
+                    results[via] = JobDispatcher(client, timeout=60).run_many(wave)
+            assert scheduler.metrics()["counters"]["leases"] == len(wave)
+        for result in results["scheduler"] + results["http"]:
+            assert result.pop("elapsed_seconds") >= 0.0  # wall time, never equal
+        assert results["scheduler"] == results["http"]
+        assert [result["text"] for result in results["http"][::2]] == ["echo@0.5", "echo@0.25"]
+        assert results["http"][1]["metrics"]["cycles"] > 0
+
+    def test_failed_job_raises_with_its_error(
+        self, isolated_store, make_scheduler
+    ):
+        with registered("svc-test-doomed", lambda scale: 1 / 0) as name:
+            scheduler = make_scheduler(local_workers=1, default_retries=0).start()
+            with pytest.raises(ServiceError, match="ended failed: division"):
+                JobDispatcher(scheduler, timeout=30).run_many([{"experiment": name}])
+
+    def test_scheduler_result_misses_like_the_client(self, make_scheduler, isolated_store):
+        with pytest.raises(UnknownJobError, match="no result stored"):
+            make_scheduler(local_workers=0).result("simulate/never-ran")
+
+
 class TestCliServiceVerbs:
     def test_list_includes_utility_commands(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for command in ("serve", "submit", "status", "dump-trace", "batch"):
+        for command in ("run", "serve", "submit", "status", "dump-trace"):
             assert command in out
         assert "table1" in out and "fig8" in out
 
@@ -547,7 +612,7 @@ class TestFailureRecovery:
             registry=obs.MetricsRegistry(),
         ).start()
         with serving(scheduler) as client:
-            job, _ = scheduler.submit({"experiment": "table1", "scale": SCALE})
+            job, _ = submit(scheduler, {"experiment": "table1", "scale": SCALE})
             doomed = multiprocessing.get_context("fork").Process(
                 target=_doomed_worker, args=(client.base_url,)
             )
@@ -559,7 +624,7 @@ class TestFailureRecovery:
             )
             assert survivor.run(max_jobs=1) == 1
         done = scheduler.wait(job.id, timeout=60)
-        assert done.state == DONE and done.requeues == 1 and done.attempts == 1
+        assert done["state"] == DONE and done["requeues"] == 1 and done["attempts"] == 1
         assert scheduler.result(job.result_key)["text"] == "survived"
         counters = scheduler.metrics()["counters"]
         assert counters["lease_expiries"] == 1 and counters["requeues"] == 1
@@ -584,7 +649,7 @@ class TestFailureRecovery:
             registry=obs.MetricsRegistry(),
         ).start()
         payload = {"experiment": "table1", "scale": SCALE}
-        job, _ = scheduler.submit({**payload, "timeout": 0.2, "retries": retries})
+        job, _ = submit(scheduler, {**payload, "timeout": 0.2, "retries": retries})
         # One stuck worker per attempt: a timed-out attempt keeps its
         # worker until it returns.
         nodes = [
@@ -599,7 +664,7 @@ class TestFailureRecovery:
         for thread in threads:
             thread.start()
         done = scheduler.wait(job.id, timeout=30)
-        assert done.state == TIMED_OUT and done.attempts == retries + 1
+        assert done["state"] == TIMED_OUT and done["attempts"] == retries + 1
         counters = scheduler.metrics()["counters"]
         assert counters["timeouts"] == retries + 1
         assert counters["retries"] == retries
@@ -610,7 +675,7 @@ class TestFailureRecovery:
         assert [(node.completed, node.abandoned) for node in nodes] == [(0, 1)] * len(nodes)
         # The late result belongs to a granted lease of this job, so it
         # was kept: the next submission is a result-store hit.
-        again, _ = scheduler.submit(payload)
+        again, _ = submit(scheduler, payload)
         assert again.cached and again.state == DONE
 
 
@@ -679,12 +744,12 @@ class TestBackpressure:
             spec_from_payload({"experiment": echo_experiment, "scale": 0.125}).result_key(),
             {"text": "cached"},
         )
-        first, _ = scheduler.submit({"experiment": echo_experiment, "scale": 0.5})
+        first, _ = submit(scheduler, {"experiment": echo_experiment, "scale": 0.5})
         # A duplicate of the live job coalesces instead of rejecting.
-        dup, deduped = scheduler.submit({"experiment": echo_experiment, "scale": 0.5})
+        dup, deduped = submit(scheduler, {"experiment": echo_experiment, "scale": 0.5})
         assert deduped and dup is first
         # A stored result is served even with the queue full.
-        hit, _ = scheduler.submit({"experiment": echo_experiment, "scale": 0.125})
+        hit, _ = submit(scheduler, {"experiment": echo_experiment, "scale": 0.125})
         assert hit.state == DONE and hit.cached
 
     def test_http_answers_429(self, isolated_store, make_scheduler, echo_experiment):
@@ -769,8 +834,8 @@ class TestLeaseLifecycle:
         self, isolated_store, make_scheduler, echo_experiment
     ):
         scheduler, clock = fake_clock_coordinator(make_scheduler)
-        job1, _ = scheduler.submit({"experiment": echo_experiment, "scale": 0.5})
-        job2, _ = scheduler.submit({"experiment": echo_experiment, "scale": 0.25})
+        job1, _ = submit(scheduler, {"experiment": echo_experiment, "scale": 0.5})
+        job2, _ = submit(scheduler, {"experiment": echo_experiment, "scale": 0.25})
 
         lease1 = scheduler.lease("alpha")
         lease2 = scheduler.lease("beta")
@@ -818,7 +883,7 @@ class TestLeaseLifecycle:
         """Three in-flight jobs lost at once replay oldest-first."""
         scheduler, clock = fake_clock_coordinator(make_scheduler)
         jobs = [
-            scheduler.submit({"experiment": echo_experiment, "scale": scale})[0]
+            submit(scheduler, {"experiment": echo_experiment, "scale": scale})[0]
             for scale in (0.5, 0.25, 0.125)
         ]
         for worker in ("w1", "w2", "w3"):
@@ -835,7 +900,7 @@ class TestLeaseLifecycle:
         scheduler, clock = fake_clock_coordinator(
             make_scheduler, backoff_base=0.01, backoff_factor=1.0
         )
-        job, _ = scheduler.submit(
+        job, _ = submit(scheduler, 
             {"experiment": echo_experiment, "scale": 0.5, "retries": 1}
         )
         lease = scheduler.lease("alpha")
@@ -855,7 +920,7 @@ class TestLeaseLifecycle:
         self, isolated_store, make_scheduler, echo_experiment
     ):
         scheduler, clock = fake_clock_coordinator(make_scheduler)
-        job, _ = scheduler.submit(
+        job, _ = submit(scheduler, 
             {"experiment": echo_experiment, "scale": 0.5, "timeout": 4.0, "retries": 0}
         )
         lease = scheduler.lease("alpha")
@@ -874,7 +939,7 @@ class TestLeaseLifecycle:
         self, isolated_store, make_scheduler, echo_experiment
     ):
         scheduler, clock = fake_clock_coordinator(make_scheduler)
-        job, _ = scheduler.submit({"experiment": echo_experiment, "scale": 0.5})
+        job, _ = submit(scheduler, {"experiment": echo_experiment, "scale": 0.5})
         lease = scheduler.lease("alpha")
         clock.advance(6.0)
         scheduler._reap_once()  # expired: the job went back to the queue
@@ -893,7 +958,7 @@ class TestLeaseLifecycle:
         self, isolated_store, make_scheduler, echo_experiment
     ):
         scheduler, clock = fake_clock_coordinator(make_scheduler)
-        job, _ = scheduler.submit({"experiment": echo_experiment, "scale": 0.5})
+        job, _ = submit(scheduler, {"experiment": echo_experiment, "scale": 0.5})
         other = spec_from_payload({"experiment": echo_experiment, "scale": 0.25})
         lease = scheduler.lease("alpha")
         clock.advance(6.0)
@@ -902,8 +967,9 @@ class TestLeaseLifecycle:
             scheduler.complete(
                 lease["lease_id"], {"key": other.result_key(), "text": "FORGED"}
             )
-        assert scheduler.result(other.result_key()) is None
-        assert scheduler.result(job.result_key) is None
+        for key in (other.result_key(), job.result_key):
+            with pytest.raises(UnknownJobError, match="no result stored"):
+                scheduler.result(key)
         assert job.state == QUEUED
 
     def test_stale_failure_report_counts_once(
