@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""CI gate: golden-value regression check, a traced CLI run and a
-trace-file round trip.
+"""CI gate: golden-value regression check, a traced CLI run, a
+trace-file round trip and the replay invariants.
 
-Three parts, all against the committed ``tests/golden/`` files:
+Four parts, all at the committed ``tests/golden/`` points:
 
 1. **Golden diff** — recompute every golden point in-process (via
    ``tests.golden_common``, the same helper the pytest suite uses) and
@@ -17,6 +17,11 @@ Three parts, all against the committed ``tests/golden/`` files:
 3. **Trace round trip** — ``dump-trace`` the same point's scene to a
    file, simulate it with ``run --path`` and require the golden cycle
    count, which pins the trace-file path.
+4. **Replay invariants** — at every golden point, the cache replay in
+   1024-fragment chunks and in default chunks agree on every cache
+   statistic (``compulsory_misses`` included), and both equal the
+   per-node oracle of ``tests/oracles``, which pins the shared node
+   partition.
 
     PYTHONPATH=src python scripts/golden_check.py
 """
@@ -29,12 +34,21 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 sys.path.insert(0, str(ROOT / "src"))
 
+from repro.analysis.batch import (  # noqa: E402
+    distribution_from_spec,
+    machine_config_from_spec,
+)
+from repro.core.routing import build_routed_work  # noqa: E402
+from repro.workloads.scenes import build_scene  # noqa: E402
 from tests.golden_common import (  # noqa: E402
     ALL_POINTS,
     GOLDEN_SCALE,
@@ -42,7 +56,9 @@ from tests.golden_common import (  # noqa: E402
     check_all,
     golden_path,
     load_golden,
+    point_name,
 )
+from tests.oracles import reference_replay  # noqa: E402
 
 #: The golden point the traced CLI run exercises (block16 x 4 on truc640).
 CLI_POINT = ("truc640", "block", 16, 4)
@@ -167,8 +183,60 @@ def check_trace_round_trip() -> int:
     return 0
 
 
+def _cache_diff(got, want) -> list:
+    return [
+        field.name
+        for field in fields(want)
+        if not np.array_equal(getattr(got, field.name), getattr(want, field.name))
+    ]
+
+
+def check_replay_invariants() -> int:
+    for scene_name, family, size, processors, scale in ALL_POINTS:
+        name = point_name(scene_name, family, size, processors, scale)
+        spec = {"family": family, "size": size, "processors": processors}
+        scene = build_scene(scene_name, scale=scale)
+        distribution = distribution_from_spec(spec, scene.height)
+        config = machine_config_from_spec(spec, distribution)
+        runs = {
+            chunk: build_routed_work(
+                scene,
+                distribution,
+                cache_spec=config.cache,
+                cache_config=config.cache_config,
+                chunk_size=chunk,
+            )
+            for chunk in (None, 1024)
+        }
+        oracle = reference_replay(
+            scene, distribution, scene.fragments(), config.cache, config.cache_config
+        )
+        for chunk, work in runs.items():
+            label = f"{name}, chunk_size={chunk or 'default'}"
+            problems = _cache_diff(work.cache, oracle.cache)
+            if problems:
+                print(f"replay invariants: {label} differs from the oracle on {problems}")
+                return 1
+            for node, triangles in enumerate(work.triangles):
+                if not np.array_equal(
+                    work.texels[node], oracle.texels_per_node_tri[node][triangles]
+                ):
+                    print(f"replay invariants: {label}, node {node} texels differ from the oracle")
+                    return 1
+    print(
+        f"replay invariants: OK — {len(ALL_POINTS)} points, chunked = whole = "
+        f"per-node oracle on every cache field"
+    )
+    return 0
+
+
 def main() -> int:
-    return check_goldens() or check_traced_cli_run() or check_trace_round_trip()
+    return (
+        check_goldens()
+        or check_traced_cli_run()
+        or check_trace_round_trip()
+        or check_replay_invariants()
+    )
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from repro.analysis.tables import format_table
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import DEFAULT_L2, TwoLevelCache
 from repro.cache.stream import replay_fragments
+from repro.core.routing import partition_by_node
 from repro.distribution.base import Distribution
 from repro.geometry.scene import Scene
 from repro.texture.filtering import TrilinearFilter
@@ -63,19 +64,20 @@ def replay_sequence(
     results: List[FrameTraffic] = []
     for index, frame in enumerate(frames):
         fragments = frame.fragments()
-        owners = distribution.owners(fragments.x, fragments.y)
-        order = np.argsort(owners, kind="stable")
-        sorted_owners = owners[order]
-        starts = np.searchsorted(sorted_owners, np.arange(distribution.num_processors))
-        ends = np.searchsorted(sorted_owners, np.arange(distribution.num_processors) + 1)
+        order, bounds = partition_by_node(
+            distribution.owners(fragments.x, fragments.y), len(nodes)
+        )
         memory_texels = 0
         l1_to_l2 = 0
         for node_id, cache in enumerate(nodes):
             cache.reset_l1_only()
             l1_before, l2_before = cache.l1_misses, cache.l2_misses
-            rows = order[starts[node_id] : ends[node_id]]
             replay_fragments(
-                fragments.select(rows), tex_filter, cache, reset=False
+                fragments,
+                tex_filter,
+                cache,
+                reset=False,
+                rows=order[bounds[node_id] : bounds[node_id + 1]],
             )
             memory_texels += (cache.l2_misses - l2_before) * cache.texels_per_fetch
             l1_to_l2 += (cache.l1_misses - l1_before) * cache.texels_per_fetch

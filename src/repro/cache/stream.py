@@ -8,7 +8,7 @@ being stateful across calls.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -30,6 +30,7 @@ def replay_fragments(
     chunk_size: int = DEFAULT_CHUNK,
     reset: bool = True,
     translate: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    rows: Optional[np.ndarray] = None,
 ) -> CacheRunResult:
     """Replay one node's fragment stream; returns aggregate statistics.
 
@@ -38,26 +39,34 @@ def replay_fragments(
     to continue with warm state — how the inter-frame L2 study chains
     consecutive frames through one hierarchy.  ``seen_lines`` (a
     boolean array covering the addressed line space) enables
-    compulsory-miss classification; pass a fresh zeroed array per node.
-    ``translate`` optionally rewrites the flat line-address stream
-    before it reaches the cache model — the virtual-texturing page
-    table (:mod:`repro.texture.pages`) hooks in here.  It must be a
-    pure elementwise function so chunking stays invisible.
+    compulsory-miss classification: a miss is compulsory when it is the
+    first miss on its line; pass a fresh zeroed array per node.
+    ``rows`` selects the stream as row indices into ``fragments`` (one
+    node's share of a frame); each chunk gathers only the columns the
+    filter and the attribution read.  ``translate`` optionally rewrites
+    the flat line-address stream before it reaches the cache model —
+    the virtual-texturing page table (:mod:`repro.texture.pages`) hooks
+    in here.  It must be a pure elementwise function so chunking stays
+    invisible.
     """
     if reset:
         model.reset()
-    n = len(fragments)
+    n = len(fragments) if rows is None else len(rows)
     result = CacheRunResult(
         fragments=n,
         texels_by_triangle=np.zeros(fragments.num_triangles, dtype=np.int64),
     )
+    seen_count = 0 if seen_lines is None else int(np.count_nonzero(seen_lines))
     for start in range(0, n, chunk_size):
         stop = min(n, start + chunk_size)
+        take: Union[slice, np.ndarray] = (
+            slice(start, stop) if rows is None else rows[start:stop]
+        )
         lines = tex_filter.line_addresses(
-            fragments.u[start:stop],
-            fragments.v[start:stop],
-            fragments.level[start:stop],
-            fragments.texture[start:stop],
+            fragments.u[take],
+            fragments.v[take],
+            fragments.level[take],
+            fragments.texture[take],
         )
         flat = lines.reshape(-1)
         if translate is not None:
@@ -73,19 +82,19 @@ def replay_fragments(
         if misses:
             miss_rows = np.flatnonzero(miss_mask)
             if seen_lines is not None:
-                missed = flat[miss_rows]
-                fresh = ~seen_lines[missed]
-                result.compulsory_misses += int(fresh.sum())
-                seen_lines[missed] = True
+                # Count the lines newly marked, not the misses: a line
+                # that misses twice in one chunk is compulsory once.
+                seen_lines[flat[miss_rows]] = True
+                now_seen = int(np.count_nonzero(seen_lines))
+                result.compulsory_misses += now_seen - seen_count
+                seen_count = now_seen
             # Attribute fetched texels to the owning triangles for the
             # timing model's per-triangle bus demand.
             frag_rows = miss_rows // TEXELS_PER_FRAGMENT
-            triangles = fragments.triangle[start:stop][frag_rows]
+            triangles = fragments.triangle[take][frag_rows]
             np.add.at(
                 result.texels_by_triangle,
                 triangles,
                 model.texels_per_fetch,
             )
-        elif seen_lines is not None:
-            seen_lines[np.unique(flat)] = True
     return result

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -103,6 +103,29 @@ class RoutedWork:
         return (self.node_work.max() / average - 1.0) * 100.0
 
 
+def partition_by_node(
+    owners: np.ndarray, num_nodes: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Stable partition of fragment rows by owning node.
+
+    Returns ``(order, bounds)``: node ``n``'s rows, in stream order,
+    are ``order[bounds[n] : bounds[n + 1]]``.  ``owners`` must lie in
+    ``[0, num_nodes)``.  The sort key is narrowed to ``uint8`` or
+    ``uint16`` when the node count allows, which numpy stable-sorts by
+    radix; a stable sort's permutation is unique, so it equals the one
+    of the wide key.
+    """
+    key: np.ndarray = owners
+    if num_nodes <= 1 << 8:
+        key = owners.astype(np.uint8)
+    elif num_nodes <= 1 << 16:
+        key = owners.astype(np.uint16)
+    order = np.argsort(key, kind="stable")
+    bounds = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners, minlength=num_nodes), out=bounds[1:])
+    return order, bounds
+
+
 def route_triangles(scene: Scene, distribution: Distribution) -> List[np.ndarray]:
     """Bounding-box routing: nodes each triangle is sent to, per triangle.
 
@@ -144,18 +167,25 @@ def compute_routing_plan(
     scene: Scene,
     distribution: Distribution,
     fragments: "FragmentBuffer",
+    owners: np.ndarray,
     route_by: str = "bbox",
 ) -> RoutingPlan:
-    """Route a fragment stream: the cache-independent half of the work."""
+    """Route a fragment stream: the cache-independent half of the work.
+
+    ``owners`` is ``distribution.owners`` of the stream.
+    """
     if route_by not in ("bbox", "coverage"):
         raise ConfigurationError(f"route_by must be bbox or coverage, got {route_by!r}")
     n_proc = distribution.num_processors
     n_tri = scene.num_triangles
 
-    owners = distribution.owners(fragments.x, fragments.y)
-    # Pixels drawn per (triangle, node).
-    key = fragments.triangle.astype(np.int64) * n_proc + owners
+    # Pixels drawn per (triangle, node); the key is built in place so
+    # one frame-sized temporary is alive at a time.
+    key = fragments.triangle.astype(np.int64)
+    key *= n_proc
+    key += owners
     pixel_matrix = np.bincount(key, minlength=n_tri * n_proc)
+    del key
     node_pixels = np.bincount(owners, minlength=n_proc).astype(np.int64)
 
     if route_by == "bbox":
@@ -175,6 +205,7 @@ def compute_replay(
     scene: Scene,
     distribution: Distribution,
     fragments: "FragmentBuffer",
+    owners: np.ndarray,
     cache_spec: CacheSpec = "lru",
     cache_config: Optional["CacheConfig"] = None,
     layout: Optional["TextureMemoryLayout"] = None,
@@ -182,6 +213,11 @@ def compute_replay(
     translator: Optional["PageTable"] = None,
 ) -> ReplayResult:
     """Replay every node's fragment stream through its private cache.
+
+    ``owners`` is ``distribution.owners`` of the stream.  The frame is
+    partitioned by node once (:func:`partition_by_node`); each node's
+    replay gathers only the columns the filter and the cache read,
+    chunk by chunk, straight from the frame's buffer.
 
     ``translator`` optionally rewrites the line-address stream before
     it reaches the cache model — the virtual-texturing page table maps
@@ -197,7 +233,6 @@ def compute_replay(
         address_lines = max(address_lines, translator.address_space_lines)
     n_proc = distribution.num_processors
     n_tri = scene.num_triangles
-    owners = distribution.owners(fragments.x, fragments.y)
 
     probe_model = make_cache_model(cache_spec, cache_config)
     total_cache = CacheRunResult(texels_by_triangle=np.zeros(n_tri, dtype=np.int64))
@@ -211,13 +246,8 @@ def compute_replay(
         texels_per_node_tri = [zero for _ in range(n_proc)]
     else:
         # Per-node cache replay, in each node's own stream order.
-        order = np.argsort(owners, kind="stable")
-        sorted_owners = owners[order]
-        starts = np.searchsorted(sorted_owners, np.arange(n_proc))
-        ends = np.searchsorted(sorted_owners, np.arange(n_proc) + 1)
+        order, bounds = partition_by_node(owners, n_proc)
         for node in range(n_proc):
-            rows = order[starts[node] : ends[node]]
-            node_fragments = fragments.select(rows)
             model = make_cache_model(cache_spec, cache_config)
             if model.texels_per_fetch != 1:
                 # Line fills carry however many texels the layout's
@@ -225,12 +255,13 @@ def compute_replay(
                 model.texels_per_fetch = layout.texels_per_line
             seen = np.zeros(address_lines, dtype=bool)
             run = replay_fragments(
-                node_fragments,
+                fragments,
                 tex_filter,
                 model,
                 seen_lines=seen,
                 chunk_size=chunk_size or DEFAULT_CHUNK,
                 translate=translate,
+                rows=order[bounds[node] : bounds[node + 1]],
             )
             total_cache = total_cache.merged_with(run)
             texels_per_node_tri.append(run.texels_by_triangle)

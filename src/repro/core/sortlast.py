@@ -27,6 +27,7 @@ from repro.cache.stream import replay_fragments
 from repro.core.config import DEFAULT_SETUP_CYCLES
 from repro.core.node import drain_node
 from repro.core.results import MachineResult, NodeTimings
+from repro.core.routing import partition_by_node
 from repro.errors import ConfigurationError
 from repro.geometry.scene import Scene
 from repro.texture.filtering import TrilinearFilter
@@ -80,10 +81,7 @@ def simulate_sort_last(
         if len(fragments)
         else np.zeros(0, dtype=np.int64)
     )
-    order = np.argsort(owners, kind="stable")
-    sorted_owners = owners[order]
-    starts = np.searchsorted(sorted_owners, np.arange(num_processors))
-    ends = np.searchsorted(sorted_owners, np.arange(num_processors) + 1)
+    order, bounds = partition_by_node(owners, num_processors)
 
     finish = np.zeros(num_processors)
     busy = np.zeros(num_processors)
@@ -96,10 +94,10 @@ def simulate_sort_last(
 
     for node in range(num_processors):
         triangle_ids = np.flatnonzero(assignment == node)
-        rows = order[starts[node] : ends[node]]
-        node_fragments = fragments.select(rows)
         model = make_cache_model(cache, cache_config)
-        run = replay_fragments(node_fragments, tex_filter, model)
+        run = replay_fragments(
+            fragments, tex_filter, model, rows=order[bounds[node] : bounds[node + 1]]
+        )
         total_cache = total_cache.merged_with(run)
 
         pixels = pixel_counts[triangle_ids]

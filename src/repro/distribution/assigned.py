@@ -46,8 +46,8 @@ class TileGrid(Distribution):
         return self.num_processors
 
     def owners(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        tx = np.asarray(x, dtype=np.int64) // self.width
-        ty = np.asarray(y, dtype=np.int64) // self.width
+        tx = np.asarray(x, dtype=np.int32) // self.width
+        ty = np.asarray(y, dtype=np.int32) // self.width
         return ty * self.tiles_x + tx
 
     def nodes_in_box(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
@@ -82,9 +82,10 @@ class AssignedTiles(Distribution):
         self.grid = grid
         self.assignment = assignment
         self.label = label
+        self._owner_table = assignment.astype(np.int32)
 
     def owners(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.assignment[self.grid.owners(x, y)]
+        return self._owner_table[self.grid.owners(x, y)]
 
     def nodes_in_box(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
         tiles = self.grid.nodes_in_box(x0, y0, x1, y1)

@@ -26,7 +26,11 @@ class Distribution(ABC):
 
     @abstractmethod
     def owners(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Processor id owning each pixel ``(x[i], y[i])``."""
+        """Processor id owning each pixel ``(x[i], y[i])``, as ``int32``.
+
+        ``int32`` is the dtype of the fragment coordinates, so no
+        per-fragment column is widened on the way.
+        """
 
     @abstractmethod
     def nodes_in_box(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:

@@ -26,9 +26,13 @@ class BlockInterleaved(Distribution):
         self.across, self.down = processor_grid(num_processors)
 
     def owners(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        tx = np.asarray(x, dtype=np.int64) // self.width
-        ty = np.asarray(y, dtype=np.int64) // self.width
-        return (tx % self.across) + self.across * (ty % self.down)
+        tx = np.asarray(x, dtype=np.int32) // self.width
+        tx %= self.across
+        ty = np.asarray(y, dtype=np.int32) // self.width
+        ty %= self.down
+        ty *= self.across
+        ty += tx
+        return ty
 
     def nodes_in_box(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
         tx0, tx1 = x0 // self.width, x1 // self.width

@@ -26,7 +26,7 @@ class ContiguousBands(Distribution):
         self.screen_height = screen_height
 
     def owners(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=np.int64)
+        y = np.asarray(y, dtype=np.int32)
         owners = y * self.num_processors // self.screen_height
         return np.clip(owners, 0, self.num_processors - 1)
 

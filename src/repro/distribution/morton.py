@@ -22,16 +22,22 @@ _MORTON_BITS = 16
 
 
 def morton_index(tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-    """Interleave the bits of two tile coordinates (Z-curve index)."""
-    tx = np.asarray(tx, dtype=np.int64)
-    ty = np.asarray(ty, dtype=np.int64)
+    """Interleave the bits of two tile coordinates (Z-curve index).
+
+    Codes are ``uint32``, which holds every code of two coordinates
+    below ``2**16``.
+    """
+    tx = np.asarray(tx)
+    ty = np.asarray(ty)
     if (tx < 0).any() or (ty < 0).any():
         raise ConfigurationError("Morton coordinates must be non-negative")
     if (tx >= 1 << _MORTON_BITS).any() or (ty >= 1 << _MORTON_BITS).any():
         raise ConfigurationError(
             f"Morton coordinates must be < {1 << _MORTON_BITS}"
         )
-    code = np.zeros_like(tx)
+    tx = tx.astype(np.uint32)
+    ty = ty.astype(np.uint32)
+    code = np.zeros(tx.shape, dtype=np.uint32)
     for bit in range(_MORTON_BITS):
         code |= ((tx >> bit) & 1) << (2 * bit)
         code |= ((ty >> bit) & 1) << (2 * bit + 1)
@@ -48,9 +54,9 @@ class MortonInterleaved(Distribution):
         self.width = width
 
     def owners(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        tx = np.asarray(x, dtype=np.int64) // self.width
-        ty = np.asarray(y, dtype=np.int64) // self.width
-        return morton_index(tx, ty) % self.num_processors
+        tx = np.asarray(x, dtype=np.int32) // self.width
+        ty = np.asarray(y, dtype=np.int32) // self.width
+        return (morton_index(tx, ty) % self.num_processors).astype(np.int32)
 
     def nodes_in_box(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
         tx0, tx1 = x0 // self.width, x1 // self.width
@@ -59,7 +65,7 @@ class MortonInterleaved(Distribution):
         tys = np.arange(ty0, ty1 + 1)
         grid_x, grid_y = np.meshgrid(txs, tys)
         owners = morton_index(grid_x.ravel(), grid_y.ravel()) % self.num_processors
-        return np.unique(owners)
+        return np.unique(owners).astype(np.int64)
 
     def describe(self) -> str:
         return f"morton{self.width}x{self.num_processors}"

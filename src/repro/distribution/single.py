@@ -14,7 +14,7 @@ class SingleProcessor(Distribution):
         super().__init__(1)
 
     def owners(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.zeros(np.shape(np.asarray(x)), dtype=np.int64)
+        return np.zeros(np.shape(np.asarray(x)), dtype=np.int32)
 
     def nodes_in_box(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
         return np.zeros(1, dtype=np.int64)

@@ -23,7 +23,7 @@ class ScanLineInterleaved(Distribution):
         self.lines = lines
 
     def owners(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        group = np.asarray(y, dtype=np.int64) // self.lines
+        group = np.asarray(y, dtype=np.int32) // self.lines
         return group % self.num_processors
 
     def nodes_in_box(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:

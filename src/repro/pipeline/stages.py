@@ -105,6 +105,9 @@ def routed_work(
     ``translator`` (a virtual-texturing page table) joins the replay
     key through its current-mapping ``cache_key()``, so a memoized
     replay can never leak across residency states.
+
+    Both stages read the stream's ``distribution.owners``; it is
+    computed at most once per call and kept in neither artifact.
     """
     from repro.core import routing
 
@@ -119,27 +122,41 @@ def routed_work(
         and layout_part is not None
         and translator_part is not None
     )
+    owners = None
+
+    def frame():
+        nonlocal owners
+        frags = fragments if fragments is not None else fragments_artifact(scene)
+        if owners is None:
+            owners = distribution.owners(frags.x, frags.y)
+        return frags, owners
+
+    def plan():
+        frags, frag_owners = frame()
+        return routing.compute_routing_plan(
+            scene, distribution, frags, frag_owners, route_by
+        )
+
+    def replay():
+        frags, frag_owners = frame()
+        return routing.compute_replay(
+            scene,
+            distribution,
+            frags,
+            frag_owners,
+            cache_spec,
+            cache_config,
+            layout,
+            chunk_size,
+            translator=translator,
+        )
 
     if not cacheable:
-        frags = fragments if fragments is not None else fragments_artifact(scene)
-        plan = _timed(
-            "routing",
-            lambda: routing.compute_routing_plan(scene, distribution, frags, route_by),
+        if fragments is None:
+            fragments = fragments_artifact(scene)
+        return routing.assemble_routed_work(
+            _timed("routing", plan), _timed("replay", replay), setup_cycles
         )
-        replay = _timed(
-            "replay",
-            lambda: routing.compute_replay(
-                scene,
-                distribution,
-                frags,
-                cache_spec,
-                cache_config,
-                layout,
-                chunk_size,
-                translator=translator,
-            ),
-        )
-        return routing.assemble_routed_work(plan, replay, setup_cycles)
 
     s = store()
     dist_part = keys.distribution_key(distribution)
@@ -152,27 +169,10 @@ def routed_work(
     work_key = f"{plan_key}|{replay_key}|setup{setup_cycles}"
 
     def assemble():
-        plan = s.get_or_compute(
-            "routing",
-            plan_key,
-            lambda: routing.compute_routing_plan(
-                scene, distribution, fragments_artifact(scene), route_by
-            ),
+        return routing.assemble_routed_work(
+            s.get_or_compute("routing", plan_key, plan),
+            s.get_or_compute("replay", replay_key, replay),
+            setup_cycles,
         )
-        replay = s.get_or_compute(
-            "replay",
-            replay_key,
-            lambda: routing.compute_replay(
-                scene,
-                distribution,
-                fragments_artifact(scene),
-                cache_spec,
-                cache_config,
-                layout,
-                chunk_size,
-                translator=translator,
-            ),
-        )
-        return routing.assemble_routed_work(plan, replay, setup_cycles)
 
     return s.get_or_compute("routed", work_key, assemble, disk=False)

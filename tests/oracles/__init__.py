@@ -9,7 +9,10 @@ shipped code against them bit for bit:
 * :mod:`tests.oracles.raster` — triangle setup (edge equations, the
   top-left fill rule) and the one-triangle-at-a-time rasterizer;
 * :mod:`tests.oracles.lru` — :class:`ReferenceLru`, the stepwise
-  ``access`` walk and the scalar per-set replay.
+  ``access`` walk and the scalar per-set replay;
+* :mod:`tests.oracles.replay` — the per-node cache replay the shared
+  node partition replaced: an ``int64`` argsort, a full copy of each
+  node's fragments and a replay loop of its own.
 """
 
 from tests.oracles.lru import ReferenceLru
@@ -19,11 +22,14 @@ from tests.oracles.raster import (
     rasterize_triangle,
     triangle_setup,
 )
+from tests.oracles.replay import reference_replay, replay_node
 
 __all__ = [
     "EdgeEquations",
     "ReferenceLru",
     "rasterize_scene_scalar",
     "rasterize_triangle",
+    "reference_replay",
+    "replay_node",
     "triangle_setup",
 ]

@@ -5,6 +5,8 @@ import pytest
 
 from repro.cache import CacheConfig, make_cache_model, replay_fragments
 from repro.cache.stats import CacheRunResult
+from repro.cache.stream import DEFAULT_CHUNK
+from repro.raster.fragments import FragmentBuffer
 from repro.texture.filtering import TrilinearFilter
 
 
@@ -61,6 +63,46 @@ def test_compulsory_classification(flat_scene):
     working_set_bytes = int(seen.sum()) * 64
     if working_set_bytes <= 16384:
         assert result.compulsory_misses == result.misses
+
+
+class FixedLines:
+    """A stand-in filter: one fragment reads a fixed line sequence."""
+
+    def __init__(self, lines):
+        self.lines = np.asarray([lines], dtype=np.int64)
+
+    def line_addresses(self, u, v, levels, texture_ids):
+        return self.lines
+
+
+def test_a_line_missed_twice_in_one_chunk_is_compulsory_once():
+    one_line = make_cache_model("lru", CacheConfig(total_bytes=64, ways=1))
+    a, b = 3, 5
+    result = replay_fragments(
+        FragmentBuffer([0], [0], [0.0], [0.0], [0], [0], [0], num_triangles=1),
+        FixedLines([a, b, a, b]),
+        one_line,
+        seen_lines=np.zeros(8, dtype=bool),
+    )
+    assert result.misses == 4
+    assert result.compulsory_misses == 2
+    assert type(result.compulsory_misses) is int  # JSON-serialisable
+
+
+def test_compulsory_count_ignores_chunking(flat_scene):
+    fragments = flat_scene.fragments()
+    total_lines = flat_scene.memory_layout().total_lines
+    counts = {
+        chunk_size: replay_fragments(
+            fragments,
+            filt_for(flat_scene),
+            make_cache_model("lru"),
+            seen_lines=np.zeros(total_lines, dtype=bool),
+            chunk_size=chunk_size,
+        ).compulsory_misses
+        for chunk_size in (1024, DEFAULT_CHUNK)
+    }
+    assert counts[1024] == counts[DEFAULT_CHUNK]
 
 
 def test_triangle_attribution_sums_to_total(flat_scene):
