@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """CI gate: golden-value regression check, a traced CLI run, a
-trace-file round trip and the replay invariants.
+trace-file round trip, the replay invariants and the timing invariants.
 
-Four parts, all at the committed ``tests/golden/`` points:
+Five parts, all at the committed ``tests/golden/`` points:
 
 1. **Golden diff** — recompute every golden point in-process (via
    ``tests.golden_common``, the same helper the pytest suite uses) and
@@ -22,6 +22,12 @@ Four parts, all at the committed ``tests/golden/`` points:
    statistic (``compulsory_misses`` included), and both equal the
    per-node oracle of ``tests/oracles``, which pins the shared node
    partition.
+5. **Timing invariants** — at every golden point, the default FIFO
+   (the closed-form fast path) and a FIFO as deep as the deepest node
+   stream (the finite-FIFO recurrence, which then never blocks) give
+   equal cycles and equal per-node finish, busy and stall.  At the
+   traced CLI point with an 8-entry FIFO, ``timings.stall`` equals the
+   recorder's per-node stall spans.
 
     PYTHONPATH=src python scripts/golden_check.py
 """
@@ -34,7 +40,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,10 +49,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 sys.path.insert(0, str(ROOT / "src"))
 
+from repro import obs  # noqa: E402
 from repro.analysis.batch import (  # noqa: E402
     distribution_from_spec,
     machine_config_from_spec,
 )
+from repro.core.machine import simulate_machine  # noqa: E402
 from repro.core.routing import build_routed_work  # noqa: E402
 from repro.workloads.scenes import build_scene  # noqa: E402
 from tests.golden_common import (  # noqa: E402
@@ -191,13 +199,18 @@ def _cache_diff(got, want) -> list:
     ]
 
 
+def _point(scene_name, family, size, processors, scale, **machine):
+    """The scene and machine config of one golden point."""
+    spec = {"family": family, "size": size, "processors": processors, **machine}
+    scene = build_scene(scene_name, scale=scale)
+    return scene, machine_config_from_spec(spec, distribution_from_spec(spec, scene.height))
+
+
 def check_replay_invariants() -> int:
-    for scene_name, family, size, processors, scale in ALL_POINTS:
-        name = point_name(scene_name, family, size, processors, scale)
-        spec = {"family": family, "size": size, "processors": processors}
-        scene = build_scene(scene_name, scale=scale)
-        distribution = distribution_from_spec(spec, scene.height)
-        config = machine_config_from_spec(spec, distribution)
+    for point in ALL_POINTS:
+        name = point_name(*point)
+        scene, config = _point(*point)
+        distribution = config.distribution
         runs = {
             chunk: build_routed_work(
                 scene,
@@ -230,12 +243,69 @@ def check_replay_invariants() -> int:
     return 0
 
 
+def _timing_diff(got, want) -> list:
+    problems = [] if got.cycles == want.cycles else ["cycles"]
+    for field in ("finish", "busy", "stall"):
+        if not np.array_equal(getattr(got.timings, field), getattr(want.timings, field)):
+            problems.append(field)
+    return problems
+
+
+def check_timing_invariants() -> int:
+    for point in ALL_POINTS:
+        name = point_name(*point)
+        scene, config = _point(*point)
+        work = build_routed_work(
+            scene, config.distribution, cache_spec=config.cache,
+            cache_config=config.cache_config,
+        )
+        deepest = max(len(ids) for ids in work.triangles)
+        fast = simulate_machine(scene, config, routed=work)
+        finite = simulate_machine(
+            scene, replace(config, fifo_capacity=deepest), routed=work
+        )
+        problems = _timing_diff(finite, fast)
+        if finite.extras.get("distributor_blocked_cycles") != 0:
+            problems.append("blocked_cycles")
+        if fast.extras or problems:
+            print(
+                f"timing invariants: {name}, FIFO {deepest} differs from the "
+                f"fast path on {problems or ['path choice']}"
+            )
+            return 1
+
+    processors = CLI_POINT[3]
+    scene, config = _point(*CLI_POINT, GOLDEN_SCALE, fifo=8)
+    recorder = obs.enable_tracing()
+    try:
+        result = simulate_machine(scene, config)
+    finally:
+        obs.disable_tracing()
+    traced = [
+        recorder.node_summary()[f"node-{node}"]["stall_cycles"]
+        for node in range(processors)
+    ]
+    if result.timings.stall.tolist() != traced:
+        print(
+            f"timing invariants: FIFO 8 stall {result.timings.stall.tolist()} "
+            f"differs from the traced stall spans {traced}"
+        )
+        return 1
+    print(
+        f"timing invariants: OK — {len(ALL_POINTS)} points, fast path = "
+        f"never-full finite FIFO on cycles, finish, busy and stall; "
+        f"traced stall = timings.stall"
+    )
+    return 0
+
+
 def main() -> int:
     return (
         check_goldens()
         or check_traced_cli_run()
         or check_trace_round_trip()
         or check_replay_invariants()
+        or check_timing_invariants()
     )
 
 

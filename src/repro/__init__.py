@@ -35,7 +35,6 @@ from repro.distribution import (
 )
 from repro.errors import (
     ConfigurationError,
-    DeadlockError,
     ReproError,
     SimulationError,
     TraceFormatError,
@@ -106,6 +105,5 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "SimulationError",
-    "DeadlockError",
     "TraceFormatError",
 ]

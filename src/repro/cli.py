@@ -84,7 +84,7 @@ _FLAGS = {
     "--fifo": dict(
         type=int,
         help="triangle FIFO capacity (default: 10000; small values force the "
-        "event-driven timing path)",
+        "finite-FIFO timing path)",
     ),
     "--bus-ratio": dict(
         type=float, help="texel-to-fragment bus bandwidth ratio (default: 1.0)"

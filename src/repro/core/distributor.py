@@ -1,4 +1,4 @@
-"""Event-driven machine: in-order distributor plus node processes.
+"""Finite-FIFO machine: in-order distributor in front of P node FIFOs.
 
 This is where the triangle-buffer study (Section 8 / Figure 8) happens.
 The geometry stage emits triangles in strict OpenGL order; each is
@@ -9,92 +9,31 @@ blocking is the "local load imbalance" a big buffer exists to hide.
 
 When a finite-rate geometry stage is configured, each triangle also
 carries a release time the distributor must wait for.
+
+The paper ran this model on an event-driven simulator.  Here every put
+time and every start time follows from earlier stream entries, so one
+in-order pass over the stream computes them all (the recurrence of
+:func:`run_event_machine`).  Every wait is applied as ``now + (target -
+now)``, the way an event queue advances its clock by a timeout, so
+non-dyadic release and bus times come out bit for bit as in the event
+kernel the tests keep as the oracle.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bus.bus import BusModel
-from repro.core.node import triangle_service_time
-from repro.sim.fifo import BoundedFifo
-from repro.sim.kernel import ProcessGenerator, Simulator
+from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
     from repro.obs.recorder import RecorderLike
 
-#: FIFO sentinel: end of the triangle stream.
-_END = None
-
 #: Stream entry: (triangle id, node, pixels, texels).
 StreamEntry = Tuple[int, int, int, int]
-
-
-def _distributor_process(
-    sim: Simulator,
-    fifos: List[BoundedFifo],
-    stream: Sequence[StreamEntry],
-    release: Optional[np.ndarray],
-    stats: Dict[str, Any],
-) -> ProcessGenerator:
-    """Generator feeding work items in strict submission order.
-
-    ``stats`` collects the head-of-line accounting: cycles the
-    distributor spent blocked on a full FIFO (``blocked_cycles``) and
-    which node blocked it most (``blocked_per_node``).
-    """
-    blocked_per_node = stats.setdefault(
-        "blocked_per_node", [0.0] * len(fifos)
-    )
-    recorder = sim.recorder
-    for triangle, node, pixels, texels in stream:
-        if release is not None and sim.now < release[triangle]:
-            yield sim.timeout(release[triangle] - sim.now)
-        before = sim.now
-        yield fifos[node].put((pixels, texels))
-        waited = sim.now - before
-        if waited > 0:
-            stats["blocked_cycles"] = stats.get("blocked_cycles", 0.0) + waited
-            blocked_per_node[node] += waited
-            if recorder is not None:
-                recorder.span(
-                    ("sim", "distributor"), "blocked", before, sim.now,
-                    args={"node": node, "triangle": triangle},
-                )
-    for fifo in fifos:
-        yield fifo.put(_END)
-
-
-def _node_process(
-    sim: Simulator,
-    fifo: BoundedFifo,
-    setup_cycles: int,
-    bus: BusModel,
-    finish_out: List[float],
-    node_id: int,
-) -> ProcessGenerator:
-    """Generator draining one node's FIFO until the end sentinel."""
-    recorder = sim.recorder
-    track = ("sim", f"node-{node_id}")
-    while True:
-        item = yield fifo.get()
-        if item is _END:
-            break
-        pixels, texels = item
-        start = sim.now
-        end = triangle_service_time(start, pixels, texels, setup_cycles, bus)
-        if recorder is not None:
-            # The engine is occupied for max(pixels, setup) cycles; any
-            # extra wait for the bus shows up as an explicit stall span.
-            busy_end = start + max(pixels, setup_cycles)
-            recorder.span(track, "busy", start, busy_end, args={"texels": texels})
-            if end > busy_end:
-                recorder.span(track, "stall", busy_end, end)
-        if end > sim.now:
-            yield sim.timeout(end - sim.now)
-        finish_out[node_id] = sim.now
 
 
 def interleave_stream(
@@ -130,41 +69,120 @@ def run_event_machine(
 ) -> Tuple[float, List[float]]:
     """Simulate the machine with finite FIFOs; returns (cycles, per-node finish).
 
+    One pass over ``stream`` keeps, per node, its bus, the time it frees
+    up and the start times of the triangles stored in its FIFO.  For
+    each entry the distributor first waits for the triangle's geometry
+    release; if the node's FIFO is full it blocks until the oldest
+    stored triangle starts.  The triangle starts at ``max(now, node
+    free)`` and ends once both its ``max(pixels, setup_cycles)`` engine
+    cycles and its texel transfer on the node's bus are done.  After the
+    stream, every node takes an end-of-stream sentinel through its FIFO.
+
+    Same-cycle rule: a node that frees up at cycle ``t`` takes its next
+    triangle at ``t`` before the distributor delivers at ``t``, so a
+    triangle delivered to an idle node with an empty FIFO is handed over
+    directly and never stored.
+
     ``release`` (per-triangle geometry release times) throttles the
     distributor when a finite-rate geometry stage is modelled.
     ``stats`` (optional dict) receives head-of-line accounting:
-    ``blocked_cycles``, ``blocked_per_node``, ``fifo_high_water`` and
+    ``blocked_cycles``, ``blocked_per_node``, ``fifo_high_water``,
+    ``stall_per_node`` (cycles each engine waited on its bus) and
     aggregate ``bus_totals``.  ``recorder`` (optional event recorder)
-    is threaded into the kernel, the FIFOs and the node processes;
-    simulated timing is identical with or without it.
+    receives busy/stall spans per triangle, the distributor's blocked
+    spans, FIFO occupancy samples and one lifetime span per node and
+    for the distributor; simulated timing is identical with or without
+    it.
     """
-    sim = Simulator(recorder=recorder)
-    fifos = [
-        BoundedFifo(sim, fifo_capacity, name=f"tri-fifo-{n}", recorder=recorder)
-        for n in range(num_processors)
-    ]
-    buses = [BusModel(bus_ratio) for _ in range(num_processors)]
-    finish = [0.0] * num_processors
-    processes = [
-        sim.process(
-            _node_process(sim, fifos[n], setup_cycles, buses[n], finish, n),
-            name=f"node-{n}",
-        )
-        for n in range(num_processors)
-    ]
+    if fifo_capacity < 1:
+        raise ConfigurationError(f"fifo capacity must be >= 1, got {fifo_capacity}")
     if stats is None:
         stats = {}
-    processes.append(
-        sim.process(
-            _distributor_process(sim, fifos, stream, release, stats),
-            name="distributor",
-        )
-    )
-    total = sim.run_all(processes)
-    stats["fifo_high_water"] = [fifo.high_water for fifo in fifos]
+    blocked_per_node = stats.setdefault("blocked_per_node", [0.0] * num_processors)
+    buses = [BusModel(bus_ratio) for _ in range(num_processors)]
+    free = [0.0] * num_processors
+    stall = [0.0] * num_processors
+    high_water = [0] * num_processors
+    stored: List[Deque[float]] = [deque() for _ in range(num_processors)]
+    release_at = release.tolist() if release is not None else None
+    node_tracks = [("sim", f"node-{n}") for n in range(num_processors)]
+    fifo_tracks = [("sim", f"tri-fifo-{n}") for n in range(num_processors)]
+    now = 0.0
+
+    def take_started(node: int, until: float) -> None:
+        # The node has taken every stored triangle that starts by ``until``.
+        fifo = stored[node]
+        while fifo and fifo[0] <= until:
+            started = fifo.popleft()
+            if recorder is not None:
+                recorder.value(fifo_tracks[node], "occupancy", started, len(fifo))
+
+    def put(node: int, start: float) -> None:
+        # Deliver at ``now`` a triangle (or the sentinel) the node starts
+        # at ``start``; a full FIFO blocks until its oldest one starts.
+        nonlocal now
+        fifo = stored[node]
+        if fifo and fifo[0] <= now:
+            take_started(node, now)
+        blocked = len(fifo) >= fifo_capacity
+        if blocked:
+            # The node's take of the oldest triangle admits this one, so
+            # that take samples the refilled FIFO, as a blocking put does.
+            now = fifo.popleft()
+            take_started(node, now)
+        if start > now:
+            fifo.append(start)
+            if len(fifo) > high_water[node]:
+                high_water[node] = len(fifo)
+            if recorder is not None:
+                recorder.value(fifo_tracks[node], "occupancy", now, len(fifo))
+        if blocked and recorder is not None:
+            recorder.value(fifo_tracks[node], "occupancy", now, len(fifo))
+
+    for triangle, node, pixels, texels in stream:
+        if release_at is not None and now < release_at[triangle]:
+            now = now + (release_at[triangle] - now)
+        before = now
+        put(node, free[node])
+        waited = now - before
+        if waited > 0:
+            stats["blocked_cycles"] = stats.get("blocked_cycles", 0.0) + waited
+            blocked_per_node[node] += waited
+            if recorder is not None:
+                recorder.span(
+                    ("sim", "distributor"), "blocked", before, now,
+                    args={"node": node, "triangle": triangle},
+                )
+        start = free[node] if free[node] > now else now
+        busy_end = start + (pixels if pixels > setup_cycles else setup_cycles)
+        data_done = buses[node].request(start, texels)
+        end = busy_end
+        if data_done > busy_end:
+            stall[node] += data_done - busy_end
+            end = data_done
+        if recorder is not None:
+            # The engine is occupied for max(pixels, setup) cycles; any
+            # extra wait for the bus shows up as an explicit stall span.
+            track = node_tracks[node]
+            recorder.span(track, "busy", start, busy_end, args={"texels": texels})
+            if end > busy_end:
+                recorder.span(track, "stall", busy_end, end)
+        free[node] = start + (end - start)
+
+    for node in range(num_processors):
+        put(node, free[node])
+        if recorder is not None:
+            recorder.span(node_tracks[node], "process", 0.0, max(free[node], now))
+    if recorder is not None:
+        recorder.span(("sim", "distributor"), "process", 0.0, now)
+        for node in range(num_processors):
+            take_started(node, float("inf"))
+
+    stats["fifo_high_water"] = high_water
+    stats["stall_per_node"] = stall
     stats["bus_totals"] = {
         "transfers": sum(bus.transfers for bus in buses),
         "texels": sum(bus.texels_delivered for bus in buses),
         "busy_cycles": sum(bus.busy_cycles for bus in buses),
     }
-    return total, finish
+    return max([now, *free]), free

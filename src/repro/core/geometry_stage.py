@@ -17,8 +17,6 @@ regime the paper's scaling results silently assume away.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -52,20 +50,3 @@ def geometry_release_times(
     # slot, and within a slot in engine order, so the running maximum
     # is exact (and cheap).
     return np.maximum.accumulate(finished)
-
-
-def throttle_stream(
-    stream: List[Tuple[int, int, int]],
-    triangle_of_entry: List[int],
-    release: np.ndarray,
-) -> List[Tuple[float, int, int, int]]:
-    """Attach geometry release times to a distributor stream.
-
-    Returns ``(release_time, node, pixels, texels)`` entries in order.
-    """
-    if len(stream) != len(triangle_of_entry):
-        raise ConfigurationError("stream and triangle ids disagree on length")
-    return [
-        (float(release[tri]), node, pixels, texels)
-        for (node, pixels, texels), tri in zip(stream, triangle_of_entry)
-    ]

@@ -4,12 +4,12 @@ Gluing the substrates together: rasterise the scene once, route
 triangles through the distribution, replay each node's fragment stream
 through its private cache, then run the timing model.  Two timing paths
 exist — an exact fast path for machines whose triangle FIFO never fills
-(the paper's default 10 000-entry buffer) and the event-driven path for
-the finite-buffer study — chosen by whether ``fifo_capacity`` exceeds
-the deepest per-node triangle stream.  They agree cycle for cycle on
-the never-full case: tests set ``fifo_capacity`` equal to the deepest
-stream, which takes the event path while no push ever blocks, to
-enforce that claim.
+(the paper's default 10 000-entry buffer) and the finite-FIFO
+recurrence for the buffer study — chosen by whether ``fifo_capacity``
+exceeds the deepest per-node triangle stream.  They agree cycle for
+cycle on the never-full case: tests set ``fifo_capacity`` equal to the
+deepest stream, which takes the finite-FIFO path while no push ever
+blocks, to enforce that claim.
 
 Everything upstream of the timing model is a pipeline artifact
 (:mod:`repro.pipeline`): ``build_routed_work`` memoizes the routing
@@ -54,7 +54,7 @@ def simulate_machine(
     ``routed`` lets callers that sweep timing-only parameters (FIFO
     size, bus ratio) reuse one routing/cache replay across runs.  The
     exact fast timing path runs whenever the FIFO can never fill, the
-    event-driven path otherwise.
+    finite-FIFO recurrence otherwise.
     """
     from repro import obs
     from repro.pipeline import stage_timer
@@ -123,8 +123,8 @@ def simulate_machine(
                 [np.maximum(p, config.setup_cycles).sum() for p in work.pixels],
                 dtype=float,
             )
-            stall = finish - busy
-            bus_totals = event_stats.get("bus_totals", bus_totals)
+            stall = np.asarray(event_stats["stall_per_node"])
+            bus_totals = event_stats["bus_totals"]
             extras = {
                 "distributor_blocked_cycles": event_stats.get("blocked_cycles", 0.0),
                 "distributor_blocked_per_node": event_stats.get("blocked_per_node"),

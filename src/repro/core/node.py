@@ -46,7 +46,7 @@ def drain_node(
     This is the exact behaviour of a node behind an unbounded (or never
     full, never empty) triangle FIFO, so the machine simulator uses it
     as the fast path whenever the configured FIFO can hold the whole
-    stream.  It matches the event-driven path cycle for cycle.
+    stream.  It matches the finite-FIFO path cycle for cycle.
 
     ``arrivals`` (optional, monotone) holds each triangle's earliest
     start time — with a finite-rate geometry stage and unbounded FIFOs
@@ -123,19 +123,3 @@ def _drain_batch(
     return NodeTimingResult(
         finish=float(ends[-1]), busy_cycles=busy, stall_cycles=stall
     )
-
-
-def triangle_service_time(
-    start: float,
-    pixels: int,
-    texels: int,
-    setup_cycles: int,
-    bus: BusModel,
-) -> float:
-    """Completion time of one triangle started at ``start``.
-
-    Shared by the event-driven node process so that both timing paths
-    apply the identical rule.
-    """
-    data_done = bus.request(start, texels)
-    return max(start + max(pixels, setup_cycles), data_done)

@@ -26,10 +26,8 @@ class BlockInterleaved(Distribution):
         self.across, self.down = processor_grid(num_processors)
 
     def owners(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        tx = np.asarray(x, dtype=np.int32) // self.width
-        tx %= self.across
-        ty = np.asarray(y, dtype=np.int32) // self.width
-        ty %= self.down
+        tx = _interleave(x, self.width, self.across)
+        ty = _interleave(y, self.width, self.down)
         ty *= self.across
         ty += tx
         return ty
@@ -49,3 +47,19 @@ class BlockInterleaved(Distribution):
 
     def describe(self) -> str:
         return f"block{self.width}x{self.num_processors}"
+
+
+def _interleave(v: np.ndarray, width: int, period: int) -> np.ndarray:
+    """``(v // width) % period`` as a new ``int32`` array.
+
+    Power-of-two widths and grid sides (every Figure 8 point) take a
+    shift and a mask, several times faster than numpy's integer
+    division; both equal floor division and floor modulo for any sign.
+    """
+    v = np.asarray(v, dtype=np.int32)
+    v = v >> (width.bit_length() - 1) if width & (width - 1) == 0 else v // width
+    if period & (period - 1) == 0:
+        v &= period - 1
+    else:
+        v %= period
+    return v

@@ -10,11 +10,7 @@ class ConfigurationError(ReproError):
 
 
 class SimulationError(ReproError):
-    """The discrete-event simulation reached an inconsistent state."""
-
-
-class DeadlockError(SimulationError):
-    """No event is pending but at least one process is still blocked."""
+    """A timing model reached an inconsistent state."""
 
 
 class TraceFormatError(ReproError):

@@ -12,7 +12,7 @@ Three cooperating pieces:
   default**.  ``enable_tracing()`` swaps the no-op
   :data:`NULL_RECORDER` for an :class:`EventRecorder` that captures
   per-node busy/stall spans, distributor blocking and FIFO occupancy
-  from the sim kernel, exportable as Chrome ``chrome://tracing`` JSON
+  from the timing models, exportable as Chrome ``chrome://tracing`` JSON
   (``--trace-out``).  Simulation results are bit-identical with the
   recorder on or off; with it off, instrumented sites cost one
   ``is not None``/attribute check.

@@ -1,13 +1,14 @@
-"""Event recorder for the sim kernel, with Chrome-trace export.
+"""Event recorder for the timing models, with Chrome-trace export.
 
 The recorder is the opt-in half of the observability layer.  When
 enabled (``repro.obs.enable_tracing()`` or the CLI's ``--trace-out``),
-the sim kernel, the bounded FIFOs, the node timing model and the host
-pipeline stages feed it timestamped records:
+the finite-FIFO machine (its distributor, triangle FIFOs and nodes),
+the node timing model and the host pipeline stages feed it timestamped
+records:
 
 * **spans** — a named interval on a *track* (busy/stall per node,
   blocked time on the distributor, process lifetimes, host stages);
-* **values** — a sampled series (FIFO occupancy at each put/get);
+* **values** — a sampled series (FIFO occupancy at each store/take);
 * **instants** — point events.
 
 A track is a ``(process, thread)`` label pair — e.g. ``("sim",
@@ -220,7 +221,7 @@ class EventRecorder:
         """Per-series sample stats plus a power-of-two histogram.
 
         This is where the FIFO occupancy histograms come from: each
-        bounded FIFO samples its depth at every put/get, and the
+        triangle FIFO samples its depth at every store/take, and the
         summary buckets those samples by ``<= 0, 1, 2, 4, 8, ...``.
         """
         out: Dict[str, Dict[str, object]] = {}

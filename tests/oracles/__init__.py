@@ -1,10 +1,11 @@
 """Test-only reference implementations (oracles).
 
 ``src/`` ships one implementation per pipeline layer: the batch scan
-converter and the chunk-parallel LRU replay.  The straightforward
-per-triangle and per-access versions they were derived from live
-here, unchanged, so equivalence property tests can compare the
-shipped code against them bit for bit:
+converter, the chunk-parallel LRU replay and the one-pass finite-FIFO
+recurrence.  The straightforward per-triangle, per-access and
+event-driven versions they were derived from live here, unchanged, so
+equivalence property tests can compare the shipped code against them
+bit for bit:
 
 * :mod:`tests.oracles.raster` — triangle setup (edge equations, the
   top-left fill rule) and the one-triangle-at-a-time rasterizer;
@@ -12,9 +13,14 @@ shipped code against them bit for bit:
   ``access`` walk and the scalar per-set replay;
 * :mod:`tests.oracles.replay` — the per-node cache replay the shared
   node partition replaced: an ``int64`` argsort, a full copy of each
-  node's fragments and a replay loop of its own.
+  node's fragments and a replay loop of its own;
+* :mod:`tests.oracles.kernel`, :mod:`tests.oracles.fifo` and
+  :mod:`tests.oracles.event_machine` — the discrete-event kernel, its
+  blocking bounded FIFO and the distributor and node processes that
+  ran the finite-FIFO machine on it.
 """
 
+from tests.oracles.event_machine import reference_event_machine
 from tests.oracles.lru import ReferenceLru
 from tests.oracles.raster import (
     EdgeEquations,
@@ -29,6 +35,7 @@ __all__ = [
     "ReferenceLru",
     "rasterize_scene_scalar",
     "rasterize_triangle",
+    "reference_event_machine",
     "reference_replay",
     "replay_node",
     "triangle_setup",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import MachineConfig, simulate_machine, single_processor_baseline, speedup
 from repro.core.distributor import interleave_stream, run_event_machine
 from repro.core.routing import build_routed_work
@@ -181,6 +182,31 @@ class TestTimingModes:
         assert event.cycles == pytest.approx(fast.cycles)
         assert np.allclose(event.timings.finish, fast.timings.finish)
         assert np.allclose(event.timings.busy, fast.timings.busy)
+        assert np.array_equal(event.timings.stall, fast.timings.stall)
+
+    @pytest.mark.parametrize("fifo", [10000, 8], ids=["fast", "finite-fifo"])
+    @pytest.mark.parametrize("geometry_engines", [0, 2], ids=["ideal", "geometry"])
+    def test_stall_is_bus_stall_on_both_paths(self, tiny_bench_scene, fifo, geometry_engines):
+        """``timings.stall`` counts bus stall only, never starvation:
+        it equals the traced stall spans whichever path runs."""
+        dist = BlockInterleaved(4, 16)
+        config = MachineConfig(
+            distribution=dist,
+            fifo_capacity=fifo,
+            geometry_engines=geometry_engines,
+            geometry_cycles=200,
+        )
+        recorder = obs.enable_tracing()
+        try:
+            result = simulate_machine(tiny_bench_scene, config)
+        finally:
+            obs.disable_tracing()
+        traced = recorder.node_summary()
+        assert result.timings.stall.tolist() == [
+            traced[f"node-{node}"]["stall_cycles"] for node in range(4)
+        ]
+        if fifo == 8:
+            assert result.extras["distributor_blocked_cycles"] > 0
 
     def test_auto_matches_forced_fast_on_big_fifo(self, tiny_bench_scene):
         """One entry past the deepest stream already takes the fast path."""

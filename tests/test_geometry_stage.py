@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import MachineConfig, simulate_machine
 from repro.core.distributor import interleave_stream, run_event_machine
-from repro.core.geometry_stage import geometry_release_times, throttle_stream
+from repro.core.geometry_stage import geometry_release_times
 from repro.core.routing import build_routed_work
 from repro.distribution import BlockInterleaved, SingleProcessor
 from repro.errors import ConfigurationError
@@ -38,14 +38,6 @@ class TestReleaseTimes:
             geometry_release_times(4, 0, 10.0)
         with pytest.raises(ConfigurationError):
             geometry_release_times(4, 2, -1.0)
-
-    def test_throttle_stream_shapes(self):
-        stream = [(0, 30, 0), (1, 40, 16)]
-        release = np.array([5.0, 9.0])
-        throttled = throttle_stream(stream, [0, 1], release)
-        assert throttled == [(5.0, 0, 30, 0), (9.0, 1, 40, 16)]
-        with pytest.raises(ConfigurationError):
-            throttle_stream(stream, [0], release)
 
 
 class TestGeometryBoundMachine:

@@ -12,7 +12,6 @@ from repro.core.results import MachineResult, NodeTimings
 from repro.distribution import BlockInterleaved
 from repro.errors import (
     ConfigurationError,
-    DeadlockError,
     ReproError,
     SimulationError,
     TraceFormatError,
@@ -25,7 +24,6 @@ class TestErrorHierarchy:
     def test_all_errors_are_repro_errors(self):
         for error in (ConfigurationError, SimulationError, TraceFormatError):
             assert issubclass(error, ReproError)
-        assert issubclass(DeadlockError, SimulationError)
 
     def test_catchable_as_base(self):
         with pytest.raises(ReproError):

@@ -1,11 +1,12 @@
-"""Tests for the blocking bounded FIFO."""
+"""Tests for the blocking bounded FIFO the finite-FIFO oracle runs on."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.sim import BoundedFifo, Simulator
+from tests.oracles.fifo import BoundedFifo
+from tests.oracles.kernel import Simulator
 
 
 def test_capacity_must_be_positive():

@@ -1,10 +1,9 @@
-"""Tests for the discrete-event kernel."""
+"""Tests for the discrete-event kernel the finite-FIFO oracle runs on."""
 
 import pytest
 
-from repro.errors import DeadlockError, SimulationError
-from repro.sim import Simulator
-from repro.sim.kernel import Event
+from repro.errors import SimulationError
+from tests.oracles.kernel import DeadlockError, Event, Simulator
 
 
 def test_timeout_advances_clock():
@@ -154,8 +153,9 @@ def test_run_all_detects_starved_process():
         yield never
 
     process = sim.process(stuck(), name="stuck")
-    with pytest.raises(DeadlockError, match="stuck"):
+    with pytest.raises(DeadlockError, match="stuck") as info:
         sim.run_all([process])
+    assert isinstance(info.value, SimulationError)
 
 
 def test_many_interleaved_processes_keep_consistent_time():
