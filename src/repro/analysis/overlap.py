@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-import numpy as np
-
 from repro.analysis.tables import format_table
 from repro.core.routing import route_triangles
 from repro.distribution.assigned import TileGrid
@@ -51,8 +49,8 @@ def scene_measured_overlap(scene: Scene, tile: int) -> float:
     if scene.num_triangles == 0:
         return 0.0
     grid = TileGrid(tile, scene.width, scene.height)
-    routed = route_triangles(scene, grid)
-    return float(np.mean([len(nodes) for nodes in routed]))
+    routed_pairs = sum(map(len, route_triangles(scene, grid)))
+    return routed_pairs / scene.num_triangles
 
 
 def overlap_validation(scene: Scene, tiles: Iterable[int]) -> str:

@@ -89,12 +89,15 @@ def replay_fragments(
                 result.compulsory_misses += now_seen - seen_count
                 seen_count = now_seen
             # Attribute fetched texels to the owning triangles for the
-            # timing model's per-triangle bus demand.
+            # timing model's per-triangle bus demand, gathering the
+            # triangle ids of the miss rows only.
             frag_rows = miss_rows // TEXELS_PER_FRAGMENT
-            triangles = fragments.triangle[take][frag_rows]
+            frag_rows += start
+            if rows is not None:
+                frag_rows = rows[frag_rows]
             np.add.at(
                 result.texels_by_triangle,
-                triangles,
+                fragments.triangle[frag_rows],
                 model.texels_per_fetch,
             )
     return result

@@ -17,9 +17,10 @@ everything.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+from itertools import chain
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,14 +41,29 @@ if TYPE_CHECKING:
 #: Cache model spec accepted everywhere a machine is configured.
 CacheSpec = Union[str, TextureCacheModel, None]
 
+#: A stream's ``distribution.owners`` column, or a zero-argument
+#: callable that computes it: the pipeline hands both stages one
+#: memoized callable, so the pass runs inside whichever stage needs it
+#: first, and at most once.
+Owners = Union[np.ndarray, Callable[[], np.ndarray]]
+
+#: Layout tag of :class:`RoutingPlan` in artifact keys.  ``routed``
+#: holds per-node triangle lists; a plan pickled under an older layout
+#: (per-triangle node lists) in an artifact directory keeps its old key
+#: and is never read back as this one.
+PLAN_FORMAT = "per-node"
+
+#: Screen positions of a triangle's three vertices in one C-level sweep.
+_POSITIONS = attrgetter(*(f"v{i}.{axis}" for i in range(3) for axis in "xy"))
+
 
 @dataclass
 class RoutingPlan:
     """The geometry half of routed work: where triangles and pixels go.
 
-    ``routed[t]`` are the nodes triangle ``t`` is sent to;
-    ``pixel_matrix`` is the flattened (triangle, node) pixel count
-    table; ``node_pixels`` the per-node totals.  Everything here is
+    ``routed[n]`` are the ids of the triangles sent to node ``n``, in
+    submission order; ``pixel_matrix`` is the flattened (triangle,
+    node) pixel count table; ``node_pixels`` the per-node totals.  Everything here is
     independent of the cache model, so one plan serves every cache and
     timing configuration of the same (scene, distribution, routing
     mode).
@@ -103,6 +119,11 @@ class RoutedWork:
         return (self.node_work.max() / average - 1.0) * 100.0
 
 
+def _owners_of(owners: Owners) -> np.ndarray:
+    """The owners column, computing it if ``owners`` is a callable."""
+    return owners() if callable(owners) else owners
+
+
 def partition_by_node(
     owners: np.ndarray, num_nodes: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -126,67 +147,85 @@ def partition_by_node(
     return order, bounds
 
 
+def _triangle_boxes(scene: Scene) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Inclusive pixel box ``(x0, y0, x1, y1)`` of every triangle, clamped to the screen.
+
+    One attribute sweep reads the vertex positions; the ``floor`` /
+    ``ceil`` / clamp expressions run on ``float64`` columns, where every
+    intermediate is an exact integer, and only the clamped results are
+    cast to ``int64``.
+    """
+    count = scene.num_triangles
+    positions = chain.from_iterable(map(_POSITIONS, scene.triangles))
+    table = np.fromiter(positions, dtype=np.float64, count=6 * count)
+    ax, ay, bx, by, cx, cy = table.reshape(count, 6).T
+    width, height = scene.width - 1.0, scene.height - 1.0
+    x0 = np.clip(np.floor(np.minimum(np.minimum(ax, bx), cx)), 0.0, width)
+    y0 = np.clip(np.floor(np.minimum(np.minimum(ay, by), cy)), 0.0, height)
+    x1 = np.ceil(np.maximum(np.maximum(ax, bx), cx)) - 1.0
+    y1 = np.ceil(np.maximum(np.maximum(ay, by), cy)) - 1.0
+    x1 = np.minimum(width, np.maximum(x0, x1))
+    y1 = np.minimum(height, np.maximum(y0, y1))
+    return x0.astype(np.int64), y0.astype(np.int64), x1.astype(np.int64), y1.astype(np.int64)
+
+
 def route_triangles(scene: Scene, distribution: Distribution) -> List[np.ndarray]:
-    """Bounding-box routing: nodes each triangle is sent to, per triangle.
+    """Bounding-box routing: per node, the triangles sent to it, in submission order.
 
     This is what a real sort-middle distributor computes — it may route
     a triangle to a node whose tiles its box grazes without covering a
     pixel; that node still pays the 25-cycle setup (the small-triangle
-    overhead of Section 2.3).
+    overhead of Section 2.3).  The pairs come in triangle order, so
+    the stable partition by node keeps each node's list in submission
+    order.
     """
-    width, height = scene.width, scene.height
-    routed: List[np.ndarray] = []
-    for triangle in scene.triangles:
-        min_x, min_y, max_x, max_y = triangle.bounding_box()
-        x0 = min(width - 1, max(0, int(math.floor(min_x))))
-        y0 = min(height - 1, max(0, int(math.floor(min_y))))
-        x1 = min(width - 1, max(x0, int(math.ceil(max_x)) - 1))
-        y1 = min(height - 1, max(y0, int(math.ceil(max_y)) - 1))
-        routed.append(distribution.nodes_in_box(x0, y0, x1, y1))
-    return routed
+    triangle, node = distribution.nodes_in_boxes(*_triangle_boxes(scene))
+    order, bounds = partition_by_node(node, distribution.num_processors)
+    return np.split(triangle[order], bounds[1:-1])
 
 
 def route_by_coverage(
     pixel_matrix: np.ndarray, num_triangles: int, num_processors: int
 ) -> List[np.ndarray]:
-    """Exact-coverage routing: only nodes that draw >= 1 pixel.
+    """Exact-coverage routing: per node, the triangles it draws >= 1 pixel of.
 
     The idealised contrast case for the routing ablation — it needs
     oracle knowledge of the rasterisation, so no real distributor can
     implement it, but it isolates how much the grazed-tile setup slots
     of bounding-box routing cost.
     """
-    routed: List[np.ndarray] = []
-    for tri_id in range(num_triangles):
-        row = pixel_matrix[tri_id * num_processors : (tri_id + 1) * num_processors]
-        routed.append(np.flatnonzero(row))
-    return routed
+    by_node = pixel_matrix.reshape(num_triangles, num_processors).T
+    node, triangle = np.nonzero(by_node)
+    bounds = np.searchsorted(node, np.arange(1, num_processors))
+    return np.split(triangle, bounds)
 
 
 def compute_routing_plan(
     scene: Scene,
     distribution: Distribution,
     fragments: "FragmentBuffer",
-    owners: np.ndarray,
+    owners: Owners,
     route_by: str = "bbox",
 ) -> RoutingPlan:
     """Route a fragment stream: the cache-independent half of the work.
 
-    ``owners`` is ``distribution.owners`` of the stream.
+    ``owners`` is ``distribution.owners`` of the stream, or a callable
+    that returns it.
     """
     if route_by not in ("bbox", "coverage"):
         raise ConfigurationError(f"route_by must be bbox or coverage, got {route_by!r}")
     n_proc = distribution.num_processors
     n_tri = scene.num_triangles
 
+    frame_owners = _owners_of(owners)
     # Pixels drawn per (triangle, node); the key is built in place so
     # one frame-sized temporary is alive at a time.
     key = fragments.triangle.astype(np.int64)
     key *= n_proc
-    key += owners
+    key += frame_owners
     pixel_matrix = np.bincount(key, minlength=n_tri * n_proc)
     del key
-    node_pixels = np.bincount(owners, minlength=n_proc).astype(np.int64)
+    node_pixels = np.bincount(frame_owners, minlength=n_proc).astype(np.int64)
 
     if route_by == "bbox":
         routed = route_triangles(scene, distribution)
@@ -205,7 +244,7 @@ def compute_replay(
     scene: Scene,
     distribution: Distribution,
     fragments: "FragmentBuffer",
-    owners: np.ndarray,
+    owners: Owners,
     cache_spec: CacheSpec = "lru",
     cache_config: Optional["CacheConfig"] = None,
     layout: Optional["TextureMemoryLayout"] = None,
@@ -214,7 +253,8 @@ def compute_replay(
 ) -> ReplayResult:
     """Replay every node's fragment stream through its private cache.
 
-    ``owners`` is ``distribution.owners`` of the stream.  The frame is
+    ``owners`` is ``distribution.owners`` of the stream, or a callable
+    that returns it (a perfect cache never calls it).  The frame is
     partitioned by node once (:func:`partition_by_node`); each node's
     replay gathers only the columns the filter and the cache read,
     chunk by chunk, straight from the frame's buffer.
@@ -246,7 +286,7 @@ def compute_replay(
         texels_per_node_tri = [zero for _ in range(n_proc)]
     else:
         # Per-node cache replay, in each node's own stream order.
-        order, bounds = partition_by_node(owners, n_proc)
+        order, bounds = partition_by_node(_owners_of(owners), n_proc)
         for node in range(n_proc):
             model = make_cache_model(cache_spec, cache_config)
             if model.texels_per_fetch != 1:
@@ -276,31 +316,11 @@ def assemble_routed_work(
 ) -> RoutedWork:
     """Combine a routing plan and a cache replay into per-node work lists."""
     n_proc = plan.num_processors
-    routed = plan.routed
-    if routed:
-        lengths = np.fromiter(
-            (len(nodes) for nodes in routed), dtype=np.int64, count=len(routed)
-        )
-        tri_ids = np.repeat(np.arange(len(routed), dtype=np.int64), lengths)
-        node_ids = np.concatenate([np.asarray(n, dtype=np.int64) for n in routed])
-    else:
-        tri_ids = np.zeros(0, dtype=np.int64)
-        node_ids = np.zeros(0, dtype=np.int64)
-    # Stable sort by node keeps each node's triangles in submission order.
-    order = np.argsort(node_ids, kind="stable")
-    sorted_nodes = node_ids[order]
-    sorted_tris = tri_ids[order]
-    starts = np.searchsorted(sorted_nodes, np.arange(n_proc))
-    ends = np.searchsorted(sorted_nodes, np.arange(n_proc) + 1)
-
     empty = np.zeros(0, dtype=np.int64)
-    triangles: List[np.ndarray] = []
     pixels: List[np.ndarray] = []
     texels: List[np.ndarray] = []
     node_work = np.zeros(n_proc, dtype=np.int64)
-    for node in range(n_proc):
-        ids = sorted_tris[starts[node] : ends[node]]
-        triangles.append(ids)
+    for node, ids in enumerate(plan.routed):
         if len(ids):
             px = plan.pixel_matrix[ids * n_proc + node]
             tx = replay.texels_per_node_tri[node][ids]
@@ -312,7 +332,7 @@ def assemble_routed_work(
 
     return RoutedWork(
         num_processors=n_proc,
-        triangles=triangles,
+        triangles=list(plan.routed),
         pixels=pixels,
         texels=texels,
         node_pixels=plan.node_pixels,

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.distribution.base import Distribution
+from repro.distribution.base import Distribution, Pairs, box_cells, unique_pairs
 from repro.errors import ConfigurationError
 
 
@@ -50,12 +50,19 @@ class TileGrid(Distribution):
         ty = np.asarray(y, dtype=np.int32) // self.width
         return ty * self.tiles_x + tx
 
-    def nodes_in_box(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
-        tx0, tx1 = x0 // self.width, min(x1 // self.width, self.tiles_x - 1)
-        ty0, ty1 = y0 // self.width, min(y1 // self.width, self.tiles_y - 1)
-        txs = np.arange(tx0, tx1 + 1)
-        tys = np.arange(ty0, ty1 + 1)
-        return (tys[:, None] * self.tiles_x + txs[None, :]).ravel()
+    def nodes_in_boxes(
+        self, x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray
+    ) -> Pairs:
+        tx0, ty0 = x0 // self.width, y0 // self.width
+        span_x = np.minimum(x1 // self.width, self.tiles_x - 1) - tx0 + 1
+        span_y = np.minimum(y1 // self.width, self.tiles_y - 1) - ty0 + 1
+        box, rank = box_cells(np.maximum(span_x, 0) * np.maximum(span_y, 0))
+        ty, tx = np.divmod(rank, span_x[box])
+        tx += tx0[box]
+        ty += ty0[box]
+        ty *= self.tiles_x
+        ty += tx
+        return box, ty
 
     def describe(self) -> str:
         return f"tiles{self.width}({self.tiles_x}x{self.tiles_y})"
@@ -87,9 +94,11 @@ class AssignedTiles(Distribution):
     def owners(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self._owner_table[self.grid.owners(x, y)]
 
-    def nodes_in_box(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
-        tiles = self.grid.nodes_in_box(x0, y0, x1, y1)
-        return np.unique(self.assignment[tiles])
+    def nodes_in_boxes(
+        self, x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray
+    ) -> Pairs:
+        box, tiles = self.grid.nodes_in_boxes(x0, y0, x1, y1)
+        return unique_pairs(box, self.assignment[tiles], self.num_processors)
 
     def describe(self) -> str:
         return f"{self.label}{self.grid.width}x{self.num_processors}"

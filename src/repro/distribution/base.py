@@ -8,10 +8,14 @@ hard-coded in a commodity chip that clips while drawing.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+
+#: ``(box, node)`` index pairs, as two aligned ``int64`` arrays.
+Pairs = Tuple[np.ndarray, np.ndarray]
 
 
 class Distribution(ABC):
@@ -33,15 +37,24 @@ class Distribution(ABC):
         """
 
     @abstractmethod
-    def nodes_in_box(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
-        """Sorted unique processors whose tiles intersect a pixel box.
+    def nodes_in_boxes(
+        self, x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray
+    ) -> Pairs:
+        """Processors whose tiles intersect each pixel box, as pairs.
 
-        The box is inclusive: pixels ``x0..x1`` by ``y0..y1``.  This is
-        what the triangle distributor uses for bounding-box routing, so
-        it may over-approximate coverage (a processor can receive a
-        triangle that contributes no pixel to it — it still pays the
-        25-cycle setup, which is precisely the small-triangle overhead).
+        Box ``i`` is inclusive: pixels ``x0[i]..x1[i]`` by
+        ``y0[i]..y1[i]``.  Returns ``(box, node)`` ``int64`` arrays of
+        unique pairs sorted by box, then node.  This is what the
+        triangle distributor uses for bounding-box routing, so it may
+        over-approximate coverage (a processor can receive a triangle
+        that contributes no pixel to it — it still pays the 25-cycle
+        setup, which is precisely the small-triangle overhead).
         """
+
+    def nodes_in_box(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
+        """Sorted unique processors whose tiles intersect one pixel box."""
+        corners = (np.array([value], dtype=np.int64) for value in (x0, y0, x1, y1))
+        return self.nodes_in_boxes(*corners)[1]
 
     @abstractmethod
     def describe(self) -> str:
@@ -76,3 +89,29 @@ def processor_grid(num_processors: int) -> tuple:
     while num_processors % down:
         down -= 1
     return num_processors // down, down
+
+
+def box_cells(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(box, rank)`` of every cell when box ``i`` holds ``counts[i]`` cells.
+
+    Box ids are ascending; ranks run ``0..counts[i] - 1`` within a box.
+    Negative counts (inverted boxes) hold no cell.
+    """
+    counts = np.maximum(counts, 0)
+    box = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    first = np.cumsum(counts) - counts
+    rank = np.arange(len(box), dtype=np.int64) - first[box]
+    return box, rank
+
+
+def unique_pairs(box: np.ndarray, node: np.ndarray, num_processors: int) -> Pairs:
+    """Unique ``(box, node)`` pairs sorted by box, then node.
+
+    The cells arrive sorted by box, so the stable (merge-based) sort of
+    the combined key only merges short runs; ``np.unique`` would hash.
+    """
+    key = np.sort(box * num_processors + node, kind="stable")
+    fresh = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    key = key[fresh]
+    return np.divmod(key, num_processors)

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distribution.base import Distribution, processor_grid
+from repro.distribution.base import (
+    Distribution,
+    Pairs,
+    box_cells,
+    processor_grid,
+    unique_pairs,
+)
 from repro.errors import ConfigurationError
 
 
@@ -32,18 +38,23 @@ class BlockInterleaved(Distribution):
         ty += tx
         return ty
 
-    def nodes_in_box(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
-        tx0, tx1 = x0 // self.width, x1 // self.width
-        ty0, ty1 = y0 // self.width, y1 // self.width
-        # Distinct column classes and row classes the box touches; the
+    def nodes_in_boxes(
+        self, x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray
+    ) -> Pairs:
+        tx0, ty0 = x0 // self.width, y0 // self.width
+        # Distinct column classes and row classes each box touches; its
         # node set is their cross product.
-        span_x = min(tx1 - tx0 + 1, self.across)
-        span_y = min(ty1 - ty0 + 1, self.down)
-        cols = (tx0 + np.arange(span_x)) % self.across
-        rows = (ty0 + np.arange(span_y)) % self.down
-        nodes = (cols[None, :] + self.across * rows[:, None]).ravel()
-        nodes.sort()
-        return nodes
+        span_x = np.minimum(x1 // self.width - tx0 + 1, self.across)
+        span_y = np.minimum(y1 // self.width - ty0 + 1, self.down)
+        box, rank = box_cells(np.maximum(span_x, 0) * np.maximum(span_y, 0))
+        row, col = np.divmod(rank, span_x[box])
+        col += tx0[box]
+        col %= self.across
+        row += ty0[box]
+        row %= self.down
+        row *= self.across
+        row += col
+        return unique_pairs(box, row, self.num_processors)
 
     def describe(self) -> str:
         return f"block{self.width}x{self.num_processors}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distribution.base import Distribution
+from repro.distribution.base import Distribution, Pairs, box_cells
 from repro.errors import ConfigurationError
 
 
@@ -30,10 +30,15 @@ class ContiguousBands(Distribution):
         owners = y * self.num_processors // self.screen_height
         return np.clip(owners, 0, self.num_processors - 1)
 
-    def nodes_in_box(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
-        first = int(min(y0, self.screen_height - 1) * self.num_processors // self.screen_height)
-        last = int(min(y1, self.screen_height - 1) * self.num_processors // self.screen_height)
-        return np.arange(first, last + 1)
+    def nodes_in_boxes(
+        self, x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray
+    ) -> Pairs:
+        last_line = self.screen_height - 1
+        first = np.minimum(y0, last_line) * self.num_processors // self.screen_height
+        last = np.minimum(y1, last_line) * self.num_processors // self.screen_height
+        box, rank = box_cells(last - first + 1)
+        rank += first[box]
+        return box, rank
 
     def describe(self) -> str:
         return f"bands{self.num_processors}"

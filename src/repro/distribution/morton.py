@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distribution.base import Distribution
+from repro.distribution.base import Distribution, Pairs, box_cells, unique_pairs
 from repro.errors import ConfigurationError
 
 #: Supported coordinate magnitude (tiles per axis) for bit interleave.
@@ -58,14 +58,18 @@ class MortonInterleaved(Distribution):
         ty = np.asarray(y, dtype=np.int32) // self.width
         return (morton_index(tx, ty) % self.num_processors).astype(np.int32)
 
-    def nodes_in_box(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
-        tx0, tx1 = x0 // self.width, x1 // self.width
-        ty0, ty1 = y0 // self.width, y1 // self.width
-        txs = np.arange(tx0, tx1 + 1)
-        tys = np.arange(ty0, ty1 + 1)
-        grid_x, grid_y = np.meshgrid(txs, tys)
-        owners = morton_index(grid_x.ravel(), grid_y.ravel()) % self.num_processors
-        return np.unique(owners).astype(np.int64)
+    def nodes_in_boxes(
+        self, x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray
+    ) -> Pairs:
+        tx0, ty0 = x0 // self.width, y0 // self.width
+        span_x = x1 // self.width - tx0 + 1
+        span_y = y1 // self.width - ty0 + 1
+        box, rank = box_cells(np.maximum(span_x, 0) * np.maximum(span_y, 0))
+        ty, tx = np.divmod(rank, span_x[box])
+        tx += tx0[box]
+        ty += ty0[box]
+        owners = morton_index(tx, ty) % self.num_processors
+        return unique_pairs(box, owners, self.num_processors)
 
     def describe(self) -> str:
         return f"morton{self.width}x{self.num_processors}"

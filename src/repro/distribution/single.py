@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distribution.base import Distribution
+from repro.distribution.base import Distribution, Pairs
 
 
 class SingleProcessor(Distribution):
@@ -16,8 +16,10 @@ class SingleProcessor(Distribution):
     def owners(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.zeros(np.shape(np.asarray(x)), dtype=np.int32)
 
-    def nodes_in_box(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
-        return np.zeros(1, dtype=np.int64)
+    def nodes_in_boxes(
+        self, x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray
+    ) -> Pairs:
+        return np.arange(len(x0), dtype=np.int64), np.zeros(len(x0), dtype=np.int64)
 
     def describe(self) -> str:
         return "single"

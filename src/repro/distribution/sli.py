@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distribution.base import Distribution
+from repro.distribution.base import Distribution, Pairs, box_cells, unique_pairs
 from repro.errors import ConfigurationError
 
 
@@ -26,12 +26,15 @@ class ScanLineInterleaved(Distribution):
         group = np.asarray(y, dtype=np.int32) // self.lines
         return group % self.num_processors
 
-    def nodes_in_box(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
-        g0, g1 = y0 // self.lines, y1 // self.lines
-        span = min(g1 - g0 + 1, self.num_processors)
-        nodes = (g0 + np.arange(span)) % self.num_processors
-        nodes.sort()
-        return nodes
+    def nodes_in_boxes(
+        self, x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray
+    ) -> Pairs:
+        g0 = y0 // self.lines
+        span = np.minimum(y1 // self.lines - g0 + 1, self.num_processors)
+        box, rank = box_cells(span)
+        rank += g0[box]
+        rank %= self.num_processors
+        return unique_pairs(box, rank, self.num_processors)
 
     def describe(self) -> str:
         return f"sli{self.lines}x{self.num_processors}"

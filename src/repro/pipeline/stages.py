@@ -106,8 +106,10 @@ def routed_work(
     key through its current-mapping ``cache_key()``, so a memoized
     replay can never leak across residency states.
 
-    Both stages read the stream's ``distribution.owners``; it is
-    computed at most once per call and kept in neither artifact.
+    Both stages read the stream's ``distribution.owners``; they get one
+    memoized callable, so the pass runs inside the first stage that
+    needs it (and is timed with it), at most once per call, and is kept
+    in neither artifact.
     """
     from repro.core import routing
 
@@ -125,11 +127,15 @@ def routed_work(
     owners = None
 
     def frame():
-        nonlocal owners
         frags = fragments if fragments is not None else fragments_artifact(scene)
-        if owners is None:
-            owners = distribution.owners(frags.x, frags.y)
-        return frags, owners
+
+        def frame_owners():
+            nonlocal owners
+            if owners is None:
+                owners = distribution.owners(frags.x, frags.y)
+            return owners
+
+        return frags, frame_owners
 
     def plan():
         frags, frag_owners = frame()
@@ -160,7 +166,7 @@ def routed_work(
 
     s = store()
     dist_part = keys.distribution_key(distribution)
-    plan_key = f"{scene_id}/{dist_part}/{route_by}"
+    plan_key = f"{scene_id}/{dist_part}/{route_by}/{routing.PLAN_FORMAT}"
     replay_key = (
         f"{scene_id}/{dist_part}/{cache_part}/{layout_part}/chunk{chunk_size or 0}"
     )

@@ -19,6 +19,18 @@ from repro.texture.layout import TextureMemoryLayout
 TEXELS_PER_FRAGMENT = 8
 
 
+def _wrapped_floor(
+    coord: np.ndarray, scale: np.ndarray, mask: np.ndarray, itype: type
+) -> np.ndarray:
+    """``floor(coord * scale - 0.5)`` wrapped by ``& mask``, as ``itype``."""
+    scaled = coord * scale
+    scaled -= 0.5
+    np.floor(scaled, out=scaled)
+    wrapped = scaled.astype(itype)
+    wrapped &= mask
+    return wrapped
+
+
 class TrilinearFilter:
     """Generates trilinear texel footprints against a memory layout."""
 
@@ -90,9 +102,11 @@ class TrilinearFilter:
         Fused fast path: the generic :meth:`_footprint` re-gathers the
         layout tables through :meth:`TextureMemoryLayout.slot` for every
         corner; here each level half gathers its slot row once and the
-        four corner addresses share the row term.  Every elementwise
-        operation matches the generic path expression for expression
-        (the footprint property test pins the equivalence bit for bit).
+        four corner addresses share the row term, computed in place.
+        Every value matches the generic path's: the coordinates are the
+        same expressions, and the wrap by mask equals its ``%`` on the
+        power-of-two level sides (the footprint property test pins the
+        equivalence bit for bit).
         """
         layout = self.layout
         n = len(u)
@@ -126,22 +140,35 @@ class TrilinearFilter:
             slots = texture_ids * max_levels + np.minimum(
                 lvl, num_levels[texture_ids] - 1
             )
-            width = level_width[slots]
-            height = level_height[slots]
+            # Level sides are powers of two (1 for the tail levels), so
+            # wrapping is a mask: ``x & (side - 1)`` is ``x % side`` for
+            # every sign.
+            width_mask = level_width[slots]
+            width_mask -= 1
+            height_mask = level_height[slots]
+            height_mask -= 1
             scale = np.ldexp(1.0, -lvl.astype(np.int32))
-            i0 = np.floor(u * scale - 0.5).astype(itype) % width
-            j0 = np.floor(v * scale - 0.5).astype(itype) % height
-            i1 = (i0 + 1) % width
-            j1 = (j0 + 1) % height
-            bi0 = i0 >> layout._shift_w
-            bi1 = i1 >> layout._shift_w
-            row0 = line_base[slots] + (j0 >> layout._shift_h) * blocks_wide[slots]
-            row1 = line_base[slots] + (j1 >> layout._shift_h) * blocks_wide[slots]
+            i0 = _wrapped_floor(u, scale, width_mask, itype)
+            j0 = _wrapped_floor(v, scale, height_mask, itype)
+            i1 = i0 + 1
+            i1 &= width_mask
+            j1 = j0 + 1
+            j1 &= height_mask
+            i0 >>= layout._shift_w
+            i1 >>= layout._shift_w
+            row_base = line_base[slots]
+            row_stride = blocks_wide[slots]
+            j0 >>= layout._shift_h
+            j0 *= row_stride
+            j0 += row_base
+            j1 >>= layout._shift_h
+            j1 *= row_stride
+            j1 += row_base
             base = half * 4
-            out[:, base + 0] = row0 + bi0
-            out[:, base + 1] = row0 + bi1
-            out[:, base + 2] = row1 + bi0
-            out[:, base + 3] = row1 + bi1
+            np.add(j0, i0, out=out[:, base + 0])
+            np.add(j0, i1, out=out[:, base + 1])
+            np.add(j1, i0, out=out[:, base + 2])
+            np.add(j1, i1, out=out[:, base + 3])
         return out
 
     def texel_addresses(

@@ -1,11 +1,11 @@
 """Test-only reference implementations (oracles).
 
 ``src/`` ships one implementation per pipeline layer: the batch scan
-converter, the chunk-parallel LRU replay and the one-pass finite-FIFO
-recurrence.  The straightforward per-triangle, per-access and
-event-driven versions they were derived from live here, unchanged, so
-equivalence property tests can compare the shipped code against them
-bit for bit:
+converter, the columnar triangle router, the chunk-parallel LRU replay
+and the one-pass finite-FIFO recurrence.  The straightforward
+per-triangle, per-access and event-driven versions they were derived
+from live here, unchanged, so equivalence property tests can compare
+the shipped code against them bit for bit:
 
 * :mod:`tests.oracles.raster` — triangle setup (edge equations, the
   top-left fill rule) and the one-triangle-at-a-time rasterizer;
@@ -14,6 +14,9 @@ bit for bit:
 * :mod:`tests.oracles.replay` — the per-node cache replay the shared
   node partition replaced: an ``int64`` argsort, a full copy of each
   node's fragments and a replay loop of its own;
+* :mod:`tests.oracles.routing` — per-triangle bounding-box routing:
+  one box clamp and one scalar ``nodes_in_box`` query per triangle,
+  with each distribution family's scalar body;
 * :mod:`tests.oracles.kernel`, :mod:`tests.oracles.fifo` and
   :mod:`tests.oracles.event_machine` — the discrete-event kernel, its
   blocking bounded FIFO and the distributor and node processes that
@@ -29,6 +32,7 @@ from tests.oracles.raster import (
     triangle_setup,
 )
 from tests.oracles.replay import reference_replay, replay_node
+from tests.oracles.routing import reference_nodes_in_box, reference_route_triangles
 
 __all__ = [
     "EdgeEquations",
@@ -36,7 +40,9 @@ __all__ = [
     "rasterize_scene_scalar",
     "rasterize_triangle",
     "reference_event_machine",
+    "reference_nodes_in_box",
     "reference_replay",
+    "reference_route_triangles",
     "replay_node",
     "triangle_setup",
 ]

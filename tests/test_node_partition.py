@@ -24,7 +24,12 @@ from hypothesis import strategies as st
 from repro import pipeline
 from repro.analysis.heatmap import ownership_map
 from repro.cache.config import CacheConfig
-from repro.core.routing import build_routed_work, compute_replay, partition_by_node
+from repro.core.routing import (
+    PLAN_FORMAT,
+    build_routed_work,
+    compute_replay,
+    partition_by_node,
+)
 from repro.distribution import (
     AssignedTiles,
     BlockInterleaved,
@@ -259,7 +264,7 @@ def test_memoized_hits_skip_owners_and_store_the_same_keys():
     SpyBlock.calls = 0
     build_routed_work(scene, spy)
     assert SpyBlock.calls == 0
-    plan = f"{scene.artifact_key}/{spy.fingerprint()}/bbox"
+    plan = f"{scene.artifact_key}/{spy.fingerprint()}/bbox/{PLAN_FORMAT}"
     replay = f"{scene.artifact_key}/{spy.fingerprint()}/lru/default/chunk0"
     store = pipeline.store()
     assert store.contains("fragments", scene.artifact_key)

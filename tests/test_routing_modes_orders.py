@@ -54,8 +54,7 @@ class TestCoverageRouting:
     def test_route_by_coverage_helper(self):
         pixel_matrix = np.array([0, 3, 0, 2, 0, 0, 5, 1])  # 2 tris x 4 nodes
         routed = route_by_coverage(pixel_matrix, 2, 4)
-        assert routed[0].tolist() == [1, 3]
-        assert routed[1].tolist() == [2, 3]
+        assert [ids.tolist() for ids in routed] == [[], [0], [1], [0, 1]]
 
 
 class TestEmitOrders:
