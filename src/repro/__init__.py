@@ -40,25 +40,18 @@ from repro.errors import (
     TraceFormatError,
 )
 from repro.geometry import (
-    Camera,
     Scene,
     SceneStatistics,
     Triangle,
-    Triangle3D,
     Vertex,
-    Vertex3D,
     load_trace,
-    project_triangles,
     save_trace,
-    textured_quad_3d,
 )
 from repro.texture import MipmappedTexture
-from repro.render import render_scene
 from repro.workloads import (
     SCENE_NAMES,
     SCENE_SPECS,
     SceneSpec,
-    build_all_scenes,
     build_scene,
     generate_scene,
 )
@@ -88,18 +81,11 @@ __all__ = [
     "load_trace",
     "save_trace",
     "MipmappedTexture",
-    "Camera",
-    "Vertex3D",
-    "Triangle3D",
-    "project_triangles",
-    "textured_quad_3d",
-    "render_scene",
     # workloads
     "SCENE_NAMES",
     "SCENE_SPECS",
     "SceneSpec",
     "build_scene",
-    "build_all_scenes",
     "generate_scene",
     # errors
     "ReproError",

@@ -88,18 +88,3 @@ class SpeedupStudy:
         (size, _count), value = best
         return size, value
 
-
-def speedup_sweep(
-    scene: Scene,
-    family: str,
-    sizes: Iterable[int],
-    processor_counts: Iterable[int],
-    cache: Union[str, object] = "lru",
-    bus_ratio: float = 1.0,
-    cache_config: Optional[CacheConfig] = None,
-) -> Dict[Tuple[int, int], float]:
-    """One-shot convenience wrapper over :class:`SpeedupStudy`."""
-    study = SpeedupStudy(
-        scene, cache=cache, cache_config=cache_config, bus_ratio=bus_ratio
-    )
-    return study.sweep(family, sizes, processor_counts)

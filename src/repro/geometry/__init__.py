@@ -10,14 +10,6 @@ from repro.geometry.vertex import Vertex
 from repro.geometry.triangle import Triangle
 from repro.geometry.scene import Scene, SceneStatistics
 from repro.geometry.trace import load_trace, save_trace
-from repro.geometry.transform import (
-    Camera,
-    Triangle3D,
-    Vertex3D,
-    project_triangle,
-    project_triangles,
-    textured_quad_3d,
-)
 
 __all__ = [
     "Vertex",
@@ -26,10 +18,4 @@ __all__ = [
     "SceneStatistics",
     "load_trace",
     "save_trace",
-    "Camera",
-    "Vertex3D",
-    "Triangle3D",
-    "project_triangle",
-    "project_triangles",
-    "textured_quad_3d",
 ]

@@ -6,7 +6,7 @@ reproduction's correctness rests on (DESIGN.md §9):
 
 * **determinism** (REPRO101–104) — no wall-clock reads, global PRNG
   state or set-iteration-order dependence inside the simulation core
-  (``repro.sim``, ``repro.core``, ``repro.cache``, ``repro.raster``);
+  (``repro.core``, ``repro.cache``, ``repro.raster``);
   sources are classified by :mod:`repro.lintkit.flow.taint`, the
   vocabulary REPRO111 shares;
 * **cycle accounting** (REPRO201–202) — no float ``==``/``!=`` on

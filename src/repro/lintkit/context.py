@@ -20,7 +20,7 @@ def module_name_for_path(path: str) -> str:
 
     The name anchors on the last ``src`` component (the project
     layout) or, failing that, the first ``repro`` component, so rules
-    can scope themselves to packages (``repro.sim``) regardless of
+    can scope themselves to packages (``repro.core``) regardless of
     where the tree is checked out.
     """
     parts = list(Path(path).parts)

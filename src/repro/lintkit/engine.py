@@ -87,7 +87,7 @@ def analyze_source(
     """Analyze a source string (the fixture-test entry point).
 
     ``module`` places the snippet in a package for scope matching —
-    e.g. ``module="repro.sim.fake"`` exercises the determinism rules.
+    e.g. ``module="repro.core.fake"`` exercises the determinism rules.
     """
     return analyze_context(ModuleContext.from_source(source, path, module), rules)
 

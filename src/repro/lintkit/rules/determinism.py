@@ -30,7 +30,6 @@ from repro.lintkit.registry import Rule, register
 #: table and workload driver join the core: the golden points pin the
 #: whole residency trajectory, frame by frame.
 DETERMINISTIC_SCOPES: Tuple[str, ...] = (
-    "repro.sim",
     "repro.core",
     "repro.cache",
     "repro.raster",

@@ -1,7 +1,7 @@
 """Interprocedural determinism taint (REPRO111).
 
 REPRO101 catches a wall-clock or global-PRNG call *written inside* the
-deterministic perimeter (``repro.sim``/``core``/``cache``/``raster``
+deterministic perimeter (``repro.core``/``cache``/``raster``
 and the deterministic texture/workload modules).  It cannot see the
 laundered version: a helper *outside* the perimeter returns
 ``time.time()`` (or a ``random.random()``-derived value) and

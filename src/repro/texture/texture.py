@@ -72,17 +72,5 @@ class MipmappedTexture:
         """Memory footprint of the whole pyramid."""
         return self.total_texels() * BYTES_PER_TEXEL
 
-    def magnified(self, factor: int) -> "MipmappedTexture":
-        """Return a copy with both dimensions multiplied by ``factor``.
-
-        This is the magnification-removal scheme of Igehy et al. the
-        paper applies to the Quake-derived scenes: enlarging a texture
-        that the scene magnifies restores a realistic texel:pixel scale.
-        ``factor`` must itself be a power of two.
-        """
-        if factor < 1 or factor & (factor - 1):
-            raise ConfigurationError(f"magnification factor must be a power of two, got {factor}")
-        return MipmappedTexture(self.width * factor, self.height * factor)
-
     def __repr__(self) -> str:
         return f"MipmappedTexture({self.width}x{self.height}, {self.num_levels} levels)"

@@ -15,9 +15,7 @@ from repro.workloads.scenes import (
     SCENE_NAMES,
     SCENE_SPECS,
     build_scene,
-    build_all_scenes,
 )
-from repro.workloads.magnify import remove_magnification
 from repro.workloads.sequence import pan_sequence, translate_scene
 from repro.workloads.vt import (
     VT_SCENE_NAMES,
@@ -34,8 +32,6 @@ __all__ = [
     "SCENE_NAMES",
     "SCENE_SPECS",
     "build_scene",
-    "build_all_scenes",
-    "remove_magnification",
     "pan_sequence",
     "translate_scene",
     "VT_SCENE_NAMES",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -157,33 +157,6 @@ def _cluster_centres(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
         size=(spec.clusters.count, 2),
     )
     return centres
-
-
-def _object_centres(
-    spec: SceneSpec, count: int, rng: np.random.Generator
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sample object centres; returns (centres, cluster_of_object)."""
-    centres = np.empty((count, 2))
-    cluster_of = np.full(count, -1, dtype=np.int64)
-    hotspots = _cluster_centres(spec, rng)
-    sigma = spec.clusters.sigma_fraction * min(spec.screen_width, spec.screen_height)
-    clustered = (
-        np.zeros(count, dtype=bool)
-        if len(hotspots) == 0
-        else rng.random(count) < spec.clusters.weight
-    )
-    n_clustered = int(clustered.sum())
-    if n_clustered:
-        which = rng.integers(0, len(hotspots), size=n_clustered)
-        cluster_of[clustered] = which
-        centres[clustered] = hotspots[which] + rng.normal(0, sigma, size=(n_clustered, 2))
-    uniform = ~clustered
-    centres[uniform] = rng.uniform(
-        [0, 0], [spec.screen_width, spec.screen_height], size=(int(uniform.sum()), 2)
-    )
-    np.clip(centres[:, 0], 1, spec.screen_width - 1, out=centres[:, 0])
-    np.clip(centres[:, 1], 1, spec.screen_height - 1, out=centres[:, 1])
-    return centres, cluster_of
 
 
 def _visible_area(corners: List[Tuple[float, float]], width: int, height: int) -> float:
@@ -372,7 +345,3 @@ def generate_scene(spec: SceneSpec, scale: float = 1.0) -> Scene:
     scene.artifact_key = f"{spec.name}#{spec_fingerprint(spec)}"
     return scene
 
-
-def texture_table_bytes(textures: Sequence[MipmappedTexture]) -> int:
-    """Total texture memory of a texture table, pyramids included."""
-    return sum(texture.total_bytes() for texture in textures)

@@ -22,7 +22,7 @@ Regimes that matter downstream:
 from __future__ import annotations
 
 import os
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.geometry.scene import Scene
@@ -201,7 +201,3 @@ def build_scene(name: str, scale: float = 1.0, cache: bool = True) -> Scene:
 
     return scene_artifact(name, scale)
 
-
-def build_all_scenes(scale: float = 1.0) -> List[Scene]:
-    """All seven benchmark scenes, in paper order."""
-    return [build_scene(name, scale) for name in SCENE_NAMES]

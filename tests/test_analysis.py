@@ -11,7 +11,6 @@ from repro.analysis import (
     imbalance_sweep,
     locality_sweep,
     SpeedupStudy,
-    speedup_sweep,
     texel_to_fragment_ratio,
     work_distribution,
 )
@@ -100,7 +99,7 @@ class TestSpeedupStudy:
         assert value == max(sweep[(8, 4)], sweep[(16, 4)])
 
     def test_convenience_wrapper(self, tiny_bench_scene):
-        sweep = speedup_sweep(tiny_bench_scene, "block", [16], [4], cache="perfect")
+        sweep = SpeedupStudy(tiny_bench_scene, cache="perfect").sweep("block", [16], [4])
         assert (16, 4) in sweep
 
 

@@ -43,24 +43,3 @@ def test_sli_scaling_study(monkeypatch, capsys):
     assert "speedup block" in out
     assert "speedup sli" in out
 
-
-def test_opengl_room_demo(monkeypatch, capsys):
-    out = run_example(monkeypatch, capsys, "opengl_room_demo.py")
-    assert "geometry stage emitted" in out
-    assert "critical" in out
-
-
-def test_export_artifacts(monkeypatch, capsys, tmp_path):
-    monkeypatch.chdir(tmp_path)
-    out = run_example(monkeypatch, capsys, "export_artifacts.py", "0.0625")
-    assert "owners_block16.ppm" in out
-    assert (tmp_path / "artifacts" / "sweep.csv").exists()
-    assert (tmp_path / "artifacts" / "owners_sli4.ppm").stat().st_size > 100
-
-
-def test_render_frame(monkeypatch, capsys, tmp_path):
-    monkeypatch.syspath_prepend(str(EXAMPLES))
-    out = run_example(monkeypatch, capsys, "render_frame.py", str(tmp_path))
-    assert "frame.ppm" in out
-    assert (tmp_path / "frame.ppm").stat().st_size > 1000
-    assert (tmp_path / "frame_moved.ppm").exists()

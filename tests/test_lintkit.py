@@ -33,11 +33,11 @@ from repro.lintkit.cli import main as lint_main
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def findings_for(source: str, module: str = "repro.sim.fake"):
+def findings_for(source: str, module: str = "repro.core.fake"):
     return analyze_source(textwrap.dedent(source), path="fake.py", module=module)
 
 
-def rule_ids(source: str, module: str = "repro.sim.fake"):
+def rule_ids(source: str, module: str = "repro.core.fake"):
     return [f.rule for f in findings_for(source, module)]
 
 
@@ -630,14 +630,14 @@ def test_all_rules_catalog_is_complete():
 
 
 def test_scope_matching_is_package_exact():
-    # "repro.simulator" must not match the "repro.sim" scope prefix.
+    # "repro.coredump" must not match the "repro.core" scope prefix.
     src = """\
         import time
 
         def stamp():
             return time.time()
     """
-    assert rule_ids(src, module="repro.simulator.fake") == []
+    assert rule_ids(src, module="repro.coredump.fake") == []
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +645,7 @@ def test_scope_matching_is_package_exact():
 
 
 def _seed_violation_tree(root: Path) -> Path:
-    pkg = root / "src" / "repro" / "sim"
+    pkg = root / "src" / "repro" / "core"
     pkg.mkdir(parents=True)
     bad = pkg / "bad.py"
     bad.write_text(
@@ -658,7 +658,7 @@ def _seed_violation_tree(root: Path) -> Path:
 
 
 def test_module_name_for_path_anchors_on_src():
-    assert module_name_for_path("src/repro/sim/bad.py") == "repro.sim.bad"
+    assert module_name_for_path("src/repro/core/bad.py") == "repro.core.bad"
     assert module_name_for_path("/abs/src/repro/core/machine.py") == "repro.core.machine"
 
 
@@ -727,7 +727,7 @@ def test_baseline_entry_goes_stale_when_code_changes(tmp_path):
 def test_baseline_rejects_blank_justification(tmp_path):
     baseline_path = tmp_path / "lint-baseline.txt"
     baseline_path.write_text(
-        "REPRO101\tsrc/repro/sim/bad.py\treturn time.time()\t#\n", encoding="utf-8"
+        "REPRO101\tsrc/repro/core/bad.py\treturn time.time()\t#\n", encoding="utf-8"
     )
     with pytest.raises(ConfigurationError, match="justification"):
         Baseline.load(baseline_path)
@@ -748,7 +748,7 @@ def test_baseline_matches_by_path_suffix(tmp_path):
     snippet = findings[0].snippet
     baseline_path = tmp_path / "lint-baseline.txt"
     baseline_path.write_text(
-        f"REPRO101\tsrc/repro/sim/bad.py\t{snippet}\t# fixture clock\n",
+        f"REPRO101\tsrc/repro/core/bad.py\t{snippet}\t# fixture clock\n",
         encoding="utf-8",
     )
     report = run([tmp_path / "src"], baseline=Baseline.load(baseline_path))

@@ -612,7 +612,7 @@ def test_seeded_bug_unlocked_lease_mutation_is_caught(tmp_path):
 
 
 def _clock_tree(tmp_path: Path) -> Path:
-    src = tmp_path / "src" / "repro" / "sim" / "clocky.py"
+    src = tmp_path / "src" / "repro" / "cache" / "clocky.py"
     src.parent.mkdir(parents=True)
     src.write_text("import time\n\n\ndef stamp():\n    return time.time()\n")
     return tmp_path / "src"
@@ -621,9 +621,9 @@ def _clock_tree(tmp_path: Path) -> Path:
 def _baseline_file(tmp_path: Path) -> Path:
     baseline = tmp_path / "baseline.txt"
     baseline.write_text(
-        "REPRO101\tsrc/repro/sim/clocky.py\treturn time.time()\t"
+        "REPRO101\tsrc/repro/cache/clocky.py\treturn time.time()\t"
         "# boundary timestamp, never enters simulation\n"
-        "REPRO101\tsrc/repro/sim/gone.py\treturn time.monotonic()\t"
+        "REPRO101\tsrc/repro/cache/gone.py\treturn time.monotonic()\t"
         "# this module was deleted long ago\n"
     )
     return baseline
@@ -635,7 +635,7 @@ def test_prune_baseline_drops_stale_keeps_justifications(tmp_path):
     baseline = Baseline.load(baseline_path)
     report = run([src], baseline=baseline, select=["REPRO101"])
     assert report.findings == [] and len(report.suppressed) == 1
-    assert [e.path for e in report.stale_entries] == ["src/repro/sim/gone.py"]
+    assert [e.path for e in report.stale_entries] == ["src/repro/cache/gone.py"]
     removed = prune_baseline(baseline_path, report.stale_entries)
     assert removed == 1
     survivor = Baseline.load(baseline_path)
@@ -683,9 +683,9 @@ def test_entries_of_rules_that_did_not_run_are_not_stale(tmp_path):
     src = _clock_tree(tmp_path)
     baseline_path = tmp_path / "baseline.txt"
     baseline_path.write_text(
-        "REPRO201\tsrc/repro/sim/clocky.py\tif cycles == 0:\t"
+        "REPRO201\tsrc/repro/cache/clocky.py\tif cycles == 0:\t"
         "# exact-zero sentinel, never a drifted float\n"
-        "REPRO411\tsrc/repro/sim/clocky.py\tself.jobs.pop()\t"
+        "REPRO411\tsrc/repro/cache/clocky.py\tself.jobs.pop()\t"
         "# single-threaded fixture\n"
     )
     baseline = Baseline.load(baseline_path)
@@ -722,7 +722,7 @@ def test_entries_outside_the_checked_paths_are_not_stale(tmp_path):
     assert single.stale_entries == []
     # The whole tree covers both entries: the deleted module's is stale.
     whole = run([src], baseline=baseline, select=["REPRO101"])
-    assert [e.path for e in whole.stale_entries] == ["src/repro/sim/gone.py"]
+    assert [e.path for e in whole.stale_entries] == ["src/repro/cache/gone.py"]
     assert prune_baseline(baseline_path, narrow.stale_entries) == 0
 
 

@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import pipeline
-from repro.analysis.heatmap import ownership_map
 from repro.cache.config import CacheConfig
 from repro.core.routing import (
     PLAN_FORMAT,
@@ -217,21 +216,6 @@ def test_owners_are_int32_and_match_int64_arithmetic():
         assert owners.dtype == np.int32, distribution
         assert np.array_equal(owners, owners_int64(distribution, x, y)), distribution
         assert owners.min() >= 0 and owners.max() < distribution.num_processors
-
-
-def test_ownership_map_is_unchanged():
-    symbols = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    width, height, columns, rows = *SCREEN, 64, 24
-    xs = (np.arange(columns) * width) // columns
-    ys = (np.arange(rows) * height) // rows
-    grid_x, grid_y = np.meshgrid(xs, ys)
-    for distribution in distributions(*SCREEN):
-        owners = owners_int64(distribution, grid_x.ravel(), grid_y.ravel())
-        want = "\n".join(
-            "".join(symbols[owner % len(symbols)] for owner in row)
-            for row in owners.reshape(rows, columns)
-        )
-        assert ownership_map(distribution, width, height) == want
 
 
 class SpyBlock(BlockInterleaved):

@@ -1,13 +1,9 @@
-"""Property tests over the workload generator and renderer."""
+"""Property tests over the workload generator."""
 
-from dataclasses import replace
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.render import GradientTexture, render_scene
 from repro.workloads import SCENE_SPECS
 from repro.workloads.generator import SceneSpec, generate_scene
 from repro.workloads.sequence import pan_sequence
@@ -68,43 +64,3 @@ class TestGeneratorProperties:
         counts = {frame.num_triangles for frame in sequence}
         assert len(counts) == 1  # same world, translated
 
-
-class TestRendererProperties:
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=100))
-    def test_render_is_deterministic(self, seed):
-        spec = replace(SCENE_SPECS["blowout775"], seed=seed)
-        scene = generate_scene(spec, scale=0.0625)
-        a = render_scene(scene)
-        b = render_scene(scene)
-        assert (a == b).all()
-
-    @settings(max_examples=8, deadline=None)
-    @given(offset=st.floats(min_value=0.0, max_value=32.0))
-    def test_gradient_linearity_survives_texture_offset(self, offset):
-        """Bilinear filtering of a linear pattern is exact for any
-        phase of the sample grid relative to the texel grid."""
-        from repro.geometry import Scene, Triangle, Vertex
-        from repro.texture.texture import MipmappedTexture
-
-        scene = Scene("grad", 32, 32, [MipmappedTexture(64, 64)])
-        scene.add(
-            Triangle(
-                Vertex(0, 0, offset, 0),
-                Vertex(32, 0, offset + 32, 0),
-                Vertex(0, 32, offset, 32),
-            )
-        )
-        scene.add(
-            Triangle(
-                Vertex(32, 0, offset + 32, 0),
-                Vertex(32, 32, offset + 32, 32),
-                Vertex(0, 32, offset, 32),
-            )
-        )
-        image = render_scene(scene, [GradientTexture()]).astype(float) / 255.0
-        row = image[16, :, 0]
-        expected = ((np.arange(32) + 0.5 + offset) / 64) % 1.0
-        # Away from the wrap discontinuity the ramp must be exact.
-        safe = np.abs(expected - 0.999) > 0.05
-        assert row[safe] == pytest.approx(expected[safe], abs=0.02)

@@ -37,12 +37,6 @@ class TestMipmappedTexture:
         texture = MipmappedTexture(8, 8)
         assert texture.level(100).width == 1
 
-    def test_magnified_doubles_dimensions(self):
-        texture = MipmappedTexture(8, 8).magnified(4)
-        assert (texture.width, texture.height) == (32, 32)
-        with pytest.raises(ConfigurationError):
-            MipmappedTexture(8, 8).magnified(3)
-
 
 class TestTextureMemoryLayout:
     def test_needs_textures(self):

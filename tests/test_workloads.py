@@ -10,7 +10,6 @@ from repro.workloads import (
     SceneSpec,
     build_scene,
     generate_scene,
-    remove_magnification,
 )
 from repro.workloads.generator import _visible_area
 from repro.workloads.scenes import experiment_scale
@@ -137,28 +136,6 @@ class TestVisibleArea:
     def test_fully_outside(self):
         square = [(100, 100), (110, 100), (110, 110), (100, 110)]
         assert _visible_area(square, 64, 64) == 0.0
-
-
-class TestMagnificationRemoval:
-    def test_scales_textures_and_texel_scale_together(self):
-        spec = small_spec(texel_scale=0.25, texture_edges=((16, 1.0), (32, 2.0)))
-        fixed = remove_magnification(spec, 4)
-        assert fixed.texture_edges == ((64, 1.0), (128, 2.0))
-        assert fixed.texel_scale == pytest.approx(1.0)
-        assert fixed.name.endswith("_x4")
-
-    def test_leaves_minified_specs_alone(self):
-        spec = small_spec(texel_scale=2.0)
-        assert remove_magnification(spec, 4) is spec
-
-    def test_never_overshoots_past_unity(self):
-        spec = small_spec(texel_scale=0.5)
-        fixed = remove_magnification(spec, 32)
-        assert fixed.texel_scale == pytest.approx(1.0)
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ConfigurationError):
-            remove_magnification(small_spec(texel_scale=0.5), 3)
 
 
 class TestNamedScenes:
