@@ -25,7 +25,9 @@ Five parts, all at the committed ``tests/golden/`` points:
 5. **Timing invariants** — at every golden point, the default FIFO
    (the closed-form fast path) and a FIFO as deep as the deepest node
    stream (the finite-FIFO recurrence, which then never blocks) give
-   equal cycles and equal per-node finish, busy and stall.  At the
+   equal cycles, equal per-node finish, busy and stall, and publish
+   equal ``bus.transfers``, ``bus.texels`` and ``bus.busy_cycles``
+   counters.  At the
    traced CLI point with an 8-entry FIFO, ``timings.stall`` equals the
    recorder's per-node stall spans.
 
@@ -251,6 +253,15 @@ def _timing_diff(got, want) -> list:
     return problems
 
 
+def _published_bus(scene, config, work):
+    """One run's result and the ``bus.*`` counters it published."""
+    registry = obs.registry()
+    registry.reset()
+    result = simulate_machine(scene, config, routed=work)
+    counters = registry.snapshot()["counters"]
+    return result, {name: value for name, value in counters.items() if name.startswith("bus.")}
+
+
 def check_timing_invariants() -> int:
     for point in ALL_POINTS:
         name = point_name(*point)
@@ -260,13 +271,15 @@ def check_timing_invariants() -> int:
             cache_config=config.cache_config,
         )
         deepest = max(len(ids) for ids in work.triangles)
-        fast = simulate_machine(scene, config, routed=work)
-        finite = simulate_machine(
-            scene, replace(config, fifo_capacity=deepest), routed=work
+        fast, fast_bus = _published_bus(scene, config, work)
+        finite, finite_bus = _published_bus(
+            scene, replace(config, fifo_capacity=deepest), work
         )
         problems = _timing_diff(finite, fast)
         if finite.extras.get("distributor_blocked_cycles") != 0:
             problems.append("blocked_cycles")
+        if len(fast_bus) != 3 or finite_bus != fast_bus:
+            problems.append(f"bus totals {finite_bus} != {fast_bus}")
         if fast.extras or problems:
             print(
                 f"timing invariants: {name}, FIFO {deepest} differs from the "
@@ -293,7 +306,8 @@ def check_timing_invariants() -> int:
         return 1
     print(
         f"timing invariants: OK — {len(ALL_POINTS)} points, fast path = "
-        f"never-full finite FIFO on cycles, finish, busy and stall; "
+        f"never-full finite FIFO on cycles, finish, busy, stall and "
+        f"published bus totals; "
         f"traced stall = timings.stall"
     )
     return 0

@@ -17,48 +17,92 @@ in-order pass over the stream computes them all (the recurrence of
 now)``, the way an event queue advances its clock by a timeout, so
 non-dyadic release and bus times come out bit for bit as in the event
 kernel the tests keep as the oracle.
+
+The stream is columnar (:class:`DistributorStream`).  A routed work
+builds it once, and every run over it, whatever its FIFO depth or bus
+ratio, reads the same columns.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bus.bus import BusModel
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
     from repro.obs.recorder import RecorderLike
 
-#: Stream entry: (triangle id, node, pixels, texels).
-StreamEntry = Tuple[int, int, int, int]
+
+@dataclass(frozen=True)
+class DistributorStream:
+    """The distributor's stream as four aligned columns.
+
+    Row ``i`` is one (triangle, node) entry: the triangle id, the node
+    it is pushed to, the pixels that node draws of it and the bus texels
+    it costs the node.  Rows are in (triangle, node) order.
+    """
+
+    triangle: np.ndarray
+    node: np.ndarray
+    pixels: np.ndarray
+    texels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.triangle)
 
 
 def interleave_stream(
     triangles: List[np.ndarray],
     pixels: List[np.ndarray],
     texels: List[np.ndarray],
-) -> List[StreamEntry]:
+) -> DistributorStream:
     """Merge per-node work lists back into global submission order.
 
-    Produces the distributor's stream of ``(triangle, node, pixels,
-    texels)`` entries, ordered by triangle id and, within one triangle,
-    by node id — the order a broadcast distribution network would emit.
+    Produces the distributor's stream, ordered by triangle id and,
+    within one triangle, by node id — the order a broadcast
+    distribution network would emit.  Each node's list is in submission
+    order, so one stable sort of the node-major concatenation by
+    triangle id puts every row in place.
     """
-    entries: List[StreamEntry] = []
-    for node, ids in enumerate(triangles):
-        px = pixels[node]
-        tx = texels[node]
-        for slot, tri in enumerate(ids.tolist()):
-            entries.append((tri, node, int(px[slot]), int(tx[slot])))
-    entries.sort()
-    return entries
+    counts = [len(ids) for ids in triangles]
+    node = np.repeat(np.arange(len(triangles)), counts)
+    triangle = np.concatenate(triangles)
+    order = np.argsort(triangle, kind="stable")
+    return DistributorStream(
+        triangle=triangle[order],
+        node=node[order],
+        pixels=np.concatenate(pixels)[order],
+        texels=np.concatenate(texels)[order],
+    )
+
+
+def _bus_totals(
+    stream: DistributorStream, transfer: np.ndarray, num_processors: int
+) -> Dict[str, float]:
+    """Lifetime bus accounting of a run, summed over the node buses.
+
+    A bus accumulates its busy cycles left to right in stream order
+    (``np.cumsum`` is that sequential fold; ``np.sum`` sums pairwise and
+    can differ in the last bit), and the buses are summed in node order.
+    """
+    order = np.argsort(stream.node, kind="stable")
+    counts = np.bincount(stream.node, minlength=num_processors)
+    per_bus = np.split(transfer[order], np.cumsum(counts)[:-1])
+    return {
+        "transfers": len(stream),
+        "texels": int(stream.texels.sum()),
+        "busy_cycles": sum(
+            float(np.cumsum(cycles)[-1]) if len(cycles) else 0.0 for cycles in per_bus
+        ),
+    }
 
 
 def run_event_machine(
-    stream: Sequence[StreamEntry],
+    stream: DistributorStream,
     num_processors: int,
     fifo_capacity: int,
     setup_cycles: int,
@@ -69,14 +113,15 @@ def run_event_machine(
 ) -> Tuple[float, List[float]]:
     """Simulate the machine with finite FIFOs; returns (cycles, per-node finish).
 
-    One pass over ``stream`` keeps, per node, its bus, the time it frees
-    up and the start times of the triangles stored in its FIFO.  For
-    each entry the distributor first waits for the triangle's geometry
-    release; if the node's FIFO is full it blocks until the oldest
-    stored triangle starts.  The triangle starts at ``max(now, node
-    free)`` and ends once both its ``max(pixels, setup_cycles)`` engine
-    cycles and its texel transfer on the node's bus are done.  After the
-    stream, every node takes an end-of-stream sentinel through its FIFO.
+    One pass over ``stream`` keeps, per node, the time it frees up, the
+    time its bus frees up and the start times of the triangles stored in
+    its FIFO.  For each entry the distributor first waits for the
+    triangle's geometry release; if the node's FIFO is full it blocks
+    until the oldest stored triangle starts.  The triangle starts at
+    ``max(now, node free)`` and ends once both its ``max(pixels,
+    setup_cycles)`` engine cycles and its texel transfer on the node's
+    bus are done; transfers serialise on the bus.  After the stream,
+    every node takes an end-of-stream sentinel through its FIFO.
 
     Same-cycle rule: a node that frees up at cycle ``t`` takes its next
     triangle at ``t`` before the distributor delivers at ``t``, so a
@@ -96,15 +141,21 @@ def run_event_machine(
     """
     if fifo_capacity < 1:
         raise ConfigurationError(f"fifo capacity must be >= 1, got {fifo_capacity}")
+    if not bus_ratio > 0:
+        raise ConfigurationError(f"bus bandwidth must be positive, got {bus_ratio}")
     if stats is None:
         stats = {}
     blocked_per_node = stats.setdefault("blocked_per_node", [0.0] * num_processors)
-    buses = [BusModel(bus_ratio) for _ in range(num_processors)]
+    # Per entry: engine cycles and bus cycles (``BusModel.transfer_cycles``).
+    engine = np.maximum(stream.pixels, setup_cycles)
+    transfer = np.where(stream.texels == 0, 0.0, stream.texels / bus_ratio)
     free = [0.0] * num_processors
+    bus_free = [0.0] * num_processors
     stall = [0.0] * num_processors
     high_water = [0] * num_processors
     stored: List[Deque[float]] = [deque() for _ in range(num_processors)]
-    release_at = release.tolist() if release is not None else None
+    # The release time of each entry's triangle.
+    release_at = release[stream.triangle].tolist() if release is not None else None
     node_tracks = [("sim", f"node-{n}") for n in range(num_processors)]
     fifo_tracks = [("sim", f"tri-fifo-{n}") for n in range(num_processors)]
     now = 0.0
@@ -139,23 +190,42 @@ def run_event_machine(
         if blocked and recorder is not None:
             recorder.value(fifo_tracks[node], "occupancy", now, len(fifo))
 
-    for triangle, node, pixels, texels in stream:
-        if release_at is not None and now < release_at[triangle]:
-            now = now + (release_at[triangle] - now)
-        before = now
-        put(node, free[node])
-        waited = now - before
-        if waited > 0:
+    rows = zip(stream.node.tolist(), engine.tolist(), transfer.tolist())
+    for index, (node, cycles, transfer_cycles) in enumerate(rows):
+        if release_at is not None and now < release_at[index]:
+            now = now + (release_at[index] - now)
+        fifo = stored[node]
+        node_free = free[node]
+        if fifo and fifo[0] <= now:
+            take_started(node, now)
+        if len(fifo) >= fifo_capacity:
+            # Full: the distributor blocks until the oldest stored
+            # triangle starts, strictly later than ``now``.
+            before = now
+            put(node, node_free)
+            waited = now - before
             stats["blocked_cycles"] = stats.get("blocked_cycles", 0.0) + waited
             blocked_per_node[node] += waited
             if recorder is not None:
                 recorder.span(
                     ("sim", "distributor"), "blocked", before, now,
-                    args={"node": node, "triangle": triangle},
+                    args={"node": node, "triangle": int(stream.triangle[index])},
                 )
-        start = free[node] if free[node] > now else now
-        busy_end = start + (pixels if pixels > setup_cycles else setup_cycles)
-        data_done = buses[node].request(start, texels)
+        elif node_free > now:
+            # The common put: stored behind a busy node, without a wait.
+            fifo.append(node_free)
+            if len(fifo) > high_water[node]:
+                high_water[node] = len(fifo)
+            if recorder is not None:
+                recorder.value(fifo_tracks[node], "occupancy", now, len(fifo))
+        start = node_free if node_free > now else now
+        busy_end = start + cycles
+        # The transfer begins once both the triangle and the bus are free.
+        data_done = bus_free[node]
+        if start > data_done:
+            data_done = start
+        data_done = data_done + transfer_cycles
+        bus_free[node] = data_done
         end = busy_end
         if data_done > busy_end:
             stall[node] += data_done - busy_end
@@ -164,7 +234,10 @@ def run_event_machine(
             # The engine is occupied for max(pixels, setup) cycles; any
             # extra wait for the bus shows up as an explicit stall span.
             track = node_tracks[node]
-            recorder.span(track, "busy", start, busy_end, args={"texels": texels})
+            recorder.span(
+                track, "busy", start, busy_end,
+                args={"texels": int(stream.texels[index])},
+            )
             if end > busy_end:
                 recorder.span(track, "stall", busy_end, end)
         free[node] = start + (end - start)
@@ -180,9 +253,5 @@ def run_event_machine(
 
     stats["fifo_high_water"] = high_water
     stats["stall_per_node"] = stall
-    stats["bus_totals"] = {
-        "transfers": sum(bus.transfers for bus in buses),
-        "texels": sum(bus.texels_delivered for bus in buses),
-        "busy_cycles": sum(bus.busy_cycles for bus in buses),
-    }
+    stats["bus_totals"] = _bus_totals(stream, transfer, num_processors)
     return max([now, *free]), free

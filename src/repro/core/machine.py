@@ -28,7 +28,7 @@ import numpy as np
 from repro.bus.bus import BusModel, publish_bus_totals
 from repro.cache.models import make_cache_model
 from repro.core.config import MachineConfig
-from repro.core.distributor import interleave_stream, run_event_machine
+from repro.core.distributor import run_event_machine
 from repro.core.geometry_stage import geometry_release_times
 from repro.core.node import drain_node
 from repro.core.results import MachineResult, NodeTimings
@@ -106,10 +106,9 @@ def simulate_machine(
                     bus_totals[series] += amount
             cycles = float(finish.max()) if n else 0.0
         else:
-            stream = interleave_stream(work.triangles, work.pixels, work.texels)
             event_stats: Dict[str, Any] = {}
             cycles, node_finish = run_event_machine(
-                stream,
+                work.stream(),
                 n,
                 config.fifo_capacity,
                 config.setup_cycles,

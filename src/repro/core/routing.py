@@ -17,7 +17,7 @@ everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
@@ -27,6 +27,7 @@ import numpy as np
 from repro.cache.models import PerfectCache, TextureCacheModel, make_cache_model
 from repro.cache.stats import CacheRunResult
 from repro.cache.stream import DEFAULT_CHUNK, replay_fragments
+from repro.core.distributor import DistributorStream, interleave_stream
 from repro.distribution.base import Distribution
 from repro.errors import ConfigurationError
 from repro.geometry.scene import Scene
@@ -110,6 +111,20 @@ class RoutedWork:
     node_work: np.ndarray
     #: Aggregate cache behaviour over all nodes (Figure-6 metric).
     cache: CacheRunResult
+    #: The distributor's stream, built on first use by :meth:`stream`.
+    _stream: Optional[DistributorStream] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def stream(self) -> DistributorStream:
+        """The distributor's stream of this work, built once and kept.
+
+        Every finite-FIFO run of the work (any FIFO depth, bus ratio or
+        release schedule) reads the same stream.
+        """
+        if self._stream is None:
+            self._stream = interleave_stream(self.triangles, self.pixels, self.texels)
+        return self._stream
 
     def imbalance_percent(self) -> float:
         """Percent extra work of the busiest node over the average."""

@@ -2,10 +2,11 @@
 
 ``src/`` ships one implementation per pipeline layer: the batch scan
 converter, the columnar triangle router, the chunk-parallel LRU replay
-and the one-pass finite-FIFO recurrence.  The straightforward
-per-triangle, per-access and event-driven versions they were derived
-from live here, unchanged, so equivalence property tests can compare
-the shipped code against them bit for bit:
+and the one-pass finite-FIFO recurrence over the columnar distributor
+stream.  The straightforward per-triangle, per-access, per-entry and
+event-driven versions they were derived from live here, unchanged, so
+equivalence property tests can compare the shipped code against them
+bit for bit:
 
 * :mod:`tests.oracles.raster` — triangle setup (edge equations, the
   top-left fill rule) and the one-triangle-at-a-time rasterizer;
@@ -20,7 +21,10 @@ the shipped code against them bit for bit:
 * :mod:`tests.oracles.kernel`, :mod:`tests.oracles.fifo` and
   :mod:`tests.oracles.event_machine` — the discrete-event kernel, its
   blocking bounded FIFO and the distributor and node processes that
-  ran the finite-FIFO machine on it.
+  ran the finite-FIFO machine on it;
+* :mod:`tests.oracles.stream` — the distributor's stream as a sorted
+  list of ``(triangle, node, pixels, texels)`` tuples, with the
+  converters between that list and the shipped columnar stream.
 """
 
 from tests.oracles.event_machine import reference_event_machine
@@ -33,6 +37,7 @@ from tests.oracles.raster import (
 )
 from tests.oracles.replay import reference_replay, replay_node
 from tests.oracles.routing import reference_nodes_in_box, reference_route_triangles
+from tests.oracles.stream import reference_interleave_stream, stream_columns, stream_rows
 
 __all__ = [
     "EdgeEquations",
@@ -40,9 +45,12 @@ __all__ = [
     "rasterize_scene_scalar",
     "rasterize_triangle",
     "reference_event_machine",
+    "reference_interleave_stream",
     "reference_nodes_in_box",
     "reference_replay",
     "reference_route_triangles",
     "replay_node",
+    "stream_columns",
+    "stream_rows",
     "triangle_setup",
 ]

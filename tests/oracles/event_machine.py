@@ -30,9 +30,9 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bus.bus import BusModel
-from repro.core.distributor import StreamEntry
 from tests.oracles.fifo import BoundedFifo
 from tests.oracles.kernel import ProcessGenerator, Simulator
+from tests.oracles.stream import StreamEntry
 
 if TYPE_CHECKING:
     from repro.obs.recorder import RecorderLike

@@ -11,6 +11,7 @@ from repro.core.distributor import interleave_stream, run_event_machine
 from repro.core.routing import build_routed_work
 from repro.distribution import BlockInterleaved, ScanLineInterleaved, SingleProcessor
 from repro.errors import ConfigurationError
+from tests.oracles import stream_rows
 
 
 class TestConfig:
@@ -239,7 +240,7 @@ class TestEventInstrumentation:
         pixels = [np.array([10, 30]), np.array([20, 40])]
         texels = [np.array([0, 0]), np.array([16, 0])]
         stream = interleave_stream(triangles, pixels, texels)
-        assert stream == [
+        assert stream_rows(stream) == [
             (0, 0, 10, 0),
             (0, 1, 20, 16),
             (1, 1, 40, 0),

@@ -10,6 +10,12 @@ occupancy series may lose samples in pairs: the oracle orders a put and
 a get on the same cycle by event sequence number, while the recurrence
 always lets the node take first (the same-cycle rule, pinned by the
 hand-built stream below).
+
+Streams are written as lists of ``(triangle, node, pixels, texels)``
+tuples, the oracle's format; :func:`tests.oracles.stream_columns` turns
+each into the columnar stream the shipped machine reads.  The columnar
+stream itself is held to the tuple reference it replaced, and the
+machine to building it once per routed work.
 """
 
 import math
@@ -19,14 +25,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import pipeline
+from repro.analysis.buffering import buffer_sweep
+from repro.core import routing
+from repro.core.config import MachineConfig
 from repro.core.distributor import interleave_stream, run_event_machine
 from repro.core.geometry_stage import geometry_release_times
+from repro.core.machine import simulate_machine
 from repro.core.routing import build_routed_work
 from repro.distribution import BlockInterleaved
 from repro.errors import ConfigurationError
 from repro.obs.recorder import EventRecorder
 from repro.workloads.scenes import build_scene
-from tests.oracles import reference_event_machine
+from tests.oracles import (
+    reference_event_machine,
+    reference_interleave_stream,
+    stream_columns,
+    stream_rows,
+)
 
 
 def run(machine, stream, processors, capacity, setup, ratio, release=None):
@@ -41,7 +57,8 @@ def run(machine, stream, processors, capacity, setup, ratio, release=None):
 
 def assert_matches_oracle(stream, processors, capacity, setup, ratio, release=None):
     cycles, finish, stats, recorder = run(
-        run_event_machine, stream, processors, capacity, setup, ratio, release
+        run_event_machine, stream_columns(stream), processors, capacity, setup, ratio,
+        release,
     )
     want_cycles, want_finish, want, oracle = run(
         reference_event_machine, stream, processors, capacity, setup, ratio, release
@@ -115,6 +132,20 @@ def test_recurrence_matches_event_kernel(machine):
     assert_matches_oracle(stream, processors, capacity, setup, ratio, release)
 
 
+@pytest.mark.parametrize("ratio", [1.5, 3.0])
+def test_long_node_streams_sum_bus_cycles_in_stream_order(ratio):
+    """Hundreds of transfers per bus at a non-dyadic ratio.
+
+    Each bus's busy cycles are a left-to-right sum, as the oracle's
+    ``BusModel`` accumulates them; a pairwise sum of the same cycles
+    differs from it in the last bit on streams this long.
+    """
+    rng = np.random.default_rng(5)
+    texels = rng.integers(0, 300, size=600).tolist()
+    stream = [(tri, tri % 3, 20 + tri % 9, texels[tri]) for tri in range(600)]
+    assert_matches_oracle(stream, 3, 4, 25, ratio)
+
+
 @pytest.fixture(scope="module")
 def fig8_work():
     """Figure 8's machine at small scale: truc640 on 64P, perfect cache."""
@@ -129,7 +160,8 @@ def fig8_work():
 @pytest.mark.parametrize("width", [4, 16, 64])
 def test_figure8_stream_matches_event_kernel(fig8_work, width, capacity):
     work = fig8_work[width]
-    stream = interleave_stream(work.triangles, work.pixels, work.texels)
+    stream = reference_interleave_stream(work.triangles, work.pixels, work.texels)
+    assert stream_rows(work.stream()) == stream
     stats, _ = assert_matches_oracle(stream, 64, capacity, 25, 2.0)
     if capacity == 1:
         assert stats["blocked_cycles"] > 0
@@ -182,4 +214,65 @@ def test_blocked_put_samples_the_refilled_fifo():
 
 def test_rejects_empty_fifo():
     with pytest.raises(ConfigurationError):
-        run_event_machine([(0, 0, 10, 0)], 1, 0, 25, 1.0)
+        run_event_machine(stream_columns([(0, 0, 10, 0)]), 1, 0, 25, 1.0)
+
+
+@st.composite
+def node_work(draw):
+    """Per-node work lists: P in {1, 3, 64}, idle nodes, zero loads, no work at all."""
+    processors = draw(st.sampled_from([1, 3, 64]))
+    count = draw(st.integers(0, 40))
+    load = st.one_of(st.just(0), st.integers(0, 500))
+    triangles, pixels, texels = [], [], []
+    for _ in range(processors):
+        ids = sorted(draw(st.sets(st.integers(0, max(count - 1, 0)), max_size=count)))
+        triangles.append(np.array(ids, dtype=np.int64))
+        pixels.append(np.array([draw(load) for _ in ids], dtype=np.int64))
+        texels.append(np.array([draw(load) for _ in ids], dtype=np.int64))
+    return triangles, pixels, texels
+
+
+@settings(max_examples=150, deadline=None)
+@given(node_work())
+def test_columnar_stream_matches_tuple_reference(work):
+    triangles, pixels, texels = work
+    stream = interleave_stream(triangles, pixels, texels)
+    assert stream_rows(stream) == reference_interleave_stream(triangles, pixels, texels)
+    assert len(stream) == sum(map(len, triangles))
+
+
+def test_buffer_sweep_builds_one_stream_per_width(monkeypatch):
+    built = []
+
+    def counting(triangles, pixels, texels):
+        built.append(len(triangles))
+        return interleave_stream(triangles, pixels, texels)
+
+    monkeypatch.setattr(routing, "interleave_stream", counting)
+    pipeline.store().clear()
+    scene = build_scene("truc640", scale=0.0625)
+    speedups = buffer_sweep(
+        scene, "block", (4, 16, 64), (1, 5, 20, 50), num_processors=64, cache="perfect"
+    )
+    assert len(speedups) == 12
+    assert 1 <= len(built) <= 3
+
+
+def test_reused_work_equals_fresh_work():
+    """A work's stream, built by an earlier run, serves any FIFO depth and bus."""
+    scene = build_scene("truc640", scale=0.0625)
+    distribution = BlockInterleaved(16, 8)
+    work = build_routed_work(scene, distribution)
+    simulate_machine(scene, MachineConfig(distribution, fifo_capacity=2), routed=work)
+    assert work.stream() is work.stream()
+    config = MachineConfig(distribution, fifo_capacity=7, bus_ratio=1.5)
+    reused = simulate_machine(scene, config, routed=work)
+    pipeline.store().clear()
+    fresh_work = build_routed_work(scene, distribution)
+    assert fresh_work is not work
+    fresh = simulate_machine(scene, config, routed=fresh_work)
+    assert reused.cycles == fresh.cycles
+    for series in ("finish", "busy", "stall"):
+        assert np.array_equal(getattr(reused.timings, series), getattr(fresh.timings, series))
+    assert reused.extras == fresh.extras
+    assert reused.extras["distributor_blocked_cycles"] > 0

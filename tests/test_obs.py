@@ -25,6 +25,7 @@ from repro.distribution import BlockInterleaved
 from repro.errors import ConfigurationError
 from repro.obs.recorder import NULL_RECORDER, EventRecorder
 from repro.pipeline.stages import stage_timer
+from tests.oracles import stream_columns
 
 
 # -- registry ---------------------------------------------------------
@@ -216,10 +217,10 @@ class TestRecorderToggle:
 
 def tiny_stream(num_processors=4, triangles=40):
     """A synthetic distributor stream: round-robin, modest texel loads."""
-    return [
+    return stream_columns([
         (tri, tri % num_processors, 8 + (tri % 5), 4 * (tri % 7))
         for tri in range(triangles)
-    ]
+    ])
 
 
 class TestChromeTrace:
