@@ -26,14 +26,23 @@ Design constraints, in order:
   frame's submission-order access stream — which also keeps the
   residency trajectory independent of the machine's distribution (all
   distributions draw the same fragments, only split differently).
+* **Linear-time hot paths.**  ``translate`` is one gather through a
+  per-frame line map (virtual line → physical line, fallback frame
+  and in-page offset folded in), rebuilt only where the mapping
+  changes: at construction and at the end of :meth:`advance_frame`.
+  ``observe`` never sorts the access stream: a page's first
+  occurrence in a chunk is always a point where the page changes, so
+  its first index is an O(n) minimum over the chunk's change points,
+  and only the pages new this frame are ranked.
 * **Deterministic paging.**  Feedback accumulates through array ops
-  only — per-page bincounts plus a first-touch rank derived from
-  ``np.unique`` — so the trajectory is a pure function of the access
-  stream, with no set/dict iteration order anywhere.  The per-frame
-  residency update is the LRU self-synchronisation identity of
-  DESIGN.md §10: the new resident set is the ``num_frames``
-  most-recently-touched pages among (touched ∪ resident), which is
-  exactly what demand-paged LRU converges to after the frame.
+  only — per-page bincounts plus a first-touch rank ordered by each
+  page's first index in the stream — so the trajectory is a pure
+  function of the access stream, with no set/dict iteration order
+  anywhere.  The per-frame residency update is the LRU
+  self-synchronisation identity of DESIGN.md §10: the new resident
+  set is the ``num_frames`` most-recently-touched pages among
+  (touched ∪ resident), which is exactly what demand-paged LRU
+  converges to after the frame.
 """
 
 from __future__ import annotations
@@ -97,7 +106,6 @@ class PageTable:
         self.total_lines = int(total_lines)
         page_lines = self.config.page_lines
         self._shift = page_lines.bit_length() - 1
-        self._offset_mask = page_lines - 1
         self.num_pages = -(-self.total_lines // page_lines)
         if self.config.residency_fraction >= 1.0:
             self.num_frames = self.num_pages
@@ -118,6 +126,11 @@ class PageTable:
         self._recency = np.arange(self.num_pages, dtype=np.int64)
         self._recency[self.num_frames :] = -1
         self._clock = self.num_frames
+        #: Virtual line -> physical line for the current mapping; the
+        #: identity table needs none (it returns its input).
+        self._line_map: Optional[np.ndarray] = None
+        if not self.identity:
+            self._build_line_map()
 
         # Per-frame feedback accumulators (cleared by advance_frame).
         self._touch_rank = np.full(self.num_pages, -1, dtype=np.int64)
@@ -149,16 +162,30 @@ class PageTable:
 
         Pure and elementwise: resident pages map to their frame's
         lines, faulted pages collapse onto the shared fallback frame
-        (offset preserved).  Never mutates the table, so the result is
-        independent of chunking and call splits.
+        (offset preserved).  One gather through the line map; never
+        mutates the table, so the result is independent of chunking
+        and call splits.
         """
-        if self.identity:
+        if self._line_map is None:
             return lines
-        pages = lines >> self._shift
-        offsets = lines & self._offset_mask
-        frames = self._frame_of_page[pages]
-        frames = np.where(frames >= 0, frames, self.fallback_frame)
-        return frames * self.config.page_lines + offsets
+        return self._line_map[lines]
+
+    def _build_line_map(self) -> None:
+        """Fold the current page→frame map into a per-line map.
+
+        Entry ``v`` is virtual line ``v``'s physical line: its page's
+        frame (the fallback frame when not resident) times the page
+        size plus its in-page offset.  Narrowed to int32 whenever the
+        physical space fits.
+        """
+        page_lines = self.config.page_lines
+        dtype = np.int32 if self.address_space_lines < 2**31 else np.int64
+        frames = np.where(
+            self._frame_of_page >= 0, self._frame_of_page, self.fallback_frame
+        ).astype(dtype)
+        frames *= page_lines
+        offsets = np.arange(page_lines, dtype=dtype)
+        self._line_map = (frames[:, None] + offsets).reshape(-1)
 
     # -- feedback (accumulating) --------------------------------------
 
@@ -174,15 +201,22 @@ class PageTable:
         self._touch_count += counts
         self._fault_count += np.where(self._frame_of_page < 0, counts, 0)
 
-        # np.unique returns sorted pages with each one's first index in
-        # this chunk; ordering fresh pages by that index is the stream's
-        # first-touch order — deterministic, no hash order anywhere.
-        uniq, first_index = np.unique(pages, return_index=True)
-        fresh_mask = self._touch_rank[uniq] < 0
-        fresh = uniq[fresh_mask]
+        if not pages.size:
+            return
+        # A page's first occurrence is always a change point of the
+        # stream, so each page's first index in this chunk is an O(n)
+        # minimum over the change points; ranking the pages new this
+        # frame by it is the stream's first-touch order —
+        # deterministic, no sort of the stream, no hash order anywhere.
+        change = np.empty(pages.size, dtype=bool)
+        change[0] = True
+        np.not_equal(pages[1:], pages[:-1], out=change[1:])
+        at = np.flatnonzero(change)
+        first_index = np.full(self.num_pages, pages.size, dtype=np.int64)
+        np.minimum.at(first_index, pages[at], at)
+        fresh = np.flatnonzero((counts > 0) & (self._touch_rank < 0))
         if fresh.size:
-            order = np.argsort(first_index[fresh_mask], kind="stable")
-            ranked = fresh[order]
+            ranked = fresh[np.argsort(first_index[fresh], kind="stable")]
             self._touch_rank[ranked] = self._next_rank + np.arange(
                 fresh.size, dtype=np.int64
             )
@@ -235,6 +269,8 @@ class PageTable:
         self._touch_count.fill(0)
         self._fault_count.fill(0)
         self._next_rank = 0
+        if not self.identity:
+            self._build_line_map()
         self.frame_index += 1
         self.history.append(stats)
         return stats

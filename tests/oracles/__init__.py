@@ -1,10 +1,11 @@
 """Test-only reference implementations (oracles).
 
 ``src/`` ships one implementation per pipeline layer: the batch scan
-converter, the columnar triangle router, the chunk-parallel LRU replay
-and the one-pass finite-FIFO recurrence over the columnar distributor
-stream.  The straightforward per-triangle, per-access, per-entry and
-event-driven versions they were derived from live here, unchanged, so
+converter, the columnar triangle router, the chunk-parallel LRU replay,
+the one-pass finite-FIFO recurrence over the columnar distributor
+stream and the line-map page table.  The straightforward per-triangle,
+per-access, per-entry, event-driven and sorting versions they were
+derived from live here, unchanged, so
 equivalence property tests can compare the shipped code against them
 bit for bit:
 
@@ -24,11 +25,15 @@ bit for bit:
   ran the finite-FIFO machine on it;
 * :mod:`tests.oracles.stream` — the distributor's stream as a sorted
   list of ``(triangle, node, pixels, texels)`` tuples, with the
-  converters between that list and the shipped columnar stream.
+  converters between that list and the shipped columnar stream;
+* :mod:`tests.oracles.pages` — :class:`ReferencePageTable`, whose
+  ``translate`` recomputes page, frame and offset on every call and
+  whose ``observe`` ranks first touches through ``np.unique``.
 """
 
 from tests.oracles.event_machine import reference_event_machine
 from tests.oracles.lru import ReferenceLru
+from tests.oracles.pages import ReferencePageTable
 from tests.oracles.raster import (
     EdgeEquations,
     rasterize_scene_scalar,
@@ -42,6 +47,7 @@ from tests.oracles.stream import reference_interleave_stream, stream_columns, st
 __all__ = [
     "EdgeEquations",
     "ReferenceLru",
+    "ReferencePageTable",
     "rasterize_scene_scalar",
     "rasterize_triangle",
     "reference_event_machine",

@@ -13,12 +13,19 @@ Three walls, mirroring the guarantees ``repro.texture.pages`` claims:
   of the access stream: two tables fed the same stream stay identical,
   and a tiny hand-built stream reproduces the expected eviction by
   hand.
+
+The line-map ``translate`` and change-point ``observe`` are also held
+bit for bit to :class:`tests.oracles.ReferencePageTable`, the per-call
+arithmetic and ``np.unique`` bodies they replaced, over random
+multi-frame trajectories.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.batch import distribution_from_spec, machine_config_from_spec
 from repro.core.machine import simulate_machine
@@ -26,6 +33,7 @@ from repro.core.routing import build_routed_work
 from repro.errors import ConfigurationError
 from repro.texture.pages import PageTable, VirtualTextureConfig
 from repro.workloads.vt import require_vt_spec, vt_frames
+from tests.oracles import ReferencePageTable
 
 
 @pytest.fixture(scope="module")
@@ -276,3 +284,76 @@ def test_cache_key_changes_with_mapping(layout):
     table.advance_frame()
     assert table.cache_key() != key_cold
     assert table.cache_key() == table.cache_key()  # stable between frames
+
+
+# -- equivalence with the reference page table -----------------------
+
+
+def _frame_stream(rng, num_pages, page_lines, total_lines):
+    """Runs of repeated pages, random offsets, the last partial page."""
+    length = int(rng.integers(0, 300))
+    pages = np.repeat(
+        rng.integers(0, num_pages, size=length), rng.integers(1, 6, size=length)
+    )[:length]
+    offsets = rng.integers(0, page_lines, size=pages.size)
+    return np.minimum(pages * page_lines + offsets, total_lines - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    page_lines=st.sampled_from([1, 8, 16, 64]),
+    num_pages=st.integers(1, 40),
+    partial=st.integers(0, 63),
+    fraction=st.one_of(
+        st.sampled_from([1e-6, 1.0]), st.floats(0.01, 1.0, allow_nan=False)
+    ),
+    num_frames=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_page_table_matches_reference(
+    page_lines, num_pages, partial, fraction, num_frames, seed
+):
+    """Translation, feedback and paging equal the oracle's, frame by
+    frame, under any chunking (empty chunks included)."""
+    rng = np.random.default_rng(seed)
+    total_lines = max(1, num_pages * page_lines - partial % page_lines)
+    config = VirtualTextureConfig(page_lines, fraction)
+    table = PageTable(total_lines, config)
+    oracle = ReferencePageTable(total_lines, config)
+    for _ in range(num_frames):
+        lines = _frame_stream(rng, table.num_pages, page_lines, total_lines)
+        assert np.array_equal(table.translate(lines), oracle.translate(lines))
+        cuts = np.sort(rng.integers(0, lines.size + 1, size=rng.integers(0, 6)))
+        edges = np.concatenate(([0], cuts, [lines.size]))
+        for a, b in zip(edges, edges[1:]):
+            assert np.array_equal(
+                table.translate(lines[a:b]), oracle.translate(lines[a:b])
+            )
+            table.observe(lines[a:b])
+        oracle.observe(lines)
+        table.advance_frame()
+        oracle.advance_frame()
+        assert table.history == oracle.history
+        assert np.array_equal(table.mapping(), oracle.mapping())
+        assert table.cache_key() == oracle.cache_key()
+    every_line = np.arange(total_lines, dtype=np.int64)
+    assert np.array_equal(table.translate(every_line), oracle.translate(every_line))
+
+
+def test_line_map_is_rebuilt_by_advance_frame():
+    """4 pages of 2 lines, 2 resident; touch page 3, then page 0.
+
+    Page 1 is evicted and page 3 inherits its frame 1, so after the
+    frame page 3's lines translate to 2, 3 and page 1's fall back to
+    frame 2 (lines 4, 5).  A line map left over from the cold mapping
+    would still send page 1 to 2, 3 and page 3 to the fallback.
+    """
+    table = PageTable(8, VirtualTextureConfig(2, 0.5))
+    every_line = np.arange(8, dtype=np.int64)
+    assert np.array_equal(table.translate(every_line), [0, 1, 2, 3, 4, 5, 4, 5])
+
+    table.observe(np.array([7, 6, 0], dtype=np.int64))
+    table.advance_frame()
+
+    assert np.array_equal(table.mapping(), [0, -1, -1, 1])
+    assert np.array_equal(table.translate(every_line), [0, 1, 4, 5, 4, 5, 2, 3])
