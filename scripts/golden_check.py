@@ -22,14 +22,15 @@ Five parts, all at the committed ``tests/golden/`` points:
    statistic (``compulsory_misses`` included), and both equal the
    per-node oracle of ``tests/oracles``, which pins the shared node
    partition.
-5. **Timing invariants** — at every golden point, the default FIFO
-   (the closed-form fast path) and a FIFO as deep as the deepest node
-   stream (the finite-FIFO recurrence, which then never blocks) give
-   equal cycles, equal per-node finish, busy and stall, and publish
-   equal ``bus.transfers``, ``bus.texels`` and ``bus.busy_cycles``
-   counters.  At the
-   traced CLI point with an 8-entry FIFO, ``timings.stall`` equals the
-   recorder's per-node stall spans.
+5. **Timing invariants** — at every golden point, the untraced default
+   FIFO (the closed form) is compared with two runs of the finite-FIFO
+   recurrence, which never blocks in either: a FIFO as deep as the
+   deepest node stream, and the default FIFO with tracing on (tracing
+   selects the recurrence).  All three give equal cycles, equal per-node
+   finish, busy and stall, and publish equal ``bus.transfers``,
+   ``bus.texels`` and ``bus.busy_cycles`` counters.  At the traced CLI
+   point with an 8-entry FIFO, ``timings.stall`` equals the recorder's
+   per-node stall spans.
 
     PYTHONPATH=src python scripts/golden_check.py
 """
@@ -107,10 +108,10 @@ def check_traced_cli_run() -> int:
             "run", "--scene", scene, "--family", family,
             "--size", str(size), "--processors", str(processors),
             "--scale", str(GOLDEN_SCALE),
-            # A small FIFO forces the event-driven timing path, which is
-            # what samples occupancy (counter events) into the trace; on
-            # this point it never blocks, so cycles still match the
-            # golden file's fast-path number.
+            # Tracing runs the finite-FIFO recurrence, which samples
+            # occupancy (counter events) into the trace.  An 8-entry
+            # FIFO never blocks on this point, so cycles still match the
+            # golden file's closed-form number.
             "--fifo", "8",
             "--trace-out", str(trace_path),
             "--metrics-out", str(metrics_path),
@@ -253,11 +254,16 @@ def _timing_diff(got, want) -> list:
     return problems
 
 
-def _published_bus(scene, config, work):
+def _published_bus(scene, config, work, traced=False):
     """One run's result and the ``bus.*`` counters it published."""
     registry = obs.registry()
     registry.reset()
-    result = simulate_machine(scene, config, routed=work)
+    if traced:
+        obs.enable_tracing()
+    try:
+        result = simulate_machine(scene, config, routed=work)
+    finally:
+        obs.disable_tracing()
     counters = registry.snapshot()["counters"]
     return result, {name: value for name, value in counters.items() if name.startswith("bus.")}
 
@@ -272,20 +278,26 @@ def check_timing_invariants() -> int:
         )
         deepest = max(len(ids) for ids in work.triangles)
         fast, fast_bus = _published_bus(scene, config, work)
-        finite, finite_bus = _published_bus(
-            scene, replace(config, fifo_capacity=deepest), work
-        )
-        problems = _timing_diff(finite, fast)
-        if finite.extras.get("distributor_blocked_cycles") != 0:
-            problems.append("blocked_cycles")
-        if len(fast_bus) != 3 or finite_bus != fast_bus:
-            problems.append(f"bus totals {finite_bus} != {fast_bus}")
-        if fast.extras or problems:
-            print(
-                f"timing invariants: {name}, FIFO {deepest} differs from the "
-                f"fast path on {problems or ['path choice']}"
-            )
+        if fast.extras or len(fast_bus) != 3:
+            print(f"timing invariants: {name}, the default FIFO did not take the closed form")
             return 1
+        recurrences = {
+            f"FIFO {deepest}": (replace(config, fifo_capacity=deepest), False),
+            "traced default FIFO": (config, True),
+        }
+        for label, (run_config, traced) in recurrences.items():
+            finite, finite_bus = _published_bus(scene, run_config, work, traced)
+            problems = _timing_diff(finite, fast)
+            if finite.extras.get("distributor_blocked_cycles") != 0:
+                problems.append("blocked_cycles")
+            if finite_bus != fast_bus:
+                problems.append(f"bus totals {finite_bus} != {fast_bus}")
+            if problems:
+                print(
+                    f"timing invariants: {name}, {label} differs from the "
+                    f"closed form on {problems}"
+                )
+                return 1
 
     processors = CLI_POINT[3]
     scene, config = _point(*CLI_POINT, GOLDEN_SCALE, fifo=8)
@@ -305,9 +317,9 @@ def check_timing_invariants() -> int:
         )
         return 1
     print(
-        f"timing invariants: OK — {len(ALL_POINTS)} points, fast path = "
-        f"never-full finite FIFO on cycles, finish, busy, stall and "
-        f"published bus totals; "
+        f"timing invariants: OK — {len(ALL_POINTS)} points, closed form = "
+        f"never-full finite FIFO = traced default FIFO on cycles, finish, "
+        f"busy, stall and published bus totals; "
         f"traced stall = timings.stall"
     )
     return 0

@@ -24,7 +24,6 @@ from repro.core import (
     MachineResult,
     simulate_machine,
     single_processor_baseline,
-    speedup,
 )
 from repro.distribution import (
     BlockInterleaved,
@@ -65,7 +64,6 @@ __all__ = [
     "MachineResult",
     "simulate_machine",
     "single_processor_baseline",
-    "speedup",
     "CacheConfig",
     # distributions
     "Distribution",

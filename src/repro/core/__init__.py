@@ -10,7 +10,7 @@ distribution (Figure 4).
 
 from repro.core.config import MachineConfig
 from repro.core.results import MachineResult, NodeTimings
-from repro.core.machine import simulate_machine, single_processor_baseline, speedup
+from repro.core.machine import simulate_machine, single_processor_baseline
 from repro.core.sortlast import simulate_sort_last, sort_last_assignment
 from repro.core.prefetch import PrefetchResult, latency_hiding_curve, simulate_prefetch_pipeline
 
@@ -20,7 +20,6 @@ __all__ = [
     "NodeTimings",
     "simulate_machine",
     "single_processor_baseline",
-    "speedup",
     "simulate_sort_last",
     "sort_last_assignment",
     "PrefetchResult",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -59,7 +58,7 @@ class MachineConfig:
     geometry_cycles: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.bus_ratio <= 0 and not math.isinf(self.bus_ratio):
+        if not self.bus_ratio > 0:
             raise ConfigurationError(f"bus ratio must be positive, got {self.bus_ratio}")
         if self.fifo_capacity < 1:
             raise ConfigurationError(

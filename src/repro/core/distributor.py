@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.node import transfer_cycles
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
@@ -80,27 +81,6 @@ def interleave_stream(
     )
 
 
-def _bus_totals(
-    stream: DistributorStream, transfer: np.ndarray, num_processors: int
-) -> Dict[str, float]:
-    """Lifetime bus accounting of a run, summed over the node buses.
-
-    A bus accumulates its busy cycles left to right in stream order
-    (``np.cumsum`` is that sequential fold; ``np.sum`` sums pairwise and
-    can differ in the last bit), and the buses are summed in node order.
-    """
-    order = np.argsort(stream.node, kind="stable")
-    counts = np.bincount(stream.node, minlength=num_processors)
-    per_bus = np.split(transfer[order], np.cumsum(counts)[:-1])
-    return {
-        "transfers": len(stream),
-        "texels": int(stream.texels.sum()),
-        "busy_cycles": sum(
-            float(np.cumsum(cycles)[-1]) if len(cycles) else 0.0 for cycles in per_bus
-        ),
-    }
-
-
 def run_event_machine(
     stream: DistributorStream,
     num_processors: int,
@@ -131,13 +111,12 @@ def run_event_machine(
     ``release`` (per-triangle geometry release times) throttles the
     distributor when a finite-rate geometry stage is modelled.
     ``stats`` (optional dict) receives head-of-line accounting:
-    ``blocked_cycles``, ``blocked_per_node``, ``fifo_high_water``,
-    ``stall_per_node`` (cycles each engine waited on its bus) and
-    aggregate ``bus_totals``.  ``recorder`` (optional event recorder)
-    receives busy/stall spans per triangle, the distributor's blocked
-    spans, FIFO occupancy samples and one lifetime span per node and
-    for the distributor; simulated timing is identical with or without
-    it.
+    ``blocked_cycles``, ``blocked_per_node``, ``fifo_high_water`` and
+    ``stall_per_node`` (cycles each engine waited on its bus).
+    ``recorder`` (optional event recorder) receives busy/stall spans per
+    triangle, the distributor's blocked spans, FIFO occupancy samples
+    and one lifetime span per node and for the distributor; simulated
+    timing is identical with or without it.
     """
     if fifo_capacity < 1:
         raise ConfigurationError(f"fifo capacity must be >= 1, got {fifo_capacity}")
@@ -146,9 +125,9 @@ def run_event_machine(
     if stats is None:
         stats = {}
     blocked_per_node = stats.setdefault("blocked_per_node", [0.0] * num_processors)
-    # Per entry: engine cycles and bus cycles (``BusModel.transfer_cycles``).
+    # Per entry: engine cycles and bus cycles.
     engine = np.maximum(stream.pixels, setup_cycles)
-    transfer = np.where(stream.texels == 0, 0.0, stream.texels / bus_ratio)
+    transfer = transfer_cycles(stream.texels, bus_ratio)
     free = [0.0] * num_processors
     bus_free = [0.0] * num_processors
     stall = [0.0] * num_processors
@@ -191,7 +170,7 @@ def run_event_machine(
             recorder.value(fifo_tracks[node], "occupancy", now, len(fifo))
 
     rows = zip(stream.node.tolist(), engine.tolist(), transfer.tolist())
-    for index, (node, cycles, transfer_cycles) in enumerate(rows):
+    for index, (node, cycles, bus_cycles) in enumerate(rows):
         if release_at is not None and now < release_at[index]:
             now = now + (release_at[index] - now)
         fifo = stored[node]
@@ -224,7 +203,7 @@ def run_event_machine(
         data_done = bus_free[node]
         if start > data_done:
             data_done = start
-        data_done = data_done + transfer_cycles
+        data_done = data_done + bus_cycles
         bus_free[node] = data_done
         end = busy_end
         if data_done > busy_end:
@@ -253,5 +232,4 @@ def run_event_machine(
 
     stats["fifo_high_water"] = high_water
     stats["stall_per_node"] = stall
-    stats["bus_totals"] = _bus_totals(stream, transfer, num_processors)
     return max([now, *free]), free

@@ -2,14 +2,22 @@
 
 Gluing the substrates together: rasterise the scene once, route
 triangles through the distribution, replay each node's fragment stream
-through its private cache, then run the timing model.  Two timing paths
-exist — an exact fast path for machines whose triangle FIFO never fills
-(the paper's default 10 000-entry buffer) and the finite-FIFO
-recurrence for the buffer study — chosen by whether ``fifo_capacity``
-exceeds the deepest per-node triangle stream.  They agree cycle for
-cycle on the never-full case: tests set ``fifo_capacity`` equal to the
-deepest stream, which takes the finite-FIFO path while no push ever
-blocks, to enforce that claim.
+through its private cache, then run the timing model.  A node is timed
+one way per regime.  An untraced run with an ideal geometry stage and a
+``fifo_capacity`` above the deepest per-node triangle stream (the
+paper's default 10 000-entry buffer) gives every node its next triangle
+the moment it frees up, so each node drains in closed form
+(:func:`repro.core.node.drain_node`).  Every other run goes through the
+finite-FIFO recurrence (:func:`repro.core.distributor.run_event_machine`):
+a traced one, because only the recurrence records spans, a
+geometry-throttled one, and one whose FIFO can fill.  Above the deepest
+stream the recurrence never blocks, and the two agree cycle for cycle:
+tests set ``fifo_capacity`` equal to the deepest stream, or trace at the
+default FIFO, to enforce that claim.
+
+``busy`` and the ``bus.*`` totals do not depend on the path: ``busy``
+is the routed work's ``node_work`` and the bus totals follow from each
+node's texels and the bus ratio (:func:`repro.core.node.bus_totals`).
 
 Everything upstream of the timing model is a pipeline artifact
 (:mod:`repro.pipeline`): ``build_routed_work`` memoizes the routing
@@ -25,20 +33,19 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.bus.bus import BusModel, publish_bus_totals
 from repro.cache.models import make_cache_model
 from repro.core.config import MachineConfig
 from repro.core.distributor import run_event_machine
 from repro.core.geometry_stage import geometry_release_times
-from repro.core.node import drain_node
+from repro.core.node import bus_totals, drain_node
 from repro.core.results import MachineResult, NodeTimings
 from repro.core.routing import RoutedWork, build_routed_work
 from repro.distribution.single import SingleProcessor
 from repro.geometry.scene import Scene
 
 
-def _fifo_is_effectively_infinite(config: MachineConfig, work: RoutedWork) -> bool:
-    """True when no FIFO can ever fill, so the fast path is exact."""
+def _fifo_never_fills(config: MachineConfig, work: RoutedWork) -> bool:
+    """True when the FIFO can hold every node's whole triangle stream."""
     deepest = max((len(ids) for ids in work.triangles), default=0)
     return config.fifo_capacity > deepest
 
@@ -52,9 +59,10 @@ def simulate_machine(
     """Simulate one frame of ``scene`` on the configured machine.
 
     ``routed`` lets callers that sweep timing-only parameters (FIFO
-    size, bus ratio) reuse one routing/cache replay across runs.  The
-    exact fast timing path runs whenever the FIFO can never fill, the
-    finite-FIFO recurrence otherwise.
+    size, bus ratio) reuse one routing/cache replay across runs; it must
+    be built with ``config.setup_cycles``.  Nodes drain in closed form
+    when there is no recorder, no geometry stage and the FIFO can never
+    fill, and through the finite-FIFO recurrence otherwise.
     """
     from repro import obs
     from repro.pipeline import stage_timer
@@ -80,30 +88,17 @@ def simulate_machine(
         )
 
     extras: Dict[str, Any] = {}
-    bus_totals: Dict[str, float] = {"transfers": 0, "texels": 0, "busy_cycles": 0.0}
     with stage_timer("timing"):
-        if _fifo_is_effectively_infinite(config, work):
+        if recorder is None and release is None and _fifo_never_fills(config, work):
             finish = np.zeros(n)
-            busy = np.zeros(n)
             stall = np.zeros(n)
             for node in range(n):
-                arrivals = release[work.triangles[node]] if release is not None else None
-                bus = BusModel(config.bus_ratio)
-                timing = drain_node(
+                finish[node], stall[node] = drain_node(
                     work.pixels[node],
                     work.texels[node],
                     config.setup_cycles,
                     config.bus_ratio,
-                    arrivals=arrivals,
-                    recorder=recorder,
-                    node_id=node,
-                    bus=bus,
                 )
-                finish[node] = timing.finish
-                busy[node] = timing.busy_cycles
-                stall[node] = timing.stall_cycles
-                for series, amount in bus.totals().items():
-                    bus_totals[series] += amount
             cycles = float(finish.max()) if n else 0.0
         else:
             event_stats: Dict[str, Any] = {}
@@ -118,12 +113,7 @@ def simulate_machine(
                 recorder=recorder,
             )
             finish = np.asarray(node_finish)
-            busy = np.array(
-                [np.maximum(p, config.setup_cycles).sum() for p in work.pixels],
-                dtype=float,
-            )
             stall = np.asarray(event_stats["stall_per_node"])
-            bus_totals = event_stats["bus_totals"]
             extras = {
                 "distributor_blocked_cycles": event_stats.get("blocked_cycles", 0.0),
                 "distributor_blocked_per_node": event_stats.get("blocked_per_node"),
@@ -132,7 +122,8 @@ def simulate_machine(
 
     registry = obs.registry()
     registry.counter("machine.simulations").inc()
-    publish_bus_totals(registry, bus_totals, scene=scene.name)
+    for series, amount in bus_totals(work.texels, config.bus_ratio).items():
+        registry.counter(f"bus.{series}").labels(scene=scene.name).inc(amount)
     work.cache.publish(registry, scene=scene.name)
 
     cache_model = make_cache_model(config.cache, config.cache_config)
@@ -144,7 +135,7 @@ def simulate_machine(
         fifo_capacity=config.fifo_capacity,
         num_processors=n,
         cycles=cycles,
-        timings=NodeTimings(finish=finish, busy=busy, stall=stall),
+        timings=NodeTimings(finish=finish, busy=work.node_work, stall=stall),
         node_pixels=work.node_pixels,
         node_work=work.node_work,
         cache=work.cache,
@@ -162,11 +153,3 @@ def single_processor_baseline(scene: Scene, config: MachineConfig) -> float:
     solo = config.with_distribution(SingleProcessor())
     return simulate_machine(scene, solo).cycles
 
-
-def speedup(scene: Scene, config: MachineConfig) -> float:
-    """Convenience wrapper: baseline cycles / parallel cycles."""
-    baseline = single_processor_baseline(scene, config)
-    result = simulate_machine(scene, config, baseline_cycles=baseline)
-    if result.cycles == 0:
-        return float(config.num_processors)
-    return baseline / result.cycles

@@ -14,10 +14,11 @@ from repro.cache.stats import CacheRunResult
 class NodeTimings:
     """Per-node cycle accounting.
 
-    ``busy`` sums each triangle's ``max(pixels, setup)`` engine cycles;
-    ``stall`` sums the cycles a finished engine waited for its bus,
-    ``max(0, data_done - engine_end)`` per triangle, on both timing
-    paths.  Waiting for a triangle to arrive counts in neither.
+    ``busy`` sums each triangle's ``max(pixels, setup)`` engine cycles
+    (the routed work's ``node_work``); ``stall`` sums the cycles a
+    finished engine waited for its bus, ``max(0, data_done -
+    engine_end)`` per triangle, on both timing paths.  Waiting for a
+    triangle to arrive counts in neither.
     """
 
     finish: np.ndarray

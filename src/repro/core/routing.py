@@ -126,13 +126,6 @@ class RoutedWork:
             self._stream = interleave_stream(self.triangles, self.pixels, self.texels)
         return self._stream
 
-    def imbalance_percent(self) -> float:
-        """Percent extra work of the busiest node over the average."""
-        average = self.node_work.mean()
-        if average == 0:
-            return 0.0
-        return (self.node_work.max() / average - 1.0) * 100.0
-
 
 def _owners_of(owners: Owners) -> np.ndarray:
     """The owners column, computing it if ``owners`` is a callable."""

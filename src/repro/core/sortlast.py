@@ -84,7 +84,6 @@ def simulate_sort_last(
     order, bounds = partition_by_node(owners, num_processors)
 
     finish = np.zeros(num_processors)
-    busy = np.zeros(num_processors)
     stall = np.zeros(num_processors)
     node_pixels = np.zeros(num_processors, dtype=np.int64)
     node_work = np.zeros(num_processors, dtype=np.int64)
@@ -102,10 +101,7 @@ def simulate_sort_last(
 
         pixels = pixel_counts[triangle_ids]
         texels = run.texels_by_triangle[triangle_ids]
-        timing = drain_node(pixels, texels, setup_cycles, bus_ratio)
-        finish[node] = timing.finish
-        busy[node] = timing.busy_cycles
-        stall[node] = timing.stall_cycles
+        finish[node], stall[node] = drain_node(pixels, texels, setup_cycles, bus_ratio)
         node_pixels[node] = pixels.sum()
         node_work[node] = np.maximum(pixels, setup_cycles).sum()
 
@@ -118,7 +114,7 @@ def simulate_sort_last(
         fifo_capacity=0,
         num_processors=num_processors,
         cycles=float(finish.max()) if num_processors else 0.0,
-        timings=NodeTimings(finish=finish, busy=busy, stall=stall),
+        timings=NodeTimings(finish=finish, busy=node_work, stall=stall),
         node_pixels=node_pixels,
         node_work=node_work,
         cache=total_cache,

@@ -257,7 +257,7 @@ def machine_from_payload(payload: Dict) -> Dict:
         "bus_ratio": _number(payload, "bus_ratio", default=1.0),
         "fifo": _integer(payload, "fifo", default=10000, minimum=1),
     }
-    if machine["bus_ratio"] <= 0:
+    if not machine["bus_ratio"] > 0:
         raise ConfigurationError(f"bus_ratio must be positive, got {machine['bus_ratio']}")
     if "cache_kb" in payload:
         machine["cache_kb"] = _integer(payload, "cache_kb", default=16, minimum=1)

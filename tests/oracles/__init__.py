@@ -19,10 +19,11 @@ bit for bit:
 * :mod:`tests.oracles.routing` — per-triangle bounding-box routing:
   one box clamp and one scalar ``nodes_in_box`` query per triangle,
   with each distribution family's scalar body;
-* :mod:`tests.oracles.kernel`, :mod:`tests.oracles.fifo` and
-  :mod:`tests.oracles.event_machine` — the discrete-event kernel, its
-  blocking bounded FIFO and the distributor and node processes that
-  ran the finite-FIFO machine on it;
+* :mod:`tests.oracles.kernel`, :mod:`tests.oracles.fifo`,
+  :mod:`tests.oracles.bus` and :mod:`tests.oracles.event_machine` — the
+  discrete-event kernel, its blocking bounded FIFO, the per-node
+  :class:`BusModel` that queues each transfer and the distributor and
+  node processes that ran the finite-FIFO machine on it;
 * :mod:`tests.oracles.stream` — the distributor's stream as a sorted
   list of ``(triangle, node, pixels, texels)`` tuples, with the
   converters between that list and the shipped columnar stream;
@@ -31,6 +32,7 @@ bit for bit:
   whose ``observe`` ranks first touches through ``np.unique``.
 """
 
+from tests.oracles.bus import BusModel
 from tests.oracles.event_machine import reference_event_machine
 from tests.oracles.lru import ReferenceLru
 from tests.oracles.pages import ReferencePageTable
@@ -45,6 +47,7 @@ from tests.oracles.routing import reference_nodes_in_box, reference_route_triang
 from tests.oracles.stream import reference_interleave_stream, stream_columns, stream_rows
 
 __all__ = [
+    "BusModel",
     "EdgeEquations",
     "ReferenceLru",
     "ReferencePageTable",

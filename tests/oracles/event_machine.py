@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bus.bus import BusModel
+from tests.oracles.bus import BusModel
 from tests.oracles.fifo import BoundedFifo
 from tests.oracles.kernel import ProcessGenerator, Simulator
 from tests.oracles.stream import StreamEntry

@@ -1,11 +1,16 @@
-"""Tests for the bandwidth-limited bus model."""
+"""Tests for the event-kernel oracle's bandwidth-limited bus.
+
+:class:`tests.oracles.bus.BusModel` is the per-node bus the oracle's
+node processes queue their transfers on; the shipped machine's bus
+arithmetic is held to it in ``tests/test_distributor.py``.
+"""
 
 import math
 
 import pytest
 
-from repro.bus import BusModel, INFINITE_BANDWIDTH
 from repro.errors import ConfigurationError
+from tests.oracles.bus import INFINITE_BANDWIDTH, BusModel
 
 
 def test_rejects_non_positive_bandwidth():

@@ -1,12 +1,14 @@
 """Tests for the machine simulator, including event/fast-path agreement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import MachineConfig, simulate_machine, single_processor_baseline, speedup
+from repro.analysis.performance import SpeedupStudy
+from repro.core import MachineConfig, simulate_machine, single_processor_baseline
 from repro.core.distributor import interleave_stream, run_event_machine
 from repro.core.routing import build_routed_work
 from repro.distribution import BlockInterleaved, ScanLineInterleaved, SingleProcessor
@@ -16,8 +18,9 @@ from tests.oracles import stream_rows
 
 class TestConfig:
     def test_rejects_bad_bus_ratio(self):
-        with pytest.raises(ConfigurationError):
-            MachineConfig(distribution=SingleProcessor(), bus_ratio=0)
+        for ratio in (0, -1.0, -math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match="bus ratio must be positive"):
+                MachineConfig(distribution=SingleProcessor(), bus_ratio=ratio)
 
     def test_rejects_bad_fifo(self):
         with pytest.raises(ConfigurationError):
@@ -67,8 +70,9 @@ class TestSingleProcessor:
 
 class TestParallelMachine:
     def test_speedup_bounded_by_processor_count(self, tiny_bench_scene):
-        config = MachineConfig(distribution=BlockInterleaved(4, 16), cache="perfect")
-        value = speedup(tiny_bench_scene, config)
+        value = SpeedupStudy(tiny_bench_scene, cache="perfect").speedup(
+            BlockInterleaved(4, 16)
+        )
         assert 1.0 <= value <= 4.0 + 1e-9
 
     def test_parallel_no_slower_than_serial_perfect_cache(self, flat_scene):
@@ -122,8 +126,8 @@ class TestEventPathEquivalence:
         cycles, finish = run_event_machine(
             stream, dist.num_processors, 10**9, 25, 1.0
         )
-        assert cycles == pytest.approx(fast.cycles)
-        assert np.allclose(np.asarray(finish), fast.timings.finish)
+        assert cycles == fast.cycles
+        assert finish == fast.timings.finish.tolist()
 
     def test_small_fifo_never_faster(self, tiny_bench_scene):
         dist = BlockInterleaved(8, 8)
@@ -154,10 +158,11 @@ def deepest_stream(work) -> int:
 
 
 class TestTimingModes:
-    """The timing path follows ``fifo_capacity``: the fast path above the
-    deepest per-node stream, the event path at or below it.  At exactly
-    the deepest stream the event path runs but no push ever blocks, so
-    it must agree with the fast path cycle for cycle."""
+    """A node is timed one way per regime: in closed form when there is
+    no recorder, no geometry stage and a ``fifo_capacity`` above the
+    deepest per-node stream, by the finite-FIFO recurrence otherwise.
+    At exactly the deepest stream the recurrence runs but no push ever
+    blocks, so it must agree with the closed form cycle for cycle."""
 
     @pytest.mark.parametrize(
         "dist",
@@ -167,23 +172,50 @@ class TestTimingModes:
     def test_fast_and_event_paths_agree_when_fifo_never_fills(
         self, tiny_bench_scene, dist
     ):
-        """The claim the fast path rests on, enforced cycle for cycle."""
+        """The claim the closed form rests on, enforced bit for bit."""
         work = build_routed_work(tiny_bench_scene, dist, cache_spec="lru")
-        fast_config = MachineConfig(distribution=dist, cache="lru", bus_ratio=1.0)
-        event_config = MachineConfig(
-            distribution=dist,
-            cache="lru",
-            bus_ratio=1.0,
-            fifo_capacity=deepest_stream(work),
+        for ratio in (1.0, 1.5, 3.0):
+            fast_config = MachineConfig(distribution=dist, cache="lru", bus_ratio=ratio)
+            event_config = replace(fast_config, fifo_capacity=deepest_stream(work))
+            fast = simulate_machine(tiny_bench_scene, fast_config, routed=work)
+            event = simulate_machine(tiny_bench_scene, event_config, routed=work)
+            assert fast.extras == {}
+            assert event.extras["distributor_blocked_cycles"] == 0
+            assert event.cycles == fast.cycles
+            for series in ("finish", "busy", "stall"):
+                assert np.array_equal(
+                    getattr(event.timings, series), getattr(fast.timings, series)
+                ), (ratio, series)
+            assert np.array_equal(fast.timings.busy, work.node_work)
+
+    @pytest.mark.parametrize("geometry_engines", [0, 2], ids=["ideal", "geometry"])
+    def test_traced_or_throttled_default_fifo_runs_the_recurrence(
+        self, tiny_bench_scene, geometry_engines
+    ):
+        """Only the recurrence records spans and models geometry release,
+        so a traced or geometry-stage run at the default FIFO takes it,
+        never blocks, and keeps the untraced run's cycles."""
+        config = MachineConfig(
+            distribution=BlockInterleaved(4, 16),
+            geometry_engines=geometry_engines,
+            geometry_cycles=200,
         )
-        fast = simulate_machine(tiny_bench_scene, fast_config, routed=work)
-        event = simulate_machine(tiny_bench_scene, event_config, routed=work)
-        assert fast.extras == {}
-        assert event.extras["distributor_blocked_cycles"] == 0
-        assert event.cycles == pytest.approx(fast.cycles)
-        assert np.allclose(event.timings.finish, fast.timings.finish)
-        assert np.allclose(event.timings.busy, fast.timings.busy)
-        assert np.array_equal(event.timings.stall, fast.timings.stall)
+        plain = simulate_machine(tiny_bench_scene, config)
+        recorder = obs.enable_tracing()
+        try:
+            traced = simulate_machine(tiny_bench_scene, config)
+        finally:
+            obs.disable_tracing()
+        assert ("distributor_blocked_cycles" in plain.extras) == (geometry_engines > 0)
+        assert traced.extras["distributor_blocked_cycles"] == 0
+        assert traced.cycles == plain.cycles
+        for series in ("finish", "busy", "stall"):
+            assert np.array_equal(getattr(traced.timings, series), getattr(plain.timings, series))
+        spans = recorder.span_summary()
+        assert "sim/distributor/process" in spans
+        assert all(f"sim/node-{node}/process" in spans for node in range(4))
+        fifos = {key.split("/")[1] for key in recorder.value_summary()}
+        assert fifos and fifos <= {f"tri-fifo-{node}" for node in range(4)}
 
     @pytest.mark.parametrize("fifo", [10000, 8], ids=["fast", "finite-fifo"])
     @pytest.mark.parametrize("geometry_engines", [0, 2], ids=["ideal", "geometry"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.load_balance import imbalance_percent
 from repro.core.routing import build_routed_work, route_triangles
 from repro.distribution import BlockInterleaved, ScanLineInterleaved, SingleProcessor
 
@@ -57,9 +58,7 @@ def test_routed_zero_pixel_triangles_cost_setup(flat_scene):
 
 
 def test_imbalance_zero_for_uniform_scene_fine_blocks(flat_scene):
-    dist = BlockInterleaved(4, 8)
-    work = build_routed_work(flat_scene, dist, cache_spec="perfect")
-    assert work.imbalance_percent() == pytest.approx(0.0, abs=1.0)
+    assert imbalance_percent(flat_scene, BlockInterleaved(4, 8)) == pytest.approx(0.0, abs=1.0)
 
 
 def test_cache_replay_aggregates_across_nodes(flat_scene):

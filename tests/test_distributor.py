@@ -4,12 +4,13 @@
 process and P node processes on a discrete-event kernel.  The kernel and
 those processes live on as :func:`tests.oracles.reference_event_machine`;
 these tests hold the recurrence to it exactly on cycles, per-node finish,
-head-of-line blocking, bus totals and the recorder's span and node
-summaries.  FIFO high water may sit one entry below the oracle's, and
-occupancy series may lose samples in pairs: the oracle orders a put and
-a get on the same cycle by event sequence number, while the recurrence
-always lets the node take first (the same-cycle rule, pinned by the
-hand-built stream below).
+head-of-line blocking and the recorder's span and node summaries, and
+:func:`repro.core.node.bus_totals` to the oracle's bus totals.  FIFO
+high water may sit one entry below the oracle's, and occupancy series
+may lose samples in pairs: the oracle orders a put and a get on the
+same cycle by event sequence number, while the recurrence always lets
+the node take first (the same-cycle rule, pinned by the hand-built
+stream below).
 
 Streams are written as lists of ``(triangle, node, pixels, texels)``
 tuples, the oracle's format; :func:`tests.oracles.stream_columns` turns
@@ -32,12 +33,14 @@ from repro.core.config import MachineConfig
 from repro.core.distributor import interleave_stream, run_event_machine
 from repro.core.geometry_stage import geometry_release_times
 from repro.core.machine import simulate_machine
+from repro.core.node import bus_totals
 from repro.core.routing import build_routed_work
 from repro.distribution import BlockInterleaved
 from repro.errors import ConfigurationError
 from repro.obs.recorder import EventRecorder
 from repro.workloads.scenes import build_scene
 from tests.oracles import (
+    BusModel,
     reference_event_machine,
     reference_interleave_stream,
     stream_columns,
@@ -67,13 +70,22 @@ def assert_matches_oracle(stream, processors, capacity, setup, ratio, release=No
     assert finish == want_finish
     assert stats.get("blocked_cycles") == want.get("blocked_cycles")
     assert stats["blocked_per_node"] == want["blocked_per_node"]
-    assert stats["bus_totals"] == want["bus_totals"]
+    assert node_bus_totals(stream, processors, ratio) == want["bus_totals"]
     assert recorder.span_summary() == oracle.span_summary()
     assert recorder.node_summary() == oracle.node_summary()
     for high, oracle_high in zip(stats["fifo_high_water"], want["fifo_high_water"]):
         assert oracle_high - 1 <= high <= oracle_high
     assert_occupancy_within_ties(recorder.value_summary(), oracle.value_summary())
     return stats, recorder
+
+
+def node_bus_totals(stream, processors, ratio):
+    """:func:`bus_totals` of each node's texels, in stream order."""
+    texels = [
+        np.array([row[3] for row in stream if row[1] == node], dtype=np.int64)
+        for node in range(processors)
+    ]
+    return bus_totals(texels, ratio)
 
 
 def assert_occupancy_within_ties(series, oracle_series):
@@ -141,8 +153,20 @@ def test_long_node_streams_sum_bus_cycles_in_stream_order(ratio):
     differs from it in the last bit on streams this long.
     """
     rng = np.random.default_rng(5)
-    texels = rng.integers(0, 300, size=600).tolist()
-    stream = [(tri, tri % 3, 20 + tri % 9, texels[tri]) for tri in range(600)]
+    texels = rng.integers(0, 300, size=600)
+    per_node = [texels[node::3] for node in range(3)]
+    buses = [BusModel(ratio) for _ in per_node]
+    for bus, node_texels in zip(buses, per_node):
+        for demanded in node_texels.tolist():
+            bus.request(0.0, demanded)
+    assert bus_totals(per_node, ratio) == {
+        "transfers": sum(bus.transfers for bus in buses),
+        "texels": sum(bus.texels_delivered for bus in buses),
+        "busy_cycles": sum(bus.busy_cycles for bus in buses),
+    }
+    pairwise = sum(float(np.sum(np.asarray(t) / ratio)) for t in per_node)
+    assert pairwise != bus_totals(per_node, ratio)["busy_cycles"]
+    stream = [(tri, tri % 3, 20 + tri % 9, int(texels[tri])) for tri in range(600)]
     assert_matches_oracle(stream, 3, 4, 25, ratio)
 
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import MachineConfig, simulate_machine
-from repro.core.distributor import interleave_stream, run_event_machine
 from repro.core.geometry_stage import geometry_release_times
 from repro.core.routing import build_routed_work
 from repro.distribution import BlockInterleaved, SingleProcessor
 from repro.errors import ConfigurationError
+from tests.oracles import reference_event_machine, stream_rows
 
 
 class TestReleaseTimes:
@@ -92,22 +92,25 @@ class TestGeometryBoundMachine:
         assert times == sorted(times, reverse=True)
 
     def test_event_path_agrees_with_fast_path_under_throttle(self, flat_scene):
+        """A throttled run at the default FIFO takes the recurrence, which
+        never blocks there and equals the event-kernel oracle exactly."""
         dist = BlockInterleaved(4, 8)
-        work = build_routed_work(flat_scene, dist, cache_spec="perfect")
-        config = MachineConfig(
-            distribution=dist,
-            cache="perfect",
-            geometry_engines=2,
-            geometry_cycles=50.0,
-        )
-        fast = simulate_machine(flat_scene, config, routed=work)
-
-        from repro.core.geometry_stage import geometry_release_times
-
-        release = geometry_release_times(flat_scene.num_triangles, 2, 50.0)
-        stream = interleave_stream(work.triangles, work.pixels, work.texels)
-        cycles, _ = run_event_machine(stream, 4, 10**9, 25, 1.0, release=release)
-        assert cycles == pytest.approx(fast.cycles)
+        work = build_routed_work(flat_scene, dist, cache_spec="lru")
+        for geometry_cycles in (50.0, 100 / 3, 0.7):
+            config = MachineConfig(
+                distribution=dist,
+                geometry_engines=2,
+                geometry_cycles=geometry_cycles,
+            )
+            result = simulate_machine(flat_scene, config, routed=work)
+            release = geometry_release_times(flat_scene.num_triangles, 2, geometry_cycles)
+            cycles, finish = reference_event_machine(
+                stream_rows(work.stream()), 4, config.fifo_capacity, 25, 1.0,
+                release=release,
+            )
+            assert result.extras["distributor_blocked_cycles"] == 0
+            assert result.cycles == cycles
+            assert result.timings.finish.tolist() == finish
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

@@ -13,6 +13,7 @@ lease/heartbeat/requeue-on-expiry protocol in-process and over HTTP.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -174,8 +175,11 @@ class TestJobSpec:
             spec_from_payload({"experiment": "table1", "scale": 2.0})
         with pytest.raises(ConfigurationError, match="processors"):
             spec_from_payload({"scene": "quake", "processors": 0})
-        with pytest.raises(ConfigurationError, match="bus_ratio"):
-            spec_from_payload({"scene": "quake", "bus_ratio": -1.0})
+        for ratio in (-1.0, 0.0, float("nan")):
+            with pytest.raises(ConfigurationError, match="bus_ratio must be positive"):
+                spec_from_payload({"scene": "quake", "bus_ratio": ratio})
+        # An infinite bus (the Figure-6 locality setting) stays valid.
+        assert spec_from_payload({"scene": "quake", "bus_ratio": math.inf}).bus_ratio == math.inf
 
     def test_options_are_split_from_the_spec(self):
         spec, options = parse_submission(

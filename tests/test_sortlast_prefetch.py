@@ -39,6 +39,12 @@ class TestSortLastMachine:
         last = simulate_sort_last(flat_scene, 1, cache="lru", bus_ratio=1.0)
         assert last.cycles == pytest.approx(middle.cycles)
         assert last.cache.misses == middle.cache.misses
+        assert np.array_equal(last.timings.busy, middle.timings.busy)
+
+    @pytest.mark.parametrize("ratio", [0, float("nan")])
+    def test_rejects_a_bus_ratio_that_is_not_positive(self, flat_scene, ratio):
+        with pytest.raises(ConfigurationError, match="bus bandwidth"):
+            simulate_sort_last(flat_scene, 2, bus_ratio=ratio)
 
     def test_work_conserved_across_nodes(self, tiny_bench_scene):
         result = simulate_sort_last(tiny_bench_scene, 8, cache="perfect")
