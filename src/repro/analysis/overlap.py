@@ -15,7 +15,9 @@ tile size before running a simulation.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Union
+
+import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.core.routing import route_triangles
@@ -23,25 +25,34 @@ from repro.distribution.assigned import TileGrid
 from repro.errors import ConfigurationError
 from repro.geometry.scene import Scene
 
+#: A box extent in pixels: one value, or a column of them.
+Extent = Union[float, np.ndarray]
 
-def predicted_overlap(bbox_w: float, bbox_h: float, tile: int) -> float:
-    """Expected tiles overlapped by one box under random placement."""
+
+def predicted_overlap(bbox_w: Extent, bbox_h: Extent, tile: int) -> Extent:
+    """Expected tiles overlapped by one box under random placement.
+
+    The extents may be columns, giving one prediction per box.
+    """
     if tile < 1:
         raise ConfigurationError(f"tile size must be >= 1, got {tile}")
     return (bbox_w / tile + 1.0) * (bbox_h / tile + 1.0)
 
 
 def scene_predicted_overlap(scene: Scene, tile: int) -> float:
-    """Mean predicted overlap over a scene's triangle boxes."""
+    """Mean predicted overlap over a scene's triangle boxes.
+
+    Boxes are clipped to the screen; the per-triangle predictions are
+    summed left to right in submission order.
+    """
     if scene.num_triangles == 0:
         return 0.0
-    total = 0.0
-    for triangle in scene.triangles:
-        min_x, min_y, max_x, max_y = triangle.bounding_box()
-        width = min(max_x, scene.width) - max(min_x, 0.0)
-        height = min(max_y, scene.height) - max(min_y, 0.0)
-        total += predicted_overlap(max(width, 0.0), max(height, 0.0), tile)
-    return total / scene.num_triangles
+    table = scene.vertex_table
+    xs, ys = table[:, 0:15:5], table[:, 1:15:5]
+    width = np.minimum(xs.max(axis=1), scene.width) - np.maximum(xs.min(axis=1), 0.0)
+    height = np.minimum(ys.max(axis=1), scene.height) - np.maximum(ys.min(axis=1), 0.0)
+    overlaps = predicted_overlap(np.maximum(width, 0.0), np.maximum(height, 0.0), tile)
+    return float(np.add.accumulate(overlaps)[-1]) / scene.num_triangles
 
 
 def scene_measured_overlap(scene: Scene, tile: int) -> float:

@@ -41,6 +41,7 @@ from repro.core.node import bus_totals, drain_node
 from repro.core.results import MachineResult, NodeTimings
 from repro.core.routing import RoutedWork, build_routed_work
 from repro.distribution.single import SingleProcessor
+from repro.errors import ConfigurationError
 from repro.geometry.scene import Scene
 
 
@@ -60,7 +61,8 @@ def simulate_machine(
 
     ``routed`` lets callers that sweep timing-only parameters (FIFO
     size, bus ratio) reuse one routing/cache replay across runs; it must
-    be built with ``config.setup_cycles``.  Nodes drain in closed form
+    be built with ``config.setup_cycles``, or :class:`ConfigurationError`
+    is raised (its ``node_work`` is ``busy``).  Nodes drain in closed form
     when there is no recorder, no geometry stage and the FIFO can never
     fill, and through the finite-FIFO recurrence otherwise.
     """
@@ -72,6 +74,11 @@ def simulate_machine(
     active = obs.recorder()
     recorder = active if active.enabled else None
 
+    if routed is not None and int(routed.setup_cycles) != int(config.setup_cycles):
+        raise ConfigurationError(
+            f"routed work was built with setup_cycles={routed.setup_cycles}, "
+            f"the machine has setup_cycles={config.setup_cycles}"
+        )
     work = routed or build_routed_work(
         scene,
         config.distribution,

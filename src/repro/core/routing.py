@@ -18,8 +18,6 @@ everything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -53,10 +51,6 @@ Owners = Union[np.ndarray, Callable[[], np.ndarray]]
 #: (per-triangle node lists) in an artifact directory keeps its old key
 #: and is never read back as this one.
 PLAN_FORMAT = "per-node"
-
-#: Screen positions of a triangle's three vertices in one C-level sweep.
-_POSITIONS = attrgetter(*(f"v{i}.{axis}" for i in range(3) for axis in "xy"))
-
 
 @dataclass
 class RoutingPlan:
@@ -111,6 +105,8 @@ class RoutedWork:
     node_work: np.ndarray
     #: Aggregate cache behaviour over all nodes (Figure-6 metric).
     cache: CacheRunResult
+    #: The per-triangle setup floor ``node_work`` was built with.
+    setup_cycles: int
     #: The distributor's stream, built on first use by :meth:`stream`.
     _stream: Optional[DistributorStream] = field(
         default=None, init=False, repr=False, compare=False
@@ -158,15 +154,13 @@ def partition_by_node(
 def _triangle_boxes(scene: Scene) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Inclusive pixel box ``(x0, y0, x1, y1)`` of every triangle, clamped to the screen.
 
-    One attribute sweep reads the vertex positions; the ``floor`` /
-    ``ceil`` / clamp expressions run on ``float64`` columns, where every
-    intermediate is an exact integer, and only the clamped results are
-    cast to ``int64``.
+    The vertex positions are columns of the scene's vertex table; the
+    ``floor`` / ``ceil`` / clamp expressions run on ``float64`` columns,
+    where every intermediate is an exact integer, and only the clamped
+    results are cast to ``int64``.
     """
-    count = scene.num_triangles
-    positions = chain.from_iterable(map(_POSITIONS, scene.triangles))
-    table = np.fromiter(positions, dtype=np.float64, count=6 * count)
-    ax, ay, bx, by, cx, cy = table.reshape(count, 6).T
+    table = scene.vertex_table
+    ax, ay, bx, by, cx, cy = (table[:, k] for k in (0, 1, 5, 6, 10, 11))
     width, height = scene.width - 1.0, scene.height - 1.0
     x0 = np.clip(np.floor(np.minimum(np.minimum(ax, bx), cx)), 0.0, width)
     y0 = np.clip(np.floor(np.minimum(np.minimum(ay, by), cy)), 0.0, height)
@@ -346,6 +340,7 @@ def assemble_routed_work(
         node_pixels=plan.node_pixels,
         node_work=node_work,
         cache=replay.cache,
+        setup_cycles=setup_cycles,
     )
 
 

@@ -25,10 +25,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Union
 
+import numpy as np
+
 from repro.errors import TraceFormatError
-from repro.geometry.scene import Scene
-from repro.geometry.triangle import Triangle
-from repro.geometry.vertex import Vertex
+from repro.geometry.scene import VERTEX_COLUMNS, Scene
 from repro.texture.texture import MipmappedTexture
 
 _MAGIC = "REPRO-TRACE"
@@ -47,12 +47,9 @@ def save_trace(scene: Scene, path: Union[str, Path]) -> None:
     for texture in scene.textures:
         lines.append(f"texture {texture.width} {texture.height}")
     lines.append(f"triangles {scene.num_triangles}")
-    for tri in scene.triangles:
-        coords = " ".join(
-            f"{v.x:.4f} {v.y:.4f} {v.u:.4f} {v.v:.4f} {v.z:.4f}"
-            for v in tri.vertices
-        )
-        lines.append(f"tri {tri.texture} {coords}")
+    record = "tri {} " + " ".join(["{:.4f}"] * VERTEX_COLUMNS)
+    for texture, row in zip(scene.texture_ids.tolist(), scene.vertex_table.tolist()):
+        lines.append(record.format(texture, *row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -90,23 +87,21 @@ def load_trace(path: Union[str, Path]) -> Scene:
     (tri_count,) = (int(t) for t in _expect(rows, cursor, "triangles", 1))
     cursor += 1
 
-    scene = Scene(name, width, height, textures)
     stride = 5 if version >= 2 else 4
+    texture_ids: List[int] = []
+    values: List[List[float]] = []
     for _ in range(tri_count):
         fields = _expect(rows, cursor, "tri", 1 + 3 * stride)
         cursor += 1
-        tex = int(fields[0])
-        values = [float(f) for f in fields[1:]]
-        vertices = []
-        for base in (0, stride, 2 * stride):
-            chunk = values[base : base + stride]
-            if stride == 5:
-                x, y, u, v, z = chunk
-            else:
-                x, y, u, v = chunk
-                z = 0.0
-            vertices.append(Vertex(x, y, u, v, z))
-        scene.add(Triangle(vertices[0], vertices[1], vertices[2], texture=tex))
-    if scene.num_triangles != tri_count:
+        texture_ids.append(int(fields[0]))
+        values.append([float(f) for f in fields[1:]])
+    if len(texture_ids) != tri_count:
         raise TraceFormatError(f"{path}: triangle count mismatch")
+    table = np.zeros((tri_count, VERTEX_COLUMNS), dtype=np.float64)
+    # Version 1 records carry no depth; its column stays 0.
+    table[:, [5 * vertex + k for vertex in range(3) for k in range(stride)]] = np.reshape(
+        values, (tri_count, 3 * stride)
+    )
+    scene = Scene(name, width, height, textures)
+    scene.extend(table, texture_ids)
     return scene

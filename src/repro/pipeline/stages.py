@@ -48,11 +48,12 @@ def stage_timer(stage: str):
 
 
 def scene_artifact(name: str, scale: float):
-    """Stage 1: a generated benchmark scene, by (name, scale, spec) key."""
+    """Stage 1: a generated benchmark scene, by (name, scale, spec, format) key."""
+    from repro.geometry.scene import SCENE_FORMAT
     from repro.workloads.scenes import SCENE_SPECS
 
     spec = SCENE_SPECS[name]
-    key = keys.scene_key(spec, scale)
+    key = f"{keys.scene_key(spec, scale)}/{SCENE_FORMAT}"
 
     def compute():
         from repro.workloads.generator import generate_scene

@@ -1,9 +1,10 @@
 """Batch scan conversion: a whole scene's triangles in array passes.
 
 This is the engine's only rasterizer.  Setup is the work the paper's
-setup engine performs at one triangle per 25 cycles; here it is one
-attribute sweep over the triangles plus array arithmetic (only the
-mip level stays a scalar call, so its ``math.log2`` is unchanged).
+setup engine performs at one triangle per 25 cycles; here it is array
+arithmetic on the scene's vertex table, mip selection included: a
+triangle whose texel scale sits within a relative ``_MIP_MARGIN`` of
+a power of two takes the scalar rule instead (DESIGN.md §10).
 For edge ``k`` from ``a_k`` to ``b_k`` of the positively-wound
 triangle, ``E_k(p) = dx_k * (p.y - ay_k) - dy_k * (p.x - ax_k)`` is
 positive strictly inside.  Pixel centres on an edge follow the
@@ -33,14 +34,14 @@ under random triangle splits and on adversarial scenes.
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.scene import Scene
+from repro.geometry.scene import Scene, triangle_from_row
 from repro.obs.registry import registry
 from repro.raster.fragments import FragmentBuffer
+from repro.raster.raster import MAX_MIP_LEVEL, mip_level_for_scale
 
 #: Candidate pixels (bounding-box area) processed per pass — bounds the
 #: working set of the flat arrays regardless of scene size and keeps
@@ -59,20 +60,56 @@ _SMALL_DY = 1e-6
 #: Beyond any pixel coordinate; marks a row without a covered pixel.
 _FAR = 1 << 40
 
-#: Per-triangle attributes in one C-level sweep: the vertex positions,
-#: texture coordinates and depths, then the texture index.
-_ATTRIBUTES = attrgetter(
-    *(f"v{i}.{name}" for i in range(3) for name in ("x", "y", "u", "v", "z")),
-    "texture",
-)
+#: Relative distance from a power of two within which a triangle's
+#: column-computed texel scale cannot decide its mip level.  The column
+#: scale differs from the scalar one only by ``np.sqrt`` against
+#: ``** 0.5`` (under 2 ulp), and ``math.log2`` errs by under 1 ulp, so
+#: any scale farther out floors to the same level on both paths.
+_MIP_MARGIN = 1e-9
+
 
 #: Per-triangle edge constants: origin, direction and fill-rule owner.
 _Edge = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _triangle_specs(
-    scene: Scene, mip_level: Callable[[float], int]
-) -> Optional[Dict[str, np.ndarray]]:
+def _mip_levels(table: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Base mip level of each triangle row: :func:`mip_level_for_scale` on columns.
+
+    ``det`` is the rows' doubled signed area.  The texel scale follows
+    :meth:`~repro.geometry.triangle.Triangle.texel_to_pixel_scale`
+    expression by expression; ``np.frexp`` then gives
+    ``floor(log2(scale))`` exactly.  Rows whose scale is not finite or
+    lies within ``_MIP_MARGIN`` of a power of two take the scalar path.
+    """
+    x, y, u, v = (table[:, k:15:5] for k in range(4))
+    dx1, dx2 = x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]
+    dy1, dy2 = y[:, 1] - y[:, 0], y[:, 2] - y[:, 0]
+    du1, du2 = u[:, 1] - u[:, 0], u[:, 2] - u[:, 0]
+    dv1, dv2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        du_dx = (du1 * dy2 - du2 * dy1) / det
+        du_dy = (du2 * dx1 - du1 * dx2) / det
+        dv_dx = (dv1 * dy2 - dv2 * dy1) / det
+        dv_dy = (dv2 * dx1 - dv1 * dx2) / det
+        scale = np.maximum(
+            np.sqrt(du_dx * du_dx + dv_dx * dv_dx),
+            np.sqrt(du_dy * du_dy + dv_dy * dv_dy),
+        )
+    mantissa, exponent = np.frexp(scale)
+    # ``scale = mantissa * 2**exponent`` with ``mantissa`` in [0.5, 1).
+    near = (
+        ~np.isfinite(scale)
+        | (2.0 * mantissa - 1.0 <= _MIP_MARGIN)
+        | (1.0 - mantissa <= _MIP_MARGIN)
+    )
+    levels = np.where(scale <= 1.0, 0, np.minimum(MAX_MIP_LEVEL, exponent - 1))
+    for row in np.flatnonzero(near).tolist():
+        triangle = triangle_from_row(table[row].tolist())
+        levels[row] = mip_level_for_scale(triangle.texel_to_pixel_scale())
+    return levels.astype(np.int16)
+
+
+def _triangle_specs(scene: Scene) -> Optional[Dict[str, np.ndarray]]:
     """Extract edge and interpolation constants for live triangles.
 
     Mirrors the reference rasterizer exactly: degenerate triangles and empty
@@ -80,10 +117,9 @@ def _triangle_specs(
     functions, and interpolation solves against the *original* vertex
     order.  Every expression is the reference's, evaluated on columns.
     """
-    triangles = scene.triangles
-    if not triangles:
+    if scene.num_triangles == 0:
         return None
-    table = np.array(list(map(_ATTRIBUTES, triangles)), dtype=np.float64)
+    table = scene.vertex_table
     vx, vy = table[:, 0:15:5], table[:, 1:15:5]
 
     double_area = (vx[:, 1] - vx[:, 0]) * (vy[:, 2] - vy[:, 0]) - (
@@ -113,11 +149,10 @@ def _triangle_specs(
         "qy": vx[:, 2] - vx[:, 0],
         "px": vx[:, 1] - vx[:, 0],
         "py": vy[:, 1] - vy[:, 0],
-        "texture": table[:, 15].astype(np.int32),
-        "level": np.array(
-            [mip_level(triangles[i].texel_to_pixel_scale()) for i in ids.tolist()],
-            dtype=np.int16,
-        ),
+        "texture": scene.texture_ids[ids],
+        # Live triangles have ``|det| >= 2e-12``, past the scalar
+        # degenerate cut-off, so only the scale expressions matter.
+        "level": _mip_levels(table, 2.0 * (0.5 * det)),
         "id": ids.astype(np.int32),
     }
     for k in range(3):
@@ -314,9 +349,7 @@ def _passes(spec: Dict[str, np.ndarray]) -> Iterator[Tuple[int, int]]:
         first = last
 
 
-def rasterize_scene_batch(
-    scene: Scene, mip_level: Callable[[float], int]
-) -> FragmentBuffer:
+def rasterize_scene_batch(scene: Scene) -> FragmentBuffer:
     """Rasterize every triangle of a scene with flat array passes.
 
     A first sweep finds every row's covered span; the second writes
@@ -325,7 +358,7 @@ def rasterize_scene_batch(
     ``raster.candidates`` and ``raster.fragments`` counters of
     :mod:`repro.obs`.
     """
-    spec = _triangle_specs(scene, mip_level)
+    spec = _triangle_specs(scene)
     scans = [] if spec is None else [_scan_rows(spec, *span) for span in _passes(spec)]
     sizes = [int(rows.counts.sum()) for rows in scans]
     total = sum(sizes)

@@ -34,5 +34,5 @@ def rasterize_scene(scene: Scene) -> FragmentBuffer:
     """
     from repro.raster.batch import rasterize_scene_batch
 
-    return rasterize_scene_batch(scene, mip_level_for_scale)
+    return rasterize_scene_batch(scene)
 

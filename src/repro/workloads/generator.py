@@ -31,9 +31,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.geometry.scene import Scene
-from repro.geometry.triangle import Triangle
-from repro.geometry.vertex import Vertex
+from repro.geometry.scene import VERTEX_COLUMNS, Scene
 from repro.texture.texture import MipmappedTexture
 
 
@@ -249,37 +247,56 @@ def _object_corners(params: _ObjectParams, grid: int) -> List[Tuple[float, float
     return outline
 
 
-def _emit_object(scene: Scene, spec: SceneSpec, params: _ObjectParams) -> None:
-    """Append one object (a grid of textured quads) to the scene."""
+def _emit_objects(scene: Scene, spec: SceneSpec, objects: List[_ObjectParams]) -> None:
+    """Append every object (a grid of textured quads) to the scene, in order.
+
+    Each object's ``(grid + 1)**2`` lattice corners are computed in one
+    broadcast over all objects, with the per-object scalar expressions
+    and their operation order (``math.cos``/``math.sin`` stay scalar),
+    so every vertex value is the one a per-object loop produces.
+    """
+    if not objects:
+        return
     grid = spec.object_grid
-    half = 0.5 * grid * params.quad_edge
+
+    def column(name: str) -> np.ndarray:
+        return np.array([getattr(params, name) for params in objects])[:, None]
+
+    quad = column("quad_edge")
+    half = 0.5 * grid * quad
     # Texels the object's full extent walks; the mapping is affine, so
     # per-quad deltas follow directly.  When the walk exceeds the
     # texture edge the coordinates wrap (GL_REPEAT) — small, heavily
     # repeated textures are how the Quake-derived scenes reach unique
     # texel/fragment ratios far below 1.
-    du = params.texel_scale * params.quad_edge
-    cos_a, sin_a = math.cos(params.angle), math.sin(params.angle)
+    du = column("texel_scale") * quad
+    cos_a = np.array([math.cos(params.angle) for params in objects])[:, None]
+    sin_a = np.array([math.sin(params.angle) for params in objects])[:, None]
 
-    def corner(ix: int, iy: int) -> Vertex:
-        local_x = ix * params.quad_edge - half
-        local_y = iy * params.quad_edge - half
-        x = params.centre_x + cos_a * local_x - sin_a * local_y
-        y = params.centre_y + sin_a * local_x + cos_a * local_y
-        return Vertex(
-            x, y, params.u_origin + ix * du, params.v_origin + iy * du,
-            z=params.depth,
-        )
-
-    corners = [[corner(ix, iy) for ix in range(grid + 1)] for iy in range(grid + 1)]
-    for iy in range(grid):
-        for ix in range(grid):
-            v00 = corners[iy][ix]
-            v10 = corners[iy][ix + 1]
-            v01 = corners[iy + 1][ix]
-            v11 = corners[iy + 1][ix + 1]
-            scene.add(Triangle(v00, v10, v01, texture=params.texture_id))
-            scene.add(Triangle(v10, v11, v01, texture=params.texture_id))
+    # Lattice corner ``iy * (grid + 1) + ix``.
+    iy, ix = np.divmod(np.arange((grid + 1) ** 2), grid + 1)
+    local_x = ix * quad - half
+    local_y = iy * quad - half
+    corners = np.stack(
+        [
+            column("centre_x") + cos_a * local_x - sin_a * local_y,
+            column("centre_y") + sin_a * local_x + cos_a * local_y,
+            column("u_origin") + ix * du,
+            column("v_origin") + iy * du,
+            np.broadcast_to(column("depth"), local_x.shape),
+        ],
+        axis=-1,
+    )
+    # Quad (ix, iy), row by row, is the triangles (v00, v10, v01) and
+    # (v10, v11, v01) of its corners.
+    qy, qx = np.divmod(np.arange(grid * grid), grid)
+    v00 = qy * (grid + 1) + qx
+    v01 = v00 + grid + 1
+    corner_ids = np.stack([v00, v00 + 1, v01, v00 + 1, v01 + 1, v01], axis=1).ravel()
+    scene.extend(
+        corners[:, corner_ids].reshape(-1, VERTEX_COLUMNS),
+        np.repeat(column("texture_id").ravel(), 2 * grid * grid),
+    )
 
 
 def generate_scene(spec: SceneSpec, scale: float = 1.0) -> Scene:
@@ -335,8 +352,7 @@ def generate_scene(spec: SceneSpec, scale: float = 1.0) -> Scene:
         objects.sort(key=lambda params: (params.centre_y, params.centre_x))
     else:  # random
         rng.shuffle(objects)
-    for params in objects:
-        _emit_object(scene, spec, params)
+    _emit_objects(scene, spec, objects)
     # Content identity for the artifact pipeline: the scaled spec fixes
     # every generator input (including the scale, via the screen size),
     # so equal keys mean bit-identical scenes across processes.

@@ -20,7 +20,6 @@ from typing import List
 
 from repro.errors import ConfigurationError
 from repro.geometry.scene import Scene
-from repro.geometry.triangle import Triangle
 from repro.workloads.generator import SceneSpec, generate_scene
 
 
@@ -39,15 +38,10 @@ def translate_scene(scene: Scene, dx: float, dy: float, name: str = "",
         height or scene.height,
         scene.textures,
     )
-    for triangle in scene.triangles:
-        moved.add(
-            Triangle(
-                triangle.v0.translated(dx, dy),
-                triangle.v1.translated(dx, dy),
-                triangle.v2.translated(dx, dy),
-                texture=triangle.texture,
-            )
-        )
+    table = scene.vertex_table.copy()
+    table[:, 0::5] += dx
+    table[:, 1::5] += dy
+    moved.extend(table, scene.texture_ids)
     return moved
 
 

@@ -20,7 +20,6 @@ from repro.cache.config import CacheConfig
 from repro.cache.lru import LruCache
 from repro.raster import batch as raster_batch
 from repro.raster.fragments import FragmentBuffer
-from repro.raster.raster import mip_level_for_scale
 from repro.texture.filtering import TrilinearFilter
 from repro.workloads.scenes import SCENE_SPECS, build_scene
 from repro.workloads.sequence import translate_scene
@@ -52,7 +51,7 @@ def test_raster_batch_matches_scalar_under_any_chunking(
     scene, fragments, monkeypatch, chunk
 ):
     monkeypatch.setattr(raster_batch, "CHUNK_CANDIDATES", chunk)
-    batched = raster_batch.rasterize_scene_batch(scene, mip_level_for_scale)
+    batched = raster_batch.rasterize_scene_batch(scene)
     assert_buffers_identical(batched, fragments)
 
 
@@ -60,7 +59,7 @@ def test_raster_batch_random_chunk_sizes(scene, fragments, monkeypatch):
     rng = np.random.default_rng(601)
     for chunk in rng.integers(2, 5000, size=4):
         monkeypatch.setattr(raster_batch, "CHUNK_CANDIDATES", int(chunk))
-        batched = raster_batch.rasterize_scene_batch(scene, mip_level_for_scale)
+        batched = raster_batch.rasterize_scene_batch(scene)
         assert_buffers_identical(batched, fragments)
 
 
@@ -87,7 +86,7 @@ def test_raster_batch_matches_scalar_on_every_scene(frames, monkeypatch, frame, 
     scene, reference = frames[frame]
     assert len(reference) > 0
     monkeypatch.setattr(raster_batch, "CHUNK_CANDIDATES", chunk)
-    batched = raster_batch.rasterize_scene_batch(scene, mip_level_for_scale)
+    batched = raster_batch.rasterize_scene_batch(scene)
     assert_buffers_identical(batched, reference)
 
 
@@ -96,7 +95,7 @@ def test_raster_batch_matches_scalar_on_every_scene(frames, monkeypatch, frame, 
 def test_raster_batch_matches_scalar_at_paper_scale(name, scale):
     """The ``paper_frame`` and ``small_tris`` bench frames, bit for bit."""
     scene = build_scene(name, scale=scale, cache=False)
-    batched = raster_batch.rasterize_scene_batch(scene, mip_level_for_scale)
+    batched = raster_batch.rasterize_scene_batch(scene)
     assert_buffers_identical(batched, rasterize_scene_scalar(scene))
 
 

@@ -292,3 +292,18 @@ class TestEventInstrumentation:
         config = MachineConfig(distribution=BlockInterleaved(4, 8), cache="perfect")
         result = simulate_machine(flat_scene, config)
         assert "distributor_blocked_cycles" not in result.extras
+
+
+def test_routed_work_built_with_another_setup_floor_is_rejected():
+    """``busy`` is the work's ``node_work``, so its setup floor must be the machine's."""
+    from repro.workloads.scenes import build_scene
+
+    scene = build_scene("truc640", scale=0.0625)
+    dist = BlockInterleaved(4, 16)
+    work = build_routed_work(scene, dist, setup_cycles=25)
+    assert work.setup_cycles == 25
+    config = MachineConfig(distribution=dist, setup_cycles=10)
+    with pytest.raises(ConfigurationError, match="setup_cycles=25.*setup_cycles=10"):
+        simulate_machine(scene, config, routed=work)
+    matching = simulate_machine(scene, replace(config, setup_cycles=25), routed=work)
+    assert np.array_equal(matching.timings.busy, work.node_work)

@@ -76,6 +76,21 @@ class TestArtifactStore:
         assert value == [1, 2, 3]
         assert reader.stats()["scene"]["disk_hits"] == 1
 
+    def test_scene_stage_misses_an_old_format_key(self, tmp_path):
+        """A disk-tier scene stored under the untagged key is never read back."""
+        from repro.geometry.scene import SCENE_FORMAT
+        from repro.pipeline.keys import scene_key
+        from repro.workloads.scenes import SCENE_SPECS
+
+        old_key = scene_key(SCENE_SPECS["quake"], 0.0625)
+        ArtifactStore(max_entries=8, disk_dir=tmp_path).put("scene", old_key, "old scene")
+        pipeline.configure(disk_dir=tmp_path)
+        scene = pipeline.scene_artifact("quake", 0.0625)
+        assert scene.num_triangles > 0
+        stats = pipeline.stats()["scene"]
+        assert stats["misses"] == 1 and stats["disk_hits"] == 0
+        assert pipeline.store().contains("scene", f"{old_key}/{SCENE_FORMAT}")
+
     def test_corrupt_pickle_recomputes(self, tmp_path):
         writer = ArtifactStore(max_entries=8, disk_dir=tmp_path)
         writer.get_or_compute("s", "key", lambda: "good")
