@@ -254,14 +254,14 @@ def _timing_diff(got, want) -> list:
     return problems
 
 
-def _published_bus(scene, config, work, traced=False):
-    """One run's result and the ``bus.*`` counters it published."""
+def _published_bus(work, timing, traced=False):
+    """One timed run of ``work`` and the ``bus.*`` counters it published."""
     registry = obs.registry()
     registry.reset()
     if traced:
         obs.enable_tracing()
     try:
-        result = simulate_machine(scene, config, routed=work)
+        result = simulate_machine(work, timing)
     finally:
         obs.disable_tracing()
     counters = registry.snapshot()["counters"]
@@ -274,19 +274,19 @@ def check_timing_invariants() -> int:
         scene, config = _point(*point)
         work = build_routed_work(
             scene, config.distribution, cache_spec=config.cache,
-            cache_config=config.cache_config,
+            cache_config=config.cache_config, setup_cycles=config.setup_cycles,
         )
         deepest = max(len(ids) for ids in work.triangles)
-        fast, fast_bus = _published_bus(scene, config, work)
+        fast, fast_bus = _published_bus(work, config.timing)
         if fast.extras or len(fast_bus) != 3:
             print(f"timing invariants: {name}, the default FIFO did not take the closed form")
             return 1
         recurrences = {
-            f"FIFO {deepest}": (replace(config, fifo_capacity=deepest), False),
-            "traced default FIFO": (config, True),
+            f"FIFO {deepest}": (replace(config.timing, fifo_capacity=deepest), False),
+            "traced default FIFO": (config.timing, True),
         }
-        for label, (run_config, traced) in recurrences.items():
-            finite, finite_bus = _published_bus(scene, run_config, work, traced)
+        for label, (timing, traced) in recurrences.items():
+            finite, finite_bus = _published_bus(work, timing, traced)
             problems = _timing_diff(finite, fast)
             if finite.extras.get("distributor_blocked_cycles") != 0:
                 problems.append("blocked_cycles")

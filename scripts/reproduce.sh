@@ -17,8 +17,7 @@ python -m pytest tests/ -q
 echo "== every table & figure =="
 repro-experiments all --out results/
 
-echo "== assemble REPORT.md and docs/API.md =="
-python scripts/gen_report.py
+echo "== regenerate docs/API.md =="
 python scripts/gen_api_docs.py
 
 echo "== results =="

@@ -22,6 +22,7 @@ from repro.cache import CacheConfig
 from repro.core import (
     MachineConfig,
     MachineResult,
+    TimingConfig,
     simulate_machine,
     single_processor_baseline,
 )
@@ -62,6 +63,7 @@ __all__ = [
     # machine
     "MachineConfig",
     "MachineResult",
+    "TimingConfig",
     "simulate_machine",
     "single_processor_baseline",
     "CacheConfig",

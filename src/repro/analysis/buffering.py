@@ -12,7 +12,7 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 from repro.analysis.load_balance import make_distribution
 from repro.cache.config import CacheConfig
-from repro.core.config import MachineConfig
+from repro.core.config import MachineConfig, TimingConfig
 from repro.core.machine import simulate_machine
 from repro.core.routing import build_routed_work
 from repro.distribution.single import SingleProcessor
@@ -50,14 +50,8 @@ def buffer_sweep(
             scene, distribution, cache_spec=cache, cache_config=cache_config
         )
         for buffer_size in buffer_sizes:
-            config = MachineConfig(
-                distribution=distribution,
-                cache=cache,
-                cache_config=cache_config,
-                bus_ratio=bus_ratio,
-                fifo_capacity=buffer_size,
-            )
-            result = simulate_machine(scene, config, routed=routed)
+            timing = TimingConfig(bus_ratio=bus_ratio, fifo_capacity=buffer_size)
+            result = simulate_machine(routed, timing)
             results[(size, buffer_size)] = (
                 baseline / result.cycles if result.cycles else float(num_processors)
             )

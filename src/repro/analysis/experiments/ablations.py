@@ -145,7 +145,7 @@ def ablation_routing(scale: float, num_processors: int = 64) -> str:
     Quantifies the grazed-tile setup slots a real distributor pays:
     the gap widens as tiles shrink below the triangle size.
     """
-    from repro.core.config import MachineConfig
+    from repro.core.config import TimingConfig
     from repro.core.machine import simulate_machine
     from repro.core.routing import build_routed_work
 
@@ -153,13 +153,12 @@ def ablation_routing(scale: float, num_processors: int = 64) -> str:
     rows = []
     for width in (4, 8, 16, 32):
         dist = BlockInterleaved(num_processors, width)
-        config = MachineConfig(distribution=dist, cache="perfect")
         cycles = {}
         for mode in ("bbox", "coverage"):
             work = build_routed_work(
                 scene, dist, cache_spec="perfect", route_by=mode
             )
-            cycles[mode] = simulate_machine(scene, config, routed=work).cycles
+            cycles[mode] = simulate_machine(work, TimingConfig()).cycles
         overhead = cycles["bbox"] / cycles["coverage"] - 1.0
         rows.append(
             [width, round(cycles["bbox"]), round(cycles["coverage"]), f"{overhead:.1%}"]
@@ -266,7 +265,7 @@ def ablation_early_z(scale: float, num_processors: int = 16) -> str:
     machine on the depth-resolved survivor stream and reports how much
     texture traffic, load imbalance and frame time actually move.
     """
-    from repro.core.config import MachineConfig
+    from repro.core.config import TimingConfig
     from repro.core.machine import simulate_machine
     from repro.core.routing import build_routed_work
     from repro.raster.depth import resolve_depth
@@ -277,7 +276,7 @@ def ablation_early_z(scale: float, num_processors: int = 16) -> str:
         full = scene.fragments()
         survivors = resolve_depth(full, scene.width, scene.height)
         dist = BlockInterleaved(num_processors, 16)
-        config = MachineConfig(distribution=dist, cache="lru", bus_ratio=1.0)
+        timing = TimingConfig(bus_ratio=1.0)
 
         results = {}
         for label, stream in (("late-Z", full), ("early-Z", survivors)):
@@ -285,12 +284,8 @@ def ablation_early_z(scale: float, num_processors: int = 16) -> str:
             solo = build_routed_work(
                 scene, SingleProcessor(), cache_spec="lru", fragments=stream
             )
-            baseline = simulate_machine(
-                scene, config.with_distribution(SingleProcessor()), routed=solo
-            ).cycles
-            results[label] = simulate_machine(
-                scene, config, routed=work, baseline_cycles=baseline
-            )
+            baseline = simulate_machine(solo, timing).cycles
+            results[label] = simulate_machine(work, timing, baseline_cycles=baseline)
         late, early = results["late-Z"], results["early-Z"]
         rows.append(
             [

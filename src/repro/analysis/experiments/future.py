@@ -66,25 +66,18 @@ def extension_geometry_stage(
     fixed per-triangle cost — and shows how many geometry engines a
     texture-mapping configuration needs before the idealisation holds.
     """
-    from repro.core.config import MachineConfig
+    from repro.core.config import TimingConfig
     from repro.core.machine import simulate_machine
     from repro.core.routing import build_routed_work
 
     scene = build_scene("massive32_1255", scale)
     dist = BlockInterleaved(num_processors, 16)
     work = build_routed_work(scene, dist, cache_spec="lru")
-    ideal = simulate_machine(
-        scene, MachineConfig(distribution=dist, cache="lru"), routed=work
-    ).cycles
+    ideal = simulate_machine(work, TimingConfig()).cycles
     rows = []
     for count in engines:
-        config = MachineConfig(
-            distribution=dist,
-            cache="lru",
-            geometry_engines=count,
-            geometry_cycles=geometry_cycles,
-        )
-        cycles = simulate_machine(scene, config, routed=work).cycles
+        timing = TimingConfig(geometry_engines=count, geometry_cycles=geometry_cycles)
+        cycles = simulate_machine(work, timing).cycles
         rows.append(
             [count, round(cycles), f"{ideal / cycles:.0%}"]
         )

@@ -8,7 +8,7 @@ order by an ideal geometry stage through an interleaved static image
 distribution (Figure 4).
 """
 
-from repro.core.config import MachineConfig
+from repro.core.config import MachineConfig, TimingConfig
 from repro.core.results import MachineResult, NodeTimings
 from repro.core.machine import simulate_machine, single_processor_baseline
 from repro.core.sortlast import simulate_sort_last, sort_last_assignment
@@ -18,6 +18,7 @@ __all__ = [
     "MachineConfig",
     "MachineResult",
     "NodeTimings",
+    "TimingConfig",
     "simulate_machine",
     "single_processor_baseline",
     "simulate_sort_last",

@@ -19,6 +19,38 @@ DEFAULT_SETUP_CYCLES = 25
 
 
 @dataclass(frozen=True)
+class TimingConfig:
+    """The timing-only part of a machine: what a routed work is timed under.
+
+    Routing and cache replay do not read these four knobs, so one
+    :class:`~repro.core.routing.RoutedWork` can be timed under many of
+    them (``simulate_machine(work, timing)``).  The fields mean what
+    they mean on :class:`MachineConfig`, which validates through here.
+    """
+
+    bus_ratio: float = 1.0
+    fifo_capacity: int = DEFAULT_FIFO_CAPACITY
+    geometry_engines: int = 0
+    geometry_cycles: float = 100.0
+
+    def __post_init__(self) -> None:
+        if not self.bus_ratio > 0:
+            raise ConfigurationError(f"bus ratio must be positive, got {self.bus_ratio}")
+        if self.fifo_capacity < 1:
+            raise ConfigurationError(
+                f"fifo capacity must be >= 1, got {self.fifo_capacity}"
+            )
+        if self.geometry_engines < 0:
+            raise ConfigurationError(
+                f"geometry engine count must be >= 0, got {self.geometry_engines}"
+            )
+        if self.geometry_cycles < 0:
+            raise ConfigurationError(
+                f"geometry cost must be >= 0, got {self.geometry_cycles}"
+            )
+
+
+@dataclass(frozen=True)
 class MachineConfig:
     """Everything that defines one simulated machine.
 
@@ -58,24 +90,21 @@ class MachineConfig:
     geometry_cycles: float = 100.0
 
     def __post_init__(self) -> None:
-        if not self.bus_ratio > 0:
-            raise ConfigurationError(f"bus ratio must be positive, got {self.bus_ratio}")
-        if self.fifo_capacity < 1:
-            raise ConfigurationError(
-                f"fifo capacity must be >= 1, got {self.fifo_capacity}"
-            )
+        self.timing  # validates the four timing fields
         if self.setup_cycles < 0:
             raise ConfigurationError(
                 f"setup cycles must be >= 0, got {self.setup_cycles}"
             )
-        if self.geometry_engines < 0:
-            raise ConfigurationError(
-                f"geometry engine count must be >= 0, got {self.geometry_engines}"
-            )
-        if self.geometry_cycles < 0:
-            raise ConfigurationError(
-                f"geometry cost must be >= 0, got {self.geometry_cycles}"
-            )
+
+    @property
+    def timing(self) -> TimingConfig:
+        """The four timing-only fields, as :func:`simulate_machine` reads them."""
+        return TimingConfig(
+            bus_ratio=self.bus_ratio,
+            fifo_capacity=self.fifo_capacity,
+            geometry_engines=self.geometry_engines,
+            geometry_cycles=self.geometry_cycles,
+        )
 
     @property
     def num_processors(self) -> int:

@@ -48,7 +48,6 @@ class MachineResult:
     cycles: float
     timings: NodeTimings
     node_pixels: np.ndarray
-    node_work: np.ndarray
     cache: CacheRunResult
     baseline_cycles: Optional[float] = None
     extras: Dict[str, Any] = field(default_factory=dict)
@@ -69,10 +68,11 @@ class MachineResult:
 
     def work_imbalance_percent(self) -> float:
         """Figure-5 metric: busiest node's extra work over the average."""
-        average = self.node_work.mean()
+        work = self.timings.busy
+        average = work.mean()
         if average == 0:
             return 0.0
-        return (self.node_work.max() / average - 1.0) * 100.0
+        return (work.max() / average - 1.0) * 100.0
 
     @property
     def texel_to_fragment(self) -> float:

@@ -93,6 +93,10 @@ class RoutedWork:
     node draws of each, and bus texels each demands.  A routed triangle
     can have zero pixels (its bounding box grazed a tile) — it still
     costs a setup slot.
+
+    The work also carries every label a timed result reports (scene,
+    distribution, cache model, setup floor), so timing it under a
+    :class:`~repro.core.config.TimingConfig` cannot mislabel it.
     """
 
     num_processors: int
@@ -107,6 +111,13 @@ class RoutedWork:
     cache: CacheRunResult
     #: The per-triangle setup floor ``node_work`` was built with.
     setup_cycles: int
+    #: Name and triangle count of the routed scene.
+    scene_name: str
+    num_triangles: int
+    #: ``describe()`` of the distribution the work was routed through.
+    distribution: str
+    #: Name of the cache model the nodes' streams were replayed through.
+    cache_name: str
     #: The distributor's stream, built on first use by :meth:`stream`.
     _stream: Optional[DistributorStream] = field(
         default=None, init=False, repr=False, compare=False
@@ -314,9 +325,16 @@ def compute_replay(
 def assemble_routed_work(
     plan: RoutingPlan,
     replay: ReplayResult,
+    scene: Scene,
+    distribution: Distribution,
+    cache_name: str,
     setup_cycles: int = 25,
 ) -> RoutedWork:
-    """Combine a routing plan and a cache replay into per-node work lists."""
+    """Combine a routing plan and a cache replay into per-node work lists.
+
+    ``scene``, ``distribution`` and ``cache_name`` are the inputs the
+    plan and replay were computed from; only their labels are kept.
+    """
     n_proc = plan.num_processors
     empty = np.zeros(0, dtype=np.int64)
     pixels: List[np.ndarray] = []
@@ -341,6 +359,10 @@ def assemble_routed_work(
         node_work=node_work,
         cache=replay.cache,
         setup_cycles=setup_cycles,
+        scene_name=scene.name,
+        num_triangles=scene.num_triangles,
+        distribution=distribution.describe(),
+        cache_name=cache_name,
     )
 
 

@@ -116,7 +116,6 @@ def simulate_sort_last(
         cycles=float(finish.max()) if num_processors else 0.0,
         timings=NodeTimings(finish=finish, busy=node_work, stall=stall),
         node_pixels=node_pixels,
-        node_work=node_work,
         cache=total_cache,
         baseline_cycles=baseline_cycles,
         extras={"chunk_size": chunk_size},

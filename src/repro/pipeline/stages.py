@@ -112,6 +112,7 @@ def routed_work(
     needs it (and is timed with it), at most once per call, and is kept
     in neither artifact.
     """
+    from repro.cache.models import make_cache_model
     from repro.core import routing
 
     scene_id = getattr(scene, "artifact_key", None)
@@ -158,11 +159,13 @@ def routed_work(
             translator=translator,
         )
 
+    cache_name = make_cache_model(cache_spec, cache_config).name
     if not cacheable:
         if fragments is None:
             fragments = fragments_artifact(scene)
         return routing.assemble_routed_work(
-            _timed("routing", plan), _timed("replay", replay), setup_cycles
+            _timed("routing", plan), _timed("replay", replay),
+            scene, distribution, cache_name, setup_cycles,
         )
 
     s = store()
@@ -173,12 +176,17 @@ def routed_work(
     )
     if translator_part != "direct":
         replay_key += f"/{translator_part}"
-    work_key = f"{plan_key}|{replay_key}|setup{setup_cycles}"
+    # The work carries the distribution's label, which a fingerprint
+    # may leave out (AssignedTiles keys its table, not its label).
+    work_key = f"{plan_key}|{replay_key}|setup{setup_cycles}|{distribution.describe()}"
 
     def assemble():
         return routing.assemble_routed_work(
             s.get_or_compute("routing", plan_key, plan),
             s.get_or_compute("replay", replay_key, replay),
+            scene,
+            distribution,
+            cache_name,
             setup_cycles,
         )
 

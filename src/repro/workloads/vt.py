@@ -305,10 +305,8 @@ def run_vt_sequence(
             layout=layout,
             translator=table,
         )
-        baseline = simulate_machine(scene, solo, routed=solo_routed).cycles
-        result = simulate_machine(
-            scene, config, baseline_cycles=baseline, routed=routed
-        )
+        baseline = simulate_machine(solo_routed, solo.timing).cycles
+        result = simulate_machine(routed, config.timing, baseline_cycles=baseline)
         observe_frame(table, tex_filter, scene.fragments(), chunk_size or DEFAULT_CHUNK)
         stats = table.advance_frame()
         frame_results.append(

@@ -8,7 +8,7 @@ import pytest
 
 from repro import obs
 from repro.analysis.performance import SpeedupStudy
-from repro.core import MachineConfig, simulate_machine, single_processor_baseline
+from repro.core import MachineConfig, TimingConfig, simulate_machine, single_processor_baseline
 from repro.core.distributor import interleave_stream, run_event_machine
 from repro.core.routing import build_routed_work
 from repro.distribution import BlockInterleaved, ScanLineInterleaved, SingleProcessor
@@ -25,6 +25,35 @@ class TestConfig:
     def test_rejects_bad_fifo(self):
         with pytest.raises(ConfigurationError):
             MachineConfig(distribution=SingleProcessor(), fifo_capacity=0)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("bus_ratio", math.nan, "bus ratio must be positive"),
+            ("fifo_capacity", 0, "fifo capacity must be >= 1"),
+            ("geometry_engines", -1, "geometry engine count must be >= 0"),
+            ("geometry_cycles", -5.0, "geometry cost must be >= 0"),
+        ],
+    )
+    def test_timing_fields_are_validated_once_for_both_configs(self, field, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            TimingConfig(**{field: value})
+        with pytest.raises(ConfigurationError, match=message):
+            MachineConfig(distribution=SingleProcessor(), **{field: value})
+
+    def test_timing_is_the_four_timing_fields(self):
+        config = MachineConfig(
+            distribution=BlockInterleaved(4, 16),
+            cache="perfect",
+            bus_ratio=2.0,
+            fifo_capacity=7,
+            setup_cycles=10,
+            geometry_engines=3,
+            geometry_cycles=50.0,
+        )
+        assert config.timing == TimingConfig(
+            bus_ratio=2.0, fifo_capacity=7, geometry_engines=3, geometry_cycles=50.0
+        )
 
     def test_infinite_bus_allowed(self):
         config = MachineConfig(distribution=SingleProcessor(), bus_ratio=math.inf)
@@ -120,7 +149,7 @@ class TestEventPathEquivalence:
     def test_big_fifo_matches_fast_path(self, flat_scene, cache, dist):
         work = build_routed_work(flat_scene, dist, cache_spec=cache)
         config = MachineConfig(distribution=dist, cache=cache, bus_ratio=1.0)
-        fast = simulate_machine(flat_scene, config, routed=work)
+        fast = simulate_machine(work, config.timing)
 
         stream = interleave_stream(work.triangles, work.pixels, work.texels)
         cycles, finish = run_event_machine(
@@ -133,12 +162,12 @@ class TestEventPathEquivalence:
         dist = BlockInterleaved(8, 8)
         work = build_routed_work(tiny_bench_scene, dist, cache_spec="perfect")
         big = MachineConfig(distribution=dist, cache="perfect", fifo_capacity=10000)
-        t_big = simulate_machine(tiny_bench_scene, big, routed=work).cycles
+        t_big = simulate_machine(work, big.timing).cycles
         for capacity in (1, 4, 16):
             small = MachineConfig(
                 distribution=dist, cache="perfect", fifo_capacity=capacity
             )
-            t_small = simulate_machine(tiny_bench_scene, small, routed=work).cycles
+            t_small = simulate_machine(work, small.timing).cycles
             assert t_small >= t_big - 1e-9
 
     def test_fifo_of_one_serialises_on_the_stream(self, flat_scene):
@@ -147,8 +176,8 @@ class TestEventPathEquivalence:
         work = build_routed_work(flat_scene, dist, cache_spec="perfect")
         tiny = MachineConfig(distribution=dist, cache="perfect", fifo_capacity=1)
         big = MachineConfig(distribution=dist, cache="perfect", fifo_capacity=10000)
-        t_tiny = simulate_machine(flat_scene, tiny, routed=work).cycles
-        t_big = simulate_machine(flat_scene, big, routed=work).cycles
+        t_tiny = simulate_machine(work, tiny.timing).cycles
+        t_big = simulate_machine(work, big.timing).cycles
         assert t_tiny > t_big
 
 
@@ -177,8 +206,8 @@ class TestTimingModes:
         for ratio in (1.0, 1.5, 3.0):
             fast_config = MachineConfig(distribution=dist, cache="lru", bus_ratio=ratio)
             event_config = replace(fast_config, fifo_capacity=deepest_stream(work))
-            fast = simulate_machine(tiny_bench_scene, fast_config, routed=work)
-            event = simulate_machine(tiny_bench_scene, event_config, routed=work)
+            fast = simulate_machine(work, fast_config.timing)
+            event = simulate_machine(work, event_config.timing)
             assert fast.extras == {}
             assert event.extras["distributor_blocked_cycles"] == 0
             assert event.cycles == fast.cycles
@@ -249,8 +278,8 @@ class TestTimingModes:
         edge = MachineConfig(
             distribution=dist, cache="perfect", fifo_capacity=deepest_stream(work) + 1
         )
-        auto = simulate_machine(tiny_bench_scene, default, routed=work)
-        fast = simulate_machine(tiny_bench_scene, edge, routed=work)
+        auto = simulate_machine(work, default.timing)
+        fast = simulate_machine(work, edge.timing)
         assert auto.cycles == fast.cycles
         assert auto.extras == {} and fast.extras == {}  # no event extras
 
@@ -262,7 +291,7 @@ class TestMonotonicities:
         times = []
         for ratio in (0.5, 1.0, 2.0, math.inf):
             config = MachineConfig(distribution=dist, cache="lru", bus_ratio=ratio)
-            times.append(simulate_machine(tiny_bench_scene, config, routed=work).cycles)
+            times.append(simulate_machine(work, config.timing).cycles)
         assert times == sorted(times, reverse=True)
 
 
@@ -283,7 +312,7 @@ class TestEventInstrumentation:
         dist = BlockInterleaved(4, 8)
         work = build_routed_work(flat_scene, dist, cache_spec="perfect")
         config = MachineConfig(distribution=dist, cache="perfect", fifo_capacity=1)
-        result = simulate_machine(flat_scene, config, routed=work)
+        result = simulate_machine(work, config.timing)
         assert result.extras["distributor_blocked_cycles"] > 0
         assert max(result.extras["fifo_high_water"]) <= 1
         assert len(result.extras["distributor_blocked_per_node"]) == 4
@@ -294,16 +323,65 @@ class TestEventInstrumentation:
         assert "distributor_blocked_cycles" not in result.extras
 
 
-def test_routed_work_built_with_another_setup_floor_is_rejected():
-    """``busy`` is the work's ``node_work``, so its setup floor must be the machine's."""
-    from repro.workloads.scenes import build_scene
+class TestTimedWork:
+    """``simulate_machine(work, TimingConfig)`` times a routed work as
+    built: its labels and setup floor come from the work, so no config
+    can pair it with another machine's routing."""
 
-    scene = build_scene("truc640", scale=0.0625)
+    def test_work_under_another_machine_is_refused_and_keeps_its_labels(
+        self, tiny_bench_scene
+    ):
+        work = build_routed_work(
+            tiny_bench_scene, BlockInterleaved(4, 16), cache_spec="perfect"
+        )
+        other = MachineConfig(BlockInterleaved(16, 16), cache="lru")
+        with pytest.raises(ConfigurationError, match="RoutedWork under a MachineConfig"):
+            simulate_machine(work, other)
+        result = simulate_machine(work, TimingConfig())
+        assert result.scene_name == tiny_bench_scene.name
+        assert result.distribution == "block16x4"
+        assert result.num_processors == 4
+        assert result.cache_name == "perfect"
+        assert result.cache.miss_rate == 0.0
+        routed = simulate_machine(
+            tiny_bench_scene, MachineConfig(BlockInterleaved(4, 16), cache="perfect")
+        )
+        assert (result.distribution, result.cache_name) == (
+            routed.distribution,
+            routed.cache_name,
+        )
+        assert result.cycles == routed.cycles
+
+    def test_memoized_work_keeps_each_distributions_label(self, tiny_bench_scene):
+        """Two assignment tables that share a fingerprint still label apart."""
+        from repro.distribution.assigned import AssignedTiles, TileGrid
+
+        grid = TileGrid(16, tiny_bench_scene.width, tiny_bench_scene.height)
+        assignment = np.arange(grid.num_tiles) % 4
+        labels = []
+        for label in ("static", "dynamic"):
+            dist = AssignedTiles(grid, assignment, 4, label=label)
+            labels.append(simulate_machine(tiny_bench_scene, MachineConfig(dist)).distribution)
+        assert labels == ["static16x4", "dynamic16x4"]
+
+    def test_scene_under_a_timing_config_is_refused(self, tiny_bench_scene):
+        with pytest.raises(ConfigurationError, match="Scene under a TimingConfig"):
+            simulate_machine(tiny_bench_scene, TimingConfig())
+
+
+def test_routed_work_is_timed_with_its_own_setup_floor(tiny_bench_scene):
+    """``busy`` is the work's ``node_work``; the timing uses the same floor."""
     dist = BlockInterleaved(4, 16)
-    work = build_routed_work(scene, dist, setup_cycles=25)
-    assert work.setup_cycles == 25
-    config = MachineConfig(distribution=dist, setup_cycles=10)
-    with pytest.raises(ConfigurationError, match="setup_cycles=25.*setup_cycles=10"):
-        simulate_machine(scene, config, routed=work)
-    matching = simulate_machine(scene, replace(config, setup_cycles=25), routed=work)
-    assert np.array_equal(matching.timings.busy, work.node_work)
+    work = build_routed_work(tiny_bench_scene, dist, setup_cycles=10)
+    assert work.setup_cycles == 10
+    for fifo in (10000, 8):  # the closed form, then the recurrence
+        timed = simulate_machine(work, TimingConfig(fifo_capacity=fifo))
+        routed = simulate_machine(
+            tiny_bench_scene, MachineConfig(dist, setup_cycles=10, fifo_capacity=fifo)
+        )
+        assert timed.cycles == routed.cycles
+        for series in ("finish", "busy", "stall"):
+            assert np.array_equal(
+                getattr(timed.timings, series), getattr(routed.timings, series)
+            ), (fifo, series)
+        assert np.array_equal(timed.timings.busy, work.node_work)

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro import pipeline
 from repro.analysis.buffering import buffer_sweep
 from repro.core import routing
-from repro.core.config import MachineConfig
+from repro.core.config import MachineConfig, TimingConfig
 from repro.core.distributor import interleave_stream, run_event_machine
 from repro.core.geometry_stage import geometry_release_times
 from repro.core.machine import simulate_machine
@@ -287,14 +287,14 @@ def test_reused_work_equals_fresh_work():
     scene = build_scene("truc640", scale=0.0625)
     distribution = BlockInterleaved(16, 8)
     work = build_routed_work(scene, distribution)
-    simulate_machine(scene, MachineConfig(distribution, fifo_capacity=2), routed=work)
+    simulate_machine(work, TimingConfig(fifo_capacity=2))
     assert work.stream() is work.stream()
     config = MachineConfig(distribution, fifo_capacity=7, bus_ratio=1.5)
-    reused = simulate_machine(scene, config, routed=work)
+    reused = simulate_machine(work, config.timing)
     pipeline.store().clear()
     fresh_work = build_routed_work(scene, distribution)
     assert fresh_work is not work
-    fresh = simulate_machine(scene, config, routed=fresh_work)
+    fresh = simulate_machine(fresh_work, config.timing)
     assert reused.cycles == fresh.cycles
     for series in ("finish", "busy", "stall"):
         assert np.array_equal(getattr(reused.timings, series), getattr(fresh.timings, series))

@@ -86,9 +86,7 @@ class TestGeometryBoundMachine:
                 geometry_engines=engines,
                 geometry_cycles=200.0,
             )
-            times.append(
-                simulate_machine(tiny_bench_scene, config, routed=work).cycles
-            )
+            times.append(simulate_machine(work, config.timing).cycles)
         assert times == sorted(times, reverse=True)
 
     def test_event_path_agrees_with_fast_path_under_throttle(self, flat_scene):
@@ -102,7 +100,7 @@ class TestGeometryBoundMachine:
                 geometry_engines=2,
                 geometry_cycles=geometry_cycles,
             )
-            result = simulate_machine(flat_scene, config, routed=work)
+            result = simulate_machine(work, config.timing)
             release = geometry_release_times(flat_scene.num_triangles, 2, geometry_cycles)
             cycles, finish = reference_event_machine(
                 stream_rows(work.stream()), 4, config.fifo_capacity, 25, 1.0,

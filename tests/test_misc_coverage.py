@@ -106,11 +106,10 @@ class TestResultObjects:
             cycles=100.0,
             timings=NodeTimings(
                 finish=np.array([100.0, 80.0, 90.0, 60.0]),
-                busy=np.zeros(4),
+                busy=np.array([100, 80, 90, 60]),
                 stall=np.zeros(4),
             ),
             node_pixels=np.array([10, 10, 10, 10]),
-            node_work=np.array([100, 80, 90, 60]),
             cache=CacheRunResult(),
         )
         base.update(overrides)
@@ -127,7 +126,8 @@ class TestResultObjects:
         assert result.work_imbalance_percent() == pytest.approx(expected)
 
     def test_zero_work_imbalance(self):
-        result = self.make_result(node_work=np.zeros(4))
+        result = self.make_result()
+        result.timings.busy = np.zeros(4)
         assert result.work_imbalance_percent() == 0.0
 
     def test_summary_without_baseline_omits_speedup(self):
@@ -168,23 +168,3 @@ class TestDocScripts:
         text = (tmp_path / "API.md").read_text()
         assert "repro.core.machine" in text
         assert "simulate_machine" in text
-
-    def test_report_generator_runs(self, tmp_path, monkeypatch):
-        import importlib.util
-        from pathlib import Path
-
-        spec = importlib.util.spec_from_file_location(
-            "gen_report", Path("scripts/gen_report.py")
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "table1.txt").write_text("Table 1 demo\ncontents\n")
-        (results / "custom_extra.txt").write_text("extra\n")
-        monkeypatch.setattr(module, "RESULTS", results)
-        monkeypatch.setattr(module, "OUT", tmp_path / "REPORT.md")
-        module.main()
-        report = (tmp_path / "REPORT.md").read_text()
-        assert "Table 1 demo" in report
-        assert "custom_extra" in report

@@ -254,5 +254,5 @@ def test_memoized_hits_skip_owners_and_store_the_same_keys():
     assert store.contains("fragments", scene.artifact_key)
     assert store.contains("routing", plan)
     assert store.contains("replay", replay)
-    assert store.contains("routed", f"{plan}|{replay}|setup25")
+    assert store.contains("routed", f"{plan}|{replay}|setup25|{spy.describe()}")
     assert len(store) == 4

@@ -304,10 +304,10 @@ class TestTracingIsFree:
         config = MachineConfig(distribution=distribution, fifo_capacity=fifo)
 
         obs.disable_tracing()
-        plain = simulate_machine(tiny_bench_scene, config, routed=work)
+        plain = simulate_machine(work, config.timing)
         recorder = obs.enable_tracing()
         try:
-            traced = simulate_machine(tiny_bench_scene, config, routed=work)
+            traced = simulate_machine(work, config.timing)
         finally:
             obs.disable_tracing()
 
@@ -366,3 +366,48 @@ class TestTracingIsFree:
         elapsed = time.perf_counter() - started
         # Generous bound: even slow CI should do 100k no-ops in < 0.5 s.
         assert elapsed < 0.5
+
+
+# -- publish once -----------------------------------------------------
+
+
+class TestPublishOnce:
+    """Every timed run publishes its counters exactly once: a sweep that
+    routes once and times many publishes what its results report."""
+
+    SERIES = ("fragments", "line_accesses", "misses", "texels_fetched")
+
+    def test_buffer_sweep_publishes_what_its_results_report(
+        self, tiny_bench_scene, monkeypatch
+    ):
+        from repro.analysis import buffering
+
+        results = []
+
+        def recording(*args, **kwargs):
+            result = simulate_machine(*args, **kwargs)
+            results.append(result)
+            return result
+
+        monkeypatch.setattr(buffering, "simulate_machine", recording)
+        sizes, depths = (8, 16), (1, 10, 10000)
+        obs.reset()
+        before = obs.registry().snapshot()["counters"]
+        speedups = buffering.buffer_sweep(
+            tiny_bench_scene, "block", sizes, depths, num_processors=4, cache="lru"
+        )
+        after = obs.registry().snapshot()["counters"]
+
+        assert len(speedups) == len(sizes) * len(depths)
+        assert len(results) == 1 + len(sizes) * len(depths)
+
+        def delta(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        assert delta("machine.simulations") == len(results)
+        for series in self.SERIES:
+            published = sum(
+                delta(key) for key in after if key.startswith(f"cache.{series}{{")
+            )
+            assert published == sum(getattr(r.cache, series) for r in results), series
+        assert sum(r.cache.line_accesses for r in results) > 0

@@ -102,7 +102,7 @@ class TestPipelineInvariants:
         dist = BlockInterleaved(4, 8)
         work = build_routed_work(scene, dist, cache_spec="lru")
         config = MachineConfig(distribution=dist, cache="lru", bus_ratio=1.0)
-        fast = simulate_machine(scene, config, routed=work)
+        fast = simulate_machine(work, config.timing)
         stream = interleave_stream(work.triangles, work.pixels, work.texels)
         cycles, _finish = run_event_machine(stream, 4, 10**9, 25, 1.0)
         assert cycles == pytest.approx(fast.cycles)

@@ -41,8 +41,8 @@ class TestCoverageRouting:
         oracle_work = build_routed_work(
             tiny_bench_scene, dist, cache_spec="perfect", route_by="coverage"
         )
-        t_bbox = simulate_machine(tiny_bench_scene, config, routed=bbox_work).cycles
-        t_oracle = simulate_machine(tiny_bench_scene, config, routed=oracle_work).cycles
+        t_bbox = simulate_machine(bbox_work, config.timing).cycles
+        t_oracle = simulate_machine(oracle_work, config.timing).cycles
         assert t_oracle <= t_bbox
 
     def test_route_by_validation(self, flat_scene):

@@ -53,7 +53,7 @@ class TestSortLastMachine:
         # Triangle distribution: no bounding-box duplication, so total
         # work equals the serial machine's.
         counts = fragments.triangle_pixel_counts()
-        assert result.node_work.sum() == np.maximum(counts, 25).sum()
+        assert result.timings.busy.sum() == np.maximum(counts, 25).sum()
 
     def test_speedup_within_bounds(self, tiny_bench_scene):
         serial = simulate_sort_last(tiny_bench_scene, 1, cache="perfect")

@@ -114,13 +114,9 @@ def test_identity_vt_machine_run_matches_direct_path(frames, layout, family, siz
     config = machine_config_from_spec(spec, distribution)
     table = PageTable(layout.total_lines, VirtualTextureConfig(16, 1.0))
 
-    direct = simulate_machine(
-        scene, config, routed=_routed(scene, layout, config, distribution)
-    )
+    direct = simulate_machine(_routed(scene, layout, config, distribution), config.timing)
     via_vt = simulate_machine(
-        scene,
-        config,
-        routed=_routed(scene, layout, config, distribution, translator=table),
+        _routed(scene, layout, config, distribution, translator=table), config.timing
     )
     assert via_vt.cycles == direct.cycles
     assert via_vt.cache.miss_rate == direct.cache.miss_rate
