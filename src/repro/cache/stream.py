@@ -8,12 +8,13 @@ being stateful across calls.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.cache.models import TextureCacheModel
 from repro.cache.stats import CacheRunResult
+from repro.errors import ConfigurationError
 from repro.raster.fragments import FragmentBuffer
 from repro.texture.filtering import TEXELS_PER_FRAGMENT, TrilinearFilter
 
@@ -29,8 +30,8 @@ def replay_fragments(
     seen_lines: Optional[np.ndarray] = None,
     chunk_size: int = DEFAULT_CHUNK,
     reset: bool = True,
-    translate: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     rows: Optional[np.ndarray] = None,
+    lines: Optional[np.ndarray] = None,
 ) -> CacheRunResult:
     """Replay one node's fragment stream; returns aggregate statistics.
 
@@ -43,12 +44,16 @@ def replay_fragments(
     first miss on its line; pass a fresh zeroed array per node.
     ``rows`` selects the stream as row indices into ``fragments`` (one
     node's share of a frame); each chunk gathers only the columns the
-    filter and the attribution read.  ``translate`` optionally rewrites
-    the flat line-address stream before it reaches the cache model —
-    the virtual-texturing page table (:mod:`repro.texture.pages`) hooks
-    in here.  It must be a pure elementwise function so chunking stays
-    invisible.
+    filter and the attribution read.  ``lines`` is an optional
+    ``(len(fragments), 8)`` line table aligned with ``fragments`` — the
+    page-translated table of a virtual-texturing frame
+    (:func:`repro.texture.pages.build_frame_lines`); each chunk then
+    gathers its rows from it instead of running ``tex_filter``.
     """
+    if lines is not None and len(lines) != len(fragments):
+        raise ConfigurationError(
+            f"line table has {len(lines)} rows for {len(fragments)} fragments"
+        )
     if reset:
         model.reset()
     n = len(fragments) if rows is None else len(rows)
@@ -62,15 +67,16 @@ def replay_fragments(
         take: Union[slice, np.ndarray] = (
             slice(start, stop) if rows is None else rows[start:stop]
         )
-        lines = tex_filter.line_addresses(
-            fragments.u[take],
-            fragments.v[take],
-            fragments.level[take],
-            fragments.texture[take],
-        )
-        flat = lines.reshape(-1)
-        if translate is not None:
-            flat = translate(flat)
+        if lines is None:
+            chunk = tex_filter.line_addresses(
+                fragments.u[take],
+                fragments.v[take],
+                fragments.level[take],
+                fragments.texture[take],
+            )
+        else:
+            chunk = lines[take]
+        flat = chunk.reshape(-1)
         miss_mask = model.misses(flat)
         misses = int(miss_mask.sum())
 

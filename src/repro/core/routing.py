@@ -30,15 +30,19 @@ from repro.distribution.base import Distribution
 from repro.errors import ConfigurationError
 from repro.geometry.scene import Scene
 from repro.texture.filtering import TEXELS_PER_FRAGMENT, TrilinearFilter
+from repro.texture.pages import FrameLines, PageTable, build_frame_lines
 
 if TYPE_CHECKING:
     from repro.cache.config import CacheConfig
     from repro.raster.fragments import FragmentBuffer
     from repro.texture.layout import TextureMemoryLayout
-    from repro.texture.pages import PageTable
 
 #: Cache model spec accepted everywhere a machine is configured.
 CacheSpec = Union[str, TextureCacheModel, None]
+
+#: A virtual-texturing page table, or one frame's line table built
+#: through it (:func:`repro.texture.pages.build_frame_lines`).
+Translator = Union[PageTable, FrameLines]
 
 #: A stream's ``distribution.owners`` column, or a zero-argument
 #: callable that computes it: the pipeline hands both stages one
@@ -262,7 +266,7 @@ def compute_replay(
     cache_config: Optional["CacheConfig"] = None,
     layout: Optional["TextureMemoryLayout"] = None,
     chunk_size: Optional[int] = None,
-    translator: Optional["PageTable"] = None,
+    translator: Optional[Translator] = None,
 ) -> ReplayResult:
     """Replay every node's fragment stream through its private cache.
 
@@ -274,16 +278,22 @@ def compute_replay(
 
     ``translator`` optionally rewrites the line-address stream before
     it reaches the cache model — the virtual-texturing page table maps
-    virtual lines onto its resident physical frames here.  Translation
-    is pure (the table is frozen within a frame), so per-node replay
-    order cannot perturb it.
+    virtual lines onto its resident physical frames here.  Every node
+    gathers its rows from one frame-sized table of translated lines:
+    a :class:`~repro.texture.pages.FrameLines` built by the caller and
+    shared with its other replays of the frame, or, for a bare page
+    table, one built here.  Translation is pure (the table is frozen
+    within a frame), so per-node replay order cannot perturb it.
     """
     layout = layout or scene.memory_layout()
     tex_filter = TrilinearFilter(layout)
-    translate = None if translator is None else translator.translate
+    chunk = chunk_size or DEFAULT_CHUNK
     address_lines = layout.total_lines
+    frame_lines: Optional[np.ndarray] = None
     if translator is not None:
         address_lines = max(address_lines, translator.address_space_lines)
+    if isinstance(translator, FrameLines):
+        frame_lines = translator.lines_for(fragments)
     n_proc = distribution.num_processors
     n_tri = scene.num_triangles
 
@@ -298,6 +308,8 @@ def compute_replay(
         zero = np.zeros(n_tri, dtype=np.int64)
         texels_per_node_tri = [zero for _ in range(n_proc)]
     else:
+        if isinstance(translator, PageTable):
+            frame_lines = build_frame_lines(translator, tex_filter, fragments, chunk).lines
         # Per-node cache replay, in each node's own stream order.
         order, bounds = partition_by_node(_owners_of(owners), n_proc)
         for node in range(n_proc):
@@ -307,14 +319,19 @@ def compute_replay(
                 # texel format packs into 64 bytes.
                 model.texels_per_fetch = layout.texels_per_line
             seen = np.zeros(address_lines, dtype=bool)
+            rows: Optional[np.ndarray] = order[bounds[node] : bounds[node + 1]]
+            if len(rows) == len(fragments):
+                # The stable partition leaves a node that owns the whole
+                # frame its rows in order, so it reads slices, not copies.
+                rows = None
             run = replay_fragments(
                 fragments,
                 tex_filter,
                 model,
                 seen_lines=seen,
-                chunk_size=chunk_size or DEFAULT_CHUNK,
-                translate=translate,
-                rows=order[bounds[node] : bounds[node + 1]],
+                chunk_size=chunk,
+                rows=rows,
+                lines=frame_lines,
             )
             total_cache = total_cache.merged_with(run)
             texels_per_node_tri.append(run.texels_by_triangle)
@@ -376,7 +393,7 @@ def build_routed_work(
     layout: Optional["TextureMemoryLayout"] = None,
     route_by: str = "bbox",
     fragments: Optional["FragmentBuffer"] = None,
-    translator: Optional["PageTable"] = None,
+    translator: Optional[Translator] = None,
 ) -> RoutedWork:
     """Route a scene and replay every node's stream through its cache.
 
@@ -387,7 +404,10 @@ def build_routed_work(
     ``fragments`` overrides the scene's rasterisation — the early-Z
     ablation passes the depth-resolved survivor stream here.
     ``translator`` rewrites line addresses through a virtual-texturing
-    page table before the cache sees them (:mod:`repro.texture.pages`).
+    page table before the cache sees them (:mod:`repro.texture.pages`);
+    a :class:`~repro.texture.pages.FrameLines` built from ``scene``'s
+    fragments lets several replays of one frame share its translated
+    lines.
 
     Delegates to :func:`repro.pipeline.routed_work`, which memoizes
     the routing plan, the cache replay and the assembled work by

@@ -103,9 +103,10 @@ def routed_work(
     routing mode or setup cost (a setup sweep shares its replay); the
     assembled :class:`~repro.core.routing.RoutedWork` is memoized in
     memory only, since it is cheap to reassemble from its parents.
-    ``translator`` (a virtual-texturing page table) joins the replay
-    key through its current-mapping ``cache_key()``, so a memoized
-    replay can never leak across residency states.
+    ``translator`` (a virtual-texturing page table, or one frame's
+    line table built through it) joins the replay key through its
+    current-mapping ``cache_key()``, so a memoized replay can never
+    leak across residency states.
 
     Both stages read the stream's ``distribution.owners``; they get one
     memoized callable, so the pass runs inside the first stage that

@@ -37,6 +37,11 @@ class TrilinearFilter:
     def __init__(self, layout: TextureMemoryLayout) -> None:
         self.layout = layout
 
+    @property
+    def line_dtype(self) -> type:
+        """The integer type :meth:`line_addresses` returns."""
+        return np.int32 if self.layout.narrow else np.int64
+
     def _bilinear_corners(
         self,
         u: np.ndarray,
@@ -121,7 +126,6 @@ class TrilinearFilter:
             level_height = layout.level_height32
             line_base = layout.line_base32
             blocks_wide = layout.blocks_wide32
-            itype = np.int32
         else:
             texture_ids = np.asarray(texture_ids).astype(np.int64, copy=False)
             levels = np.asarray(levels).astype(np.int64, copy=False)
@@ -130,7 +134,7 @@ class TrilinearFilter:
             level_height = layout.level_height
             line_base = layout.line_base
             blocks_wide = layout.blocks_wide
-            itype = np.int64
+        itype = self.line_dtype
         upper = np.minimum(levels + 1, num_levels[texture_ids] - 1)
         out = np.empty((n, TEXELS_PER_FRAGMENT), dtype=itype)
         max_levels = layout.max_levels

@@ -49,11 +49,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.texture.filtering import TEXELS_PER_FRAGMENT
+
+if TYPE_CHECKING:
+    import numpy.typing as npt
+
+    from repro.raster.fragments import FragmentBuffer
+    from repro.texture.filtering import TrilinearFilter
 
 #: Default page size, in 64-byte cache lines (16 lines = 1 KB pages).
 DEFAULT_PAGE_LINES = 16
@@ -169,6 +176,12 @@ class PageTable:
         if self._line_map is None:
             return lines
         return self._line_map[lines]
+
+    def translated_dtype(self, virtual: "npt.DTypeLike") -> "np.dtype[Any]":
+        """The dtype :meth:`translate` returns for lines of dtype ``virtual``."""
+        if self._line_map is None:
+            return np.dtype(virtual)
+        return self._line_map.dtype
 
     def _build_line_map(self) -> None:
         """Fold the current page→frame map into a per-line map.
@@ -303,3 +316,79 @@ class PageTable:
             f"{self.config.describe()}: {self.num_frames}/{self.num_pages} pages "
             f"resident, frame {self.frame_index}"
         )
+
+
+@dataclass(frozen=True, eq=False)
+class FrameLines:
+    """One frame's physical line table, built once and read by every replay.
+
+    Row ``i`` of ``lines`` holds the eight translated line addresses of
+    fragment ``i`` of ``fragments``, in submission order.  ``key`` and
+    ``address_space_lines`` are the page table's ``cache_key()`` and
+    physical line space when the table was built, so the value can be
+    handed to a replay wherever a page table is accepted as a
+    translator, and it keys the replay exactly as that page table
+    would: the translated lines are the same.
+    """
+
+    key: str
+    address_space_lines: int
+    lines: np.ndarray
+    fragments: "FragmentBuffer"
+
+    def cache_key(self) -> str:
+        """The page table's ``cache_key()`` when the table was built."""
+        return self.key
+
+    def lines_for(self, fragments: "FragmentBuffer") -> np.ndarray:
+        """The table, if it was built from ``fragments``.
+
+        A table from another fragment buffer (another frame, or an
+        early-Z survivor stream) would hand the cache another stream's
+        lines, so it is refused.
+        """
+        if fragments is not self.fragments or len(self.lines) != len(fragments):
+            raise ConfigurationError(
+                f"line table of {len(self.lines)} fragments was built from another "
+                f"fragment buffer than the {len(fragments)}-fragment stream replayed"
+            )
+        return self.lines
+
+
+def build_frame_lines(
+    table: PageTable,
+    tex_filter: "TrilinearFilter",
+    fragments: "FragmentBuffer",
+    chunk_size: int,
+    observe: bool = False,
+) -> FrameLines:
+    """Filter, optionally observe, and translate one frame, chunk by chunk.
+
+    One pass in submission order: each chunk of fragments is filtered
+    to virtual lines, fed to :meth:`PageTable.observe` when ``observe``
+    is set, and translated into its rows of a frame-sized ``(n, 8)``
+    table of the translated dtype.  Observing inside the pass is exact:
+    ``observe`` only accumulates feedback and never changes the mapping,
+    so neither :meth:`PageTable.translate` nor
+    :meth:`PageTable.cache_key` can see it.
+    """
+    n = len(fragments)
+    dtype = table.translated_dtype(tex_filter.line_dtype)
+    out = np.empty((n, TEXELS_PER_FRAGMENT), dtype=dtype)
+    for start in range(0, n, chunk_size):
+        stop = min(n, start + chunk_size)
+        virtual = tex_filter.line_addresses(
+            fragments.u[start:stop],
+            fragments.v[start:stop],
+            fragments.level[start:stop],
+            fragments.texture[start:stop],
+        ).reshape(-1)
+        if observe:
+            table.observe(virtual)
+        out[start:stop] = table.translate(virtual).reshape(-1, TEXELS_PER_FRAGMENT)
+    return FrameLines(
+        key=table.cache_key(),
+        address_space_lines=table.address_space_lines,
+        lines=out,
+        fragments=fragments,
+    )

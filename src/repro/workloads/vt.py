@@ -9,13 +9,17 @@ the texture caches.
 
 Per frame of a sequence:
 
-1. the frame is simulated with the page table **frozen** — every
-   node's cache replay sees translated (physical) line addresses, and
+1. the frame's fragments are filtered once, in submission order and
+   chunk by chunk; each chunk's virtual lines are **observed**
+   (distribution-independent touch/fault feedback) and translated
+   through the **frozen** table into the frame's line table
+   (:func:`~repro.texture.pages.build_frame_lines`) — observing first
+   is exact, because feedback never changes the mapping;
+2. the frame is simulated from that table: every node's cache replay
+   gathers its rows of translated (physical) line addresses, and
    faulted accesses collapse onto the shared fallback frame;
-2. the same frame's single-processor baseline runs through the same
-   frozen table, so the speedup isolates the distribution;
-3. the frame's fragment stream is observed **in submission order**
-   (distribution-independent) to collect touch/fault feedback;
+3. the same frame's single-processor baseline replays the same table,
+   so the speedup isolates the distribution;
 4. ``advance_frame`` applies the feedback: faulted pages page in,
    least-recently-touched residents evict — residency for frame k+1.
 
@@ -34,9 +38,8 @@ from typing import Dict, List, Mapping, Optional, Union
 from repro.cache.stream import DEFAULT_CHUNK
 from repro.errors import ConfigurationError
 from repro.geometry.scene import Scene
-from repro.raster.fragments import FragmentBuffer
 from repro.texture.filtering import TrilinearFilter
-from repro.texture.pages import PageTable, VirtualTextureConfig
+from repro.texture.pages import PageTable, VirtualTextureConfig, build_frame_lines
 from repro.workloads.generator import SceneSpec
 from repro.workloads.sequence import pan_sequence
 
@@ -130,30 +133,6 @@ def require_vt_spec(name: str) -> VtSceneSpec:
 def vt_frames(spec: VtSceneSpec, scale: float) -> List[Scene]:
     """The spec's pan-sequence frames (shared world, shared textures)."""
     return pan_sequence(spec.scene_spec(), scale, spec.frames, spec.pan_dx, spec.pan_dy)
-
-
-def observe_frame(
-    table: PageTable,
-    tex_filter: TrilinearFilter,
-    fragments: FragmentBuffer,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> None:
-    """Feed one frame's submission-order access stream into the table.
-
-    Chunked like the cache replay so peak memory stays bounded; the
-    table's feedback accumulation is split-invariant, so the chunk
-    size cannot change the residency trajectory.
-    """
-    n = len(fragments)
-    for start in range(0, n, chunk_size):
-        stop = min(n, start + chunk_size)
-        lines = tex_filter.line_addresses(
-            fragments.u[start:stop],
-            fragments.v[start:stop],
-            fragments.level[start:stop],
-            fragments.texture[start:stop],
-        )
-        table.observe(lines.reshape(-1))
 
 
 @dataclass
@@ -260,6 +239,7 @@ def run_vt_sequence(
     from repro.core.machine import simulate_machine
     from repro.core.routing import build_routed_work
     from repro.distribution.single import SingleProcessor
+    from repro.pipeline import fragments_artifact, stage_timer
 
     if isinstance(spec, str):
         spec = require_vt_spec(spec)
@@ -285,6 +265,11 @@ def run_vt_sequence(
 
     frame_results: List[VtFrameResult] = []
     for index, scene in enumerate(sequence):
+        fragments = fragments_artifact(scene)
+        with stage_timer("lines"):
+            frame = build_frame_lines(
+                table, tex_filter, fragments, chunk_size or DEFAULT_CHUNK, observe=True
+            )
         routed = build_routed_work(
             scene,
             distribution,
@@ -293,7 +278,7 @@ def run_vt_sequence(
             setup_cycles=config.setup_cycles,
             chunk_size=chunk_size,
             layout=layout,
-            translator=table,
+            translator=frame,
         )
         solo_routed = build_routed_work(
             scene,
@@ -303,11 +288,12 @@ def run_vt_sequence(
             setup_cycles=solo.setup_cycles,
             chunk_size=chunk_size,
             layout=layout,
-            translator=table,
+            translator=frame,
         )
+        # Only one frame's line table is alive at a time.
+        del frame
         baseline = simulate_machine(solo_routed, solo.timing).cycles
         result = simulate_machine(routed, config.timing, baseline_cycles=baseline)
-        observe_frame(table, tex_filter, scene.fragments(), chunk_size or DEFAULT_CHUNK)
         stats = table.advance_frame()
         frame_results.append(
             VtFrameResult(
