@@ -5,12 +5,15 @@ set's substream with a per-access Python loop — the dominant cost of
 every cache run.  This module replaces that loop with numpy passes
 built on exact identities (derivations in DESIGN.md §10):
 
-1. **Per-set MRU re-reads.**  An access to the line its own set touched
-   last always hits and leaves every stack unchanged, so it can be
-   dropped before any replay work.  Texture footprints alternate
-   between 2–4 lines in different sets (A B C D A B C D …), so 89–96%
-   of a frame's accesses that are not consecutive repeats are such
-   re-reads.
+1. **Periodic per-set re-reads.**  In a set's own access order, a run
+   of accesses that each repeat the access ``k`` places back, for a
+   period ``k <= W``, hits: at most ``k`` distinct lines cycle through
+   the top of the stack.  Every whole repeat of the period also leaves
+   the stack as it found it, so it can be dropped before any replay
+   work.  Period 1 is an access to the line its set touched last.
+   Texture footprints alternate between 2–4 lines (A B C D A B C D …),
+   so most of a frame's accesses that are not consecutive repeats are
+   such re-reads.
 2. **Self-synchronization.**  A true-LRU set's stack after any access
    sequence is exactly its W most-recently-used *distinct* lines in
    recency order — independent of hit/miss outcomes and of whatever
@@ -30,7 +33,7 @@ built on exact identities (derivations in DESIGN.md §10):
    the number of distinct in-group lines seen so far — the start-stack
    lines already reaccessed would otherwise be double counted.
 
-After the re-read filter, the replay runs three vector stages on the
+After the re-read filters, the replay runs three vector stages on the
 surviving accesses: a round-based replay of all (set, chunk) groups at
 once from empty stacks, a prefix scan that merges per-chunk recency
 lists into running per-set stacks, and one batch pass resolving every
@@ -47,15 +50,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-#: Stream positions per chunk, counted before the re-read filter.  More
+#: Stream positions per chunk, counted before the re-read filters.  More
 #: chunks widen the parallel replay (more groups per round, fewer
 #: rounds) but add boundary accesses and prefix-scan work.
 CHUNK_TARGET_LEN = 32768
-
-#: Once fewer than this many groups still have unreplayed accesses, the
-#: round loop hands the stragglers to a scalar finish — per-call numpy
-#: overhead would dominate such narrow rounds.
-MIN_ROUND_WIDTH = 64
 
 _PAD = np.int64(-1)
 
@@ -123,10 +121,10 @@ def replay(
     order = np.argsort(sort_sets, kind="stable")
     sorted_lines = lines[order]
 
-    # -- identity 1: drop per-set MRU re-reads ----------------------------
-    # In set order an access re-reads its set's MRU line iff it equals
-    # its predecessor (equal lines share a set) or, as the set's first
-    # access, the MRU line the set held on entry.
+    # -- identity 1: drop periodic per-set re-reads -----------------------
+    # Period 1: in set order an access re-reads its set's MRU line iff
+    # it equals its predecessor (equal lines share a set) or, as the
+    # set's first access, the MRU line the set held on entry.
     fresh = np.empty(total, dtype=bool)
     fresh[0] = True
     np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=fresh[1:])
@@ -136,11 +134,32 @@ def replay(
     entry = entry[entry < total]
     fresh[entry] = sorted_lines[entry] != init_stack[sorted_sets[entry], 0]
     survivors = np.flatnonzero(fresh)
+    wl = sorted_lines[survivors]
+    # Periods 2..W, on what the shorter periods left.  A run of
+    # accesses each equal to the one k places back (so in the same set)
+    # hits throughout, and each whole repeat of its period restores the
+    # set's stack: drop those repeats, keep the partial period's tail.
+    for k in range(2, width + 1):
+        repeats = np.zeros(len(wl) + 1, dtype=bool)
+        np.equal(wl[k:], wl[:-k], out=repeats[k:-1])
+        edges = np.flatnonzero(repeats[1:] != repeats[:-1]) + 1
+        run_starts, run_ends = edges[0::2], edges[1::2]
+        whole = run_ends - run_starts
+        whole -= whole % k
+        cut = whole > 0
+        if not cut.any():
+            continue
+        run_starts, whole = run_starts[cut], whole[cut]
+        toggles = np.zeros(len(wl) + 1, dtype=np.int8)
+        toggles[run_starts] = 1
+        toggles[run_starts + whole] = -1
+        stay = np.flatnonzero(np.cumsum(toggles[:-1]) == 0)
+        survivors = survivors[stay]
+        wl = wl[stay]
     n = len(survivors)
     if n == 0:
         return np.zeros(total, dtype=bool), {k: list(v) for k, v in initial.items()}
 
-    wl = sorted_lines[survivors]
     ws = sorted_sets[survivors]
     source = order[survivors]
     wc = source // chunk_len
@@ -195,15 +214,8 @@ def replay(
     miss = np.zeros(n, dtype=bool)
     cols = np.arange(width)
 
-    r = 0
-    max_rounds = int(counts_l[0])
-    while r < max_rounds:
+    for r in range(int(counts_l[0])):
         active = int(np.searchsorted(neg_counts, -(r + 1), side="right"))
-        if active == 0:
-            break
-        if active < MIN_ROUND_WIDTH:
-            _finish_scalar(stack, miss, wl, starts_l, counts_l, active, r, width)
-            break
         at_r = starts_l[:active] + r
         lines_r = wl_narrow[at_r]
         matched = [stack[k, :active] == lines_r for k in range(width)]
@@ -222,7 +234,6 @@ def replay(
             )
         stack[0, :active] = lines_r
         miss[at_r] = ~hit
-        r += 1
 
     # -- phase 2: merge per-chunk recency lists into per-set stacks -----
     # Stack merge is associative (DESIGN.md §10), so the running stack
@@ -308,38 +319,3 @@ def _merge_stacks(newer: np.ndarray, older: np.ndarray, width: int) -> np.ndarra
     at = np.nonzero(kept)
     merged[at[:-1] + (dest[at],)] = older[at]
     return merged
-
-
-def _finish_scalar(
-    stack: np.ndarray,
-    miss: np.ndarray,
-    wl: np.ndarray,
-    starts_l: np.ndarray,
-    counts_l: np.ndarray,
-    active: int,
-    r: int,
-    width: int,
-) -> None:
-    """Replay the remaining accesses of the last few groups scalarly.
-
-    ``stack`` is the transposed (way, group) layout of phase 1.
-    """
-    for gi in range(active):
-        base = int(starts_l[gi])
-        stop = base + int(counts_l[gi])
-        ways_list = [int(v) for v in stack[:, gi] if v != _PAD]
-        for j in range(base + r, stop):
-            line = int(wl[j])
-            try:
-                at = ways_list.index(line)
-            except ValueError:
-                miss[j] = True
-                if len(ways_list) >= width:
-                    ways_list.pop()
-                ways_list.insert(0, line)
-            else:
-                if at:
-                    del ways_list[at]
-                    ways_list.insert(0, line)
-        stack[: len(ways_list), gi] = ways_list
-        stack[len(ways_list) :, gi] = _PAD

@@ -1,15 +1,17 @@
 """Set-associative LRU cache simulation.
 
 :meth:`LruCache.simulate` replays whole address streams at once.  It
-exploits two exact identities to stay fast in Python: an access to
-the line its set accessed last always hits and changes nothing (so
-such re-reads can be dropped), and accesses to different sets never
-interact (so the stream can be stably partitioned per set and each
-set replayed independently).  The replay collapses consecutive
-repeats, then the chunk-parallel batch replay
-(:mod:`repro.cache.batchlru`) drops every other per-set re-read and
-replays the rest.  The stepwise and scalar per-set references it must
-match bit for bit live in ``tests/oracles``.
+exploits two exact identities to stay fast in Python: accesses to
+different sets never interact (so the stream can be stably
+partitioned per set and each set replayed independently), and in a
+set's own order an access that repeats the access ``k <= W`` places
+back always hits — every whole repeat of such a period changes
+nothing, so those re-reads can be dropped (``k = 1`` is a re-read of
+the set's MRU line).  The replay collapses consecutive repeats, then
+the chunk-parallel batch replay (:mod:`repro.cache.batchlru`) drops
+the other periodic per-set re-reads and replays the rest.  The
+stepwise and scalar per-set references it must match bit for bit
+live in ``tests/oracles``.
 
 The cache is *stateful across calls*, so long streams can be fed in
 chunks.
@@ -52,8 +54,8 @@ class LruCache:
             return misses
 
         # Collapse consecutive duplicates: repeats always hit.  The batch
-        # replay finds these too (with every other re-read of a set's MRU
-        # line), but this one compare halves the input of its set sort.
+        # replay finds these too (with every other periodic re-read in a
+        # set), but this one compare halves the input of its set sort.
         keep = np.empty(n, dtype=bool)
         keep[0] = True
         np.not_equal(lines[1:], lines[:-1], out=keep[1:])

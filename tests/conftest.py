@@ -105,3 +105,65 @@ def footprint_stream(
                 continue
             lines.extend([line, line] if roll > 0.9 else [line])
     return np.asarray(lines[:length], dtype=np.int64)
+
+
+def shared_set_stream(
+    rng: np.random.Generator, num_sets: int, length: int
+) -> np.ndarray:
+    """A footprint-shaped line stream whose footprint lines may share a set.
+
+    Unlike :func:`footprint_stream`, a footprint draws its 2-5 lines'
+    sets with replacement, so two of its lines can alternate inside one
+    set (A B A B ... in that set's own order).  Half the footprints are
+    explicit same-set cycles of period 2-4, where a line may recur
+    within the period (A B A C ...).  The jitter is the same: a line
+    skipped or doubled, one swapped for another tag in its set, and
+    jumps to a fresh footprint.
+    """
+
+    def line(set_index: int) -> int:
+        return int(rng.integers(0, 6)) * num_sets + set_index
+
+    def fresh() -> list:
+        if rng.random() < 0.5:
+            set_index = int(rng.integers(num_sets))
+            period = int(rng.integers(2, 5))
+            while True:
+                cycle = [line(set_index) for _ in range(period)]
+                if all(cycle[i] != cycle[i - 1] for i in range(period)):
+                    return cycle
+        return [line(int(rng.integers(num_sets))) for _ in range(int(rng.integers(2, 6)))]
+
+    footprint = fresh()
+    lines: list = []
+    while len(lines) < length:
+        roll = rng.random()
+        if roll < 0.05:
+            footprint = fresh()
+        elif roll < 0.15:
+            at = int(rng.integers(len(footprint)))
+            footprint[at] = line(footprint[at] % num_sets)
+        for entry in footprint:
+            roll = rng.random()
+            if roll < 0.05:
+                continue
+            lines.extend([entry, entry] if roll > 0.95 else [entry])
+    return np.asarray(lines[:length], dtype=np.int64)
+
+
+def periodic_rereads(stream: np.ndarray, num_sets: int, period: int) -> list:
+    """Positions whose line equals its set's access ``period`` places back.
+
+    A set's own history skips consecutive repeats of one line (they
+    re-read its MRU line), so these are the positions inside the runs
+    that the batch LRU replay drops whole periods of.
+    """
+    found, history = [], {}
+    for position, line in enumerate(stream.tolist()):
+        past = history.setdefault(line % num_sets, [])
+        if past and past[-1] == line:
+            continue
+        if len(past) >= period and past[-period] == line:
+            found.append(position)
+        past.append(line)
+    return found

@@ -23,7 +23,7 @@ from repro.raster.fragments import FragmentBuffer
 from repro.texture.filtering import TrilinearFilter
 from repro.workloads.scenes import SCENE_SPECS, build_scene
 from repro.workloads.sequence import translate_scene
-from tests.conftest import footprint_stream
+from tests.conftest import footprint_stream, shared_set_stream
 from tests.oracles import ReferenceLru, rasterize_scene_scalar
 
 
@@ -157,6 +157,23 @@ def test_lru_replay_matches_scalar_under_random_chunking(
             batched, scalar = LruCache(config), ReferenceLru(config)
             assert np.array_equal(batched.simulate(lines), scalar.replay(lines))
             assert batched.contents() == scalar.contents()
+
+
+@pytest.mark.parametrize(
+    "num_sets,ways", [(1, 2), (1, 4), (3, 3), (4, 1), (4, 4), (64, 8)]
+)
+def test_lru_replay_periodic_rereads_under_random_chunking(monkeypatch, num_sets, ways):
+    """Same-set periods dropped whole, wherever the chunk boundaries fall."""
+    rng = np.random.default_rng(605 + num_sets * 8 + ways)
+    config = _config(num_sets, ways)
+    for chunk in (3, 17, int(rng.integers(32, 4096))):
+        monkeypatch.setattr(batchlru, "CHUNK_TARGET_LEN", chunk)
+        lines = shared_set_stream(rng, num_sets, int(rng.integers(1, 6000)))
+        batched, scalar = LruCache(config), ReferenceLru(config)
+        cut = int(rng.integers(0, len(lines) + 1))
+        got = np.concatenate([batched.simulate(lines[:cut]), batched.simulate(lines[cut:])])
+        assert np.array_equal(got, scalar.replay(lines))
+        assert batched.contents() == scalar.contents()
 
 
 def test_lru_replay_is_call_split_invariant(monkeypatch):

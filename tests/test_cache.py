@@ -150,6 +150,48 @@ class TestLruBatched:
         assert misses.sum() == len(np.unique(stream))
 
 
+
+class TestPeriodicRereads:
+    """Same-set cycles, which the replay drops whole periods of."""
+
+    # Lines 1, 5, 9, 13 and 17 all sit in set 1 of a 4-set cache.
+    A, B, C, D, E = 1, 5, 9, 13, 17
+
+    def test_period_two_at_two_ways_hits_after_two_misses(self):
+        cache = LruCache(tiny_config(sets=4, ways=2))
+        misses = cache.simulate(np.array([self.A, self.B] * 3))
+        assert misses.tolist() == [True, True, False, False, False, False]
+        assert cache.contents() == {1: [self.B, self.A]}
+
+    def test_period_two_at_one_way_always_misses(self):
+        cache = LruCache(tiny_config(sets=4, ways=1))
+        misses = cache.simulate(np.array([self.A, self.B] * 3))
+        assert misses.tolist() == [True] * 6
+        assert cache.contents() == {1: [self.B]}
+
+    def test_period_longer_than_the_ways_is_replayed(self):
+        """``(A B C) x 3`` at two ways: k > W, so every access misses."""
+        config = tiny_config(sets=4, ways=2)
+        stream = np.array([self.A, self.B, self.C] * 3)
+        cache, reference = LruCache(config), ReferenceLru(config)
+        misses = cache.simulate(stream)
+        assert misses.tolist() == reference.replay(stream).tolist() == [True] * 9
+        assert cache.contents() == reference.contents() == {1: [self.C, self.B]}
+
+    def test_period_four_spanning_two_calls(self):
+        config = tiny_config(sets=4, ways=4)
+        cycle = [self.A, self.B, self.C, self.D]
+        # Each call holds a whole repeat of the period and cuts the next.
+        calls = [cycle * 2 + cycle[:2], cycle[2:] + cycle * 2 + [self.E]]
+        cache, reference = LruCache(config), ReferenceLru(config)
+        got = [cache.simulate(np.array(call)).tolist() for call in calls]
+        want = [reference.replay(np.array(call)).tolist() for call in calls]
+        assert got == want
+        assert got == [[True] * 4 + [False] * 6, [False] * 10 + [True]]
+        # E evicts A, the least recently used line of the cycle.
+        assert cache.contents() == reference.contents()
+        assert cache.contents() == {1: [self.E, self.D, self.C, self.B]}
+
 class TestModels:
     def test_factory(self):
         assert isinstance(make_cache_model("perfect"), PerfectCache)

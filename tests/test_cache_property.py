@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import CacheConfig, LruCache
-from tests.conftest import footprint_stream
+from tests.conftest import footprint_stream, periodic_rereads, shared_set_stream
 from tests.oracles import ReferenceLru
 
 
@@ -214,3 +214,48 @@ class TestFootprintStreams:
         stream = footprint_stream(np.random.default_rng(5), 64, 4000)
         repeats = int(np.count_nonzero(stream[1:] == stream[:-1]))
         assert len(set_mru_rereads(stream, 64)) + repeats > 0.6 * len(stream)
+
+
+class TestSharedSetStreams:
+    """Footprints whose lines share a set: periodic per-set re-reads.
+
+    In a set's own order these streams run through periods of 2-4
+    accesses, the runs the batch replay drops whole repeats of.  Call
+    boundaries land inside those runs, so a call can open mid-run and
+    cut a period in two.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ways=st.sampled_from([1, 2, 3, 4, 8]),
+        sets=st.sampled_from([1, 3, 4, 64]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        length=st.integers(min_value=1, max_value=800),
+        data=st.data(),
+    )
+    def test_chunked_simulate_matches_access(self, ways, sets, seed, length, data):
+        config = geometry(sets, ways)
+        stream = shared_set_stream(np.random.default_rng(seed), sets, length)
+        reference = ReferenceLru(config)
+        expected = reference_mask(reference, stream)
+
+        cuts = data.draw(
+            st.lists(st.integers(min_value=0, max_value=length), max_size=3),
+            label="cuts",
+        )
+        for period in (2, 3, 4):
+            inside = periodic_rereads(stream, sets, period)
+            if inside:
+                cuts.append(data.draw(st.sampled_from(inside), label=f"cut_{period}"))
+        chunked = LruCache(config)
+        got = np.concatenate(
+            [chunked.simulate(part) for part in np.split(stream, sorted(cuts))]
+        )
+        assert (got == expected).all()
+        assert chunked.contents() == reference.contents()
+
+    def test_streams_run_through_same_set_periods(self):
+        """The generator exercises periods 2-4 in a set's own order."""
+        stream = shared_set_stream(np.random.default_rng(11), 4, 4000)
+        for period in (2, 3, 4):
+            assert len(periodic_rereads(stream, 4, period)) > 0.05 * len(stream)

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.cache import CacheConfig, make_cache_model, replay_fragments
+from repro.cache import CacheConfig, LruCache, make_cache_model, replay_fragments
 from repro.cache.stats import CacheRunResult
 from repro.cache.stream import DEFAULT_CHUNK
+from repro.core.routing import partition_by_node
+from repro.distribution import BlockInterleaved
 from repro.raster.fragments import FragmentBuffer
 from repro.texture.filtering import TrilinearFilter
+from repro.workloads.scenes import build_scene
+from tests.conftest import periodic_rereads
+from tests.oracles import ReferenceLru
 
 
 def filt_for(scene):
@@ -161,3 +166,36 @@ def test_empty_run_result_ratios():
     empty = CacheRunResult()
     assert empty.miss_rate == 0.0
     assert empty.texel_to_fragment == 0.0
+
+
+@pytest.fixture(scope="module")
+def room3_node_streams():
+    """The line streams of room3 at smoke scale, block-16 on 4 nodes."""
+    scene = build_scene("room3", scale=0.0625)
+    fragments = scene.fragments()
+    tex_filter = filt_for(scene)
+    dist = BlockInterleaved(4, 16)
+    order, bounds = partition_by_node(dist.owners(fragments.x, fragments.y), 4)
+    streams = []
+    for node in range(4):
+        rows = order[bounds[node] : bounds[node + 1]]
+        lines = tex_filter.line_addresses(
+            fragments.u[rows], fragments.v[rows], fragments.level[rows],
+            fragments.texture[rows],
+        )
+        streams.append(np.asarray(lines, dtype=np.int64).reshape(-1))
+    return streams
+
+
+@pytest.mark.parametrize("ways", [1, 2, 4, 8])
+def test_texture_node_streams_match_oracle(room3_node_streams, ways):
+    """Real texture streams, whose same-set periods the replay drops."""
+    config = CacheConfig(ways=ways)
+    for lines in room3_node_streams:
+        # Sets run through repeats of period-2 cycles, which every
+        # geometry above one way drops whole.
+        repeats = periodic_rereads(lines, config.num_sets, 2)
+        assert len(repeats) > 50
+        batched, reference = LruCache(config), ReferenceLru(config)
+        assert np.array_equal(batched.simulate(lines), reference.replay(lines))
+        assert batched.contents() == reference.contents()
