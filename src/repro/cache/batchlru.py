@@ -13,7 +13,11 @@ built on exact identities (derivations in DESIGN.md §10):
    work.  Period 1 is an access to the line its set touched last.
    Texture footprints alternate between 2–4 lines (A B C D A B C D …),
    so most of a frame's accesses that are not consecutive repeats are
-   such re-reads.
+   such re-reads.  Most period-1 re-reads show in stream order too:
+   an access whose nearest earlier same-set access among the last
+   ``MRU_WINDOW`` positions read the same line re-reads its set's MRU
+   line, so those are dropped before the set sort, which then orders
+   only what is left.
 2. **Self-synchronization.**  A true-LRU set's stack after any access
    sequence is exactly its W most-recently-used *distinct* lines in
    recency order — independent of hit/miss outcomes and of whatever
@@ -52,8 +56,15 @@ from repro.errors import ConfigurationError
 
 #: Stream positions per chunk, counted before the re-read filters.  More
 #: chunks widen the parallel replay (more groups per round, fewer
-#: rounds) but add boundary accesses and prefix-scan work.
+#: rounds) but add boundary accesses and prefix-scan work.  A replay
+#: chunks at most 512 positions per set, so few-set geometries still
+#: get many short groups.
 CHUNK_TARGET_LEN = 32768
+
+#: Stream positions the MRU re-read filter looks back: the width of a
+#: trilinear footprint, so position ``i - 8`` is the same corner of the
+#: previous fragment.
+MRU_WINDOW = 8
 
 _PAD = np.int64(-1)
 
@@ -83,7 +94,7 @@ def replay(
 
     sets_total = int(num_sets)
     width = int(ways)
-    chunk_len = int(CHUNK_TARGET_LEN)
+    chunk_len = int(min(CHUNK_TARGET_LEN, 512 * sets_total))
     chunks = max(1, -(-total // chunk_len))
 
     max_line = int(lines.max())
@@ -118,20 +129,34 @@ def replay(
         sort_sets = line_sets.astype(np.int32)
     else:
         sort_sets = line_sets
-    order = np.argsort(sort_sets, kind="stable")
-    sorted_lines = lines[order]
 
     # -- identity 1: drop periodic per-set re-reads -----------------------
-    # Period 1: in set order an access re-reads its set's MRU line iff
+    # Period 1 in stream order, before the sort: after an access its
+    # line is its set's MRU line until the set's next access, so an
+    # access whose nearest earlier same-set access among the last
+    # MRU_WINDOW positions read the same line hits at depth 0 and
+    # changes nothing.  A set's first access has no such predecessor
+    # and always stays; chunk ids keep counting the call's positions.
+    undecided = np.ones(total, dtype=bool)
+    reread = np.zeros(total, dtype=bool)
+    for d in range(1, min(MRU_WINDOW + 1, total)):
+        same_line = lines[d:] == lines[:-d]
+        same_line &= undecided[d:]
+        reread[d:] |= same_line
+        undecided[d:] &= sort_sets[d:] != sort_sets[:-d]
+    kept = np.flatnonzero(~reread)
+    order = kept[np.argsort(sort_sets[kept], kind="stable")]
+    sorted_lines = lines[order]
+    # Period 1 in set order: an access re-reads its set's MRU line iff
     # it equals its predecessor (equal lines share a set) or, as the
     # set's first access, the MRU line the set held on entry.
-    fresh = np.empty(total, dtype=bool)
+    fresh = np.empty(len(order), dtype=bool)
     fresh[0] = True
     np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=fresh[1:])
     sorted_sets = sort_sets[order]
     # First position of every set (an absent set repeats the next one's).
     entry = np.searchsorted(sorted_sets, np.arange(sets_total))
-    entry = entry[entry < total]
+    entry = entry[entry < len(order)]
     fresh[entry] = sorted_lines[entry] != init_stack[sorted_sets[entry], 0]
     survivors = np.flatnonzero(fresh)
     wl = sorted_lines[survivors]

@@ -54,7 +54,7 @@ class TwoLevelCache(TextureCacheModel):
             l2_miss_mask = self._l2.simulate(lines[positions])
             memory[positions] = l2_miss_mask
             self.l1_misses += len(positions)
-            self.l2_misses += int(l2_miss_mask.sum())
+            self.l2_misses += int(np.count_nonzero(l2_miss_mask))
         return memory
 
     def reset(self) -> None:

@@ -9,9 +9,10 @@ back always hits — every whole repeat of such a period changes
 nothing, so those re-reads can be dropped (``k = 1`` is a re-read of
 the set's MRU line).  The replay collapses consecutive repeats, then
 the chunk-parallel batch replay (:mod:`repro.cache.batchlru`) drops
-the other periodic per-set re-reads and replays the rest.  The
-stepwise and scalar per-set references it must match bit for bit
-live in ``tests/oracles``.
+MRU re-reads it can see a few stream positions back, sorts the rest
+by set, drops the other periodic per-set re-reads and replays what
+is left.  The stepwise and scalar per-set references it must match
+bit for bit live in ``tests/oracles``.
 
 The cache is *stateful across calls*, so long streams can be fed in
 chunks.
@@ -63,7 +64,7 @@ class LruCache:
         deduped_misses, self._sets = batchlru.replay(
             lines[positions], self.config.num_sets, self.config.ways, self._sets
         )
-        misses[positions] = deduped_misses
+        misses[positions[deduped_misses]] = True
         return misses
 
     def contents(self) -> Dict[int, List[int]]:

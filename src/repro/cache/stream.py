@@ -78,7 +78,7 @@ def replay_fragments(
             chunk = lines[take]
         flat = chunk.reshape(-1)
         miss_mask = model.misses(flat)
-        misses = int(miss_mask.sum())
+        misses = int(np.count_nonzero(miss_mask))
 
         result.texel_accesses += flat.size
         result.line_accesses += flat.size

@@ -167,3 +167,23 @@ def periodic_rereads(stream: np.ndarray, num_sets: int, period: int) -> list:
             found.append(position)
         past.append(line)
     return found
+
+
+def window_cuts(stream: np.ndarray, num_sets: int, window: int = 8) -> list:
+    """Call cuts that split a stream-order MRU re-read from its witness.
+
+    For every position whose nearest earlier same-set access among the
+    ``window`` positions before it read the same line, each cut from
+    just after that access up to the position itself: the two land in
+    different calls.
+    """
+    values = stream.tolist()
+    cuts = set()
+    for position, line in enumerate(values):
+        for back in range(1, min(window, position) + 1):
+            earlier = values[position - back]
+            if earlier % num_sets == line % num_sets:
+                if earlier == line:
+                    cuts.update(range(position - back + 1, position + 1))
+                break
+    return sorted(cuts)

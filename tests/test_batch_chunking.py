@@ -176,6 +176,20 @@ def test_lru_replay_periodic_rereads_under_random_chunking(monkeypatch, num_sets
         assert batched.contents() == scalar.contents()
 
 
+@pytest.mark.parametrize("num_sets", [1, 2])
+@pytest.mark.parametrize("ways", [1, 2, 4, 8])
+def test_lru_replay_few_sets_at_default_chunking(num_sets, ways):
+    """Few-set caches chunk by set count: many chunks, still exact."""
+    rng = np.random.default_rng(606 + num_sets * 8 + ways)
+    config = _config(num_sets, ways)
+    lines = rng.integers(0, 64, size=int(rng.integers(3000, 6000))).astype(np.int64)
+    batched, scalar = LruCache(config), ReferenceLru(config)
+    cut = int(rng.integers(0, len(lines) + 1))
+    got = np.concatenate([batched.simulate(lines[:cut]), batched.simulate(lines[cut:])])
+    assert np.array_equal(got, scalar.replay(lines))
+    assert batched.contents() == scalar.contents()
+
+
 def test_lru_replay_is_call_split_invariant(monkeypatch):
     """Feeding one stream in random slices equals one whole-stream call."""
     rng = np.random.default_rng(604)

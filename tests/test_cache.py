@@ -192,6 +192,75 @@ class TestPeriodicRereads:
         assert cache.contents() == reference.contents()
         assert cache.contents() == {1: [self.E, self.D, self.C, self.B]}
 
+
+class TestStreamWindow:
+    """MRU re-reads in stream order, which the replay drops before its set sort."""
+
+    # In a 4-set cache A and B sit in set 1, X and Y in set 2.
+    A, B, X, Y = 1, 5, 2, 6
+    # Eight distinct lines of sets 0, 2 and 3, none repeated back to back.
+    OTHERS = [2, 3, 4, 6, 7, 8, 10, 11]
+
+    def test_same_set_access_between_keeps_the_reread(self):
+        """In ``A B A`` the second A follows B, its set's MRU line: replayed, it hits."""
+        cache = LruCache(tiny_config(sets=4, ways=2))
+        assert cache.simulate(np.array([self.A, self.B, self.A])).tolist() == [
+            True, True, False,
+        ]
+        assert cache.contents() == {1: [self.A, self.B]}
+
+    def test_other_set_access_between_drops_the_reread(self):
+        cache = LruCache(tiny_config(sets=4, ways=2))
+        assert cache.simulate(np.array([self.A, self.X, self.A])).tolist() == [
+            True, True, False,
+        ]
+        assert cache.contents() == {1: [self.A], 2: [self.X]}
+
+    @pytest.mark.parametrize("head", [[], [B]])
+    def test_same_set_predecessor_nine_positions_back(self, head):
+        config = tiny_config(sets=4, ways=2)
+        stream = np.array([self.A] + head + self.OTHERS + [self.A])
+        cache, reference = LruCache(config), ReferenceLru(config)
+        misses = cache.simulate(stream)
+        assert misses.tolist() == reference.replay(stream).tolist()
+        assert misses.tolist() == [True] * (len(stream) - 1) + [False]
+        assert cache.contents() == reference.contents()
+        assert cache.contents()[1] == [self.A] + head
+
+    def test_three_sets(self):
+        # Lines 1 and 4 sit in set 1 of a 3-set cache, 2 in set 2, 3 in set 0.
+        stream = np.array([1, 2, 1, 4, 3, 1, 2, 4, 1, 3, 2, 7, 2, 1])
+        config = tiny_config(sets=3, ways=2)
+        cache, reference = LruCache(config), ReferenceLru(config)
+        expected = [not reference.access(line) for line in stream]
+        assert cache.simulate(stream).tolist() == expected
+        assert expected == [True, True, False, True, True, False, False,
+                            False, False, False, False, True, False, False]
+        assert cache.contents() == reference.contents() == {
+            0: [3], 1: [1, 7], 2: [2],
+        }
+
+    def test_one_way(self):
+        cache = LruCache(tiny_config(sets=4, ways=1))
+        stream = np.array([self.A, self.X, self.A, self.B, self.A])
+        assert cache.simulate(stream).tolist() == [True, True, False, True, True]
+        assert cache.contents() == {1: [self.A], 2: [self.X]}
+
+    def test_window_straddling_two_calls(self):
+        """The window is per call: history comes from the cache's contents."""
+        cache = LruCache(tiny_config(sets=4, ways=2))
+        cache.simulate(np.array([self.A, self.B]))
+        assert cache.simulate(np.array([self.X, self.A, self.Y])).tolist() == [
+            True, False, True,
+        ]
+        assert cache.contents() == {1: [self.A, self.B], 2: [self.Y, self.X]}
+        assert cache.simulate(np.array([self.A, self.X])).tolist() == [False, False]
+
+        cache.reset()
+        assert cache.simulate(np.array([self.X, self.A])).tolist() == [True, True]
+        other = LruCache(tiny_config(sets=4, ways=2))
+        assert other.simulate(np.array([self.Y, self.A])).tolist() == [True, True]
+
 class TestModels:
     def test_factory(self):
         assert isinstance(make_cache_model("perfect"), PerfectCache)

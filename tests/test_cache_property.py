@@ -17,7 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import CacheConfig, LruCache
-from tests.conftest import footprint_stream, periodic_rereads, shared_set_stream
+from tests.conftest import (
+    footprint_stream,
+    periodic_rereads,
+    shared_set_stream,
+    window_cuts,
+)
 from tests.oracles import ReferenceLru
 
 
@@ -222,7 +227,8 @@ class TestSharedSetStreams:
     In a set's own order these streams run through periods of 2-4
     accesses, the runs the batch replay drops whole repeats of.  Call
     boundaries land inside those runs, so a call can open mid-run and
-    cut a period in two.
+    cut a period in two, and inside the stream-order MRU window, so a
+    re-read and the access it repeats fall in different calls.
     """
 
     @settings(max_examples=80, deadline=None)
@@ -247,6 +253,9 @@ class TestSharedSetStreams:
             inside = periodic_rereads(stream, sets, period)
             if inside:
                 cuts.append(data.draw(st.sampled_from(inside), label=f"cut_{period}"))
+        inside = window_cuts(stream, sets)
+        if inside:
+            cuts.append(data.draw(st.sampled_from(inside), label="cut_window"))
         chunked = LruCache(config)
         got = np.concatenate(
             [chunked.simulate(part) for part in np.split(stream, sorted(cuts))]
