@@ -3,9 +3,9 @@
 One module per figure/table family; importing them here registers every
 :class:`~repro.expfw.spec.ExperimentSpec` in
 :data:`repro.expfw.spec.SPECS`, the one registry the
-``repro-experiments`` CLI, the job service and the search driver
-resolve names from.  ``repro-experiments all --out results/`` writes
-each spec's panel points to ``results/``.  Every public experiment
+``repro-experiments`` CLI and the job service resolve names from.
+``repro-experiments all --out results/`` writes each spec's panel
+points to ``results/``.  Every public experiment
 function is re-exported so ``from repro.analysis import experiments``
 keeps working unchanged.
 """

@@ -9,7 +9,6 @@ one ``results/`` file per family.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Mapping
 
 from repro.analysis.experiments.common import (
     ALL_PROCESSOR_COUNTS,
@@ -23,7 +22,7 @@ from repro.analysis.load_balance import imbalance_sweep
 from repro.analysis.performance import SpeedupStudy
 from repro.analysis.tables import format_series, format_table
 from repro.expfw.params import Param, ParamSpace
-from repro.expfw.spec import ExperimentSpec, TrialTemplate, register_spec
+from repro.expfw.spec import ExperimentSpec, register_spec
 from repro.workloads import SCENE_NAMES, build_scene
 
 #: Imbalance depends on blocks per processor, so it distorts on small
@@ -61,11 +60,6 @@ def fig5_speedup(family: str, scale: float, scene: str = "massive32_1255") -> st
     )
 
 
-def _speedup_axes(params: Mapping[str, object]) -> dict:
-    """Search tile size / SLI height under a perfect cache."""
-    return {"size": family_sizes(params["family"])}
-
-
 FIG5_IMBALANCE = register_spec(
     ExperimentSpec(
         name="fig5-imbalance",
@@ -95,10 +89,5 @@ FIG5_SPEEDUP = register_spec(
         ),
         runner=text_runner(fig5_speedup),
         panels={"family": FAMILIES},
-        trial=TrialTemplate(
-            base={"scene": "massive32_1255", "processors": 64, "cache": "perfect"},
-            axes=_speedup_axes,
-            carry=("scale", "family"),
-        ),
     )
 )

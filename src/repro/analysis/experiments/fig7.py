@@ -7,14 +7,12 @@ scene/routing/replay artifacts through the pipeline's disk store.
 The experiment is declared as an :class:`~repro.expfw.spec.ExperimentSpec`:
 ``fig7-ratio2`` is a derived child spec (same runner, ``bus_ratio=2.0``
 default and a narrower scene list), and the ``family`` panel axis
-writes one ``results/`` file per family.  The trial template is what
-the auto-search driver tunes: tile size / SLI height following the
-family, FIFO depth, and cache geometry.
+writes one ``results/`` file per family.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.analysis.experiments.common import (
     FAMILIES,
@@ -27,12 +25,9 @@ from repro.analysis.experiments.common import (
 from repro.analysis.performance import SpeedupStudy
 from repro.analysis.tables import format_series
 from repro.expfw.params import Param, ParamSpace
-from repro.expfw.spec import ExperimentSpec, TrialTemplate, register_spec
+from repro.expfw.spec import ExperimentSpec, register_spec
 from repro.workloads import SCENE_NAMES, build_scene
 
-#: Search axes beyond the distribution size (the paper's §4 knobs).
-FIFO_DEPTHS = (10, 100, 10000)
-CACHE_KILOBYTES = (8, 16, 32)
 
 
 def fig7_panel(
@@ -81,15 +76,6 @@ def fig7(
     return header + "\n\n" + "\n\n".join(blocks)
 
 
-def _fig7_axes(params: Mapping[str, object]) -> dict:
-    """The tunable machine point: size follows the family."""
-    return {
-        "size": family_sizes(params["family"]),
-        "fifo": FIFO_DEPTHS,
-        "cache_kb": CACHE_KILOBYTES,
-    }
-
-
 FIG7 = register_spec(
     ExperimentSpec(
         name="fig7",
@@ -104,10 +90,6 @@ FIG7 = register_spec(
         ),
         runner=text_runner(fig7),
         panels={"family": FAMILIES},
-        trial=TrialTemplate(
-            base={"scene": "massive32_1255", "processors": 64, "cache": "lru"},
-            axes=_fig7_axes,
-        ),
     )
 )
 

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 from repro.analysis.experiments.common import SCALE
 from repro.analysis.tables import format_table
 from repro.expfw.params import Param, ParamSpace
-from repro.expfw.spec import ExperimentSpec, RunResult, TrialTemplate, register_spec
+from repro.expfw.spec import ExperimentSpec, RunResult, register_spec
 from repro.workloads.vt import VT_SCENE_NAMES, require_vt_spec, run_vt_sequence, vt_frames
 
 #: The families Figure 5/7 compared, now over a paged texture system.
@@ -29,10 +29,6 @@ VT_FAMILIES = ("block", "bands", "sli", "morton")
 
 #: The per-family size knob at its Figure-7 sweet spot (bands ignores it).
 VT_FAMILY_SIZE = {"block": 16, "sli": 2, "morton": 16, "bands": 0}
-
-#: Search axes for the auto-search driver (VT knobs join the machine's).
-VT_SEARCH_PAGES = (8, 32)
-VT_SEARCH_RESIDENCIES = (0.25, 0.5, 1.0)
 
 
 def vt_distribution(
@@ -109,17 +105,6 @@ def _run_vt_distribution(params: Mapping[str, object]) -> RunResult:
     return RunResult(text=text)
 
 
-def _vt_axes(params: Mapping[str, object]) -> dict:
-    """The searched point: family, size, cache geometry, VT knobs."""
-    return {
-        "family": ("block", "sli", "morton"),
-        "size": (2, 8, 16),
-        "cache_kb": (8, 16),
-        "vt_pages": VT_SEARCH_PAGES,
-        "vt_residency": VT_SEARCH_RESIDENCIES,
-    }
-
-
 #: String-valued grids for the ``names`` param kind (converted at use).
 _PAGE_CHOICES = ("4", "8", "16", "32", "64")
 _RESIDENCY_CHOICES = ("0.125", "0.25", "0.5", "0.75", "1.0")
@@ -143,10 +128,5 @@ VT_DISTRIBUTION = register_spec(
             )
         ),
         runner=_run_vt_distribution,
-        trial=TrialTemplate(
-            base={"vt_scene": "vt-quake", "processors": 16, "cache": "lru", "vt_frames": 2},
-            axes=_vt_axes,
-            carry=("scale",),
-        ),
     )
 )

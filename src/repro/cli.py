@@ -15,9 +15,6 @@ Examples::
     repro-experiments worker --url http://127.0.0.1:8765
     repro-experiments submit --url http://127.0.0.1:8765 --run table1 --wait
     repro-experiments status --url http://127.0.0.1:8765 --id job-1
-    repro-experiments search --experiment fig7 --budget 1e9 --strategy halving
-    repro-experiments archive
-    repro-experiments replay --key trial/fig7/halving/r0/<digest>
 
 Every verb has its own flags; a flag the verb does not read is an
 error (exit 2), not silently ignored.
@@ -52,13 +49,12 @@ _FLAGS = {
     ),
     "--out": dict(
         type=Path,
-        help="directory to also write each result into (one .txt per panel "
-        "point; search: the report JSON)",
+        help="directory to also write each result into (one .txt per panel point)",
     ),
     "--workers": dict(
-        help="worker processes for parallel sweeps, 0 runs inline; serve and "
-        "search: in-process worker threads, at least 1 (overrides the "
-        "REPRO_WORKERS env var)",
+        help="worker processes for parallel sweeps, 0 runs inline; serve: "
+        "in-process worker threads, at least 1 (overrides the REPRO_WORKERS "
+        "env var)",
     ),
     "--timings": dict(
         action="store_true",
@@ -97,8 +93,7 @@ _FLAGS = {
     ),
     "--url": dict(
         help="service base URL (default: REPRO_SERVICE_URL env var or "
-        f"http://127.0.0.1:{DEFAULT_SERVICE_PORT}; search: run trials on the "
-        "service at URL instead of an in-process scheduler)",
+        f"http://127.0.0.1:{DEFAULT_SERVICE_PORT})",
     ),
     "--no-local-workers": dict(
         action="store_true",
@@ -128,36 +123,6 @@ _FLAGS = {
     "--retries": dict(type=int, help="extra attempts after the first"),
     "--wait": dict(action="store_true", help="wait until done and print the result"),
     "--id": dict(help="job id to query (omit for service metrics)"),
-    "--experiment": dict(required=True, help="experiment spec to tune (e.g. fig7)"),
-    "--budget": dict(
-        type=float,
-        required=True,
-        help="stop once this much budget is spent (see --budget-unit)",
-    ),
-    "--budget-unit": dict(
-        choices=("cycles", "seconds"),
-        default="cycles",
-        help="budget currency — simulated cycles or wall seconds",
-    ),
-    "--strategy": dict(
-        choices=("grid", "halving", "both"),
-        default="both",
-        help="grid sweep, successive halving, or both (default)",
-    ),
-    "--seed": dict(
-        type=int,
-        default=0,
-        help="explicit PRNG seed for subsampling/trial seeds (default: 0)",
-    ),
-    "--max-trials": dict(
-        type=int, help="seeded subsample of the candidate grid to at most N points"
-    ),
-    "--eta": dict(type=int, default=2, help="halving keep ratio (default: 2)"),
-    "--rungs": dict(type=int, default=3, help="halving rung count (default: 3)"),
-    "--wave": dict(type=int, default=4, help="trials dispatched per wave (default: 4)"),
-    "--overrides": dict(help="experiment param overrides as inline JSON"),
-    "--fixed": dict(help="pinned trial payload fields as inline JSON (e.g. scene)"),
-    "--key": dict(help="record key to fetch (archive) or re-run (replay)"),
 }
 
 _OBS = ("--timings", "--trace-out", "--metrics-out")
@@ -327,6 +292,16 @@ def _worker(args) -> int:
     return 0
 
 
+def _inline_json(raw: str, label: str) -> dict:
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{label} is not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{label} must be a JSON object, got {value!r}")
+    return value
+
+
 def _submit_payload(args) -> dict:
     point = _point_payload(args)
     if (args.run is not None) + (args.job is not None) + bool(point) > 1:
@@ -366,89 +341,6 @@ def _status(args) -> int:
     return 0
 
 
-# -- experiment framework verbs ---------------------------------------
-
-
-def _inline_json(raw: Optional[str], label: str) -> dict:
-    if raw is None:
-        return {}
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{label} is not valid JSON: {exc}") from exc
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{label} must be a JSON object, got {value!r}")
-    return value
-
-
-def _search(args) -> int:
-    from repro.expfw import parse_search_payload, render_report, run_search
-
-    overrides = _inline_json(args.overrides, "--overrides")
-    scale = _scale(args)
-    if scale is not None:
-        overrides.setdefault("scale", scale)
-    payload = {
-        "experiment": args.experiment,
-        "budget": args.budget,
-        "unit": args.budget_unit,
-        "strategy": args.strategy,
-        "seed": args.seed,
-        "overrides": overrides,
-        "fixed": _inline_json(args.fixed, "--fixed"),
-        "eta": args.eta,
-        "rungs": args.rungs,
-        "wave": args.wave,
-    }
-    if args.max_trials is not None:
-        payload["max_trials"] = args.max_trials
-    config = parse_search_payload(payload)
-    dispatcher = None
-    if args.url is not None:
-        from repro.service import JobDispatcher, ServiceClient
-
-        dispatcher = JobDispatcher(ServiceClient(args.url))
-    report = run_search(config, dispatcher=dispatcher)
-    print(render_report(report))
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / f"search_{config.experiment.replace('-', '_')}.json"
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"[wrote search report to {path}]")
-    return 0
-
-
-def _archive(args) -> int:
-    from repro.expfw import RunArchive
-
-    archive = RunArchive()
-    if args.key is not None:
-        print(json.dumps(archive.get(args.key), indent=2, sort_keys=True))
-        return 0
-    records = archive.records()
-    if not records:
-        print(f"archive empty ({archive.root})")
-        return 0
-    print(f"archive {archive.root}: {len(records)} record(s)")
-    for record in records:
-        stamp = time.strftime(
-            "%Y-%m-%d %H:%M:%S", time.localtime(record.get("created_at", 0.0))
-        )
-        print(f"  {record.get('kind', '?'):<7} {stamp}  {record['key']}")
-    return 0
-
-
-def _replay(args) -> int:
-    from repro.expfw import RunArchive, replay_record
-
-    if args.key is None:
-        print("error: replay needs --key <record key>", file=sys.stderr)
-        return 2
-    report = replay_record(RunArchive().get(args.key))
-    print(report.summary())
-    return 0 if report.ok else 1
-
-
 #: Utility verbs: handler, description and the flags each one reads.
 _COMMANDS = {
     "list": (_list_registry, "enumerate registered experiments and utility commands", ()),
@@ -479,19 +371,6 @@ _COMMANDS = {
          "--wait") + _POINT,
     ),
     "status": (_status, "show a job (--id) or service metrics from --url", ("--url", "--id")),
-    "search": (
-        _search,
-        "budgeted auto-search over an experiment (--experiment, --budget)",
-        ("--experiment", "--budget", "--budget-unit", "--strategy", "--seed", "--max-trials",
-         "--eta", "--rungs", "--wave", "--overrides", "--fixed", "--url", "--scale", "--out",
-         "--workers") + _OBS,
-    ),
-    "archive": (
-        _archive, "list archived run/trial/search records (--key for one record)", ("--key",)
-    ),
-    "replay": (
-        _replay, "re-run an archived record and diff it bit-for-bit (--key)", ("--key",) + _OBS
-    ),
 }
 
 

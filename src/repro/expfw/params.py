@@ -9,8 +9,8 @@ params) for experiment inheritance.
 
 Resolution is strict: unknown names, out-of-range values and wrong
 types raise :class:`~repro.errors.ConfigurationError` — the same
-contract the job service uses for submissions, so a bad search override
-fails at the CLI/HTTP boundary, not three rungs into a sweep.
+contract the job service uses for submissions, so a bad override fails
+at the CLI/HTTP boundary, not halfway through a sweep.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set
 
 from repro.lintkit.flow.symbols import ClassInfo, FunctionInfo
 from repro.lintkit.flow.taint import source_category
@@ -92,26 +92,6 @@ def analyze_function(
 ) -> FlowResult:
     """Evaluate one function body into a :class:`FlowResult`."""
     return _Evaluator(project, info, seed_params, seed_fields, track_sources).run()
-
-
-def expression_labels(
-    project: "Project",
-    info: FunctionInfo,
-    expr: ast.expr,
-    seed_params: bool = True,
-    seed_fields: bool = False,
-    track_sources: bool = False,
-) -> Set[str]:
-    """Labels reaching one expression *inside* ``info``'s body.
-
-    Runs the body to its flow fixpoint first, then evaluates ``expr``
-    in the final environment — the way the key-completeness rules ask
-    "what reaches this specific dict entry / f-string?" when the key
-    is built inline rather than bound to a local.
-    """
-    evaluator = _Evaluator(project, info, seed_params, seed_fields, track_sources)
-    evaluator.run()
-    return evaluator._eval(expr)
 
 
 class SummaryIndex:

@@ -43,12 +43,6 @@ DETERMINISTIC_SCOPES: Tuple[str, ...] = (
 #: that jumps with every NTP step — durations must be monotonic.
 DURATION_SCOPES: Tuple[str, ...] = ("repro.service",)
 
-#: Scopes that additionally require *seeded* numpy PRNGs: the
-#: experiment framework's search driver must reproduce the same trial
-#: sequence from an explicit seed, so global numpy.random state (or an
-#: unseeded Generator) is banned there too.
-SEEDED_PRNG_SCOPES: Tuple[str, ...] = DETERMINISTIC_SCOPES + ("repro.expfw",)
-
 #: Clock sources that step under adjustment (unlike the monotonic family).
 ADJUSTABLE_CLOCK_CALLS = frozenset(
     {
@@ -156,8 +150,8 @@ class StdlibRandomRule(Rule):
 @register
 class NumpyRandomRule(Rule):
     id = "REPRO103"
-    title = "no unseeded numpy.random in the deterministic core or expfw"
-    scopes = SEEDED_PRNG_SCOPES
+    title = "no unseeded numpy.random in the deterministic core"
+    scopes = DETERMINISTIC_SCOPES
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -1,11 +1,11 @@
 """Key completeness: every result-affecting input must be keyed.
 
-The repo's caching/replay layers all hinge on content-addressed keys:
-the pipeline stage keys (``plan_key``/``replay_key``/``work_key``),
-the job-service result key, and the expfw archive fingerprints.  A
-knob that affects the result but is *not* folded into the key silently
-serves stale entries — the classic "added a parameter, forgot to key
-it" bug (PR 4 shipped exactly this shape for ``translator``).
+The repo's caching layers all hinge on content-addressed keys: the
+pipeline stage keys (``plan_key``/``replay_key``/``work_key``) and the
+job-service result key.  A knob that affects the result but is *not*
+folded into the key silently serves stale entries — the classic "added
+a parameter, forgot to key it" bug (an unkeyed ``translator`` once
+shipped in exactly this shape).
 
 These rules machine-check that invariant against the table below
 (:data:`KEYED_COMPUTATIONS`).  Each entry names one key-building
@@ -15,7 +15,7 @@ carries a **written exemption justification**.  Three failure modes
 produce findings:
 
 * a non-exempt parameter/field that does not reach the key
-  (``REPRO601``/``602``/``603`` proper);
+  (``REPRO601``/``602`` proper);
 * a table entry pointing at a function that no longer exists
   (table rot — the mapping must move with the code);
 * an exemption naming an input the function no longer has
@@ -27,17 +27,11 @@ so fixture-sized projects don't trip over the real table.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Mapping, Tuple
 
 from repro.lintkit.findings import Finding
-from repro.lintkit.flow.summaries import (
-    FIELD,
-    PARAM,
-    analyze_function,
-    expression_labels,
-)
+from repro.lintkit.flow.summaries import FIELD, PARAM, analyze_function
 from repro.lintkit.registry import ProjectRule, register
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -54,10 +48,6 @@ class KeyedComputation:
     function: str
     #: Local names holding the key; empty means the return value.
     key_variables: Tuple[str, ...] = ()
-    #: Literal dict key whose value *is* the key, for record builders
-    #: returning ``{"key": ..., ...}`` (checking the whole return dict
-    #: would be vacuous — everything flows into it).
-    key_dict_entry: Optional[str] = None
     #: Also require the enclosing class's dataclass fields.
     use_fields: bool = False
     #: input name -> why it is legitimately not part of the key.
@@ -90,38 +80,6 @@ KEYED_COMPUTATIONS: Tuple[KeyedComputation, ...] = (
             ),
         },
     ),
-    KeyedComputation(
-        rule="REPRO603",
-        function="repro.expfw.spec.ExperimentSpec.run_key",
-    ),
-    KeyedComputation(
-        rule="REPRO603",
-        function="repro.expfw.archive.run_record",
-        key_dict_entry="key",
-        exempt={
-            "result": "the archived output, not an input to the computation",
-        },
-    ),
-    KeyedComputation(
-        rule="REPRO603",
-        function="repro.expfw.archive.trial_record",
-        key_dict_entry="key",
-        exempt={
-            "point": (
-                "the pre-resolution form of payload; payload (which is "
-                "keyed) is the resolved superset actually simulated"
-            ),
-            "seed": (
-                "selects which points the search enumerates, not what one "
-                "trial computes; recorded in the record body"
-            ),
-            "result": "the archived output, not an input to the computation",
-            "spec": (
-                "code identity is recorded in the record body fingerprint, "
-                "not in the content address"
-            ),
-        },
-    ),
 )
 
 
@@ -131,21 +89,6 @@ def _module_prefix_present(project: "Project", qualname: str) -> bool:
     return any(
         ".".join(parts[:cut]) in project.by_module for cut in range(len(parts), 0, -1)
     )
-
-
-def _key_entry_expression(node: ast.FunctionDef, entry_name: str) -> Optional[ast.expr]:
-    """The value of ``{"<entry_name>": <value>}`` in a returned dict."""
-    for stmt in ast.walk(node):
-        if not isinstance(stmt, ast.Return) or not isinstance(stmt.value, ast.Dict):
-            continue
-        for key, value in zip(stmt.value.keys, stmt.value.values):
-            if (
-                isinstance(key, ast.Constant)
-                and key.value == entry_name
-                and value is not None
-            ):
-                return value
-    return None
 
 
 class _KeyCompletenessRule(ProjectRule):
@@ -215,13 +158,6 @@ class _KeyCompletenessRule(ProjectRule):
     def _reached_labels(
         self, project: "Project", info: "FunctionInfo", entry: KeyedComputation
     ):
-        if entry.key_dict_entry is not None:
-            expr = _key_entry_expression(info.node, entry.key_dict_entry)
-            if expr is None:
-                return None
-            return expression_labels(
-                project, info, expr, seed_fields=entry.use_fields
-            )
         result = analyze_function(project, info, seed_fields=entry.use_fields)
         if entry.key_variables:
             missing = [
@@ -250,8 +186,6 @@ class _KeyCompletenessRule(ProjectRule):
 
     @staticmethod
     def _target_description(entry: KeyedComputation) -> str:
-        if entry.key_dict_entry is not None:
-            return f'the returned "{entry.key_dict_entry}" record entry'
         if entry.key_variables:
             return "/".join(entry.key_variables)
         return "the returned key"
@@ -274,11 +208,3 @@ class JobResultKeyCompleteness(_KeyCompletenessRule):
         "exemption) — unkeyed knobs silently collide result-store entries"
     )
 
-
-@register
-class ArchiveKeyCompleteness(_KeyCompletenessRule):
-    id = "REPRO603"
-    title = (
-        "expfw run/trial archive keys must fold in every result-affecting "
-        "input (or carry a written exemption)"
-    )

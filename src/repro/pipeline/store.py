@@ -109,9 +109,9 @@ class ArtifactStore:
 
         Walks both tiers like :meth:`get_or_compute` (a disk hit is
         promoted into memory) but never runs a computation; the miss is
-        recorded and ``(False, None)`` returned.  Used by layers that
-        populate the store explicitly with :meth:`put` — e.g. the
-        experiment job service's content-addressed result store.
+        recorded and ``(False, None)`` returned.  Used by the job
+        service's content-addressed result store, which populates the
+        store explicitly with :meth:`put`.
         """
         full_key = f"{stage}/{key}"
         with self._lock:
@@ -131,13 +131,12 @@ class ArtifactStore:
             self._stats.stage(stage).misses += 1
         return False, None
 
-    def put(self, stage: str, key: str, value: object, disk: bool = True) -> None:
-        """Store a value computed elsewhere under ``stage``/``key``."""
-        full_key = f"{stage}/{key}"
+    def put(self, stage: str, key: str, value: object) -> None:
+        """Store a value computed elsewhere under ``stage``/``key``,
+        writing through to the disk tier."""
         with self._lock:
-            self._remember(full_key, value, disk)
-        if disk:
-            self._disk_write(stage, key, value)
+            self._remember(f"{stage}/{key}", value, disk=True)
+        self._disk_write(stage, key, value)
 
     def contains(self, stage: str, key: str) -> bool:
         """True when the artifact is resident in the memory tier."""

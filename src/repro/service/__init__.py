@@ -18,8 +18,7 @@ any node serve any cached result.
 Submitters have one protocol too: :class:`Scheduler` and
 :class:`ServiceClient` answer ``submit`` / ``wait`` / ``result`` with
 the same JSON documents, so one :class:`JobDispatcher` runs job waves
-in-process (inline search) or over HTTP (``search --url``,
-``submit --wait``).
+in-process or over HTTP (``submit --wait``).
 
 Public surface::
 

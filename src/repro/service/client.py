@@ -87,33 +87,6 @@ class ServiceClient:
     def metrics(self) -> Dict:
         return self._request("GET", "/metrics")
 
-    # -- auto-search -------------------------------------------------
-
-    def start_search(self, payload: Dict) -> Dict:
-        """POST /searches: launch a budgeted auto-search; returns its record."""
-        return self._request("POST", "/searches", body=payload)
-
-    def search(self, search_id: str) -> Dict:
-        return self._request("GET", f"/searches/{quote(search_id, safe='')}")
-
-    def searches(self) -> Dict:
-        return self._request("GET", "/searches")
-
-    def wait_search(
-        self, search_id: str, timeout: float = 600.0, poll: float = 0.2
-    ) -> Dict:
-        """Poll until the search leaves ``running``; returns its record."""
-        deadline = time.monotonic() + timeout
-        while True:
-            record = self.search(search_id)
-            if record["state"] != "running":
-                return record
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"{search_id} still running after {timeout}s"
-                )
-            time.sleep(poll)
-
     # -- worker lease protocol ---------------------------------------
 
     def lease(self, worker: str) -> Optional[Dict]:

@@ -11,12 +11,6 @@ Endpoints (all JSON):
 * ``GET /jobs/<id>`` — one job's state-machine record (404 unknown).
 * ``GET /results/<key>`` — the content-addressed result payload
   (URL-quote the key; it contains ``/`` and ``#``); 404 if absent.
-* ``POST /searches`` — launch a budgeted auto-search
-  (:mod:`repro.expfw.search`); ``202`` with the search record.  Trials
-  ride the normal job queue, so a worker fleet executes them.
-* ``GET /searches`` / ``GET /searches/<id>`` — search progress: state
-  (``running``/``done``/``failed``), trial count, the archived report
-  key and the winning configuration.
 * ``GET /healthz`` — liveness: status, local workers, live threads.
 * ``GET /metrics`` — queue depth (total and per tenant), jobs by
   state, retry/timeout/requeue/lease counters, result-store hit rate,
@@ -126,11 +120,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(200, {"jobs": [job.to_json() for job in scheduler.jobs()]})
             elif path == "/leases":
                 self._send(200, {"leases": scheduler.lease_snapshot()})
-            elif path == "/searches":
-                self._send(200, {"searches": scheduler.searches()})
-            elif path.startswith("/searches/"):
-                search_id = unquote(path[len("/searches/"):])
-                self._send(200, scheduler.search(search_id))
             elif path.startswith("/jobs/"):
                 job_id = unquote(path[len("/jobs/"):])
                 self._send(200, scheduler.job(job_id).to_json())
@@ -155,8 +144,6 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if path == "/jobs":
                 self._send(202, self.server.scheduler.submit(payload))
-            elif path == "/searches":
-                self._send(202, self.server.scheduler.start_search(payload))
             elif path == "/leases":
                 self._post_lease(payload)
             elif path.startswith("/leases/"):

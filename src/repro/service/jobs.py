@@ -14,8 +14,7 @@ exist:
   machine vocabulary of :func:`machine_from_payload`;
 * ``vt`` — run one virtual-texturing pan sequence (``{"vt_scene":
   "vt-quake", "vt_pages": 16, "vt_residency": 0.5, "vt_frames": 3,
-  ...}`` plus the same machine vocabulary), the trial unit the
-  ``vt-distribution`` auto-search drives.
+  ...}`` plus the same machine vocabulary).
 
 A field the job's kind does not read is rejected, not dropped.
 

@@ -125,9 +125,6 @@ class Scheduler:
         self._workers_seen: Dict[str, float] = {}
         self._ids = itertools.count(1)
         self._delay_ids = itertools.count(1)
-        self._search_ids = itertools.count(1)
-        #: search id -> mutable state record (see ``start_search``).
-        self._searches: Dict[str, Dict] = {}
         self._counters = {
             "submitted": 0,
             "deduped": 0,
@@ -141,9 +138,6 @@ class Scheduler:
             "leases": 0,
             "heartbeats": 0,
             "lease_expiries": 0,
-            "searches": 0,
-            "searches_completed": 0,
-            "searches_failed": 0,
         }
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
@@ -419,77 +413,6 @@ class Scheduler:
             self.queue.push(job)  # a retry, not an infrastructure loss: back lane
         self._publish_active()
 
-    # -- auto-search (the POST /searches convenience) -----------------
-
-    def start_search(self, payload: Dict) -> Dict:
-        """Validate and launch a budgeted auto-search in the background.
-
-        Trials are dispatched back through :meth:`submit`, so they ride
-        the normal queue — deduped on result keys, executed by the
-        local or remote workers, counted in ``/metrics``
-        — while the driver archives every trial and the final report
-        into the shared :class:`~repro.expfw.archive.RunArchive`.
-        Returns the search's JSON state record (state ``running``).
-        """
-        from repro.expfw.search import SearchDriver, parse_search_payload
-        from repro.service.client import JobDispatcher
-
-        config = parse_search_payload(payload)
-        driver = SearchDriver(config, dispatcher=JobDispatcher(self))
-        with self._lock:
-            search_id = f"search-{next(self._search_ids)}"
-            record = {
-                "id": search_id,
-                "state": "running",
-                "experiment": config.experiment,
-                "config": config.to_json(),
-                "created_at": time.time(),  # display timestamp only
-                "report_key": None,
-                "trials": 0,
-                "winner": None,
-                "error": None,
-            }
-            self._searches[search_id] = record
-            self._count("searches")
-        thread = threading.Thread(
-            target=self._run_search,
-            args=(search_id, driver),
-            name=f"repro-{search_id}",
-            daemon=True,
-        )
-        thread.start()
-        return dict(record)
-
-    def _run_search(self, search_id: str, driver) -> None:
-        try:
-            report = driver.run()
-        except Exception as exc:  # surfaced through GET /searches/<id>
-            with self._lock:
-                self._count("searches_failed")
-                record = self._searches[search_id]
-                record["state"] = "failed"
-                record["error"] = str(exc) or repr(exc)
-                record["trials"] = len(driver.trials)
-            return
-        with self._lock:
-            self._count("searches_completed")
-            record = self._searches[search_id]
-            record["state"] = "done"
-            record["report_key"] = report["key"]
-            record["trials"] = len(report["trials"])
-            record["winner"] = report["winner"]
-
-    def search(self, search_id: str) -> Dict:
-        """One search's JSON state; unknown ids raise (HTTP 404)."""
-        with self._lock:
-            if search_id not in self._searches:
-                raise UnknownJobError(f"unknown search {search_id!r}")
-            return dict(self._searches[search_id])
-
-    def searches(self) -> List[Dict]:
-        with self._lock:
-            return [dict(record) for record in self._searches.values()]
-
     # -- introspection -----------------------------------------------
 
     def lease_snapshot(self) -> List[Dict]:
@@ -508,10 +431,6 @@ class Scheduler:
             counters = dict(self._counters)
             delayed = len(self._delayed)
             workers_seen = len(self._workers_seen)
-            searches_by_state: Dict[str, int] = {}
-            for record in self._searches.values():
-                state = record["state"]
-                searches_by_state[state] = searches_by_state.get(state, 0) + 1
         self.registry.gauge("service.queue_depth").set(len(self.queue))
         tenants = self.queue.tenant_depths()
         for tenant, depth in tenants.items():
@@ -535,7 +454,6 @@ class Scheduler:
                 "timeout": self.leases.timeout,
                 "workers_known": workers_seen,
             },
-            "searches": searches_by_state,
             "result_store": self.results.snapshot(),
             "pipeline": pipeline.stats(),
             "obs": self.registry.snapshot(),

@@ -161,39 +161,6 @@ def test_repro103_allows_seeded_default_rng():
     assert rule_ids(src) == []
 
 
-def test_repro103_covers_expfw_scope():
-    src = """\
-        import numpy as np
-
-        def subsample(points):
-            return np.random.shuffle(points)
-    """
-    assert rule_ids(src, module="repro.expfw.fake") == ["REPRO103"]
-
-
-def test_repro103_allows_seeded_generator_in_expfw():
-    src = """\
-        import numpy as np
-
-        def subsample(points, seed):
-            rng = np.random.default_rng(seed)
-            return rng.permutation(len(points))
-    """
-    assert rule_ids(src, module="repro.expfw.fake") == []
-
-
-def test_expfw_scope_skips_non_prng_determinism_rules():
-    # Only REPRO103 extends into repro.expfw: the driver legitimately
-    # reads wall clocks for elapsed/display stamps.
-    src = """\
-        import time
-
-        def stamp():
-            return time.time()
-    """
-    assert rule_ids(src, module="repro.expfw.fake") == []
-
-
 def test_repro104_flags_set_iteration():
     src = """\
         def visit(items):

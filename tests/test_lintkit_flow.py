@@ -1,5 +1,5 @@
 """Tests for the project-wide dataflow engine (repro.lintkit.flow)
-and the rule families built on it (REPRO601-603, REPRO411/412,
+and the rule families built on it (REPRO601/602, REPRO411/412,
 REPRO111), plus the baseline --prune machinery and the --project CLI.
 
 Three layers:
@@ -17,7 +17,6 @@ Three layers:
 
 from __future__ import annotations
 
-import ast
 import re
 import shutil
 import textwrap
@@ -31,10 +30,7 @@ from repro.lintkit.baseline import prune_baseline
 from repro.lintkit.cli import main as lint_main
 from repro.lintkit.context import ModuleContext
 from repro.lintkit.flow import Project, project_for
-from repro.lintkit.flow.summaries import (
-    analyze_function,
-    expression_labels,
-)
+from repro.lintkit.flow.summaries import analyze_function
 from repro.lintkit.flow.taint import RNG, WALL_CLOCK
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -258,7 +254,7 @@ def test_seeded_rng_construction_is_not_a_source():
     assert project.summaries.summary("repro.a.unseeded").sources_to_return == {RNG}
 
 
-def test_field_seeding_and_expression_labels():
+def test_field_seeding_reaches_returns():
     project = make_project(
         **{
             "repro.a": """\
@@ -274,12 +270,6 @@ def test_field_seeding_and_expression_labels():
     info = project.symbols.function("repro.a.Spec.record")
     result = analyze_function(project, info, seed_fields=True)
     assert "field:scene" in result.returns and "field:scale" in result.returns
-    key_expr = None
-    for node in ast.walk(info.node):
-        if isinstance(node, ast.Dict):
-            key_expr = node.values[0]
-    labels = expression_labels(project, info, key_expr, seed_fields=True)
-    assert labels == {"field:scene"}
 
 
 def test_project_for_caches_and_invalidates_on_edit(tmp_path):
@@ -295,7 +285,7 @@ def test_project_for_caches_and_invalidates_on_edit(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Rule fixtures: key completeness (REPRO601-603)
+# Rule fixtures: key completeness (REPRO601/602)
 
 
 def test_repro601_quiet_when_every_knob_is_keyed():
@@ -320,13 +310,6 @@ def test_repro602_fires_on_unkeyed_field():
     assert "field" in findings[0].message
 
 
-def test_repro603_fires_on_key_ingredient_drop():
-    findings = fixture_findings("keyflow_archive_missing", ["REPRO603"])
-    assert [f.rule for f in findings] == ["REPRO603"]
-    assert "'strategy'" in findings[0].message
-    assert "trial_record" in findings[0].message
-
-
 def test_keyflow_table_rot_is_flagged(tmp_path):
     # The module exists but the mapped function is gone: the table
     # itself has rotted and must move with the code.
@@ -345,7 +328,7 @@ def test_keyflow_skips_trees_without_the_mapped_modules(tmp_path):
     report = run(
         [tmp_path / "src"],
         project=True,
-        select=["REPRO601", "REPRO602", "REPRO603"],
+        select=["REPRO601", "REPRO602"],
     )
     assert report.findings == []
 

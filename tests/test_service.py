@@ -519,8 +519,15 @@ class TestHTTP:
             client.job("job-404")
         with pytest.raises(ServiceError, match="no result stored"):
             client.result("simulate/never-ran")
-        with pytest.raises(ServiceError, match="unknown path"):
-            client._request("GET", "/nope")
+        # The auto-search routes are retired along with the search.
+        for method, path in (
+            ("GET", "nope"),
+            ("POST", "searches"),
+            ("GET", "searches"),
+            ("GET", "searches/search-1"),
+        ):
+            with pytest.raises(ServiceError, match="unknown path"):
+                client._request(method, f"/{path}", body={} if method == "POST" else None)
         with pytest.raises(ServiceError, match="cannot reach service"):
             ServiceClient("http://127.0.0.1:9", timeout=0.5).healthz()
 

@@ -150,9 +150,8 @@ def test_vt_distribution_is_registered():
 
     spec = require_spec("vt-distribution")
     assert SPECS["vt-distribution"] is spec
-    assert spec.trial is not None
-    axes = spec.trial.axes_for(spec.resolve({}))
-    assert set(axes) == {"family", "size", "cache_kb", "vt_pages", "vt_residency"}
+    params = spec.resolve({})
+    assert set(params) == {"scale", "processors", "scenes", "pages", "residencies"}
 
 
 # -- the job kind -----------------------------------------------------
@@ -211,29 +210,3 @@ def test_vt_job_executes_with_metrics():
     assert metrics["speedup"] > 0
     assert np.isfinite(metrics["cycles"])
 
-
-# -- the auto-search --------------------------------------------------
-
-
-@pytest.mark.slow
-def test_vt_search_smoke(tmp_path):
-    from repro.expfw.archive import RunArchive
-    from repro.expfw.search import SearchConfig, run_search
-
-    config = SearchConfig(
-        experiment="vt-distribution",
-        budget=600.0,
-        unit="seconds",
-        strategy="grid",
-        seed=11,
-        overrides={"scale": SCALE},
-        max_trials=2,
-        wave=2,
-    )
-    report = run_search(config, archive=RunArchive(str(tmp_path)))
-    assert report["winner"] is not None
-    assert report["winner"]["metrics"]["speedup"] > 0
-    assert len(report["trials"]) == 2
-    payload = report["winner"]["payload"]
-    assert payload["vt_scene"] == "vt-quake"
-    assert payload["scale"] == SCALE
