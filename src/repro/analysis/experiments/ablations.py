@@ -274,7 +274,7 @@ def ablation_early_z(scale: float, num_processors: int = 16) -> str:
     for name in ("room3", "massive32_1255", "truc640"):
         scene = build_scene(name, scale)
         full = scene.fragments()
-        survivors = resolve_depth(full, scene.width, scene.height)
+        survivors = resolve_depth(scene, full)
         dist = BlockInterleaved(num_processors, 16)
         timing = TimingConfig(bus_ratio=1.0)
 

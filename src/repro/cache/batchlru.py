@@ -14,10 +14,11 @@ built on exact identities (derivations in DESIGN.md §10):
    Texture footprints alternate between 2–4 lines (A B C D A B C D …),
    so most of a frame's accesses that are not consecutive repeats are
    such re-reads.  Most period-1 re-reads show in stream order too:
-   an access whose nearest earlier same-set access among the last
-   ``MRU_WINDOW`` positions read the same line re-reads its set's MRU
-   line, so those are dropped before the set sort, which then orders
-   only what is left.
+   consecutive repeats are collapsed first, then an access whose
+   nearest earlier same-set access among the last ``MRU_WINDOW``
+   positions read the same line re-reads its set's MRU line, so those
+   are dropped before the set sort, which then orders only what is
+   left.
 2. **Self-synchronization.**  A true-LRU set's stack after any access
    sequence is exactly its W most-recently-used *distinct* lines in
    recency order — independent of hit/miss outcomes and of whatever
@@ -54,11 +55,11 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-#: Stream positions per chunk, counted before the re-read filters.  More
-#: chunks widen the parallel replay (more groups per round, fewer
-#: rounds) but add boundary accesses and prefix-scan work.  A replay
-#: chunks at most 512 positions per set, so few-set geometries still
-#: get many short groups.
+#: Stream positions per chunk, counted after consecutive repeats are
+#: collapsed and before the other re-read filters.  More chunks widen
+#: the parallel replay (more groups per round, fewer rounds) but add
+#: boundary accesses and prefix-scan work.  A replay chunks at most 512
+#: positions per set, so few-set geometries still get many short groups.
 CHUNK_TARGET_LEN = 32768
 
 #: Stream positions the MRU re-read filter looks back: the width of a
@@ -84,9 +85,18 @@ def replay(
     whose sort keys would overflow int64 (texture layouts stay far
     below both limits).
     """
-    total = int(len(lines))
-    if total == 0:
+    stream_len = int(len(lines))
+    if stream_len == 0:
         return np.zeros(0, dtype=bool), {k: list(v) for k, v in initial.items()}
+    # Collapse consecutive repeats: a repeat re-reads its set's MRU line
+    # and always hits.  Every pass below sees a stream without equal
+    # neighbours, and chunk ids count the collapsed stream's positions.
+    distinct = np.empty(stream_len, dtype=bool)
+    distinct[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=distinct[1:])
+    positions = np.flatnonzero(distinct)
+    lines = lines[positions]
+    total = len(positions)
     if int(lines.min()) < 0:
         raise ConfigurationError(
             f"cache line addresses must be non-negative, got {int(lines.min())}"
@@ -136,10 +146,14 @@ def replay(
     # access whose nearest earlier same-set access among the last
     # MRU_WINDOW positions read the same line hits at depth 0 and
     # changes nothing.  A set's first access has no such predecessor
-    # and always stays; chunk ids keep counting the call's positions.
+    # and always stays; chunk ids keep counting the collapsed positions.
+    # The collapsed stream has no equal neighbours, so no line matches
+    # at distance 1; a same-set neighbour there still decides the
+    # access, as its nearest same-set access, with another line.
     undecided = np.ones(total, dtype=bool)
     reread = np.zeros(total, dtype=bool)
-    for d in range(1, min(MRU_WINDOW + 1, total)):
+    np.not_equal(sort_sets[1:], sort_sets[:-1], out=undecided[1:])
+    for d in range(2, min(MRU_WINDOW + 1, total)):
         same_line = lines[d:] == lines[:-d]
         same_line &= undecided[d:]
         reread[d:] |= same_line
@@ -183,7 +197,7 @@ def replay(
         wl = wl[stay]
     n = len(survivors)
     if n == 0:
-        return np.zeros(total, dtype=bool), {k: list(v) for k, v in initial.items()}
+        return np.zeros(stream_len, dtype=bool), {k: list(v) for k, v in initial.items()}
 
     ws = sorted_sets[survivors]
     source = order[survivors]
@@ -319,8 +333,8 @@ def replay(
         if row_list:
             result_sets[set_index] = row_list
 
-    out = np.zeros(total, dtype=bool)
-    out[source[miss]] = True
+    out = np.zeros(stream_len, dtype=bool)
+    out[positions[source[miss]]] = True
     return out, result_sets
 
 

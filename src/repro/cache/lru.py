@@ -7,8 +7,8 @@ partitioned per set and each set replayed independently), and in a
 set's own order an access that repeats the access ``k <= W`` places
 back always hits — every whole repeat of such a period changes
 nothing, so those re-reads can be dropped (``k = 1`` is a re-read of
-the set's MRU line).  The replay collapses consecutive repeats, then
-the chunk-parallel batch replay (:mod:`repro.cache.batchlru`) drops
+the set's MRU line).  The chunk-parallel batch replay
+(:mod:`repro.cache.batchlru`) collapses consecutive repeats, drops
 MRU re-reads it can see a few stream positions back, sorts the rest
 by set, drops the other periodic per-set re-reads and replays what
 is left.  The stepwise and scalar per-set references it must match
@@ -49,22 +49,9 @@ class LruCache:
         lines = np.asarray(lines)
         if lines.dtype != np.int32 and lines.dtype != np.int64:
             lines = lines.astype(np.int64)
-        n = len(lines)
-        misses = np.zeros(n, dtype=bool)
-        if n == 0:
-            return misses
-
-        # Collapse consecutive duplicates: repeats always hit.  The batch
-        # replay finds these too (with every other periodic re-read in a
-        # set), but this one compare halves the input of its set sort.
-        keep = np.empty(n, dtype=bool)
-        keep[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-        positions = np.flatnonzero(keep)
-        deduped_misses, self._sets = batchlru.replay(
-            lines[positions], self.config.num_sets, self.config.ways, self._sets
+        misses, self._sets = batchlru.replay(
+            lines, self.config.num_sets, self.config.ways, self._sets
         )
-        misses[positions[deduped_misses]] = True
         return misses
 
     def contents(self) -> Dict[int, List[int]]:

@@ -56,6 +56,12 @@ Owners = Union[np.ndarray, Callable[[], np.ndarray]]
 #: and is never read back as this one.
 PLAN_FORMAT = "per-node"
 
+#: Stream-order rows :func:`partition_by_node` sorts at once.  Bounds
+#: the partition's ``int64`` sort temporaries; a frame that fits in one
+#: chunk is sorted whole.
+PARTITION_CHUNK = 1 << 20
+
+
 @dataclass
 class RoutingPlan:
     """The geometry half of routed work: where triangles and pixels go.
@@ -150,20 +156,51 @@ def partition_by_node(
 
     Returns ``(order, bounds)``: node ``n``'s rows, in stream order,
     are ``order[bounds[n] : bounds[n + 1]]``.  ``owners`` must lie in
-    ``[0, num_nodes)``.  The sort key is narrowed to ``uint8`` or
-    ``uint16`` when the node count allows, which numpy stable-sorts by
-    radix; a stable sort's permutation is unique, so it equals the one
-    of the wide key.
+    ``[0, num_nodes)``.  ``order`` is ``int32`` whenever the row count
+    fits, which halves the frame-sized array the replay keeps.
+
+    The sort key is narrowed to ``uint8`` or ``uint16`` when the node
+    count allows, which numpy stable-sorts by radix; a stable sort's
+    permutation is unique, so it equals the one of the wide key.
+    Frames longer than ``PARTITION_CHUNK`` rows are sorted one
+    stream-order chunk at a time, so no frame-sized ``int64`` index or
+    sort buffer is ever live: each chunk's rows land at their node's
+    bound plus the rows its earlier chunks already placed there, which
+    is exactly where the whole-frame stable sort puts them.
     """
-    key: np.ndarray = owners
-    if num_nodes <= 1 << 8:
-        key = owners.astype(np.uint8)
-    elif num_nodes <= 1 << 16:
-        key = owners.astype(np.uint16)
-    order = np.argsort(key, kind="stable")
+    rows = len(owners)
+    counts = np.bincount(owners, minlength=num_nodes)
     bounds = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owners, minlength=num_nodes), out=bounds[1:])
+    np.cumsum(counts, out=bounds[1:])
+    index_type = np.int32 if rows < 2**31 else np.int64
+    if rows <= PARTITION_CHUNK:
+        order = np.argsort(_node_key(owners, num_nodes), kind="stable")
+        return order.astype(index_type), bounds
+    order = np.empty(rows, dtype=index_type)
+    # Next free slot of every node: a chunk's sorted rows of node n go
+    # to ``filled[n]`` onward, so sorted position i of the chunk goes to
+    # ``i + filled[n] - (the chunk's rows of nodes below n)``.
+    filled = bounds[:-1].copy()
+    positions = np.arange(PARTITION_CHUNK)
+    for first in range(0, rows, PARTITION_CHUNK):
+        key = _node_key(owners[first : first + PARTITION_CHUNK], num_nodes)
+        local = np.argsort(key, kind="stable")
+        local += first
+        chunk_counts = np.bincount(key, minlength=num_nodes)
+        target = np.repeat(filled - (np.cumsum(chunk_counts) - chunk_counts), chunk_counts)
+        target += positions[: len(key)]
+        order[target] = local
+        filled += chunk_counts
     return order, bounds
+
+
+def _node_key(owners: np.ndarray, num_nodes: int) -> np.ndarray:
+    """``owners`` in the narrowest unsigned type that holds ``num_nodes``."""
+    if num_nodes <= 1 << 8:
+        return owners.astype(np.uint8)
+    if num_nodes <= 1 << 16:
+        return owners.astype(np.uint16)
+    return owners
 
 
 def _triangle_boxes(scene: Scene) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -272,9 +309,11 @@ def compute_replay(
 
     ``owners`` is ``distribution.owners`` of the stream, or a callable
     that returns it (a perfect cache never calls it).  The frame is
-    partitioned by node once (:func:`partition_by_node`); each node's
-    replay gathers only the columns the filter and the cache read,
-    chunk by chunk, straight from the frame's buffer.
+    partitioned by node once (:func:`partition_by_node`), into an
+    ``int32`` row permutation sorted chunk by chunk, so the replay
+    holds no frame-sized ``int64`` index; each node's replay gathers
+    only the columns the filter and the cache read, chunk by chunk,
+    straight from the frame's buffer.
 
     ``translator`` optionally rewrites the line-address stream before
     it reaches the cache model — the virtual-texturing page table maps

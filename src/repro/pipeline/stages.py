@@ -64,12 +64,14 @@ def scene_artifact(name: str, scale: float):
 
 
 def fragments_artifact(scene):
-    """Stage 2: the scene's rasterised fragment stream.
+    """Stage 2: the scene's rasterised fragment stream, by (scene, format) key.
 
     The scene object's own lazy memo is the fastest tier; the store
     adds cross-object (and, with a disk dir, cross-process) reuse for
     scenes that carry an ``artifact_key``.
     """
+    from repro.raster.fragments import FRAGMENTS_FORMAT
+
     s = store()
     if scene._fragments is not None:
         stats = s.stage_stats("fragments")
@@ -79,7 +81,7 @@ def fragments_artifact(scene):
     key = getattr(scene, "artifact_key", None)
     if key is None:
         return _timed("fragments", scene.fragments)
-    value = s.get_or_compute("fragments", key, scene.fragments)
+    value = s.get_or_compute("fragments", f"{key}/{FRAGMENTS_FORMAT}", scene.fragments)
     scene._fragments = value
     return value
 

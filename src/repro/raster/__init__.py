@@ -8,12 +8,13 @@ of adjacent triangles draw every covered pixel exactly once.
 
 from repro.raster.fragments import FragmentBuffer
 from repro.raster.raster import mip_level_for_scale, rasterize_scene
-from repro.raster.depth import depth_visible_mask, resolve_depth
+from repro.raster.depth import depth_visible_mask, fragment_depths, resolve_depth
 
 __all__ = [
     "FragmentBuffer",
     "rasterize_scene",
     "mip_level_for_scale",
     "depth_visible_mask",
+    "fragment_depths",
     "resolve_depth",
 ]

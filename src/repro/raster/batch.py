@@ -34,7 +34,7 @@ under random triangle splits and on adversarial scenes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -305,6 +305,37 @@ def _scan_rows(spec: Dict[str, np.ndarray], first: int, last: int) -> _Rows:
     )
 
 
+def _weights(
+    rel_x: np.ndarray,
+    qy_term: np.ndarray,
+    px_term: np.ndarray,
+    spread: Callable[[str], np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Barycentric weights ``(w0, w1, w2)``, in the reference's float order.
+
+    ``rel_x`` is the pixel centre's offset from vertex 0 in x;
+    ``qy_term`` and ``px_term`` are ``rel_y * qy`` and ``px * rel_y``;
+    ``spread(name)`` gives a per-triangle constant for every fragment.
+    """
+    det = spread("det")
+    w1 = (rel_x * spread("qx") - qy_term) / det
+    w2 = (px_term - spread("py") * rel_x) / det
+    return 1.0 - w1 - w2, w1, w2
+
+
+def _interpolate(
+    weights: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    name: str,
+    spread: Callable[[str], np.ndarray],
+    out: np.ndarray,
+) -> None:
+    """Write ``w0*name0 + w1*name1 + w2*name2`` into ``out``, left to right."""
+    w0, w1, w2 = weights
+    np.multiply(w0, spread(f"{name}0"), out=out)
+    out += w1 * spread(f"{name}1")
+    out += w2 * spread(f"{name}2")
+
+
 def _rasterize_span(
     spec: Dict[str, np.ndarray], rows: _Rows, out: Dict[str, np.ndarray]
 ) -> None:
@@ -319,18 +350,16 @@ def _rasterize_span(
     def spread(name: str) -> np.ndarray:
         return np.repeat(spec[name][rows.sel], per_triangle)
 
-    det = spread("det")
-    rel_x = (frag_x + 0.5) - spread("v0x")
-    w1 = (rel_x * spread("qx") - np.repeat(rows.qy_term, counts)) / det
-    w2 = (np.repeat(rows.px_term, counts) - spread("py") * rel_x) / det
-    w0 = 1.0 - w1 - w2
+    weights = _weights(
+        (frag_x + 0.5) - spread("v0x"),
+        np.repeat(rows.qy_term, counts),
+        np.repeat(rows.px_term, counts),
+        spread,
+    )
     out["x"][:] = frag_x
     out["y"][:] = np.repeat(rows.gy, counts)
-    for name in ("u", "v", "z"):
-        column = out[name]
-        np.multiply(w0, spread(f"{name}0"), out=column)
-        column += w1 * spread(f"{name}1")
-        column += w2 * spread(f"{name}2")
+    for name in ("u", "v"):
+        _interpolate(weights, name, spread, out[name])
     out["level"][:] = spread("level")
     out["texture"][:] = spread("texture")
     out["triangle"][:] = spread("id")
@@ -378,3 +407,35 @@ def rasterize_scene_batch(scene: Scene) -> FragmentBuffer:
     )
     metrics.counter("raster.fragments").labels(scene=scene.name).inc(total)
     return FragmentBuffer(num_triangles=scene.num_triangles, **columns)
+
+
+def fragment_depths(scene: Scene, fragments: FragmentBuffer) -> np.ndarray:
+    """Interpolated depth of every fragment of ``scene``, bit for bit.
+
+    The buffer carries no depth column: the paper's machine textures
+    every fragment, so only the early-Z ablation asks for depth.  Each
+    fragment's depth is recomputed from its triangle's constants and
+    its pixel centre with the rasterizer's own float operations, in the
+    same order, so it equals the value the scan converter would have
+    interpolated.  ``fragments`` may be any selection of the scene's
+    rasterisation.
+    """
+    depths = np.empty(len(fragments))
+    if len(fragments) == 0:
+        return depths
+    spec = _triangle_specs(scene)
+    assert spec is not None  # a fragment belongs to a drawable triangle
+    row = np.searchsorted(spec["id"], fragments.triangle)
+
+    def spread(name: str) -> np.ndarray:
+        return spec[name][row]
+
+    rel_y = (fragments.y + 0.5) - spread("v0y")
+    weights = _weights(
+        (fragments.x + 0.5) - spread("v0x"),
+        rel_y * spread("qy"),
+        spread("px") * rel_y,
+        spread,
+    )
+    _interpolate(weights, "z", spread, depths)
+    return depths

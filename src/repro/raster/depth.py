@@ -12,17 +12,28 @@ submission order; a fragment survives if its depth is strictly smaller
 than every earlier surviving depth at its pixel (GL_LESS against an
 initially infinite buffer).  The implementation is a vectorised
 segmented running-minimum, one segment per pixel.
+
+Fragment buffers carry no depth column; :func:`fragment_depths`
+recomputes the rasterizer's interpolated depth for the fragments the
+test is asked about.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.geometry.scene import Scene
+from repro.raster.batch import fragment_depths
 from repro.raster.fragments import FragmentBuffer
 
 
-def depth_visible_mask(fragments: FragmentBuffer, width: int, height: int) -> np.ndarray:
-    """Which fragments pass a GL_LESS Z-test, in submission order."""
+def depth_visible_mask(
+    fragments: FragmentBuffer, depths: np.ndarray, width: int, height: int
+) -> np.ndarray:
+    """Which fragments pass a GL_LESS Z-test, in submission order.
+
+    ``depths`` holds each fragment's depth (:func:`fragment_depths`).
+    """
     n = len(fragments)
     if n == 0:
         return np.zeros(0, dtype=bool)
@@ -31,7 +42,7 @@ def depth_visible_mask(fragments: FragmentBuffer, width: int, height: int) -> np
     # order inside their segment.
     order = np.argsort(pixel, kind="stable")
     sorted_pixel = pixel[order]
-    sorted_z = fragments.z[order]
+    sorted_z = depths[order]
 
     # Running minimum of the *previous* entries within each segment: a
     # fragment passes iff z < min(earlier z at the pixel).  Depths are
@@ -61,6 +72,7 @@ def depth_visible_mask(fragments: FragmentBuffer, width: int, height: int) -> np
     return visible
 
 
-def resolve_depth(fragments: FragmentBuffer, width: int, height: int) -> FragmentBuffer:
-    """The early-Z machine's fragment stream: survivors only."""
-    return fragments.select(depth_visible_mask(fragments, width, height))
+def resolve_depth(scene: Scene, fragments: FragmentBuffer) -> FragmentBuffer:
+    """The early-Z machine's fragment stream: ``scene``'s survivors only."""
+    depths = fragment_depths(scene, fragments)
+    return fragments.select(depth_visible_mask(fragments, depths, scene.width, scene.height))

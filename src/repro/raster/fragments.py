@@ -14,6 +14,11 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
+#: Layout tag of :class:`FragmentBuffer` in artifact keys.  A buffer
+#: pickled with an interpolated depth column in an artifact directory
+#: keeps its old key and is never read back as a depth-free one.
+FRAGMENTS_FORMAT = "no-depth"
+
 
 class FragmentBuffer:
     """Columnar storage for fragments.
@@ -31,11 +36,13 @@ class FragmentBuffer:
         Texture table index.
     triangle:
         Index of the owning triangle in the scene's submission order.
-    z:
-        Interpolated depth (only the early-Z ablation consults it).
+
+    The paper's machine removes hidden surfaces after texturing, so no
+    column holds depth; :func:`repro.raster.depth.fragment_depths`
+    recomputes it from ``triangle``, ``x`` and ``y`` when asked.
     """
 
-    COLUMNS = ("x", "y", "u", "v", "level", "texture", "triangle", "z")
+    COLUMNS = ("x", "y", "u", "v", "level", "texture", "triangle")
 
     def __init__(
         self,
@@ -47,11 +54,8 @@ class FragmentBuffer:
         texture: np.ndarray,
         triangle: np.ndarray,
         num_triangles: int,
-        z: np.ndarray = None,
     ) -> None:
-        if z is None:
-            z = np.zeros(len(x))
-        lengths = {len(col) for col in (x, y, u, v, level, texture, triangle, z)}
+        lengths = {len(col) for col in (x, y, u, v, level, texture, triangle)}
         if len(lengths) != 1:
             raise ConfigurationError(f"fragment columns disagree on length: {lengths}")
         self.x = np.asarray(x, dtype=np.int32)
@@ -61,7 +65,6 @@ class FragmentBuffer:
         self.level = np.asarray(level, dtype=np.int16)
         self.texture = np.asarray(texture, dtype=np.int32)
         self.triangle = np.asarray(triangle, dtype=np.int32)
-        self.z = np.asarray(z, dtype=np.float64)
         self.num_triangles = num_triangles
 
     def __len__(self) -> int:
@@ -72,8 +75,7 @@ class FragmentBuffer:
         """A buffer with no fragments."""
         nothing = np.zeros(0)
         return cls(
-            nothing, nothing, nothing, nothing, nothing, nothing, nothing,
-            num_triangles, z=nothing,
+            nothing, nothing, nothing, nothing, nothing, nothing, nothing, num_triangles
         )
 
     @classmethod

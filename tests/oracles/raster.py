@@ -9,7 +9,8 @@ depth-complexity accounting would drift.
 
 :func:`rasterize_scene_scalar` walks one triangle's bounding box at a
 time; :func:`repro.raster.rasterize_scene` (the batch scan converter)
-must match it column for column, bit for bit.
+must match it column for column, bit for bit, and
+:func:`repro.raster.fragment_depths` must match its depths.
 """
 
 from __future__ import annotations
@@ -159,17 +160,22 @@ def rasterize_triangle(
     }
 
 
-def rasterize_scene_scalar(scene: Scene) -> FragmentBuffer:
-    """Reference rasterizer: one triangle at a time."""
+def rasterize_scene_scalar(scene: Scene) -> Tuple[FragmentBuffer, np.ndarray]:
+    """Reference rasterizer: one triangle at a time.
+
+    Returns the fragment buffer and, beside it, every fragment's
+    interpolated depth (the buffer has no depth column).
+    """
     columns: List[dict] = []
     for index, triangle in enumerate(scene.triangles):
         result = rasterize_triangle(triangle, scene.width, scene.height, index)
         if result is not None:
             columns.append(result)
     if not columns:
-        return FragmentBuffer.empty(scene.num_triangles)
+        return FragmentBuffer.empty(scene.num_triangles), np.zeros(0)
     joined = {
         name: np.concatenate([c[name] for c in columns])
         for name in FragmentBuffer.COLUMNS
     }
-    return FragmentBuffer(num_triangles=scene.num_triangles, **joined)
+    depths = np.concatenate([c["z"] for c in columns])
+    return FragmentBuffer(num_triangles=scene.num_triangles, **joined), depths

@@ -34,7 +34,7 @@ def scene():
 
 @pytest.fixture(scope="module")
 def fragments(scene):
-    buffer = rasterize_scene_scalar(scene)
+    buffer, _ = rasterize_scene_scalar(scene)
     assert len(buffer.x) > 0
     return buffer
 
@@ -76,7 +76,7 @@ def frames():
         frame = build_scene(name, scale=0.0625)
         if dx or dy:
             frame = translate_scene(frame, dx, dy)
-        built[name, dx, dy] = (frame, rasterize_scene_scalar(frame))
+        built[name, dx, dy] = (frame, rasterize_scene_scalar(frame)[0])
     return built
 
 
@@ -96,7 +96,7 @@ def test_raster_batch_matches_scalar_at_paper_scale(name, scale):
     """The ``paper_frame`` and ``small_tris`` bench frames, bit for bit."""
     scene = build_scene(name, scale=scale, cache=False)
     batched = raster_batch.rasterize_scene_batch(scene)
-    assert_buffers_identical(batched, rasterize_scene_scalar(scene))
+    assert_buffers_identical(batched, rasterize_scene_scalar(scene)[0])
 
 
 def test_fused_texture_addresses_match_footprint_reference(scene, fragments):

@@ -1,4 +1,4 @@
-"""Tests for depth interpolation and the early-Z resolve."""
+"""Tests for the recomputed fragment depths and the early-Z resolve."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Scene, Triangle, Vertex
-from repro.raster.depth import depth_visible_mask, resolve_depth
+from repro.raster.depth import depth_visible_mask, fragment_depths, resolve_depth
 from repro.raster.fragments import FragmentBuffer
 from repro.texture.texture import MipmappedTexture
 
@@ -24,23 +24,30 @@ def layered_quads(depths, size=16):
     return scene
 
 
-def reference_zbuffer(fragments: FragmentBuffer, width: int, height: int):
+def reference_zbuffer(fragments: FragmentBuffer, depths, width: int, height: int):
     """Straightforward sequential Z-buffer, for cross-checking."""
     buffer = np.full(width * height, np.inf)
     visible = np.zeros(len(fragments), dtype=bool)
     for index in range(len(fragments)):
         pixel = int(fragments.y[index]) * width + int(fragments.x[index])
-        if fragments.z[index] < buffer[pixel]:
-            buffer[pixel] = fragments.z[index]
+        if depths[index] < buffer[pixel]:
+            buffer[pixel] = depths[index]
             visible[index] = True
     return visible
+
+
+def visible_mask(scene, fragments):
+    """The GL_LESS mask of ``scene``'s fragments, at their recomputed depths."""
+    depths = fragment_depths(scene, fragments)
+    return depth_visible_mask(fragments, depths, scene.width, scene.height)
 
 
 class TestDepthInterpolation:
     def test_constant_depth_triangle(self):
         scene = layered_quads([3.5], size=8)
         fragments = scene.fragments()
-        assert fragments.z == pytest.approx(np.full(len(fragments), 3.5))
+        depths = fragment_depths(scene, fragments)
+        assert depths == pytest.approx(np.full(len(fragments), 3.5))
 
     def test_sloped_depth(self):
         scene = Scene("slope", 16, 16, [MipmappedTexture(16, 16)])
@@ -51,14 +58,14 @@ class TestDepthInterpolation:
         )
         fragments = scene.fragments()
         # z = x at pixel centres.
-        assert fragments.z == pytest.approx(fragments.x + 0.5)
+        assert fragment_depths(scene, fragments) == pytest.approx(fragments.x + 0.5)
 
 
 class TestDepthVisibleMask:
     def test_front_to_back_keeps_only_first(self):
         scene = layered_quads([1.0, 2.0, 3.0])
         fragments = scene.fragments()
-        visible = depth_visible_mask(fragments, scene.width, scene.height)
+        visible = visible_mask(scene, fragments)
         # Only the closest (first submitted) layer survives.
         assert visible[fragments.triangle < 2].all()
         assert not visible[fragments.triangle >= 2].any()
@@ -66,23 +73,25 @@ class TestDepthVisibleMask:
     def test_back_to_front_keeps_every_layer(self):
         scene = layered_quads([3.0, 2.0, 1.0])
         fragments = scene.fragments()
-        visible = depth_visible_mask(fragments, scene.width, scene.height)
+        visible = visible_mask(scene, fragments)
         # Painter's order: every fragment beats the one before it.
         assert visible.all()
 
     def test_equal_depth_keeps_first_only(self):
         scene = layered_quads([2.0, 2.0])
         fragments = scene.fragments()
-        visible = depth_visible_mask(fragments, scene.width, scene.height)
+        visible = visible_mask(scene, fragments)
         assert visible[fragments.triangle < 2].all()
         assert not visible[fragments.triangle >= 2].any()
 
     def test_empty_buffer(self):
-        assert depth_visible_mask(FragmentBuffer.empty(), 8, 8).size == 0
+        scene = Scene("empty", 8, 8, [MipmappedTexture(16, 16)])
+        assert fragment_depths(scene, FragmentBuffer.empty()).size == 0
+        assert depth_visible_mask(FragmentBuffer.empty(), np.zeros(0), 8, 8).size == 0
 
     def test_resolve_covers_each_pixel_once_for_opaque_stack(self):
         scene = layered_quads([5.0, 1.0, 3.0])
-        survivors = resolve_depth(scene.fragments(), scene.width, scene.height)
+        survivors = resolve_depth(scene, scene.fragments())
         keys = survivors.y.astype(np.int64) * scene.width + survivors.x
         # Survivors at a pixel are its strictly-decreasing-depth prefix.
         assert len(np.unique(keys)) == scene.width * scene.height
@@ -96,8 +105,9 @@ class TestDepthVisibleMask:
     def test_property_matches_sequential_zbuffer(self, depths):
         scene = layered_quads(depths, size=8)
         fragments = scene.fragments()
-        fast = depth_visible_mask(fragments, scene.width, scene.height)
-        slow = reference_zbuffer(fragments, scene.width, scene.height)
+        frag_depths = fragment_depths(scene, fragments)
+        fast = depth_visible_mask(fragments, frag_depths, scene.width, scene.height)
+        slow = reference_zbuffer(fragments, frag_depths, scene.width, scene.height)
         assert (fast == slow).all()
 
     @settings(max_examples=25, deadline=None)
@@ -116,6 +126,7 @@ class TestDepthVisibleMask:
             ]
             scene.add(Triangle(*verts))
         fragments = scene.fragments()
-        fast = depth_visible_mask(fragments, scene.width, scene.height)
-        slow = reference_zbuffer(fragments, scene.width, scene.height)
+        depths = fragment_depths(scene, fragments)
+        fast = depth_visible_mask(fragments, depths, scene.width, scene.height)
+        slow = reference_zbuffer(fragments, depths, scene.width, scene.height)
         assert (fast == slow).all()

@@ -2,8 +2,9 @@
 
 Three walls:
 
-* :func:`partition_by_node` returns the permutation and bounds of a
-  stable ``int64`` sort, whatever the key width it picks;
+* :func:`partition_by_node` returns, as ``int32``, the permutation and
+  bounds of a stable ``int64`` sort, whatever the key width it picks
+  and wherever its chunks split the stream;
 * :func:`compute_replay` equals the per-node oracle
   (:func:`tests.oracles.reference_replay`) on every statistic, for
   every distribution class, on both key widths and through a page
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro import pipeline
 from repro.cache.config import CacheConfig
+from repro.core import routing
 from repro.core.routing import (
     PLAN_FORMAT,
     build_routed_work,
@@ -39,6 +41,7 @@ from repro.distribution import (
     TileGrid,
 )
 from repro.distribution.base import processor_grid
+from repro.raster.fragments import FRAGMENTS_FORMAT
 from repro.texture.pages import PageTable, VirtualTextureConfig
 from repro.workloads.scenes import build_scene
 from tests.oracles import reference_replay
@@ -94,22 +97,45 @@ def assert_same_replay(got, want):
 # -- the partition ---------------------------------------------------
 
 
+#: Chunk sizes the partition tests run under: single rows, odd sizes
+#: that leave a short last chunk, and the shipped size.
+CHUNKS = [1, 7, 256, 1000, routing.PARTITION_CHUNK]
+
+
+def assert_stable_int64_sort(owners, nodes, chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(routing, "PARTITION_CHUNK", chunk)
+        order, bounds = partition_by_node(owners, nodes)
+    assert order.dtype == np.int32
+    wide = owners.astype(np.int64)
+    assert np.array_equal(order, np.argsort(wide, kind="stable"))
+    sorted_owners = wide[order]
+    assert bounds[0] == 0 and bounds[-1] == len(owners)
+    assert np.array_equal(bounds[:-1], np.searchsorted(sorted_owners, np.arange(nodes)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     nodes=st.sampled_from([1, 3, 4, 64, 256, 257, 300, 1 << 16, (1 << 16) + 1]),
     length=st.integers(0, 3000),
+    chunk=st.sampled_from(CHUNKS),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_partition_is_the_stable_int64_sort(nodes, length, seed):
+def test_partition_is_the_stable_int64_sort(nodes, length, chunk, seed):
     rng = np.random.default_rng(seed)
     # Few distinct owners, so equal keys are common and order matters.
     owners = rng.choice(rng.integers(0, nodes, size=5), size=length).astype(np.int32)
-    order, bounds = partition_by_node(owners, nodes)
-    wide = owners.astype(np.int64)
-    assert np.array_equal(order, np.argsort(wide, kind="stable"))
-    sorted_owners = wide[order]
-    assert bounds[0] == 0 and bounds[-1] == length
-    assert np.array_equal(bounds[:-1], np.searchsorted(sorted_owners, np.arange(nodes)))
+    assert_stable_int64_sort(owners, nodes, chunk)
+
+
+@pytest.mark.parametrize("chunk", [7, 256, 1000])
+@pytest.mark.parametrize("nodes", [1, 257, (1 << 16) + 1])
+def test_chunked_partition_spreads_every_node_across_chunks(nodes, chunk):
+    """Nodes own rows in many chunks, in runs as a tile's pixels are."""
+    rng = np.random.default_rng(nodes)
+    owners = np.repeat(rng.integers(0, nodes, size=1200), rng.integers(1, 9, size=1200))
+    assert len(owners) > 3 * chunk
+    assert_stable_int64_sort(owners.astype(np.int32), nodes, chunk)
 
 
 # -- the replay against the oracle -----------------------------------
@@ -251,7 +277,7 @@ def test_memoized_hits_skip_owners_and_store_the_same_keys():
     plan = f"{scene.artifact_key}/{spy.fingerprint()}/bbox/{PLAN_FORMAT}"
     replay = f"{scene.artifact_key}/{spy.fingerprint()}/lru/default/chunk0"
     store = pipeline.store()
-    assert store.contains("fragments", scene.artifact_key)
+    assert store.contains("fragments", f"{scene.artifact_key}/{FRAGMENTS_FORMAT}")
     assert store.contains("routing", plan)
     assert store.contains("replay", replay)
     assert store.contains("routed", f"{plan}|{replay}|setup25|{spy.describe()}")

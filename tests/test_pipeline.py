@@ -91,6 +91,20 @@ class TestArtifactStore:
         assert stats["misses"] == 1 and stats["disk_hits"] == 0
         assert pipeline.store().contains("scene", f"{old_key}/{SCENE_FORMAT}")
 
+    def test_fragments_stage_misses_an_old_format_key(self, tmp_path):
+        """A disk-tier buffer stored under the bare scene key is never read back."""
+        from repro.raster.fragments import FRAGMENTS_FORMAT
+
+        scene = build_scene("quake", 0.0625, cache=False)
+        old_key = scene.artifact_key
+        ArtifactStore(max_entries=8, disk_dir=tmp_path).put("fragments", old_key, "old buffer")
+        pipeline.configure(disk_dir=tmp_path)
+        fragments = pipeline.fragments_artifact(scene)
+        assert len(fragments) > 0 and not hasattr(fragments, "z")
+        stats = pipeline.stats()["fragments"]
+        assert stats["misses"] == 1 and stats["disk_hits"] == 0
+        assert pipeline.store().contains("fragments", f"{old_key}/{FRAGMENTS_FORMAT}")
+
     def test_corrupt_pickle_recomputes(self, tmp_path):
         writer = ArtifactStore(max_entries=8, disk_dir=tmp_path)
         writer.get_or_compute("s", "key", lambda: "good")

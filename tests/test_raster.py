@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.geometry import Scene, Triangle, Vertex
-from repro.raster import FragmentBuffer, mip_level_for_scale, rasterize_scene
+from repro.raster import (
+    FragmentBuffer,
+    fragment_depths,
+    mip_level_for_scale,
+    rasterize_scene,
+)
 from repro.texture.texture import MipmappedTexture
 from tests.conftest import quad
 from tests.oracles import rasterize_scene_scalar, triangle_setup
@@ -227,6 +232,28 @@ adversarial_triangles = st.lists(
 ).map(lambda groups: [t for group in groups for t in group])
 
 
+#: Free triangles over the screen and past its edges, each vertex with
+#: its own texture coordinates and depth.
+random_triangles = st.lists(
+    st.builds(
+        tri,
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-10, max_value=SIZE + 10),
+                st.floats(min_value=-10, max_value=SIZE + 10),
+                st.floats(min_value=-100, max_value=100),
+                st.floats(min_value=-100, max_value=100),
+                st.floats(min_value=-100, max_value=100),
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
 def adversarial_scene(triangles):
     textures = [MipmappedTexture(64, 64), MipmappedTexture(16, 16)]
     return Scene("adversarial", SIZE, SIZE - 7, textures, triangles)
@@ -254,7 +281,22 @@ class TestOracleEquivalence:
     )
     def test_matches_scalar_reference(self, triangles):
         scene = adversarial_scene(triangles)
-        assert_same_buffers(rasterize_scene(scene), rasterize_scene_scalar(scene))
+        reference, _ = rasterize_scene_scalar(scene)
+        assert_same_buffers(rasterize_scene(scene), reference)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(triangles=st.one_of(random_triangles, adversarial_triangles))
+    @example(
+        # One sloped depth plane over the whole screen.
+        triangles=[tri([(-30, -25, 0, 0, 1.5), (3 * SIZE, -3, 0, 0, -7.25), (-5, 3 * SIZE, 0, 0, 3)])],
+    )
+    def test_fragment_depths_match_scalar_reference(self, triangles):
+        """The recomputed depths equal the reference's interpolated ones, bit for bit."""
+        scene = adversarial_scene(triangles)
+        _, depths = rasterize_scene_scalar(scene)
+        got = fragment_depths(scene, rasterize_scene(scene))
+        assert got.dtype == depths.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), depths.view(np.uint64))
 
 
 class TestCandidateCounters:
