@@ -24,13 +24,16 @@ def unique_texels_touched(scene: Scene) -> int:
     layout = scene.memory_layout()
     tex_filter = TrilinearFilter(layout)
     seen = np.zeros(layout.total_texels, dtype=bool)
+    levels = fragments.triangle_level.astype(np.int64)
+    texture_ids = fragments.triangle_texture.astype(np.int64)
     for start in range(0, len(fragments), _CHUNK):
         stop = min(len(fragments), start + _CHUNK)
+        triangles = fragments.triangle[start:stop]
         texels = tex_filter.texel_addresses(
             fragments.u[start:stop],
             fragments.v[start:stop],
-            fragments.level[start:stop].astype(np.int64),
-            fragments.texture[start:stop].astype(np.int64),
+            levels[triangles],
+            texture_ids[triangles],
         )
         seen[texels.reshape(-1)] = True
     return int(seen.sum())

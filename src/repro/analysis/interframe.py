@@ -21,7 +21,7 @@ from repro.analysis.tables import format_table
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import DEFAULT_L2, TwoLevelCache
 from repro.cache.stream import replay_fragments
-from repro.core.routing import partition_by_node
+from repro.core.routing import frame_owners, partition_by_node
 from repro.distribution.base import Distribution
 from repro.geometry.scene import Scene
 from repro.texture.filtering import TrilinearFilter
@@ -65,7 +65,7 @@ def replay_sequence(
     for index, frame in enumerate(frames):
         fragments = frame.fragments()
         order, bounds = partition_by_node(
-            distribution.owners(fragments.x, fragments.y), len(nodes)
+            frame_owners(distribution, fragments), len(nodes)
         )
         memory_texels = 0
         l1_to_l2 = 0

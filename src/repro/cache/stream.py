@@ -43,12 +43,17 @@ def replay_fragments(
     compulsory-miss classification: a miss is compulsory when it is the
     first miss on its line; pass a fresh zeroed array per node.
     ``rows`` selects the stream as row indices into ``fragments`` (one
-    node's share of a frame); each chunk gathers only the columns the
-    filter and the attribution read.  ``lines`` is an optional
-    ``(len(fragments), 8)`` line table aligned with ``fragments`` — the
-    page-translated table of a virtual-texturing frame
+    node's share of a frame); each chunk casts its slice of ``rows`` to
+    ``intp`` once and gathers only the columns the filter and the
+    attribution read: ``u``, ``v`` and ``triangle``.  The mip levels and
+    texture ids come from the buffer's per-triangle tables, looked up
+    through the chunk's triangle ids, which also attribute its misses.
+    ``lines`` is an optional ``(len(fragments), 8)`` line table aligned
+    with ``fragments`` — the page-translated table of a
+    virtual-texturing frame
     (:func:`repro.texture.pages.build_frame_lines`); each chunk then
-    gathers its rows from it instead of running ``tex_filter``.
+    gathers its rows from it instead of running ``tex_filter``, and
+    gathers the triangle ids of its miss rows only.
     """
     if lines is not None and len(lines) != len(fragments):
         raise ConfigurationError(
@@ -64,15 +69,18 @@ def replay_fragments(
     seen_count = 0 if seen_lines is None else int(np.count_nonzero(seen_lines))
     for start in range(0, n, chunk_size):
         stop = min(n, start + chunk_size)
-        take: Union[slice, np.ndarray] = (
-            slice(start, stop) if rows is None else rows[start:stop]
-        )
+        index = None if rows is None else rows[start:stop].astype(np.intp, copy=False)
+        take: Union[slice, np.ndarray] = slice(start, stop) if index is None else index
+        triangles: Optional[np.ndarray] = None
         if lines is None:
+            # One ``intp`` cast serves both table lookups and the
+            # attribution; numpy would convert an ``int32`` index per gather.
+            triangles = fragments.triangle[take].astype(np.intp)
             chunk = tex_filter.line_addresses(
                 fragments.u[take],
                 fragments.v[take],
-                fragments.level[take],
-                fragments.texture[take],
+                fragments.triangle_level[triangles],
+                fragments.triangle_texture[triangles],
             )
         else:
             chunk = lines[take]
@@ -95,15 +103,13 @@ def replay_fragments(
                 result.compulsory_misses += now_seen - seen_count
                 seen_count = now_seen
             # Attribute fetched texels to the owning triangles for the
-            # timing model's per-triangle bus demand, gathering the
-            # triangle ids of the miss rows only.
+            # timing model's per-triangle bus demand.
             frag_rows = miss_rows // TEXELS_PER_FRAGMENT
-            frag_rows += start
-            if rows is not None:
-                frag_rows = rows[frag_rows]
-            np.add.at(
-                result.texels_by_triangle,
-                fragments.triangle[frag_rows],
-                model.texels_per_fetch,
-            )
+            if triangles is None:
+                # Gather the triangle ids of the miss rows only.
+                frag_rows = frag_rows + start if index is None else index[frag_rows]
+                missed = fragments.triangle[frag_rows]
+            else:
+                missed = triangles[frag_rows]
+            np.add.at(result.texels_by_triangle, missed, model.texels_per_fetch)
     return result

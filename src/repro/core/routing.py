@@ -44,10 +44,10 @@ CacheSpec = Union[str, TextureCacheModel, None]
 #: through it (:func:`repro.texture.pages.build_frame_lines`).
 Translator = Union[PageTable, FrameLines]
 
-#: A stream's ``distribution.owners`` column, or a zero-argument
-#: callable that computes it: the pipeline hands both stages one
-#: memoized callable, so the pass runs inside whichever stage needs it
-#: first, and at most once.
+#: A stream's ``distribution.owners`` column (any integer type), or a
+#: zero-argument callable that computes it: the pipeline hands both
+#: stages one memoized :func:`frame_owners` callable, so the pass runs
+#: inside whichever stage needs it first, and at most once.
 Owners = Union[np.ndarray, Callable[[], np.ndarray]]
 
 #: Layout tag of :class:`RoutingPlan` in artifact keys.  ``routed``
@@ -56,8 +56,10 @@ Owners = Union[np.ndarray, Callable[[], np.ndarray]]
 #: and is never read back as this one.
 PLAN_FORMAT = "per-node"
 
-#: Stream-order rows :func:`partition_by_node` sorts at once.  Bounds
-#: the partition's ``int64`` sort temporaries; a frame that fits in one
+#: Stream-order rows a frame-sized pass handles at once: the rows
+#: :func:`frame_owners` asks the distribution about, :func:`partition_by_node`
+#: sorts and counts, and :func:`compute_routing_plan` keys.  Bounds
+#: their ``int32`` and ``int64`` temporaries; a frame that fits in one
 #: chunk is sorted whole.
 PARTITION_CHUNK = 1 << 20
 
@@ -149,6 +151,35 @@ def _owners_of(owners: Owners) -> np.ndarray:
     return owners() if callable(owners) else owners
 
 
+def frame_owners(distribution: Distribution, fragments: "FragmentBuffer") -> np.ndarray:
+    """``distribution.owners`` of every fragment, in the narrowest node type.
+
+    The column has the unsigned type :func:`partition_by_node` sorts by
+    (``uint8`` up to 256 nodes, ``uint16`` up to 65 536), and is filled
+    one ``PARTITION_CHUNK`` of stream-order rows at a time, so the
+    frame-sized ``int32`` answer of ``owners`` never exists.  The values
+    are ``owners``' own: a chunk's answer only narrows on the way in.
+    """
+    rows = len(fragments)
+    owners = np.empty(rows, dtype=_node_type(distribution.num_processors))
+    for first in range(0, rows, PARTITION_CHUNK):
+        last = first + PARTITION_CHUNK
+        owners[first:last] = distribution.owners(fragments.x[first:last], fragments.y[first:last])
+    return owners
+
+
+def _node_counts(owners: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Rows per node, counted one ``PARTITION_CHUNK`` at a time.
+
+    ``np.bincount`` widens its input to ``intp``; chunking keeps that
+    copy chunk-sized.
+    """
+    counts = np.zeros(num_nodes, dtype=np.int64)
+    for first in range(0, len(owners), PARTITION_CHUNK):
+        counts += np.bincount(owners[first : first + PARTITION_CHUNK], minlength=num_nodes)
+    return counts
+
+
 def partition_by_node(
     owners: np.ndarray, num_nodes: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -161,7 +192,9 @@ def partition_by_node(
 
     The sort key is narrowed to ``uint8`` or ``uint16`` when the node
     count allows, which numpy stable-sorts by radix; a stable sort's
-    permutation is unique, so it equals the one of the wide key.
+    permutation is unique, so it equals the one of the wide key.  An
+    ``owners`` column already that narrow (:func:`frame_owners`) is
+    read in place, not copied.
     Frames longer than ``PARTITION_CHUNK`` rows are sorted one
     stream-order chunk at a time, so no frame-sized ``int64`` index or
     sort buffer is ever live: each chunk's rows land at their node's
@@ -169,7 +202,7 @@ def partition_by_node(
     is exactly where the whole-frame stable sort puts them.
     """
     rows = len(owners)
-    counts = np.bincount(owners, minlength=num_nodes)
+    counts = _node_counts(owners, num_nodes)
     bounds = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=bounds[1:])
     index_type = np.int32 if rows < 2**31 else np.int64
@@ -194,12 +227,22 @@ def partition_by_node(
     return order, bounds
 
 
+def _node_type(num_nodes: int) -> type:
+    """The narrowest unsigned type whose values cover ``num_nodes`` nodes.
+
+    Past 65 536 nodes it is ``int32``, ``Distribution.owners``' own type.
+    """
+    if num_nodes <= 1 << 8:
+        return np.uint8
+    if num_nodes <= 1 << 16:
+        return np.uint16
+    return np.int32
+
+
 def _node_key(owners: np.ndarray, num_nodes: int) -> np.ndarray:
     """``owners`` in the narrowest unsigned type that holds ``num_nodes``."""
-    if num_nodes <= 1 << 8:
-        return owners.astype(np.uint8)
     if num_nodes <= 1 << 16:
-        return owners.astype(np.uint16)
+        return owners.astype(_node_type(num_nodes), copy=False)
     return owners
 
 
@@ -263,23 +306,36 @@ def compute_routing_plan(
 ) -> RoutingPlan:
     """Route a fragment stream: the cache-independent half of the work.
 
-    ``owners`` is ``distribution.owners`` of the stream, or a callable
-    that returns it.
+    ``owners`` is ``distribution.owners`` of the stream (in any integer
+    type, :func:`frame_owners`' narrow one included), or a callable
+    that returns it.  The pixel matrix is counted one
+    ``PARTITION_CHUNK`` of stream-order rows at a time: each chunk's
+    ``(triangle, node)`` key spans only the triangles it draws, so no
+    frame-sized key exists and each count adds to its own window of the
+    matrix.  Beyond the fragments and owners, the plan holds
+    chunk-sized temporaries and its per-triangle outputs.
     """
     if route_by not in ("bbox", "coverage"):
         raise ConfigurationError(f"route_by must be bbox or coverage, got {route_by!r}")
     n_proc = distribution.num_processors
     n_tri = scene.num_triangles
 
-    frame_owners = _owners_of(owners)
-    # Pixels drawn per (triangle, node); the key is built in place so
-    # one frame-sized temporary is alive at a time.
-    key = fragments.triangle.astype(np.int64)
-    key *= n_proc
-    key += frame_owners
-    pixel_matrix = np.bincount(key, minlength=n_tri * n_proc)
-    del key
-    node_pixels = np.bincount(frame_owners, minlength=n_proc).astype(np.int64)
+    stream_owners = _owners_of(owners)
+    # Pixels drawn per (triangle, node).  Fragments come in submission
+    # order, so a chunk's triangles are a narrow id range: its key is
+    # offset to the chunk's lowest triangle id and counted into that window.
+    pixel_matrix = np.zeros(n_tri * n_proc, dtype=np.int64)
+    for first in range(0, len(fragments), PARTITION_CHUNK):
+        triangles = fragments.triangle[first : first + PARTITION_CHUNK]
+        low, high = int(triangles.min()), int(triangles.max()) + 1
+        key = triangles.astype(np.int64)
+        key -= low
+        key *= n_proc
+        key += stream_owners[first : first + PARTITION_CHUNK]
+        pixel_matrix[low * n_proc : high * n_proc] += np.bincount(
+            key, minlength=(high - low) * n_proc
+        )
+    node_pixels = pixel_matrix.reshape(n_tri, n_proc).sum(axis=0)
 
     if route_by == "bbox":
         routed = route_triangles(scene, distribution)
@@ -307,13 +363,16 @@ def compute_replay(
 ) -> ReplayResult:
     """Replay every node's fragment stream through its private cache.
 
-    ``owners`` is ``distribution.owners`` of the stream, or a callable
-    that returns it (a perfect cache never calls it).  The frame is
-    partitioned by node once (:func:`partition_by_node`), into an
-    ``int32`` row permutation sorted chunk by chunk, so the replay
-    holds no frame-sized ``int64`` index; each node's replay gathers
-    only the columns the filter and the cache read, chunk by chunk,
-    straight from the frame's buffer.
+    ``owners`` is ``distribution.owners`` of the stream (in any integer
+    type; the pipeline hands over :func:`frame_owners`' ``uint8`` or
+    ``uint16`` column), or a callable that returns it (a perfect cache
+    never calls it).  The frame is partitioned by node once
+    (:func:`partition_by_node`), into an ``int32`` row permutation
+    sorted and counted chunk by chunk, so the replay holds no
+    frame-sized ``int64`` index; each node's replay gathers only
+    ``u``, ``v`` and ``triangle``, chunk by chunk, straight from the
+    frame's buffer, and looks the mip levels and texture ids up in the
+    buffer's per-triangle tables.
 
     ``translator`` optionally rewrites the line-address stream before
     it reaches the cache model — the virtual-texturing page table maps

@@ -111,7 +111,8 @@ def routed_work(
     leak across residency states.
 
     Both stages read the stream's ``distribution.owners``; they get one
-    memoized callable, so the pass runs inside the first stage that
+    memoized callable, so the pass (:func:`~repro.core.routing.frame_owners`,
+    a ``uint8`` column up to 256 nodes) runs inside the first stage that
     needs it (and is timed with it), at most once per call, and is kept
     in neither artifact.
     """
@@ -134,13 +135,13 @@ def routed_work(
     def frame():
         frags = fragments if fragments is not None else fragments_artifact(scene)
 
-        def frame_owners():
+        def owners_once():
             nonlocal owners
             if owners is None:
-                owners = distribution.owners(frags.x, frags.y)
+                owners = routing.frame_owners(distribution, frags)
             return owners
 
-        return frags, frame_owners
+        return frags, owners_once
 
     def plan():
         frags, frag_owners = frame()

@@ -149,7 +149,6 @@ def _triangle_specs(scene: Scene) -> Optional[Dict[str, np.ndarray]]:
         "qy": vx[:, 2] - vx[:, 0],
         "px": vx[:, 1] - vx[:, 0],
         "py": vy[:, 1] - vy[:, 0],
-        "texture": scene.texture_ids[ids],
         # Live triangles have ``|det| >= 2e-12``, past the scalar
         # degenerate cut-off, so only the scale expressions matter.
         "level": _mip_levels(table, 2.0 * (0.5 * det)),
@@ -338,8 +337,11 @@ def _interpolate(
 
 def _rasterize_span(
     spec: Dict[str, np.ndarray], rows: _Rows, out: Dict[str, np.ndarray]
-) -> None:
-    """Generate and interpolate the fragments of ``rows`` into ``out``."""
+) -> np.ndarray:
+    """Generate and interpolate the fragments of ``rows`` into ``out``.
+
+    Returns the fragments drawn of each of the pass's triangles.
+    """
     counts = rows.counts
     row_offsets = np.cumsum(counts) - counts
     frag_x = np.arange(len(out["x"]), dtype=np.int64) + np.repeat(
@@ -360,9 +362,8 @@ def _rasterize_span(
     out["y"][:] = np.repeat(rows.gy, counts)
     for name in ("u", "v"):
         _interpolate(weights, name, spread, out[name])
-    out["level"][:] = spread("level")
-    out["texture"][:] = spread("texture")
     out["triangle"][:] = spread("id")
+    return per_triangle
 
 
 def _passes(spec: Dict[str, np.ndarray]) -> Iterator[Tuple[int, int]]:
@@ -382,7 +383,10 @@ def rasterize_scene_batch(scene: Scene) -> FragmentBuffer:
     """Rasterize every triangle of a scene with flat array passes.
 
     A first sweep finds every row's covered span; the second writes
-    each pass's fragments straight into the output columns.  Adds the
+    each pass's fragments straight into the output columns.  The mip
+    level of every triangle that draws a fragment goes to the buffer's
+    ``triangle_level`` table (0 for the others), and the scene's
+    texture column is its ``triangle_texture`` table.  Adds the
     pixels edge-tested and the fragments kept to the scene-labelled
     ``raster.candidates`` and ``raster.fragments`` counters of
     :mod:`repro.obs`.
@@ -396,17 +400,21 @@ def rasterize_scene_batch(scene: Scene) -> FragmentBuffer:
         name: np.empty(total, dtype=getattr(template, name).dtype)
         for name in FragmentBuffer.COLUMNS
     }
+    levels = np.zeros(scene.num_triangles, dtype=np.int16)
     offset = 0
     for rows, size in zip(scans, sizes):
         piece = {name: values[offset : offset + size] for name, values in columns.items()}
-        _rasterize_span(spec, rows, piece)
+        drawn = _rasterize_span(spec, rows, piece) > 0
+        levels[spec["id"][rows.sel][drawn]] = spec["level"][rows.sel][drawn]
         offset += size
     metrics = registry()
     metrics.counter("raster.candidates").labels(scene=scene.name).inc(
         sum(rows.tested for rows in scans)
     )
     metrics.counter("raster.fragments").labels(scene=scene.name).inc(total)
-    return FragmentBuffer(num_triangles=scene.num_triangles, **columns)
+    return FragmentBuffer(
+        **columns, triangle_level=levels, triangle_texture=scene.texture_ids
+    )
 
 
 def fragment_depths(scene: Scene, fragments: FragmentBuffer) -> np.ndarray:

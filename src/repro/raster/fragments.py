@@ -15,9 +15,10 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 #: Layout tag of :class:`FragmentBuffer` in artifact keys.  A buffer
-#: pickled with an interpolated depth column in an artifact directory
-#: keeps its old key and is never read back as a depth-free one.
-FRAGMENTS_FORMAT = "no-depth"
+#: pickled with per-fragment depth, mip level or texture columns in an
+#: artifact directory keeps its old key and is never read back as one
+#: that looks those up per triangle.
+FRAGMENTS_FORMAT = "per-triangle-mip"
 
 
 class FragmentBuffer:
@@ -25,24 +26,36 @@ class FragmentBuffer:
 
     Columns
     -------
+    One entry per fragment, 28 bytes in all.
+
     x, y:
         Integer pixel coordinates.
     u, v:
         Interpolated texture coordinates in level-0 texel units.
-    level:
-        Base mipmap level the trilinear filter samples (it also reads
-        ``level + 1``).
-    texture:
-        Texture table index.
     triangle:
         Index of the owning triangle in the scene's submission order.
 
-    The paper's machine removes hidden surfaces after texturing, so no
-    column holds depth; :func:`repro.raster.depth.fragment_depths`
+    Tables
+    ------
+    One entry per scene triangle.
+
+    triangle_level:
+        Base mipmap level the trilinear filter samples for the
+        triangle's fragments (it also reads ``level + 1``); 0 for a
+        triangle that draws nothing.
+    triangle_texture:
+        Texture table index of the triangle.
+
+    The paper's machine picks the mip level and binds the texture once
+    per triangle, at setup, so a fragment's level and texture are
+    ``triangle_level[triangle]`` and ``triangle_texture[triangle]``.
+    No column holds depth either: the machine removes hidden surfaces
+    after texturing, and :func:`repro.raster.depth.fragment_depths`
     recomputes it from ``triangle``, ``x`` and ``y`` when asked.
     """
 
-    COLUMNS = ("x", "y", "u", "v", "level", "texture", "triangle")
+    COLUMNS = ("x", "y", "u", "v", "triangle")
+    TABLES = ("triangle_level", "triangle_texture")
 
     def __init__(
         self,
@@ -50,65 +63,74 @@ class FragmentBuffer:
         y: np.ndarray,
         u: np.ndarray,
         v: np.ndarray,
-        level: np.ndarray,
-        texture: np.ndarray,
         triangle: np.ndarray,
-        num_triangles: int,
+        triangle_level: np.ndarray,
+        triangle_texture: np.ndarray,
     ) -> None:
-        lengths = {len(col) for col in (x, y, u, v, level, texture, triangle)}
+        lengths = {len(col) for col in (x, y, u, v, triangle)}
         if len(lengths) != 1:
             raise ConfigurationError(f"fragment columns disagree on length: {lengths}")
+        if len(triangle_level) != len(triangle_texture):
+            raise ConfigurationError(
+                f"triangle tables disagree on length: {len(triangle_level)} levels, "
+                f"{len(triangle_texture)} textures"
+            )
         self.x = np.asarray(x, dtype=np.int32)
         self.y = np.asarray(y, dtype=np.int32)
         self.u = np.asarray(u, dtype=np.float64)
         self.v = np.asarray(v, dtype=np.float64)
-        self.level = np.asarray(level, dtype=np.int16)
-        self.texture = np.asarray(texture, dtype=np.int32)
         self.triangle = np.asarray(triangle, dtype=np.int32)
-        self.num_triangles = num_triangles
+        self.triangle_level = np.asarray(triangle_level, dtype=np.int16)
+        self.triangle_texture = np.asarray(triangle_texture, dtype=np.int32)
+        self.num_triangles = len(self.triangle_level)
 
     def __len__(self) -> int:
         return len(self.x)
 
     @classmethod
     def empty(cls, num_triangles: int = 0) -> "FragmentBuffer":
-        """A buffer with no fragments."""
+        """A buffer with no fragments (every triangle at level 0, texture 0)."""
         nothing = np.zeros(0)
-        return cls(
-            nothing, nothing, nothing, nothing, nothing, nothing, nothing, num_triangles
-        )
+        table = np.zeros(num_triangles)
+        return cls(nothing, nothing, nothing, nothing, nothing, table, table)
 
     @classmethod
     def concatenate(cls, buffers: Sequence["FragmentBuffer"], num_triangles: int) -> "FragmentBuffer":
-        """Join buffers preserving order."""
+        """Join buffers of one scene preserving order; the tables carry over."""
         if not buffers:
             return cls.empty(num_triangles)
+        first = buffers[0]
+        for buffer in buffers[1:]:
+            for name in cls.TABLES:
+                if not np.array_equal(getattr(buffer, name), getattr(first, name)):
+                    raise ConfigurationError(f"buffers disagree on {name}")
         columns = {
             name: np.concatenate([getattr(b, name) for b in buffers])
             for name in cls.COLUMNS
         }
-        return cls(num_triangles=num_triangles, **columns)
+        return cls(**columns, **{name: getattr(first, name) for name in cls.TABLES})
 
     def select(self, mask_or_index: np.ndarray) -> "FragmentBuffer":
         """A new buffer with the masked/indexed rows, order preserved."""
         columns = {name: getattr(self, name)[mask_or_index] for name in self.COLUMNS}
-        return FragmentBuffer(num_triangles=self.num_triangles, **columns)
+        return FragmentBuffer(**columns, **{name: getattr(self, name) for name in self.TABLES})
 
     def triangle_pixel_counts(self) -> np.ndarray:
         """Pixels drawn per triangle, indexed by triangle id."""
         return np.bincount(self.triangle, minlength=self.num_triangles)
 
     def iter_rows(self) -> Iterator[tuple]:
-        """Yield fragments as tuples, mainly for tests and debugging."""
+        """Yield ``(x, y, u, v, level, texture, triangle)`` tuples, for tests and debugging."""
         for i in range(len(self)):
+            triangle = int(self.triangle[i])
             yield (
                 int(self.x[i]),
                 int(self.y[i]),
                 float(self.u[i]),
                 float(self.v[i]),
-                int(self.level[i]),
-                int(self.texture[i]),
-                int(self.triangle[i]),
+                int(self.triangle_level[triangle]),
+                int(self.triangle_texture[triangle]),
+                triangle,
             )
 
     def __repr__(self) -> str:

@@ -377,11 +377,12 @@ def build_frame_lines(
     out = np.empty((n, TEXELS_PER_FRAGMENT), dtype=dtype)
     for start in range(0, n, chunk_size):
         stop = min(n, start + chunk_size)
+        triangles = fragments.triangle[start:stop].astype(np.intp)
         virtual = tex_filter.line_addresses(
             fragments.u[start:stop],
             fragments.v[start:stop],
-            fragments.level[start:stop],
-            fragments.texture[start:stop],
+            fragments.triangle_level[triangles],
+            fragments.triangle_texture[triangles],
         ).reshape(-1)
         if observe:
             table.observe(virtual)

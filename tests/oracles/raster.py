@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -92,6 +92,10 @@ def triangle_setup(triangle: Triangle) -> EdgeEquations:
     )
 
 
+#: The per-fragment columns the oracle builds beside the buffer's.
+PER_FRAGMENT = ("z", "level", "texture")
+
+
 def rasterize_triangle(
     triangle: Triangle,
     width: int,
@@ -160,22 +164,32 @@ def rasterize_triangle(
     }
 
 
-def rasterize_scene_scalar(scene: Scene) -> Tuple[FragmentBuffer, np.ndarray]:
+def rasterize_scene_scalar(scene: Scene) -> Tuple[FragmentBuffer, Dict[str, np.ndarray]]:
     """Reference rasterizer: one triangle at a time.
 
-    Returns the fragment buffer and, beside it, every fragment's
-    interpolated depth (the buffer has no depth column).
+    Returns the fragment buffer and, beside it, the per-fragment columns
+    the buffer does not hold: every fragment's interpolated depth
+    (``"z"``), mip level (``"level"``) and texture id (``"texture"``).
+    The buffer's per-triangle tables hold each drawing triangle's level
+    (0 for a triangle that draws nothing) and every triangle's texture.
     """
     columns: List[dict] = []
+    levels = np.zeros(scene.num_triangles, dtype=np.int16)
     for index, triangle in enumerate(scene.triangles):
         result = rasterize_triangle(triangle, scene.width, scene.height, index)
         if result is not None:
             columns.append(result)
+            levels[index] = result["level"][0]
+    textures = np.array([t.texture for t in scene.triangles], dtype=np.int32)
+    names = FragmentBuffer.COLUMNS + PER_FRAGMENT
     if not columns:
-        return FragmentBuffer.empty(scene.num_triangles), np.zeros(0)
-    joined = {
-        name: np.concatenate([c[name] for c in columns])
-        for name in FragmentBuffer.COLUMNS
-    }
-    depths = np.concatenate([c["z"] for c in columns])
-    return FragmentBuffer(num_triangles=scene.num_triangles, **joined), depths
+        nothing = {name: np.zeros(0) for name in FragmentBuffer.COLUMNS + ("z",)}
+        nothing.update(level=np.zeros(0, np.int16), texture=np.zeros(0, np.int32))
+        columns = [nothing]
+    joined = {name: np.concatenate([c[name] for c in columns]) for name in names}
+    buffer = FragmentBuffer(
+        **{name: joined[name] for name in FragmentBuffer.COLUMNS},
+        triangle_level=levels,
+        triangle_texture=textures,
+    )
+    return buffer, {name: joined[name] for name in PER_FRAGMENT}

@@ -47,8 +47,8 @@ def replay_node(
         flat = tex_filter.line_addresses(
             fragments.u[start:stop],
             fragments.v[start:stop],
-            fragments.level[start:stop],
-            fragments.texture[start:stop],
+            fragments.triangle_level[fragments.triangle[start:stop]],
+            fragments.triangle_texture[fragments.triangle[start:stop]],
         ).reshape(-1)
         if translate is not None:
             flat = translate(flat)

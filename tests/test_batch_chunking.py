@@ -40,7 +40,7 @@ def fragments(scene):
 
 
 def assert_buffers_identical(left: FragmentBuffer, right: FragmentBuffer) -> None:
-    for name in FragmentBuffer.COLUMNS:
+    for name in FragmentBuffer.COLUMNS + FragmentBuffer.TABLES:
         a, b = getattr(left, name), getattr(right, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
@@ -103,8 +103,8 @@ def test_fused_texture_addresses_match_footprint_reference(scene, fragments):
     layout = scene.memory_layout()
     filt = TrilinearFilter(layout)
     u, v = fragments.u, fragments.v
-    levels = fragments.level.astype(np.int64)
-    texture_ids = fragments.texture.astype(np.int64)
+    levels = fragments.triangle_level[fragments.triangle].astype(np.int64)
+    texture_ids = fragments.triangle_texture[fragments.triangle].astype(np.int64)
     fused = filt.line_addresses(u, v, levels, texture_ids)
     reference = filt._footprint(u, v, levels, texture_ids, layout.line_address)
     assert np.array_equal(np.asarray(fused, dtype=np.int64), reference)
@@ -114,8 +114,8 @@ def test_fused_texture_addresses_chunk_invariant(scene, fragments):
     layout = scene.memory_layout()
     filt = TrilinearFilter(layout)
     u, v = fragments.u, fragments.v
-    levels = fragments.level.astype(np.int64)
-    texture_ids = fragments.texture.astype(np.int64)
+    levels = fragments.triangle_level[fragments.triangle].astype(np.int64)
+    texture_ids = fragments.triangle_texture[fragments.triangle].astype(np.int64)
     whole = filt.line_addresses(u, v, levels, texture_ids)
 
     rng = np.random.default_rng(602)

@@ -84,7 +84,7 @@ def test_a_line_missed_twice_in_one_chunk_is_compulsory_once():
     one_line = make_cache_model("lru", CacheConfig(total_bytes=64, ways=1))
     a, b = 3, 5
     result = replay_fragments(
-        FragmentBuffer([0], [0], [0.0], [0.0], [0], [0], [0], num_triangles=1),
+        FragmentBuffer([0], [0], [0.0], [0.0], [0], triangle_level=[0], triangle_texture=[0]),
         FixedLines([a, b, a, b]),
         one_line,
         seen_lines=np.zeros(8, dtype=bool),
@@ -179,9 +179,10 @@ def room3_node_streams():
     streams = []
     for node in range(4):
         rows = order[bounds[node] : bounds[node + 1]]
+        triangles = fragments.triangle[rows]
         lines = tex_filter.line_addresses(
-            fragments.u[rows], fragments.v[rows], fragments.level[rows],
-            fragments.texture[rows],
+            fragments.u[rows], fragments.v[rows], fragments.triangle_level[triangles],
+            fragments.triangle_texture[triangles],
         )
         streams.append(np.asarray(lines, dtype=np.int64).reshape(-1))
     return streams

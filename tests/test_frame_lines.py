@@ -69,7 +69,10 @@ def _faulting_table(layout):
 
 def _filtered(tex_filter, fragments):
     return tex_filter.line_addresses(
-        fragments.u, fragments.v, fragments.level, fragments.texture
+        fragments.u,
+        fragments.v,
+        fragments.triangle_level[fragments.triangle],
+        fragments.triangle_texture[fragments.triangle],
     )
 
 

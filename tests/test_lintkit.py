@@ -424,7 +424,7 @@ def test_repro501_flags_zip_and_range_len_spellings():
 def test_repro501_flags_column_dict_subscript_iteration():
     src = """\
         def drain(piece):
-            return [value + 1 for value in piece["texture"]]
+            return [value + 1 for value in piece["triangle"]]
     """
     assert rule_ids(src, module="repro.cache.stream") == ["REPRO501"]
 
@@ -433,7 +433,7 @@ def test_repro501_flags_while_condition_on_column():
     src = """\
         def drain(buf):
             index = 0
-            while index < len(buf.level):
+            while index < len(buf.triangle):
                 index += 1
     """
     assert rule_ids(src, module="repro.cache.batchlru") == ["REPRO501"]

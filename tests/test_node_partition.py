@@ -41,7 +41,7 @@ from repro.distribution import (
     TileGrid,
 )
 from repro.distribution.base import processor_grid
-from repro.raster.fragments import FRAGMENTS_FORMAT
+from repro.raster.fragments import FRAGMENTS_FORMAT, FragmentBuffer
 from repro.texture.pages import PageTable, VirtualTextureConfig
 from repro.workloads.scenes import build_scene
 from tests.oracles import reference_replay
@@ -136,6 +136,58 @@ def test_chunked_partition_spreads_every_node_across_chunks(nodes, chunk):
     owners = np.repeat(rng.integers(0, nodes, size=1200), rng.integers(1, 9, size=1200))
     assert len(owners) > 3 * chunk
     assert_stable_int64_sort(owners.astype(np.int32), nodes, chunk)
+
+
+# -- the chunked owners pass and pixel matrix ------------------------
+
+
+def assert_plan_counts(plan, triangles, owners, num_triangles, nodes):
+    """The plan's counts equal the whole-frame ``int64`` key's bincount."""
+    key = triangles.astype(np.int64) * nodes + owners
+    assert np.array_equal(plan.pixel_matrix, np.bincount(key, minlength=num_triangles * nodes))
+    assert plan.pixel_matrix.dtype == np.int64
+    assert np.array_equal(plan.node_pixels, np.bincount(owners, minlength=nodes))
+    assert plan.node_pixels.dtype == np.int64
+
+
+@pytest.mark.parametrize("chunk", [1000, 65536, routing.PARTITION_CHUNK])
+def test_chunked_owners_and_plan_match_the_whole_frame(scene, chunk):
+    fragments = scene.fragments()
+    for distribution in distributions(scene.width, scene.height):
+        nodes = distribution.num_processors
+        wide = owners_of(distribution, fragments)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(routing, "PARTITION_CHUNK", chunk)
+            narrow = routing.frame_owners(distribution, fragments)
+            plan = routing.compute_routing_plan(scene, distribution, fragments, narrow)
+        assert narrow.dtype == (np.uint8 if nodes <= 256 else np.uint16), distribution
+        assert np.array_equal(narrow, wide), distribution
+        assert_plan_counts(plan, fragments.triangle, wide, scene.num_triangles, nodes)
+
+
+def test_chunked_plan_counts_a_shuffled_stream(scene):
+    """Chunk windows come from each chunk's own triangle range, in any order."""
+    fragments = scene.fragments()
+    shuffled = fragments.select(np.random.default_rng(182).permutation(len(fragments)))
+    distribution = BlockInterleaved(64, 4)
+    owners = owners_of(distribution, shuffled)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(routing, "PARTITION_CHUNK", 5000)
+        plan = routing.compute_routing_plan(scene, distribution, shuffled, owners)
+    assert_plan_counts(plan, shuffled.triangle, owners, scene.num_triangles, 64)
+
+
+def test_owners_past_65536_nodes_stay_int32():
+    big = TileGrid(1, *SCREEN)
+    assert big.num_processors > 1 << 16
+    ys, xs = np.mgrid[0:8, 0:SCREEN[0]]
+    fragments = FragmentBuffer(
+        xs.ravel(), ys.ravel(), np.zeros(xs.size), np.zeros(xs.size),
+        np.zeros(xs.size), np.zeros(1), np.zeros(1),
+    )
+    owners = routing.frame_owners(big, fragments)
+    assert owners.dtype == np.int32
+    assert np.array_equal(owners, big.owners(fragments.x, fragments.y))
 
 
 # -- the replay against the oracle -----------------------------------

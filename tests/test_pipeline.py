@@ -92,15 +92,23 @@ class TestArtifactStore:
         assert pipeline.store().contains("scene", f"{old_key}/{SCENE_FORMAT}")
 
     def test_fragments_stage_misses_an_old_format_key(self, tmp_path):
-        """A disk-tier buffer stored under the bare scene key is never read back."""
+        """A disk-tier buffer stored under an older layout's key is never read back.
+
+        The bare scene key held buffers with a depth column; the
+        ``no-depth`` key, buffers with per-fragment ``level`` and
+        ``texture`` columns.
+        """
         from repro.raster.fragments import FRAGMENTS_FORMAT
 
         scene = build_scene("quake", 0.0625, cache=False)
         old_key = scene.artifact_key
-        ArtifactStore(max_entries=8, disk_dir=tmp_path).put("fragments", old_key, "old buffer")
+        writer = ArtifactStore(max_entries=8, disk_dir=tmp_path)
+        writer.put("fragments", old_key, "depth buffer")
+        writer.put("fragments", f"{old_key}/no-depth", "per-fragment level buffer")
         pipeline.configure(disk_dir=tmp_path)
         fragments = pipeline.fragments_artifact(scene)
         assert len(fragments) > 0 and not hasattr(fragments, "z")
+        assert not hasattr(fragments, "level") and not hasattr(fragments, "texture")
         stats = pipeline.stats()["fragments"]
         assert stats["misses"] == 1 and stats["disk_hits"] == 0
         assert pipeline.store().contains("fragments", f"{old_key}/{FRAGMENTS_FORMAT}")

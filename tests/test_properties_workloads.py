@@ -38,7 +38,7 @@ class TestGeneratorProperties:
         fragments = scene.fragments()
         assert (fragments.x >= 0).all() and (fragments.x < scene.width).all()
         assert (fragments.y >= 0).all() and (fragments.y < scene.height).all()
-        assert (fragments.level >= 0).all()
+        assert (fragments.triangle_level[fragments.triangle] >= 0).all()
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(spec=generator_specs())

@@ -99,7 +99,7 @@ class TestRasterizeTriangle:
         assert result.u == pytest.approx(2 * (result.x + 0.5))
         assert result.v == pytest.approx(2 * (result.y + 0.5))
         # scale 2 -> base mip level 1.
-        assert (result.level == 1).all()
+        assert (result.triangle_level[result.triangle] == 1).all()
 
     def test_shared_quad_diagonal_drawn_exactly_once(self):
         result = rasterize(*quad(0, 0, 16))
@@ -260,7 +260,7 @@ def adversarial_scene(triangles):
 
 
 def assert_same_buffers(left: FragmentBuffer, right: FragmentBuffer) -> None:
-    for name in FragmentBuffer.COLUMNS:
+    for name in FragmentBuffer.COLUMNS + FragmentBuffer.TABLES:
         a, b = getattr(left, name), getattr(right, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
@@ -293,10 +293,27 @@ class TestOracleEquivalence:
     def test_fragment_depths_match_scalar_reference(self, triangles):
         """The recomputed depths equal the reference's interpolated ones, bit for bit."""
         scene = adversarial_scene(triangles)
-        _, depths = rasterize_scene_scalar(scene)
+        depths = rasterize_scene_scalar(scene)[1]["z"]
         got = fragment_depths(scene, rasterize_scene(scene))
         assert got.dtype == depths.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), depths.view(np.uint64))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(triangles=st.one_of(random_triangles, adversarial_triangles))
+    def test_triangle_tables_match_scalar_columns(self, triangles):
+        """Per-triangle level and texture, looked up per fragment, are the reference's columns."""
+        scene = adversarial_scene(triangles)
+        columns = rasterize_scene_scalar(scene)[1]
+        fragments = rasterize_scene(scene)
+        levels = fragments.triangle_level[fragments.triangle]
+        textures = fragments.triangle_texture[fragments.triangle]
+        assert levels.dtype == columns["level"].dtype == np.int16
+        assert textures.dtype == columns["texture"].dtype == np.int32
+        assert np.array_equal(levels, columns["level"])
+        assert np.array_equal(textures, columns["texture"])
+        assert len(fragments.triangle_level) == scene.num_triangles
+        drawn = fragments.triangle_pixel_counts() > 0
+        assert not fragments.triangle_level[~drawn].any()
 
 
 class TestCandidateCounters:
@@ -391,10 +408,39 @@ class TestFragmentBuffer:
         z3 = np.zeros(3)
         z2 = np.zeros(2)
         with _pytest.raises(ConfigurationError):
-            FragmentBuffer(z3, z3, z3, z3, z3, z3, z2, 1)
+            FragmentBuffer(z3, z3, z3, z3, z2, z3, z3)
+        with _pytest.raises(ConfigurationError):
+            FragmentBuffer(z3, z3, z3, z3, z3, z3, z2)
 
     def test_iter_rows_matches_columns(self, flat_scene):
         fragments = flat_scene.fragments().select(np.arange(5))
         rows = list(fragments.iter_rows())
         assert len(rows) == 5
         assert rows[0][0] == int(fragments.x[0])
+        for row, triangle in zip(rows, fragments.triangle):
+            assert row[4] == fragments.triangle_level[triangle]
+            assert row[5] == fragments.triangle_texture[triangle]
+            assert row[6] == triangle
+
+    def test_select_and_concatenate_carry_the_triangle_tables(self, overdraw_scene):
+        fragments = overdraw_scene.fragments()
+        half = len(fragments) // 2
+        rows = np.arange(len(fragments))
+        parts = [fragments.select(rows[:half]), fragments.select(rows[half:])]
+        joined = FragmentBuffer.concatenate(parts, overdraw_scene.num_triangles)
+        assert_same_buffers(joined, fragments)
+        for part in parts:
+            assert part.num_triangles == fragments.num_triangles
+            for name in FragmentBuffer.TABLES:
+                assert getattr(part, name) is getattr(fragments, name)
+
+    def test_concatenate_rejects_another_scenes_tables(self, flat_scene):
+        from repro.errors import ConfigurationError
+
+        fragments = flat_scene.fragments()
+        other = FragmentBuffer(
+            fragments.x, fragments.y, fragments.u, fragments.v, fragments.triangle,
+            fragments.triangle_level, fragments.triangle_texture + 1,
+        )
+        with pytest.raises(ConfigurationError):
+            FragmentBuffer.concatenate([fragments, other], fragments.num_triangles)

@@ -185,7 +185,7 @@ def _assert_levels_match_the_scalar_rule(triangles) -> None:
         [mip_level_for_scale(t.texel_to_pixel_scale()) for t in triangles], dtype=np.int16
     )
     assert set(fragments.triangle.tolist()) == set(range(len(triangles)))
-    assert np.array_equal(fragments.level, expected[fragments.triangle])
+    assert np.array_equal(fragments.triangle_level[fragments.triangle], expected[fragments.triangle])
 
 
 def test_mip_levels_at_powers_of_two_match_the_scalar_rule():
