@@ -13,7 +13,9 @@ Five parts, all at the committed ``tests/golden/`` points:
    ``ph``/``ts``/``pid``/``tid``), check the metrics dump quotes the
    obs registry, and cross-check the summary line's cycle count against
    the golden file — proving the observability path and the plain path
-   tell the same story.
+   tell the same story.  Every ``pipeline`` row of the dump must read
+   its ``compute_seconds`` from the ``span.stage.<stage>`` histogram sum
+   and account each call as a hit or a miss.
 3. **Trace round trip** — ``dump-trace`` the same point's scene to a
    file, simulate it with ``run --path`` and require the golden cycle
    count, which pins the trace-file path.
@@ -158,6 +160,21 @@ def check_traced_cli_run() -> int:
         if counters.get("machine.simulations", 0) < 1:
             print(f"traced run: no simulations counted: {counters}")
             return 1
+        if not dump["pipeline"]:
+            print("traced run: metrics dump has no pipeline stages")
+            return 1
+        histograms = dump["registry"]["histograms"]
+        for stage, row in dump["pipeline"].items():
+            span_sum = histograms.get(f"span.stage.{stage}", {}).get("sum", 0.0)
+            if row["compute_seconds"] != span_sum:
+                print(
+                    f"traced run: pipeline {stage} compute_seconds "
+                    f"{row['compute_seconds']} != span.stage.{stage} sum {span_sum}"
+                )
+                return 1
+            if row["calls"] != row["memory_hits"] + row["disk_hits"] + row["misses"]:
+                print(f"traced run: pipeline {stage} calls != hits + misses: {row}")
+                return 1
         nodes = dump["trace"]["nodes"]
         if len(nodes) != processors:
             print(f"traced run: expected {processors} node rows, got {sorted(nodes)}")

@@ -12,6 +12,10 @@ a shared on-disk store (creating a temporary one when
 scene/routing/replay stages instead of recomputing them, and artifacts
 computed by one worker are visible to the others.
 
+Each pooled task ships its :mod:`repro.obs` registry snapshot back
+with its result, and the parent merges them, so ``--timings`` and
+``--metrics-out`` count the workers' work.
+
 Failure semantics: a task that raises gets its argument tuple attached
 to the exception (``exc.failing_arguments``) so the failing sweep point
 is identifiable; a worker process that dies (``BrokenProcessPool``)
@@ -28,6 +32,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.obs.registry import registry
 
 #: Environment variable selecting the worker count for experiments.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
@@ -90,19 +95,18 @@ def run_tasks(
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                (arguments, pool.submit(fn, *arguments))
+                (arguments, pool.submit(_reporting_task, fn, arguments))
                 for arguments in argument_tuples
             ]
-            results = []
+            reports = []
             for arguments, future in futures:
                 try:
-                    results.append(future.result())
+                    reports.append(future.result())
                 except BrokenProcessPool:
                     raise
                 except Exception as exc:
                     exc.failing_arguments = arguments
                     raise
-            return results
     except BrokenProcessPool:
         warnings.warn(
             "sweep worker pool died; rerunning the sweep inline",
@@ -110,6 +114,16 @@ def run_tasks(
             stacklevel=2,
         )
         return _run_inline(fn, argument_tuples)
+    for _result, snapshot in reports:
+        registry().merge(snapshot)
+    return [result for result, _snapshot in reports]
+
+
+def _reporting_task(fn: Callable, arguments: Tuple) -> Tuple[object, Dict]:
+    """Pool task body: ``fn(*arguments)`` and the registry snapshot of
+    just this task (a forked worker starts with the parent's series)."""
+    registry().reset()
+    return fn(*arguments), registry().snapshot()
 
 
 def _run_inline(fn: Callable, argument_tuples: Sequence[Tuple]) -> List:

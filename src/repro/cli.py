@@ -26,7 +26,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 from typing import List, Optional
 
@@ -157,14 +156,15 @@ def _point_scale(args) -> float:
 def _run_experiments(args) -> int:
     """Run one spec (or ``all``); with ``--out``, write one
     ``<stem>.txt`` per panel point."""
+    from repro.obs import span
+
     scale = _scale(args)
     for name in list(SPECS) if args.verb == "all" else [args.verb]:
         spec = require_spec(name)
-        started = time.perf_counter()
-        panels = spec.panel_texts(scale)
-        elapsed = time.perf_counter() - started
+        with span(f"experiment.{name}") as timed:
+            panels = spec.panel_texts(scale)
         print(PANEL_SEPARATOR.join(text for _, text in panels))
-        print(f"[{name}: {spec.description} — {elapsed:.1f}s]\n")
+        print(f"[{name}: {spec.description} — {timed.seconds:.1f}s]\n")
         if args.out is not None:
             args.out.mkdir(parents=True, exist_ok=True)
             for stem, text in panels:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Callable, Dict, Optional, Sequence, Tuple, Type, TypeVar, cast
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Type, TypeVar, cast
 
 from repro.errors import ConfigurationError
 
@@ -201,6 +201,23 @@ class Histogram(_Metric):
         out["+Inf"] = running + self._counts[-1]
         return out
 
+    def absorb(self, data: Dict[str, Any]) -> None:
+        """Add another histogram's snapshot (same edges) into this one."""
+        with self._lock:
+            if list(data["buckets"]) != list(self._cumulative()):
+                raise ConfigurationError(
+                    f"histogram {self.name!r}: cannot absorb different bucket edges"
+                )
+            previous = 0
+            for index, running in enumerate(data["buckets"].values()):
+                self._counts[index] += running - previous
+                previous = running
+            self.count += data["count"]
+            self.sum += data["sum"]
+            self.min = data["min"] if self.min is None else min(self.min, data["min"])
+            self.max = data["max"] if self.max is None else max(self.max, data["max"])
+            self._touched = True
+
     def _value_snapshot(self) -> Dict[str, object]:
         return {
             "count": self.count,
@@ -263,10 +280,47 @@ class MetricsRegistry:
             metric._collect(out[metric.kind + "s"])
         return out
 
-    def reset(self) -> None:
-        """Drop every metric (the object itself stays shared)."""
+    def merge(self, snapshot: Dict[str, Dict[str, object]]) -> None:
+        """Fold another registry's :meth:`snapshot` into this one.
+
+        Counters add; histograms combine count, sum, min, max and
+        buckets.  A gauge is one process's current value, which has no
+        sum across processes, so a snapshot carrying gauges is rejected.
+        """
+        if snapshot["gauges"]:
+            raise ConfigurationError(
+                f"cannot merge gauges: {', '.join(sorted(snapshot['gauges']))}"
+            )
+        for qualified, value in snapshot["counters"].items():
+            name, labels = parse_qualified(qualified)
+            _child(self.counter(name), labels).inc(cast(float, value))
+        for qualified, value in snapshot["histograms"].items():
+            name, labels = parse_qualified(qualified)
+            data = cast(Dict[str, Any], value)
+            edges = [float(edge) for edge in data["buckets"] if edge != "+Inf"]
+            _child(self.histogram(name, edges=edges), labels).absorb(data)
+
+    def reset(self, *prefixes: str) -> None:
+        """Drop the metrics named with one of ``prefixes`` (default: all).
+
+        The registry object itself stays shared.
+        """
         with self._lock:
-            self._metrics.clear()
+            for name in [name for name in self._metrics if name.startswith(prefixes or ("",))]:
+                del self._metrics[name]
+
+
+def parse_qualified(qualified: str) -> Tuple[str, Dict[str, str]]:
+    """Split a snapshot key ``name{k=v,...}`` into ``(name, labels)``."""
+    name, _, labels = qualified.partition("{")
+    if not labels:
+        return name, {}
+    pairs = (item.partition("=") for item in labels[:-1].split(","))
+    return name, {key: value for key, _, value in pairs}
+
+
+def _child(metric: M, labels: Dict[str, str]) -> M:
+    return metric.labels(**labels) if labels else metric
 
 
 #: The process-wide default registry every subsystem publishes into.

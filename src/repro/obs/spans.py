@@ -6,9 +6,11 @@ thread), observes its duration into the default registry's
 on the recorder's ``("host", <thread>)`` track so pipeline stages show
 up in the same ``chrome://tracing`` view as the simulated machine.
 
-The pipeline's ``--timings`` plumbing routes through here (see
-:mod:`repro.pipeline.stages`): a stage computation is just a span whose
-name is ``stage.<stage>``.
+Spans are the only wall-time account of the pipeline (see
+:mod:`repro.pipeline.store`): a stage computation is a span named
+``stage.<stage>`` and a disk-tier load one named ``load.<stage>``, and
+``--timings`` reports their histogram sums.  The CLI times each
+experiment with an ``experiment.<name>`` span.
 """
 
 from __future__ import annotations

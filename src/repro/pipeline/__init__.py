@@ -24,11 +24,14 @@ Public surface::
 ``repro.core.routing.build_routed_work`` and
 ``repro.workloads.scenes.build_scene`` route through these stages, so
 existing call sites inherit the memoization without change.
+
+Stage stats live only in the :mod:`repro.obs` registry: ``pipeline.*``
+counters labelled ``stage=<stage>``, plus ``stage.<stage>`` (compute)
+and ``load.<stage>`` (disk) spans.  ``stats()`` reads them back for
+``--timings``, ``--metrics-out`` and the service's ``/metrics``.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 from repro.pipeline.stages import (
     fragments_artifact,
@@ -36,13 +39,14 @@ from repro.pipeline.stages import (
     scene_artifact,
     stage_timer,
 )
-from repro.pipeline.stats import StageStats, render_stats
 from repro.pipeline.store import (
     ARTIFACT_DIR_ENV_VAR,
     ARTIFACT_ENTRIES_ENV_VAR,
     ArtifactStore,
     configure,
     ensure_shared_store,
+    render_stats,
+    stats,
     store,
 )
 
@@ -50,7 +54,6 @@ __all__ = [
     "ARTIFACT_DIR_ENV_VAR",
     "ARTIFACT_ENTRIES_ENV_VAR",
     "ArtifactStore",
-    "StageStats",
     "configure",
     "ensure_shared_store",
     "fragments_artifact",
@@ -62,11 +65,6 @@ __all__ = [
     "stats",
     "store",
 ]
-
-
-def stats() -> Dict[str, Dict[str, float]]:
-    """Snapshot of per-stage counters (see :class:`StageStats`)."""
-    return store().stats()
 
 
 def reset() -> None:

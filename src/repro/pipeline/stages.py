@@ -14,13 +14,12 @@ computation: correctness never depends on the cache, only speed.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from typing import Optional
 
 from repro.obs.spans import span
 from repro.pipeline import keys
-from repro.pipeline.store import store
+from repro.pipeline.store import publish, store
 
 
 def _timed(stage: str, compute):
@@ -33,18 +32,15 @@ def _timed(stage: str, compute):
 def stage_timer(stage: str):
     """Attribute a ``with`` block's wall time to ``stage`` (e.g. timing).
 
-    The block runs under an obs span named ``stage.<stage>`` — so it
-    lands in the ``span.stage.<stage>`` registry histogram and, when
-    tracing is enabled, on the host track of the Chrome trace — and its
-    duration still feeds the ``--timings`` table via the artifact
-    store's per-stage counters.
+    The block counts as one uncached call of ``stage`` and runs under
+    an obs span named ``stage.<stage>``, so its duration lands in the
+    ``span.stage.<stage>`` registry histogram that the ``--timings``
+    table sums and, when tracing is enabled, on the host track of the
+    Chrome trace.
     """
-    started = time.perf_counter()
+    publish("calls", stage)
     with span(f"stage.{stage}"):
-        try:
-            yield
-        finally:
-            store().record_compute(stage, time.perf_counter() - started)
+        yield
 
 
 def scene_artifact(name: str, scale: float):
@@ -72,16 +68,16 @@ def fragments_artifact(scene):
     """
     from repro.raster.fragments import FRAGMENTS_FORMAT
 
-    s = store()
     if scene._fragments is not None:
-        stats = s.stage_stats("fragments")
-        stats.calls += 1
-        stats.memory_hits += 1
+        publish("calls", "fragments")
+        publish("memory_hits", "fragments")
         return scene._fragments
     key = getattr(scene, "artifact_key", None)
     if key is None:
         return _timed("fragments", scene.fragments)
-    value = s.get_or_compute("fragments", f"{key}/{FRAGMENTS_FORMAT}", scene.fragments)
+    value = store().get_or_compute(
+        "fragments", f"{key}/{FRAGMENTS_FORMAT}", scene.fragments
+    )
     scene._fragments = value
     return value
 

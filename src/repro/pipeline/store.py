@@ -16,7 +16,8 @@ tiers:
 Disk writes are atomic (temp file + ``os.replace``) so concurrent
 workers racing to produce the same artifact simply overwrite each
 other with identical bytes; unreadable or truncated pickles are
-treated as misses and recomputed.
+treated as misses and recomputed.  The store keeps no counters of its
+own: :func:`stats` reads them from the :mod:`repro.obs` registry.
 """
 
 from __future__ import annotations
@@ -25,15 +26,14 @@ import os
 import pickle
 import tempfile
 import threading
-import time
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.obs.registry import parse_qualified, registry
 from repro.obs.spans import span
 from repro.pipeline.keys import fingerprint
-from repro.pipeline.stats import PipelineStats, StageStats
 
 #: Directory for the shared disk tier (unset = memory only).
 ARTIFACT_DIR_ENV_VAR = "REPRO_ARTIFACT_DIR"
@@ -41,6 +41,14 @@ ARTIFACT_DIR_ENV_VAR = "REPRO_ARTIFACT_DIR"
 ARTIFACT_ENTRIES_ENV_VAR = "REPRO_ARTIFACT_ENTRIES"
 #: Default in-memory LRU entry bound.
 DEFAULT_MAX_ENTRIES = 512
+#: Registry series behind :func:`stats`: the ``pipeline.*`` counters and
+#: the ``stage.<stage>`` (compute) and ``load.<stage>`` (disk) spans.
+STATS_PREFIXES = ("pipeline.", "span.stage.", "span.load.")
+
+
+def publish(series: str, stage: str, amount: int = 1) -> None:
+    """Add ``amount`` to the ``pipeline.<series>{stage=<stage>}`` counter."""
+    registry().counter(f"pipeline.{series}").labels(stage=stage).inc(amount)
 
 
 class ArtifactStore:
@@ -59,7 +67,6 @@ class ArtifactStore:
         self._entries: "OrderedDict[str, object]" = OrderedDict()
         #: Keys whose values must never be spilled to disk.
         self._memory_only: set = set()
-        self._stats = PipelineStats()
 
     # -- lookup ------------------------------------------------------
 
@@ -75,33 +82,14 @@ class ArtifactStore:
         ``disk=False`` keeps the artifact out of the disk tier (used
         for cheap-to-assemble products that are large to serialize).
         """
-        full_key = f"{stage}/{key}"
-        with self._lock:
-            stats = self._stats.stage(stage)
-            stats.calls += 1
-            if full_key in self._entries:
-                self._entries.move_to_end(full_key)
-                stats.memory_hits += 1
-                return self._entries[full_key]
-
-        if disk:
-            loaded, value = self._disk_read(stage, key)
-            if loaded:
-                with self._lock:
-                    self._stats.stage(stage).disk_hits += 1
-                    self._remember(full_key, value, disk)
-                return value
-
-        started = time.perf_counter()
-        with span(f"stage.{stage}", key=key):
-            value = compute()
-        elapsed = time.perf_counter() - started
-        with self._lock:
-            self._stats.stage(stage).misses += 1
-            self._stats.stage(stage).compute_seconds += elapsed
-            self._remember(full_key, value, disk)
-        if disk:
-            self._disk_write(stage, key, value)
+        found, value = self._lookup(stage, key, disk)
+        if not found:
+            with span(f"stage.{stage}", key=key):
+                value = compute()
+            with self._lock:
+                self._remember(f"{stage}/{key}", value, disk)
+            if disk:
+                self._disk_write(stage, key, value)
         return value
 
     def peek(self, stage: str, key: str) -> Tuple[bool, object]:
@@ -113,23 +101,7 @@ class ArtifactStore:
         service's content-addressed result store, which populates the
         store explicitly with :meth:`put`.
         """
-        full_key = f"{stage}/{key}"
-        with self._lock:
-            stats = self._stats.stage(stage)
-            stats.calls += 1
-            if full_key in self._entries:
-                self._entries.move_to_end(full_key)
-                stats.memory_hits += 1
-                return True, self._entries[full_key]
-        loaded, value = self._disk_read(stage, key)
-        if loaded:
-            with self._lock:
-                self._stats.stage(stage).disk_hits += 1
-                self._remember(full_key, value, disk=True)
-            return True, value
-        with self._lock:
-            self._stats.stage(stage).misses += 1
-        return False, None
+        return self._lookup(stage, key, disk=True)
 
     def put(self, stage: str, key: str, value: object) -> None:
         """Store a value computed elsewhere under ``stage``/``key``,
@@ -137,6 +109,22 @@ class ArtifactStore:
         with self._lock:
             self._remember(f"{stage}/{key}", value, disk=True)
         self._disk_write(stage, key, value)
+
+    def _lookup(self, stage: str, key: str, disk: bool) -> Tuple[bool, object]:
+        """Count one call of ``stage`` and serve it from memory or disk."""
+        full_key = f"{stage}/{key}"
+        publish("calls", stage)
+        with self._lock:
+            if full_key in self._entries:
+                self._entries.move_to_end(full_key)
+                publish("memory_hits", stage)
+                return True, self._entries[full_key]
+        loaded, value = self._disk_read(stage, key) if disk else (False, None)
+        if loaded:
+            publish("disk_hits", stage)
+            with self._lock:
+                self._remember(full_key, value, disk)
+        return loaded, value
 
     def contains(self, stage: str, key: str) -> bool:
         """True when the artifact is resident in the memory tier."""
@@ -163,17 +151,13 @@ class ArtifactStore:
         path = self._disk_path(stage, key)
         if path is None or not path.exists():
             return False, None
-        started = time.perf_counter()
-        try:
-            with open(path, "rb") as handle:
-                value = pickle.load(handle)
-        except Exception:
-            # Truncated or stale pickle: treat as a miss and recompute.
-            return False, None
-        finally:
-            with self._lock:
-                self._stats.stage(stage).load_seconds += time.perf_counter() - started
-        return True, value
+        with span(f"load.{stage}"):
+            try:
+                with open(path, "rb") as handle:
+                    return True, pickle.load(handle)
+            except Exception:
+                # Truncated or stale pickle: treat as a miss and recompute.
+                return False, None
 
     def _disk_write(self, stage: str, key: str, value: object) -> None:
         path = self._disk_path(stage, key)
@@ -193,8 +177,7 @@ class ArtifactStore:
         except OSError:
             # A full or read-only disk degrades to memory-only caching.
             return
-        with self._lock:
-            self._stats.stage(stage).stored_bytes += len(payload)
+        publish("stored_bytes", stage, len(payload))
 
     def attach_disk(self, disk_dir: os.PathLike) -> None:
         """Point the disk tier at ``disk_dir`` without dropping memory."""
@@ -224,34 +207,15 @@ class ArtifactStore:
                 written += 1
         return written
 
-    # -- instrumentation --------------------------------------------
-
-    def stage_stats(self, stage: str) -> StageStats:
-        with self._lock:
-            return self._stats.stage(stage)
-
-    def record_compute(self, stage: str, seconds: float) -> None:
-        """Attribute uncached work (e.g. the timing model) to a stage."""
-        with self._lock:
-            stats = self._stats.stage(stage)
-            stats.calls += 1
-            stats.misses += 1
-            stats.compute_seconds += seconds
-
-    def stats(self) -> Dict[str, Dict[str, float]]:
-        with self._lock:
-            return self._stats.snapshot()
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._stats.clear()
-
     def clear(self) -> None:
-        """Drop every memory entry and all counters (disk is untouched)."""
+        """Drop every memory entry and the series :func:`stats` reads.
+
+        The disk tier is untouched.
+        """
         with self._lock:
             self._entries.clear()
             self._memory_only.clear()
-            self._stats.clear()
+        registry().reset(*STATS_PREFIXES)
 
     def __len__(self) -> int:
         with self._lock:
@@ -322,9 +286,9 @@ def configure(
 ) -> ArtifactStore:
     """Replace the process-wide store (e.g. to attach a disk directory).
 
-    The previous store's memory entries are dropped; artifacts already
-    on disk remain readable through the new store if it points at the
-    same directory.
+    The previous store's memory entries and the series :func:`stats`
+    reads are dropped; artifacts already on disk remain readable
+    through the new store if it points at the same directory.
     """
     global _store
     with _store_lock:
@@ -332,4 +296,57 @@ def configure(
             max_entries=max_entries if max_entries is not None else _entries_from_env(),
             disk_dir=disk_dir,
         )
+    registry().reset(*STATS_PREFIXES)
     return _store
+
+
+# -- stage stats, read from the obs registry ---------------------------
+
+
+def stats() -> Dict[str, Dict[str, float]]:
+    """Per-stage counters, sorted by stage, read from the obs registry.
+
+    ``calls`` counts artifact requests (for an uncached stage such as
+    ``timing``, executions); each is exactly one memory hit, disk hit
+    or miss, so ``misses`` is what the hits leave.  ``compute_seconds``
+    and ``load_seconds`` are the sums of the ``span.stage.<stage>`` and
+    ``span.load.<stage>`` histograms.
+    """
+    snapshot = registry().snapshot()
+    counts: Dict[str, Dict[str, float]] = defaultdict(lambda: defaultdict(int))
+    for qualified, value in snapshot["counters"].items():
+        name, labels = parse_qualified(qualified)
+        if name.startswith("pipeline.") and "stage" in labels:
+            counts[labels["stage"]][name[len("pipeline."):]] = value
+    spans = snapshot["histograms"]
+    return {
+        stage: {
+            "calls": row["calls"],
+            "memory_hits": row["memory_hits"],
+            "disk_hits": row["disk_hits"],
+            "misses": row["calls"] - row["memory_hits"] - row["disk_hits"],
+            "compute_seconds": spans.get(f"span.stage.{stage}", {}).get("sum", 0.0),
+            "load_seconds": spans.get(f"span.load.{stage}", {}).get("sum", 0.0),
+            "stored_bytes": row["stored_bytes"],
+        }
+        for stage, row in sorted(counts.items())
+    }
+
+
+def render_stats(snapshot: Dict[str, Dict[str, float]]) -> str:
+    """Plain-text table of a :func:`stats` snapshot."""
+    headers = ["stage", "calls", "mem hits", "disk hits", "misses",
+               "compute s", "load s", "stored KB"]
+    rows = [
+        [name, *(str(row[key]) for key in ("calls", "memory_hits", "disk_hits", "misses")),
+         f"{row['compute_seconds']:.3f}", f"{row['load_seconds']:.3f}",
+         f"{row['stored_bytes'] / 1024.0:.1f}"]
+        for name, row in snapshot.items()
+    ]
+    if not rows:
+        return "pipeline: no stages have run"
+    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
+    for row in rows:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    return "pipeline stage timings\n" + "\n".join(lines)

@@ -88,6 +88,57 @@ class TestRegistry:
         assert registry.snapshot()["counters"] == {}
         assert registry.get("c") is None
 
+    def test_reset_by_prefix_keeps_other_metrics(self):
+        registry = obs.MetricsRegistry()
+        registry.counter("pipeline.calls").labels(stage="scene").inc()
+        registry.histogram("span.stage.scene").observe(0.1)
+        registry.counter("cache.misses").inc()
+        registry.reset("pipeline.", "span.stage.")
+        snapshot = registry.snapshot()
+        assert snapshot["counters"] == {"cache.misses": 1}
+        assert snapshot["histograms"] == {}
+
+    def test_merge_adds_counters_and_combines_histograms(self):
+        worker = obs.MetricsRegistry()
+        worker.counter("jobs").inc(2)
+        worker.counter("pipeline.calls").labels(stage="scene").inc(3)
+        for value in (0.002, 7.0):
+            worker.histogram("span.stage.scene").labels(key="a").observe(value)
+        parent = obs.MetricsRegistry()
+        parent.counter("jobs").inc(1)
+        parent.histogram("span.stage.scene").labels(key="a").observe(0.0001)
+        parent.merge(worker.snapshot())
+        parent.merge(worker.snapshot())
+        snapshot = parent.snapshot()
+        assert snapshot["counters"] == {"jobs": 5, "pipeline.calls{stage=scene}": 6}
+        merged = snapshot["histograms"]["span.stage.scene{key=a}"]
+        alone = obs.MetricsRegistry()
+        for value in (0.0001, 0.002, 7.0, 0.002, 7.0):
+            alone.histogram("span.stage.scene").labels(key="a").observe(value)
+        expected = alone.snapshot()["histograms"]["span.stage.scene{key=a}"]
+        assert merged.pop("sum") == pytest.approx(expected.pop("sum"))
+        assert merged == expected  # count, min, max and every bucket
+
+    def test_merge_creates_histograms_with_the_snapshot_edges(self):
+        worker = obs.MetricsRegistry()
+        worker.histogram("depth", edges=obs.DEFAULT_SIZE_BUCKETS).observe(3)
+        parent = obs.MetricsRegistry()
+        parent.merge(worker.snapshot())
+        assert parent.snapshot() == worker.snapshot()
+        assert parent.get("depth").edges == worker.get("depth").edges
+
+    def test_merge_rejects_gauges_and_mismatched_edges(self):
+        parent = obs.MetricsRegistry()
+        parent.histogram("h", edges=(1, 2)).observe(1)
+        worker = obs.MetricsRegistry()
+        worker.histogram("h", edges=(1, 3)).observe(1)
+        with pytest.raises(ConfigurationError, match="bucket edges"):
+            parent.merge(worker.snapshot())
+        worker = obs.MetricsRegistry()
+        worker.gauge("queue.depth").set(4)
+        with pytest.raises(ConfigurationError, match="gauges"):
+            parent.merge(worker.snapshot())
+
 
 class TestHistogramBuckets:
     def test_edges_are_le_inclusive(self):
@@ -169,15 +220,17 @@ class TestSpans:
             thread.join()
         assert seen["worker_top"] is None
 
-    def test_stage_timer_feeds_both_sinks(self):
-        from repro.pipeline.store import store
+    def test_stage_timer_feeds_the_one_registry_account(self):
+        from repro import pipeline
 
-        before = store().stats().get("obs-probe", {}).get("calls", 0)
+        before = pipeline.stats().get("obs-probe", {}).get("calls", 0)
         with stage_timer("obs-probe"):
             pass
         histogram = obs.registry().get("span.stage.obs-probe")
         assert histogram is not None and histogram.count >= 1
-        assert store().stats()["obs-probe"]["calls"] == before + 1
+        stats = pipeline.stats()["obs-probe"]
+        assert stats["calls"] == before + 1
+        assert stats["compute_seconds"] == histogram.sum
 
 
 # -- recorder state machine ------------------------------------------

@@ -8,13 +8,13 @@ import time
 
 import pytest
 
-from repro import pipeline
+from repro import obs, pipeline
 from repro.core.config import MachineConfig
 from repro.core.machine import simulate_machine
 from repro.core.routing import build_routed_work
 from repro.distribution import BlockInterleaved, ScanLineInterleaved
 from repro.errors import ConfigurationError
-from repro.pipeline.store import ArtifactStore
+from repro.pipeline.store import STATS_PREFIXES, ArtifactStore
 from repro.workloads.scenes import SCENE_NAMES, build_scene
 
 
@@ -37,7 +37,7 @@ class TestArtifactStore:
         second = store.get_or_compute("stage", "k", compute)
         assert first is second  # identity — required by scene memoisation
         assert len(calls) == 1
-        stats = store.stats()["stage"]
+        stats = pipeline.stats()["stage"]
         assert stats["calls"] == 2
         assert stats["memory_hits"] == 1
         assert stats["misses"] == 1
@@ -74,7 +74,9 @@ class TestArtifactStore:
             "scene", "key", lambda: pytest.fail("should hydrate from disk")
         )
         assert value == [1, 2, 3]
-        assert reader.stats()["scene"]["disk_hits"] == 1
+        stats = pipeline.stats()["scene"]
+        assert stats["disk_hits"] == 1
+        assert stats["load_seconds"] == obs.registry().get("span.load.scene").sum
 
     def test_scene_stage_misses_an_old_format_key(self, tmp_path):
         """A disk-tier scene stored under the untagged key is never read back."""
@@ -120,8 +122,11 @@ class TestArtifactStore:
         pkl.write_bytes(b"not a pickle")
 
         reader = ArtifactStore(max_entries=8, disk_dir=tmp_path)
+        before = pipeline.stats()["s"]
         assert reader.get_or_compute("s", "key", lambda: "recomputed") == "recomputed"
-        assert reader.stats()["s"]["misses"] == 1
+        after = pipeline.stats()["s"]
+        assert after["misses"] == before["misses"] + 1
+        assert after["disk_hits"] == before["disk_hits"] == 0
         # The recompute rewrote a readable artifact.
         assert pickle.loads(pkl.read_bytes()) == "recomputed"
 
@@ -140,12 +145,44 @@ class TestArtifactStore:
         assert len(list(tmp_path.rglob("*.pkl"))) == 2
         assert store.flush_to_disk() == 0  # already on disk
 
-    def test_record_compute_counts_uncached_work(self):
-        store = ArtifactStore(max_entries=2)
-        store.record_compute("timing", 0.5)
-        stats = store.stats()["timing"]
+    def test_stage_timer_counts_uncached_work(self):
+        with pipeline.stage_timer("timing"):
+            time.sleep(0.01)
+        stats = pipeline.stats()["timing"]
         assert stats["calls"] == 1 and stats["misses"] == 1
-        assert stats["compute_seconds"] == pytest.approx(0.5)
+        assert stats["compute_seconds"] >= 0.01
+        assert stats["compute_seconds"] == obs.registry().get("span.stage.timing").sum
+
+    def test_stats_are_read_from_the_registry(self, tmp_path):
+        """The one account: every stats() field is a registry series."""
+        pipeline.configure(disk_dir=tmp_path)
+        build_routed_work(build_scene("blowout775", 0.0625), BlockInterleaved(4, 16))
+        build_routed_work(build_scene("blowout775", 0.0625), BlockInterleaved(4, 16))
+        snapshot = obs.registry().snapshot()
+        stats = pipeline.stats()
+        assert {"scene", "fragments", "routing", "replay", "routed"} <= set(stats)
+        for stage, row in stats.items():
+            hits = row["memory_hits"] + row["disk_hits"]
+            assert row["calls"] == hits + row["misses"], stage
+            assert row["calls"] == snapshot["counters"][f"pipeline.calls{{stage={stage}}}"]
+            span_sum = snapshot["histograms"].get(f"span.stage.{stage}", {}).get("sum", 0.0)
+            assert row["compute_seconds"] == span_sum, stage
+        assert stats["scene"]["stored_bytes"] == (
+            snapshot["counters"]["pipeline.stored_bytes{stage=scene}"]
+        )
+        assert stats["scene"]["stored_bytes"] > 0
+
+    def test_clear_zeroes_every_stats_series(self, tmp_path):
+        pipeline.configure(disk_dir=tmp_path)
+        build_routed_work(build_scene("blowout775", 0.0625), BlockInterleaved(4, 16))
+        with obs.span("unrelated"):
+            pass
+        assert pipeline.stats()
+        pipeline.store().clear()
+        assert pipeline.stats() == {}
+        names = set(obs.registry().snapshot()["histograms"])
+        assert not {name for name in names if name.startswith(STATS_PREFIXES)}
+        assert "span.unrelated" in names  # other series survive
 
     def test_env_entries_validation(self, monkeypatch):
         monkeypatch.setenv(pipeline.ARTIFACT_ENTRIES_ENV_VAR, "nope")
@@ -243,6 +280,9 @@ class TestCrossProcessHydration:
             for counters in stats.values()
         )
         assert hits >= 1
+        # The worker's counts were folded into this process's registry.
+        parent = pipeline.stats()
+        assert parent["routed"]["calls"] == 1 + stats["routed"]["calls"]
 
     def test_cold_process_hydrates_from_disk(self, tmp_path, monkeypatch):
         monkeypatch.setenv(pipeline.ARTIFACT_DIR_ENV_VAR, str(tmp_path))
@@ -290,11 +330,8 @@ def _stage_hit_probe(scale):
     from repro import pipeline as worker_pipeline
     from repro.core.routing import build_routed_work as build
     from repro.distribution import BlockInterleaved
-    from repro.pipeline.store import store
     from repro.workloads.scenes import build_scene as scenes_build
 
-    # Forked workers inherit the parent's counters; measure only us.
-    store().reset_stats()
     build(scenes_build("blowout775", scale), BlockInterleaved(4, 16))
     return worker_pipeline.stats()
 
