@@ -19,21 +19,23 @@ _CHUNK = 1 << 18
 
 
 def unique_texels_touched(scene: Scene) -> int:
-    """Number of distinct texels any fragment of the scene samples."""
+    """Number of distinct texels any fragment of the scene samples.
+
+    The filter reads each triangle's mip level and texture from the
+    buffer's per-triangle tables, once per run of a chunk's triangle ids.
+    """
     fragments = scene.fragments()
     layout = scene.memory_layout()
     tex_filter = TrilinearFilter(layout)
     seen = np.zeros(layout.total_texels, dtype=bool)
-    levels = fragments.triangle_level.astype(np.int64)
-    texture_ids = fragments.triangle_texture.astype(np.int64)
     for start in range(0, len(fragments), _CHUNK):
         stop = min(len(fragments), start + _CHUNK)
-        triangles = fragments.triangle[start:stop]
         texels = tex_filter.texel_addresses(
             fragments.u[start:stop],
             fragments.v[start:stop],
-            levels[triangles],
-            texture_ids[triangles],
+            fragments.triangle[start:stop],
+            fragments.triangle_level,
+            fragments.triangle_texture,
         )
         seen[texels.reshape(-1)] = True
     return int(seen.sum())

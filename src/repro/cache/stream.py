@@ -45,9 +45,10 @@ def replay_fragments(
     ``rows`` selects the stream as row indices into ``fragments`` (one
     node's share of a frame); each chunk casts its slice of ``rows`` to
     ``intp`` once and gathers only the columns the filter and the
-    attribution read: ``u``, ``v`` and ``triangle``.  The mip levels and
-    texture ids come from the buffer's per-triangle tables, looked up
-    through the chunk's triangle ids, which also attribute its misses.
+    attribution read: ``u``, ``v`` and ``triangle``.  The filter reads
+    the mip level and texture from the buffer's per-triangle tables once
+    per run of the chunk's triangle ids, which also attribute its
+    misses.
     ``lines`` is an optional ``(len(fragments), 8)`` line table aligned
     with ``fragments`` — the page-translated table of a
     virtual-texturing frame
@@ -73,14 +74,13 @@ def replay_fragments(
         take: Union[slice, np.ndarray] = slice(start, stop) if index is None else index
         triangles: Optional[np.ndarray] = None
         if lines is None:
-            # One ``intp`` cast serves both table lookups and the
-            # attribution; numpy would convert an ``int32`` index per gather.
-            triangles = fragments.triangle[take].astype(np.intp)
+            triangles = fragments.triangle[take]
             chunk = tex_filter.line_addresses(
                 fragments.u[take],
                 fragments.v[take],
-                fragments.triangle_level[triangles],
-                fragments.triangle_texture[triangles],
+                triangles,
+                fragments.triangle_level,
+                fragments.triangle_texture,
             )
         else:
             chunk = lines[take]

@@ -108,16 +108,10 @@ class TextureMemoryLayout:
                     self.texel_base[slot] = self.texel_base[slot - 1]
         self.total_lines = next_line
         self.total_texels = next_texel
-        # int32 shadows of the lookup tables: line addresses fit 32 bits
-        # for any realistic layout, and the narrow gathers halve the
-        # memory traffic of batch address generation.
-        self.narrow = self.total_lines < 2**31 and self.max_levels < 2**15
-        if self.narrow:
-            self.level_width32 = self.level_width.astype(np.int32)
-            self.level_height32 = self.level_height.astype(np.int32)
-            self.blocks_wide32 = self.blocks_wide.astype(np.int32)
-            self.line_base32 = self.line_base.astype(np.int32)
-            self.num_levels32 = self.num_levels.astype(np.int32)
+        # Line addresses fit 32 bits for any realistic layout; the
+        # filter's per-fragment arithmetic then runs in int32, which
+        # halves its memory traffic.
+        self.narrow = self.total_lines < 2**31
 
     def total_bytes(self) -> int:
         """Bytes of texture memory the layout occupies."""

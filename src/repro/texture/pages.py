@@ -370,19 +370,21 @@ def build_frame_lines(
     table of the translated dtype.  Observing inside the pass is exact:
     ``observe`` only accumulates feedback and never changes the mapping,
     so neither :meth:`PageTable.translate` nor
-    :meth:`PageTable.cache_key` can see it.
+    :meth:`PageTable.cache_key` can see it.  The filter takes each
+    chunk's triangle ids with the buffer's per-triangle level and
+    texture tables, and reads those once per run of equal ids.
     """
     n = len(fragments)
     dtype = table.translated_dtype(tex_filter.line_dtype)
     out = np.empty((n, TEXELS_PER_FRAGMENT), dtype=dtype)
     for start in range(0, n, chunk_size):
         stop = min(n, start + chunk_size)
-        triangles = fragments.triangle[start:stop].astype(np.intp)
         virtual = tex_filter.line_addresses(
             fragments.u[start:stop],
             fragments.v[start:stop],
-            fragments.triangle_level[triangles],
-            fragments.triangle_texture[triangles],
+            fragments.triangle[start:stop],
+            fragments.triangle_level,
+            fragments.triangle_texture,
         ).reshape(-1)
         if observe:
             table.observe(virtual)

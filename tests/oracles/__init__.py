@@ -27,6 +27,9 @@ bit for bit:
 * :mod:`tests.oracles.stream` — the distributor's stream as a sorted
   list of ``(triangle, node, pixels, texels)`` tuples, with the
   converters between that list and the shipped columnar stream;
+* :mod:`tests.oracles.filtering` — the per-fragment trilinear
+  footprint: each fragment's own level and texture id, a layout-row
+  gather per corner and ``%`` wraps;
 * :mod:`tests.oracles.pages` — :class:`ReferencePageTable`, whose
   ``translate`` recomputes page, frame and offset on every call and
   whose ``observe`` ranks first touches through ``np.unique``.
@@ -34,6 +37,7 @@ bit for bit:
 
 from tests.oracles.bus import BusModel
 from tests.oracles.event_machine import reference_event_machine
+from tests.oracles.filtering import reference_line_addresses, reference_texel_addresses
 from tests.oracles.lru import ReferenceLru
 from tests.oracles.pages import ReferencePageTable
 from tests.oracles.raster import (
@@ -55,9 +59,11 @@ __all__ = [
     "rasterize_triangle",
     "reference_event_machine",
     "reference_interleave_stream",
+    "reference_line_addresses",
     "reference_nodes_in_box",
     "reference_replay",
     "reference_route_triangles",
+    "reference_texel_addresses",
     "replay_node",
     "stream_columns",
     "stream_rows",

@@ -44,11 +44,14 @@ def replay_node(
     )
     for start in range(0, len(fragments), chunk_size):
         stop = min(len(fragments), start + chunk_size)
+        # Fragment by fragment: each fragment is a run of its own.
+        chunk_triangles = fragments.triangle[start:stop]
         flat = tex_filter.line_addresses(
             fragments.u[start:stop],
             fragments.v[start:stop],
-            fragments.triangle_level[fragments.triangle[start:stop]],
-            fragments.triangle_texture[fragments.triangle[start:stop]],
+            np.arange(stop - start),
+            fragments.triangle_level[chunk_triangles],
+            fragments.triangle_texture[chunk_triangles],
         ).reshape(-1)
         if translate is not None:
             flat = translate(flat)
@@ -60,7 +63,7 @@ def replay_node(
         missed = np.unique(flat[miss_rows])
         result.compulsory_misses += int(np.count_nonzero(~seen[missed]))
         seen[missed] = True
-        triangles = fragments.triangle[start:stop][miss_rows // TEXELS_PER_FRAGMENT]
+        triangles = chunk_triangles[miss_rows // TEXELS_PER_FRAGMENT]
         np.add.at(result.texels_by_triangle, triangles, model.texels_per_fetch)
     return result
 

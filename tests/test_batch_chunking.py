@@ -18,13 +18,16 @@ import pytest
 from repro.cache import batchlru
 from repro.cache.config import CacheConfig
 from repro.cache.lru import LruCache
+from repro.cache.stream import DEFAULT_CHUNK
+from repro.core.routing import partition_by_node
+from repro.distribution import BlockInterleaved
 from repro.raster import batch as raster_batch
 from repro.raster.fragments import FragmentBuffer
 from repro.texture.filtering import TrilinearFilter
 from repro.workloads.scenes import SCENE_SPECS, build_scene
 from repro.workloads.sequence import translate_scene
 from tests.conftest import footprint_stream, shared_set_stream
-from tests.oracles import ReferenceLru, rasterize_scene_scalar
+from tests.oracles import ReferenceLru, rasterize_scene_scalar, reference_line_addresses
 
 
 @pytest.fixture(scope="module")
@@ -102,32 +105,54 @@ def test_raster_batch_matches_scalar_at_paper_scale(name, scale):
 def test_fused_texture_addresses_match_footprint_reference(scene, fragments):
     layout = scene.memory_layout()
     filt = TrilinearFilter(layout)
-    u, v = fragments.u, fragments.v
-    levels = fragments.triangle_level[fragments.triangle].astype(np.int64)
-    texture_ids = fragments.triangle_texture[fragments.triangle].astype(np.int64)
-    fused = filt.line_addresses(u, v, levels, texture_ids)
-    reference = filt._footprint(u, v, levels, texture_ids, layout.line_address)
+    tables = (fragments.triangle, fragments.triangle_level, fragments.triangle_texture)
+    fused = filt.line_addresses(fragments.u, fragments.v, *tables)
+    reference = reference_line_addresses(layout, fragments.u, fragments.v, *tables)
     assert np.array_equal(np.asarray(fused, dtype=np.int64), reference)
 
 
 def test_fused_texture_addresses_chunk_invariant(scene, fragments):
     layout = scene.memory_layout()
     filt = TrilinearFilter(layout)
-    u, v = fragments.u, fragments.v
-    levels = fragments.triangle_level[fragments.triangle].astype(np.int64)
-    texture_ids = fragments.triangle_texture[fragments.triangle].astype(np.int64)
-    whole = filt.line_addresses(u, v, levels, texture_ids)
+    u, v, triangles = fragments.u, fragments.v, fragments.triangle
+    tables = (fragments.triangle_level, fragments.triangle_texture)
+    whole = filt.line_addresses(u, v, triangles, *tables)
 
     rng = np.random.default_rng(602)
     n = len(u)
     for _ in range(4):
         cuts = np.sort(rng.integers(0, n + 1, size=rng.integers(1, 8)))
         pieces = [
-            filt.line_addresses(u[a:b], v[a:b], levels[a:b], texture_ids[a:b])
+            filt.line_addresses(u[a:b], v[a:b], triangles[a:b], *tables)
             for a, b in zip(np.concatenate(([0], cuts)), np.concatenate((cuts, [n])))
             if b > a
         ]
         assert np.array_equal(np.concatenate(pieces), whole)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "name,scale,processors", [("truc640", 1.0, 64), ("room3", 0.5, 4)]
+)
+def test_filter_matches_oracle_at_paper_scale(name, scale, processors):
+    """Every node's replay chunks of the ``paper_frame`` and
+    ``small_tris`` bench frames (block-16), bit for bit."""
+    scene = build_scene(name, scale=scale, cache=False)
+    fragments = scene.fragments()
+    layout = scene.memory_layout()
+    filt = TrilinearFilter(layout)
+    tables = (fragments.triangle_level, fragments.triangle_texture)
+    owners = BlockInterleaved(processors, 16).owners(fragments.x, fragments.y)
+    order, bounds = partition_by_node(owners, processors)
+    for node in range(processors):
+        rows = order[bounds[node] : bounds[node + 1]]
+        for start in range(0, len(rows), DEFAULT_CHUNK):
+            take = rows[start : start + DEFAULT_CHUNK]
+            u, v, triangles = fragments.u[take], fragments.v[take], fragments.triangle[take]
+            lines = filt.line_addresses(u, v, triangles, *tables)
+            assert lines.dtype == filt.line_dtype
+            reference = reference_line_addresses(layout, u, v, triangles, *tables)
+            assert np.array_equal(lines, reference), (node, start)
 
 
 def _random_stream(rng, length):

@@ -76,7 +76,7 @@ class FixedLines:
     def __init__(self, lines):
         self.lines = np.asarray([lines], dtype=np.int64)
 
-    def line_addresses(self, u, v, levels, texture_ids):
+    def line_addresses(self, u, v, triangles, triangle_level, triangle_texture):
         return self.lines
 
 
@@ -181,8 +181,8 @@ def room3_node_streams():
         rows = order[bounds[node] : bounds[node + 1]]
         triangles = fragments.triangle[rows]
         lines = tex_filter.line_addresses(
-            fragments.u[rows], fragments.v[rows], fragments.triangle_level[triangles],
-            fragments.triangle_texture[triangles],
+            fragments.u[rows], fragments.v[rows], np.arange(len(rows)),
+            fragments.triangle_level[triangles], fragments.triangle_texture[triangles],
         )
         streams.append(np.asarray(lines, dtype=np.int64).reshape(-1))
     return streams

@@ -37,6 +37,7 @@ class TestRectangularTextures:
         lines = filt.line_addresses(
             np.array([32.0, 63.9]),
             np.array([8.0, 15.9]),
+            np.arange(2),
             np.array([0, 2]),
             np.array([0, 0]),
         )

@@ -13,6 +13,12 @@ from repro.texture import (
     TEXELS_PER_FRAGMENT,
 )
 from repro.texture.layout import LINE_BYTES, TEXELS_PER_LINE
+from repro.workloads.scenes import build_scene
+from tests.oracles import reference_line_addresses, reference_texel_addresses
+
+#: Triangle ids of a one-fragment chunk: its level and texture arrays
+#: serve as the per-triangle tables.
+ONE = np.arange(1)
 
 
 class TestMipmappedTexture:
@@ -117,14 +123,14 @@ class TestTrilinearFilter:
     def test_eight_addresses_per_fragment(self):
         _, filt = self.make(MipmappedTexture(16, 16))
         lines = filt.line_addresses(
-            np.array([8.0]), np.array([8.0]), np.array([0]), np.array([0])
+            np.array([8.0]), np.array([8.0]), ONE, np.array([0]), np.array([0])
         )
         assert lines.shape == (1, TEXELS_PER_FRAGMENT)
 
     def test_interior_sample_covers_two_levels(self):
         layout, filt = self.make(MipmappedTexture(16, 16))
         texels = filt.texel_addresses(
-            np.array([8.0]), np.array([8.0]), np.array([0]), np.array([0])
+            np.array([8.0]), np.array([8.0]), ONE, np.array([0]), np.array([0])
         )[0]
         level0 = texels[:4]
         level1 = texels[4:]
@@ -136,7 +142,7 @@ class TestTrilinearFilter:
         _, filt = self.make(MipmappedTexture(8, 8))
         # Sampling at u=0.1 reaches the texel at the far edge via wrap.
         texels = filt.texel_addresses(
-            np.array([0.1]), np.array([4.0]), np.array([0]), np.array([0])
+            np.array([0.1]), np.array([4.0]), ONE, np.array([0]), np.array([0])
         )[0][:4]
         columns = sorted(int(t) % 8 for t in texels)
         assert 7 in columns and 0 in columns
@@ -144,7 +150,7 @@ class TestTrilinearFilter:
     def test_level_is_clamped_to_pyramid(self):
         _, filt = self.make(MipmappedTexture(4, 4))
         lines = filt.line_addresses(
-            np.array([1.0]), np.array([1.0]), np.array([10]), np.array([0])
+            np.array([1.0]), np.array([1.0]), ONE, np.array([10]), np.array([0])
         )
         assert lines.shape == (1, 8)
         # Both halves sample the clamped 1x1 tail level: a single line.
@@ -153,7 +159,7 @@ class TestTrilinearFilter:
     def test_sample_centre_of_texel_grid_touches_four_texels(self):
         _, filt = self.make(MipmappedTexture(16, 16))
         texels = filt.texel_addresses(
-            np.array([8.0]), np.array([8.0]), np.array([0]), np.array([0])
+            np.array([8.0]), np.array([8.0]), ONE, np.array([0]), np.array([0])
         )[0][:4]
         assert len(np.unique(texels)) == 4
 
@@ -163,8 +169,108 @@ class TestTrilinearFilter:
         v = np.array([4.0, 4.0])
         lvl = np.array([0, 0])
         tex = np.array([0, 1])
-        lines = filt.line_addresses(u, v, lvl, tex)
+        lines = filt.line_addresses(u, v, np.arange(2), lvl, tex)
         assert set(lines[0]).isdisjoint(set(lines[1]))
 
     def test_texels_per_line_constant_is_consistent(self):
         assert TEXELS_PER_LINE * 4 == LINE_BYTES
+
+
+#: Power-of-two texture sides, down to a 1x1 texture.
+SIDES = st.sampled_from([1, 2, 4, 8, 16, 64])
+#: Level-0 texel coordinates: negative, fractional and far off the
+#: texture; the floored coordinates stay inside ``int32``.
+COORDS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def filter_chunks(draw):
+    """A layout, per-triangle tables and one chunk of fragments.
+
+    Triangle ids come as contiguous runs (a node's stream) or shuffled,
+    which interleaves triangles into runs of length 1.  Levels reach past
+    each pyramid, so both halves clamp to the 1x1 tail.
+    """
+    textures = [
+        MipmappedTexture(draw(SIDES), draw(SIDES))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    block_shape = draw(st.sampled_from([None, (16, 1), (2, 8)]))
+    layout = TextureMemoryLayout(textures, block_shape=block_shape)
+    layout.narrow = layout.narrow and draw(st.booleans())
+    num_triangles = draw(st.integers(1, 6))
+    triangle_level = np.array(
+        draw(st.lists(st.integers(0, layout.max_levels + 2),
+                      min_size=num_triangles, max_size=num_triangles)),
+        dtype=np.int16,
+    )
+    triangle_texture = np.array(
+        draw(st.lists(st.integers(0, len(textures) - 1),
+                      min_size=num_triangles, max_size=num_triangles)),
+        dtype=np.int32,
+    )
+    n = draw(st.integers(0, 40))
+    triangles = np.sort(
+        np.array(draw(st.lists(st.integers(0, num_triangles - 1),
+                               min_size=n, max_size=n)), dtype=np.intp)
+    )
+    if draw(st.booleans()):
+        triangles = np.random.default_rng(draw(st.integers(0, 99))).permutation(triangles)
+    triangles = triangles.astype(draw(st.sampled_from([np.int32, np.intp])))
+    u = np.array(draw(st.lists(COORDS, min_size=n, max_size=n)), dtype=np.float64)
+    v = np.array(draw(st.lists(COORDS, min_size=n, max_size=n)), dtype=np.float64)
+    return layout, u, v, triangles, triangle_level, triangle_texture
+
+
+class TestFilterMatchesOracle:
+    """Both address methods against the per-fragment reference footprint."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(chunk=filter_chunks(), cut=st.floats(0.0, 1.0))
+    def test_property_bit_identical_and_chunk_invariant(self, chunk, cut):
+        layout, u, v, triangles, *tables = chunk
+        filt = TrilinearFilter(layout)
+        lines = filt.line_addresses(u, v, triangles, *tables)
+        texels = filt.texel_addresses(u, v, triangles, *tables)
+        assert lines.shape == texels.shape == (len(u), TEXELS_PER_FRAGMENT)
+        assert lines.dtype == filt.line_dtype and texels.dtype == np.int64
+        assert np.array_equal(
+            lines, reference_line_addresses(layout, u, v, triangles, *tables)
+        )
+        assert np.array_equal(
+            texels, reference_texel_addresses(layout, u, v, triangles, *tables)
+        )
+        # A chunk boundary can split a run; the halves read the same.
+        k = int(cut * len(u))
+        for method, whole in ((filt.line_addresses, lines), (filt.texel_addresses, texels)):
+            halves = [
+                method(u[a:b], v[a:b], triangles[a:b], *tables)
+                for a, b in ((0, k), (k, len(u)))
+            ]
+            assert np.array_equal(np.concatenate(halves), whole)
+
+    def test_empty_chunk(self):
+        filt = TrilinearFilter(TextureMemoryLayout([MipmappedTexture(8, 8)]))
+        empty = np.zeros(0)
+        tables = (np.zeros(0, dtype=np.intp), np.array([0]), np.array([0]))
+        assert filt.line_addresses(empty, empty, *tables).shape == (0, 8)
+        assert filt.texel_addresses(empty, empty, *tables).shape == (0, 8)
+
+    def test_wide_path_matches_oracle_and_narrow_path(self):
+        """``layout.narrow`` False runs the same code in ``int64``."""
+        scene = build_scene("quake", scale=0.0625)
+        fragments = scene.fragments()
+        args = (
+            fragments.u, fragments.v, fragments.triangle,
+            fragments.triangle_level, fragments.triangle_texture,
+        )
+        narrow_layout = scene.memory_layout()
+        assert narrow_layout.narrow
+        narrow = TrilinearFilter(narrow_layout).line_addresses(*args)
+        wide_layout = TextureMemoryLayout(scene.textures)
+        wide_layout.narrow = False
+        filt = TrilinearFilter(wide_layout)
+        wide = filt.line_addresses(*args)
+        assert filt.line_dtype == np.int64 and wide.dtype == np.int64
+        assert np.array_equal(wide, reference_line_addresses(wide_layout, *args))
+        assert np.array_equal(wide, narrow)
