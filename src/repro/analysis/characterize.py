@@ -21,8 +21,9 @@ _CHUNK = 1 << 18
 def unique_texels_touched(scene: Scene) -> int:
     """Number of distinct texels any fragment of the scene samples.
 
-    The filter reads each triangle's mip level and texture from the
-    buffer's per-triangle tables, once per run of a chunk's triangle ids.
+    The filter reads each chunk's half-texel indices, and each
+    triangle's mip level and texture from the buffer's per-triangle
+    tables, once per run of a chunk's triangle ids.
     """
     fragments = scene.fragments()
     layout = scene.memory_layout()
@@ -31,8 +32,8 @@ def unique_texels_touched(scene: Scene) -> int:
     for start in range(0, len(fragments), _CHUNK):
         stop = min(len(fragments), start + _CHUNK)
         texels = tex_filter.texel_addresses(
-            fragments.u[start:stop],
-            fragments.v[start:stop],
+            fragments.u_half[start:stop],
+            fragments.v_half[start:stop],
             fragments.triangle[start:stop],
             fragments.triangle_level,
             fragments.triangle_texture,

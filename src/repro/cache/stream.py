@@ -1,7 +1,7 @@
 """Replaying fragment streams through a cache model.
 
-Bridges the rasterizer/filter world (fragments with texture
-coordinates) and the cache world (line-address streams), in bounded
+Bridges the rasterizer/filter world (fragments with half-texel
+indices) and the cache world (line-address streams), in bounded
 memory: fragments are processed in chunks, relying on the cache models
 being stateful across calls.
 """
@@ -45,7 +45,8 @@ def replay_fragments(
     ``rows`` selects the stream as row indices into ``fragments`` (one
     node's share of a frame); each chunk casts its slice of ``rows`` to
     ``intp`` once and gathers only the columns the filter and the
-    attribution read: ``u``, ``v`` and ``triangle``.  The filter reads
+    attribution read: the ``int16`` half-texel indices ``u_half`` and
+    ``v_half`` (4 bytes a fragment) and ``triangle``.  The filter reads
     the mip level and texture from the buffer's per-triangle tables once
     per run of the chunk's triangle ids, which also attribute its
     misses.
@@ -76,8 +77,8 @@ def replay_fragments(
         if lines is None:
             triangles = fragments.triangle[take]
             chunk = tex_filter.line_addresses(
-                fragments.u[take],
-                fragments.v[take],
+                fragments.u_half[take],
+                fragments.v_half[take],
                 triangles,
                 fragments.triangle_level,
                 fragments.triangle_texture,

@@ -39,8 +39,8 @@ def _column_mention(node: ast.expr) -> Optional[str]:
     """Describe ``node`` if it names a FragmentBuffer column.
 
     Both spellings used by the batch modules are recognised: attribute
-    access on a buffer (``fragments.u``) and string-keyed subscripts on
-    a column dict (``piece["u"]``).
+    access on a buffer (``fragments.u_half``) and string-keyed subscripts on
+    a column dict (``piece["u_half"]``).
     """
     if isinstance(node, ast.Attribute) and node.attr in _COLUMN_NAMES:
         return f"`.{node.attr}`"

@@ -42,6 +42,7 @@ from repro.geometry.scene import Scene, triangle_from_row
 from repro.obs.registry import registry
 from repro.raster.fragments import FragmentBuffer
 from repro.raster.raster import MAX_MIP_LEVEL, mip_level_for_scale
+from repro.texture.filtering import half_texel_index
 
 #: Candidate pixels (bounding-box area) processed per pass — bounds the
 #: working set of the flat arrays regardless of scene size and keeps
@@ -340,7 +341,9 @@ def _rasterize_span(
 ) -> np.ndarray:
     """Generate and interpolate the fragments of ``rows`` into ``out``.
 
-    Returns the fragments drawn of each of the pass's triangles.
+    Each texture coordinate is interpolated in ``float64`` and stored
+    as its half-texel index at the triangle's mip level.  Returns the
+    fragments drawn of each of the pass's triangles.
     """
     counts = rows.counts
     row_offsets = np.cumsum(counts) - counts
@@ -360,8 +363,11 @@ def _rasterize_span(
     )
     out["x"][:] = frag_x
     out["y"][:] = np.repeat(rows.gy, counts)
+    coord = np.empty(len(frag_x))
+    level = spread("level")
     for name in ("u", "v"):
-        _interpolate(weights, name, spread, out[name])
+        _interpolate(weights, name, spread, coord)
+        half_texel_index(coord, level, out=out[f"{name}_half"])
     out["triangle"][:] = spread("id")
     return per_triangle
 
@@ -383,8 +389,11 @@ def rasterize_scene_batch(scene: Scene) -> FragmentBuffer:
     """Rasterize every triangle of a scene with flat array passes.
 
     A first sweep finds every row's covered span; the second writes
-    each pass's fragments straight into the output columns.  The mip
-    level of every triangle that draws a fragment goes to the buffer's
+    each pass's fragments straight into the output columns, texture
+    coordinates quantized by
+    :func:`~repro.texture.filtering.half_texel_index` at their
+    triangle's mip level into ``u_half``/``v_half``.  The mip level of
+    every triangle that draws a fragment goes to the buffer's
     ``triangle_level`` table (0 for the others), and the scene's
     texture column is its ``triangle_texture`` table.  Adds the
     pixels edge-tested and the fragments kept to the scene-labelled

@@ -8,17 +8,17 @@ model are order-sensitive.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 #: Layout tag of :class:`FragmentBuffer` in artifact keys.  A buffer
-#: pickled with per-fragment depth, mip level or texture columns in an
-#: artifact directory keeps its old key and is never read back as one
-#: that looks those up per triangle.
-FRAGMENTS_FORMAT = "per-triangle-mip"
+#: pickled with float texture coordinates, or with per-fragment depth,
+#: mip level or texture columns, in an artifact directory keeps its old
+#: key and is never read back as one of half-texel indices.
+FRAGMENTS_FORMAT = "half-texel-int16"
 
 
 class FragmentBuffer:
@@ -26,14 +26,20 @@ class FragmentBuffer:
 
     Columns
     -------
-    One entry per fragment, 28 bytes in all.
+    One entry per fragment, 16 bytes in all.
 
     x, y:
-        Integer pixel coordinates.
-    u, v:
-        Interpolated texture coordinates in level-0 texel units.
+        Integer pixel coordinates (``int32``).
+    u_half, v_half:
+        Texture coordinates as ``int16`` half-texel indices:
+        :func:`repro.texture.filtering.half_texel_index` of the
+        interpolated level-0 coordinate at the triangle's base mip
+        level, ``floor(coord * 2**(1 - level))`` modulo ``2**15``.  The
+        cache sees only line addresses, and the trilinear filter derives
+        every texel it reads from these indices exactly.
     triangle:
-        Index of the owning triangle in the scene's submission order.
+        Index of the owning triangle in the scene's submission order
+        (``int32``).
 
     Tables
     ------
@@ -54,20 +60,20 @@ class FragmentBuffer:
     recomputes it from ``triangle``, ``x`` and ``y`` when asked.
     """
 
-    COLUMNS = ("x", "y", "u", "v", "triangle")
+    COLUMNS = ("x", "y", "u_half", "v_half", "triangle")
     TABLES = ("triangle_level", "triangle_texture")
 
     def __init__(
         self,
         x: np.ndarray,
         y: np.ndarray,
-        u: np.ndarray,
-        v: np.ndarray,
+        u_half: np.ndarray,
+        v_half: np.ndarray,
         triangle: np.ndarray,
         triangle_level: np.ndarray,
         triangle_texture: np.ndarray,
     ) -> None:
-        lengths = {len(col) for col in (x, y, u, v, triangle)}
+        lengths = {len(col) for col in (x, y, u_half, v_half, triangle)}
         if len(lengths) != 1:
             raise ConfigurationError(f"fragment columns disagree on length: {lengths}")
         if len(triangle_level) != len(triangle_texture):
@@ -77,8 +83,8 @@ class FragmentBuffer:
             )
         self.x = np.asarray(x, dtype=np.int32)
         self.y = np.asarray(y, dtype=np.int32)
-        self.u = np.asarray(u, dtype=np.float64)
-        self.v = np.asarray(v, dtype=np.float64)
+        self.u_half = np.asarray(u_half, dtype=np.int16)
+        self.v_half = np.asarray(v_half, dtype=np.int16)
         self.triangle = np.asarray(triangle, dtype=np.int32)
         self.triangle_level = np.asarray(triangle_level, dtype=np.int16)
         self.triangle_texture = np.asarray(triangle_texture, dtype=np.int32)
@@ -118,20 +124,6 @@ class FragmentBuffer:
     def triangle_pixel_counts(self) -> np.ndarray:
         """Pixels drawn per triangle, indexed by triangle id."""
         return np.bincount(self.triangle, minlength=self.num_triangles)
-
-    def iter_rows(self) -> Iterator[tuple]:
-        """Yield ``(x, y, u, v, level, texture, triangle)`` tuples, for tests and debugging."""
-        for i in range(len(self)):
-            triangle = int(self.triangle[i])
-            yield (
-                int(self.x[i]),
-                int(self.y[i]),
-                float(self.u[i]),
-                float(self.v[i]),
-                int(self.triangle_level[triangle]),
-                int(self.triangle_texture[triangle]),
-                triangle,
-            )
 
     def __repr__(self) -> str:
         return f"FragmentBuffer({len(self)} fragments, {self.num_triangles} triangles)"

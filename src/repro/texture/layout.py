@@ -116,30 +116,3 @@ class TextureMemoryLayout:
     def total_bytes(self) -> int:
         """Bytes of texture memory the layout occupies."""
         return self.total_lines * LINE_BYTES
-
-    def slot(self, texture_ids: np.ndarray, levels: np.ndarray) -> np.ndarray:
-        """Flat lookup index for arrays of texture ids and mip levels."""
-        clamped = np.minimum(levels, self.num_levels[texture_ids] - 1)
-        return texture_ids * self.max_levels + clamped
-
-    def line_address(
-        self, texture_ids: np.ndarray, levels: np.ndarray, i: np.ndarray, j: np.ndarray
-    ) -> np.ndarray:
-        """Global cache-line address of texel ``(i, j)`` at a mip level.
-
-        ``i``/``j`` are texel coordinates *already wrapped* into the
-        level.  Arrays broadcast together elementwise.
-        """
-        slots = self.slot(texture_ids, levels)
-        return (
-            self.line_base[slots]
-            + (j >> self._shift_h) * self.blocks_wide[slots]
-            + (i >> self._shift_w)
-        )
-
-    def texel_address(
-        self, texture_ids: np.ndarray, levels: np.ndarray, i: np.ndarray, j: np.ndarray
-    ) -> np.ndarray:
-        """Globally unique texel id, for unique-texel/fragment accounting."""
-        slots = self.slot(texture_ids, levels)
-        return self.texel_base[slots] + j * self.level_width[slots] + i

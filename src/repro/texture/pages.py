@@ -371,8 +371,9 @@ def build_frame_lines(
     ``observe`` only accumulates feedback and never changes the mapping,
     so neither :meth:`PageTable.translate` nor
     :meth:`PageTable.cache_key` can see it.  The filter takes each
-    chunk's triangle ids with the buffer's per-triangle level and
-    texture tables, and reads those once per run of equal ids.
+    chunk's ``int16`` half-texel indices and triangle ids with the
+    buffer's per-triangle level and texture tables, and reads those once
+    per run of equal ids.
     """
     n = len(fragments)
     dtype = table.translated_dtype(tex_filter.line_dtype)
@@ -380,8 +381,8 @@ def build_frame_lines(
     for start in range(0, n, chunk_size):
         stop = min(n, start + chunk_size)
         virtual = tex_filter.line_addresses(
-            fragments.u[start:stop],
-            fragments.v[start:stop],
+            fragments.u_half[start:stop],
+            fragments.v_half[start:stop],
             fragments.triangle[start:stop],
             fragments.triangle_level,
             fragments.triangle_texture,

@@ -15,6 +15,11 @@ from repro.errors import ConfigurationError
 #: Bytes per texel (32-bit RGBA, as in the paper).
 BYTES_PER_TEXEL = 4
 
+#: Largest level-0 side, in texels.  The fragment buffer keeps texture
+#: coordinates as ``int16`` half-texel indices, which address every
+#: corner exactly up to this side (DESIGN.md §10).
+MAX_TEXTURE_SIDE = 1 << 14
+
 
 @dataclass(frozen=True)
 class MipmapLevel:
@@ -36,7 +41,7 @@ class MipmappedTexture:
     width, height:
         Level-0 dimensions in texels.  Must be powers of two (the usual
         constraint of the era's hardware, and what keeps block-linear
-        addressing exact).
+        addressing exact) of at most ``MAX_TEXTURE_SIDE``.
     """
 
     def __init__(self, width: int, height: int) -> None:
@@ -44,6 +49,10 @@ class MipmappedTexture:
             if value < 1 or value & (value - 1):
                 raise ConfigurationError(
                     f"texture {name} must be a positive power of two, got {value}"
+                )
+            if value > MAX_TEXTURE_SIDE:
+                raise ConfigurationError(
+                    f"texture {name} must be at most {MAX_TEXTURE_SIDE}, got {value}"
                 )
         self.width = width
         self.height = height

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,39 @@ def _reset_observability():
     from repro import obs
 
     obs.reset()
+
+
+def _process_state() -> tuple:
+    """The ``REPRO_*`` environment and the process-wide store's configuration."""
+    from repro import pipeline
+
+    current = pipeline.store()
+    env = {name: value for name, value in os.environ.items() if name.startswith("REPRO_")}
+    return env, (current.max_entries, current.disk_dir)
+
+
+@pytest.fixture(autouse=True)
+def _hermetic_process_state():
+    """Fail a test that leaves ``REPRO_*`` variables or the artifact
+    store's configuration changed, then put both back.
+
+    Both reach every later test in the session: a leaked
+    ``REPRO_WORKERS`` fans sweeps out over process pools, and a leaked
+    disk tier pickles every artifact.
+    """
+    before = _process_state()
+    yield
+    after = _process_state()
+    if after == before:
+        return
+    from repro import pipeline
+
+    env, (max_entries, disk_dir) = before
+    for name in set(after[0]) - set(env):
+        del os.environ[name]
+    os.environ.update(env)
+    pipeline.configure(max_entries=max_entries, disk_dir=disk_dir)
+    pytest.fail(f"test left process state changed: {before} -> {after}", pytrace=False)
 
 
 def quad(x0: float, y0: float, size: float, texture: int = 0, u0: float = 0.0,

@@ -27,9 +27,10 @@ bit for bit:
 * :mod:`tests.oracles.stream` — the distributor's stream as a sorted
   list of ``(triangle, node, pixels, texels)`` tuples, with the
   converters between that list and the shipped columnar stream;
-* :mod:`tests.oracles.filtering` — the per-fragment trilinear
-  footprint: each fragment's own level and texture id, a layout-row
-  gather per corner and ``%`` wraps;
+* :mod:`tests.oracles.filtering` — the per-fragment float trilinear
+  footprint: float ``u``/``v``, each fragment's own level and texture
+  id, a layout-row gather per corner and ``%`` wraps, with the layout's
+  per-texel line and texel address rules;
 * :mod:`tests.oracles.pages` — :class:`ReferencePageTable`, whose
   ``translate`` recomputes page, frame and offset on every call and
   whose ``observe`` ranks first touches through ``np.unique``.

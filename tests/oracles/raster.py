@@ -26,6 +26,7 @@ from repro.geometry.triangle import Triangle
 from repro.geometry.vertex import Vertex
 from repro.raster.fragments import FragmentBuffer
 from repro.raster.raster import mip_level_for_scale
+from repro.texture.filtering import half_texel_index
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,10 @@ def triangle_setup(triangle: Triangle) -> EdgeEquations:
     )
 
 
-#: The per-fragment columns the oracle builds beside the buffer's.
-PER_FRAGMENT = ("z", "level", "texture")
+#: The per-fragment columns the oracle builds beside the buffer's: the
+#: float texture coordinates the buffer stores as half-texel indices,
+#: the depth, the mip level and the texture.
+PER_FRAGMENT = ("u", "v", "z", "level", "texture")
 
 
 def rasterize_triangle(
@@ -157,6 +160,8 @@ def rasterize_triangle(
         "y": frag_y,
         "u": frag_u,
         "v": frag_v,
+        "u_half": half_texel_index(frag_u, level),
+        "v_half": half_texel_index(frag_v, level),
         "z": frag_z,
         "level": np.full(n, level, dtype=np.int16),
         "texture": np.full(n, triangle.texture, dtype=np.int32),
@@ -168,8 +173,10 @@ def rasterize_scene_scalar(scene: Scene) -> Tuple[FragmentBuffer, Dict[str, np.n
     """Reference rasterizer: one triangle at a time.
 
     Returns the fragment buffer and, beside it, the per-fragment columns
-    the buffer does not hold: every fragment's interpolated depth
-    (``"z"``), mip level (``"level"``) and texture id (``"texture"``).
+    the buffer does not hold: every fragment's interpolated float
+    texture coordinates (``"u"``, ``"v"``), whose half-texel indices the
+    buffer stores, depth (``"z"``), mip level (``"level"``) and texture
+    id (``"texture"``).
     The buffer's per-triangle tables hold each drawing triangle's level
     (0 for a triangle that draws nothing) and every triangle's texture.
     """
@@ -183,7 +190,7 @@ def rasterize_scene_scalar(scene: Scene) -> Tuple[FragmentBuffer, Dict[str, np.n
     textures = np.array([t.texture for t in scene.triangles], dtype=np.int32)
     names = FragmentBuffer.COLUMNS + PER_FRAGMENT
     if not columns:
-        nothing = {name: np.zeros(0) for name in FragmentBuffer.COLUMNS + ("z",)}
+        nothing = {name: np.zeros(0) for name in FragmentBuffer.COLUMNS + ("u", "v", "z")}
         nothing.update(level=np.zeros(0, np.int16), texture=np.zeros(0, np.int32))
         columns = [nothing]
     joined = {name: np.concatenate([c[name] for c in columns]) for name in names}

@@ -47,8 +47,8 @@ def replay_node(
         # Fragment by fragment: each fragment is a run of its own.
         chunk_triangles = fragments.triangle[start:stop]
         flat = tex_filter.line_addresses(
-            fragments.u[start:stop],
-            fragments.v[start:stop],
+            fragments.u_half[start:stop],
+            fragments.v_half[start:stop],
             np.arange(stop - start),
             fragments.triangle_level[chunk_triangles],
             fragments.triangle_texture[chunk_triangles],

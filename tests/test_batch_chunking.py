@@ -36,10 +36,16 @@ def scene():
 
 
 @pytest.fixture(scope="module")
-def fragments(scene):
-    buffer, _ = rasterize_scene_scalar(scene)
+def scalar(scene):
+    """The reference buffer and its float per-fragment columns."""
+    buffer, side = rasterize_scene_scalar(scene)
     assert len(buffer.x) > 0
-    return buffer
+    return buffer, side
+
+
+@pytest.fixture(scope="module")
+def fragments(scalar):
+    return scalar[0]
 
 
 def assert_buffers_identical(left: FragmentBuffer, right: FragmentBuffer) -> None:
@@ -102,19 +108,20 @@ def test_raster_batch_matches_scalar_at_paper_scale(name, scale):
     assert_buffers_identical(batched, rasterize_scene_scalar(scene)[0])
 
 
-def test_fused_texture_addresses_match_footprint_reference(scene, fragments):
+def test_fused_texture_addresses_match_footprint_reference(scene, scalar):
+    fragments, side = scalar
     layout = scene.memory_layout()
     filt = TrilinearFilter(layout)
     tables = (fragments.triangle, fragments.triangle_level, fragments.triangle_texture)
-    fused = filt.line_addresses(fragments.u, fragments.v, *tables)
-    reference = reference_line_addresses(layout, fragments.u, fragments.v, *tables)
+    fused = filt.line_addresses(fragments.u_half, fragments.v_half, *tables)
+    reference = reference_line_addresses(layout, side["u"], side["v"], *tables)
     assert np.array_equal(np.asarray(fused, dtype=np.int64), reference)
 
 
 def test_fused_texture_addresses_chunk_invariant(scene, fragments):
     layout = scene.memory_layout()
     filt = TrilinearFilter(layout)
-    u, v, triangles = fragments.u, fragments.v, fragments.triangle
+    u, v, triangles = fragments.u_half, fragments.v_half, fragments.triangle
     tables = (fragments.triangle_level, fragments.triangle_texture)
     whole = filt.line_addresses(u, v, triangles, *tables)
 
@@ -139,6 +146,7 @@ def test_filter_matches_oracle_at_paper_scale(name, scale, processors):
     ``small_tris`` bench frames (block-16), bit for bit."""
     scene = build_scene(name, scale=scale, cache=False)
     fragments = scene.fragments()
+    side = rasterize_scene_scalar(scene)[1]
     layout = scene.memory_layout()
     filt = TrilinearFilter(layout)
     tables = (fragments.triangle_level, fragments.triangle_texture)
@@ -148,10 +156,14 @@ def test_filter_matches_oracle_at_paper_scale(name, scale, processors):
         rows = order[bounds[node] : bounds[node + 1]]
         for start in range(0, len(rows), DEFAULT_CHUNK):
             take = rows[start : start + DEFAULT_CHUNK]
-            u, v, triangles = fragments.u[take], fragments.v[take], fragments.triangle[take]
-            lines = filt.line_addresses(u, v, triangles, *tables)
+            triangles = fragments.triangle[take]
+            lines = filt.line_addresses(
+                fragments.u_half[take], fragments.v_half[take], triangles, *tables
+            )
             assert lines.dtype == filt.line_dtype
-            reference = reference_line_addresses(layout, u, v, triangles, *tables)
+            reference = reference_line_addresses(
+                layout, side["u"][take], side["v"][take], triangles, *tables
+            )
             assert np.array_equal(lines, reference), (node, start)
 
 

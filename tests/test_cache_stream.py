@@ -76,7 +76,7 @@ class FixedLines:
     def __init__(self, lines):
         self.lines = np.asarray([lines], dtype=np.int64)
 
-    def line_addresses(self, u, v, triangles, triangle_level, triangle_texture):
+    def line_addresses(self, u_half, v_half, triangles, triangle_level, triangle_texture):
         return self.lines
 
 
@@ -84,7 +84,7 @@ def test_a_line_missed_twice_in_one_chunk_is_compulsory_once():
     one_line = make_cache_model("lru", CacheConfig(total_bytes=64, ways=1))
     a, b = 3, 5
     result = replay_fragments(
-        FragmentBuffer([0], [0], [0.0], [0.0], [0], triangle_level=[0], triangle_texture=[0]),
+        FragmentBuffer([0], [0], [0], [0], [0], triangle_level=[0], triangle_texture=[0]),
         FixedLines([a, b, a, b]),
         one_line,
         seen_lines=np.zeros(8, dtype=bool),
@@ -181,7 +181,7 @@ def room3_node_streams():
         rows = order[bounds[node] : bounds[node + 1]]
         triangles = fragments.triangle[rows]
         lines = tex_filter.line_addresses(
-            fragments.u[rows], fragments.v[rows], np.arange(len(rows)),
+            fragments.u_half[rows], fragments.v_half[rows], np.arange(len(rows)),
             fragments.triangle_level[triangles], fragments.triangle_texture[triangles],
         )
         streams.append(np.asarray(lines, dtype=np.int64).reshape(-1))

@@ -70,8 +70,8 @@ def _faulting_table(layout):
 def _filtered(tex_filter, fragments):
     """The frame filtered fragment by fragment: every run is length 1."""
     return tex_filter.line_addresses(
-        fragments.u,
-        fragments.v,
+        fragments.u_half,
+        fragments.v_half,
         np.arange(len(fragments)),
         fragments.triangle_level[fragments.triangle],
         fragments.triangle_texture[fragments.triangle],

@@ -17,6 +17,7 @@ import pytest
 from repro import pipeline
 from repro.core import routing
 from repro.distribution import BlockInterleaved
+from repro.raster.fragments import FragmentBuffer
 from repro.workloads.scenes import build_scene
 
 #: The chunk the guard runs under: the frame is many chunks long.
@@ -47,6 +48,15 @@ def traced_peak(compute):
     finally:
         tracemalloc.stop()
     return peak - before, result
+
+
+def test_a_fragment_costs_16_bytes(frame):
+    """Every frame-sized peak holds the buffer: a widened column shows
+    here, not only in a benchmark's peak RSS."""
+    _, fragments = frame
+    sizes = {name: getattr(fragments, name).itemsize for name in FragmentBuffer.COLUMNS}
+    assert sum(sizes.values()) == 16, sizes
+    assert fragments.u_half.dtype == fragments.v_half.dtype == np.int16
 
 
 def test_routing_plan_holds_no_frame_sized_key(frame, small_chunks):

@@ -401,7 +401,7 @@ def test_repro501_flags_for_loop_over_column_attribute():
     src = """\
         def misses(fragments):
             out = []
-            for value in fragments.u:
+            for value in fragments.u_half:
                 out.append(value * 2.0)
             return out
     """
@@ -411,7 +411,7 @@ def test_repro501_flags_for_loop_over_column_attribute():
 def test_repro501_flags_zip_and_range_len_spellings():
     src = """\
         def walk(buf):
-            for u, v in zip(buf.u, buf.v):
+            for u, v in zip(buf.u_half, buf.v_half):
                 yield u + v
 
         def walk_indexed(buf):
@@ -454,7 +454,7 @@ def test_repro501_allows_chunk_and_setup_loops():
 def test_repro501_scoped_to_the_batch_perimeter():
     src = """\
         def reference(fragments):
-            return [value * 2.0 for value in fragments.u]
+            return [value * 2.0 for value in fragments.u_half]
     """
     assert rule_ids(src, module="repro.raster.raster") == []
     assert rule_ids(src, module="repro.cache.lru") == []
@@ -498,7 +498,7 @@ def test_vt_modules_forbid_set_order_dependence():
 def test_vt_modules_are_in_the_batch_perimeter(module):
     src = """\
         def faults(fragments, resident):
-            return [u for u in fragments.u if u not in resident]
+            return [u for u in fragments.u_half if u not in resident]
     """
     assert rule_ids(src, module=module) == ["REPRO501"]
 

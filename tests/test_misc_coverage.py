@@ -18,6 +18,7 @@ from repro.errors import (
 )
 from repro.geometry import Scene, Triangle, Vertex, load_trace
 from repro.texture import MipmappedTexture, TextureMemoryLayout, TrilinearFilter
+from repro.texture.filtering import half_texel_index
 
 
 class TestErrorHierarchy:
@@ -34,11 +35,12 @@ class TestRectangularTextures:
     def test_layout_handles_wide_texture(self):
         layout = TextureMemoryLayout([MipmappedTexture(64, 16)])
         filt = TrilinearFilter(layout)
+        levels = np.array([0, 2])
         lines = filt.line_addresses(
-            np.array([32.0, 63.9]),
-            np.array([8.0, 15.9]),
+            half_texel_index(np.array([32.0, 63.9]), levels),
+            half_texel_index(np.array([8.0, 15.9]), levels),
             np.arange(2),
-            np.array([0, 2]),
+            levels,
             np.array([0, 0]),
         )
         assert (lines >= 0).all()

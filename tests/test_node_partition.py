@@ -182,7 +182,7 @@ def test_owners_past_65536_nodes_stay_int32():
     assert big.num_processors > 1 << 16
     ys, xs = np.mgrid[0:8, 0:SCREEN[0]]
     fragments = FragmentBuffer(
-        xs.ravel(), ys.ravel(), np.zeros(xs.size), np.zeros(xs.size),
+        xs.ravel(), ys.ravel(), np.zeros(xs.size, np.int16), np.zeros(xs.size, np.int16),
         np.zeros(xs.size), np.zeros(1), np.zeros(1),
     )
     owners = routing.frame_owners(big, fragments)

@@ -2,8 +2,27 @@
 
 import pytest
 
+from repro import pipeline
 from repro.analysis.parallel import keyed_tasks, run_tasks, worker_count
 from repro.errors import ConfigurationError
+
+
+@pytest.fixture(autouse=True)
+def _restore_artifact_store(monkeypatch):
+    """Undo what a pooled ``run_tasks`` leaves behind.
+
+    Before pooling it exports a temporary ``REPRO_ARTIFACT_DIR`` and
+    attaches that disk tier to the process-wide store; left in place,
+    every later test in the session pickles each artifact it computes.
+    """
+    # setenv first, so the undo also covers a variable that was unset.
+    monkeypatch.setenv(pipeline.ARTIFACT_DIR_ENV_VAR, "")
+    monkeypatch.delenv(pipeline.ARTIFACT_DIR_ENV_VAR)
+    before = pipeline.store()
+    disk_dir = before.disk_dir
+    yield
+    if pipeline.store().disk_dir != disk_dir:
+        pipeline.configure(max_entries=before.max_entries, disk_dir=disk_dir)
 
 
 def _square(value):

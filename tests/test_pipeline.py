@@ -316,7 +316,9 @@ class TestCrossProcessHydration:
         assert stats["scene"]["misses"] == 0
 
     def test_ensure_shared_store_creates_and_exports_dir(self, monkeypatch):
-        monkeypatch.delenv(pipeline.ARTIFACT_DIR_ENV_VAR, raising=False)
+        # setenv first, so the undo removes the directory the store exports.
+        monkeypatch.setenv(pipeline.ARTIFACT_DIR_ENV_VAR, "")
+        monkeypatch.delenv(pipeline.ARTIFACT_DIR_ENV_VAR)
         pipeline.configure()
         path = pipeline.ensure_shared_store()
         assert path.is_dir()

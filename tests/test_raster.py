@@ -33,6 +33,21 @@ def tri(coords, texture=0):
     return Triangle(vertices[0], vertices[1], vertices[2], texture=texture)
 
 
+def iter_rows(fragments):
+    """Yield ``(x, y, u_half, v_half, level, texture, triangle)`` tuples."""
+    for i in range(len(fragments)):
+        triangle = int(fragments.triangle[i])
+        yield (
+            int(fragments.x[i]),
+            int(fragments.y[i]),
+            int(fragments.u_half[i]),
+            int(fragments.v_half[i]),
+            int(fragments.triangle_level[triangle]),
+            int(fragments.triangle_texture[triangle]),
+            triangle,
+        )
+
+
 def rasterize(*triangles, size=64):
     """Rasterize ``triangles`` as one ``size`` x ``size`` scene."""
     scene = Scene("raster", size, size, [MipmappedTexture(64, 64)], triangles)
@@ -95,9 +110,11 @@ class TestRasterizeTriangle:
             Vertex(0, 0, 0, 0), Vertex(16, 0, 32, 0), Vertex(0, 16, 0, 32)
         )
         result = rasterize(t)
-        # The mapping is u = 2x, v = 2y at pixel centres.
-        assert result.u == pytest.approx(2 * (result.x + 0.5))
-        assert result.v == pytest.approx(2 * (result.y + 0.5))
+        # The mapping is u = 2x, v = 2y at pixel centres; at level 1 the
+        # half-texel index is floor(u * 2**0) = 2x + 1.
+        assert np.array_equal(result.u_half, 2 * result.x + 1)
+        assert np.array_equal(result.v_half, 2 * result.y + 1)
+        assert result.u_half.dtype == result.v_half.dtype == np.int16
         # scale 2 -> base mip level 1.
         assert (result.triangle_level[result.triangle] == 1).all()
 
@@ -414,7 +431,7 @@ class TestFragmentBuffer:
 
     def test_iter_rows_matches_columns(self, flat_scene):
         fragments = flat_scene.fragments().select(np.arange(5))
-        rows = list(fragments.iter_rows())
+        rows = list(iter_rows(fragments))
         assert len(rows) == 5
         assert rows[0][0] == int(fragments.x[0])
         for row, triangle in zip(rows, fragments.triangle):
@@ -439,7 +456,7 @@ class TestFragmentBuffer:
 
         fragments = flat_scene.fragments()
         other = FragmentBuffer(
-            fragments.x, fragments.y, fragments.u, fragments.v, fragments.triangle,
+            fragments.x, fragments.y, fragments.u_half, fragments.v_half, fragments.triangle,
             fragments.triangle_level, fragments.triangle_texture + 1,
         )
         with pytest.raises(ConfigurationError):
