@@ -1,13 +1,13 @@
-"""CI gate for the project-wide lint pass (DESIGN.md §14).
+"""CI gate for the lint pass (DESIGN.md §9, §14).
 
-Runs ``repro-lint src --project`` through the engine API, writes the
-full JSON report to ``--out`` (uploaded as a CI artifact so findings
-are inspectable without re-running), and enforces two budgets:
+Runs ``repro-lint src`` through the engine API, writes the full JSON
+report to ``--out`` (uploaded as a CI artifact so findings are
+inspectable without re-running), and enforces two budgets:
 
 * **cleanliness** — unsuppressed findings fail the gate, same
-  contract as the per-file pass;
-* **time** — the whole project analysis (parse + symbol table + call
-  graph + summaries + rules) must finish within ``--budget-seconds``
+  contract as ``repro-lint``;
+* **time** — the whole analysis (parse + symbol table + call graph +
+  summaries + rules) must finish within ``--budget-seconds``
   (default 30).  The pass is ~1 s today; the guard exists so an
   accidentally quadratic rule or summary blow-up fails loudly in CI
   instead of silently eating the lint job.
@@ -42,7 +42,7 @@ def main(argv=None) -> int:
         baseline = Baseline.load(baseline_path)
 
     started = time.monotonic()
-    report = run(paths, baseline=baseline, project=True)
+    report = run(paths, baseline=baseline)
     elapsed = time.monotonic() - started
 
     payload = report.to_dict()
@@ -51,7 +51,7 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     print(
-        f"project lint: {len(report.findings)} finding(s), "
+        f"lint: {len(report.findings)} finding(s), "
         f"{len(report.suppressed)} suppressed, "
         f"{report.files_checked} file(s), {elapsed:.2f}s "
         f"(budget {args.budget_seconds:.0f}s) -> {args.out}"
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
         print(finding.render(), file=sys.stderr)
     if elapsed > args.budget_seconds:
         print(
-            f"FAIL: project analysis took {elapsed:.1f}s, over the "
+            f"FAIL: lint analysis took {elapsed:.1f}s, over the "
             f"{args.budget_seconds:.0f}s budget",
             file=sys.stderr,
         )

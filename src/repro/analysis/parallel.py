@@ -88,8 +88,9 @@ def run_tasks(
     raises, the exception propagates with the failing argument tuple
     attached as ``exc.failing_arguments``; if the pool itself breaks
     (a worker was killed), the sweep reruns inline with a warning.
+    An empty sweep returns ``[]`` without a pool or a shared disk tier.
     """
-    if workers <= 1:
+    if workers <= 1 or not argument_tuples:
         return _run_inline(fn, argument_tuples)
     share_artifacts()
     try:

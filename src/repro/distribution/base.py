@@ -69,11 +69,6 @@ class Distribution(ABC):
         """
         return f"{type(self).__name__}:{self.num_processors}:{self.describe()}"
 
-    def owner_map(self, width: int, height: int) -> np.ndarray:
-        """Full ``(height, width)`` ownership image, for tests and plots."""
-        ys, xs = np.mgrid[0:height, 0:width]
-        return self.owners(xs.ravel(), ys.ravel()).reshape(height, width)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.describe()})"
 

@@ -43,16 +43,6 @@ class Triangle:
         """Unsigned screen-space area in pixels."""
         return abs(self.signed_area())
 
-    def bounding_box(self) -> Tuple[float, float, float, float]:
-        """``(min_x, min_y, max_x, max_y)`` in screen coordinates."""
-        xs = (self.v0.x, self.v1.x, self.v2.x)
-        ys = (self.v0.y, self.v1.y, self.v2.y)
-        return (min(xs), min(ys), max(xs), max(ys))
-
-    def is_degenerate(self) -> bool:
-        """True when the triangle has (numerically) zero area."""
-        return self.area() < 1e-12
-
     def texel_to_pixel_scale(self) -> float:
         """Texels traversed per pixel step, the quantity mip selection uses.
 

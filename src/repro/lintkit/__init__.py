@@ -4,23 +4,25 @@ An AST-based analyzer with a pluggable rule registry and a
 ``repro-lint`` CLI.  The rules machine-check the invariants the
 reproduction's correctness rests on (DESIGN.md §9):
 
-* **determinism** (REPRO101–104) — no wall-clock reads, global PRNG
-  state or set-iteration-order dependence inside the simulation core
-  (``repro.core``, ``repro.cache``, ``repro.raster``);
-  sources are classified by :mod:`repro.lintkit.flow.taint`, the
-  vocabulary REPRO111 shares;
+* **determinism** (REPRO111, REPRO104) — no value derived from the
+  wall clock or a process-global PRNG, read directly or through
+  helpers, and no set-iteration-order dependence inside the
+  determinism perimeter (every ``repro`` module but the exclusions of
+  :mod:`repro.lintkit.scopes`); no wall-clock duration arithmetic in
+  ``repro.service`` (REPRO101);
 * **cycle accounting** (REPRO201–202) — no float ``==``/``!=`` on
   cycle/latency values, no true division into cycle counts;
 * **obs hygiene** (REPRO301–302) — hot paths resolve the recorder
   once (null-object pattern) and metric names follow ``dotted.lower``;
-* **concurrency** (REPRO401) — no bare ``except:`` in
-  ``repro.service``.
+* **concurrency** (REPRO401, REPRO411/412) — no bare ``except:`` in
+  ``repro.service``, and attributes guarded by a class lock are never
+  touched outside it;
+* **key completeness** (REPRO601–602) — every result-affecting input
+  reaches its cache key;
+* **batch core** (REPRO501) — no Python loops over fragment columns.
 
-With ``project=True`` (``repro-lint --project``) the dataflow rules
-of :mod:`repro.lintkit.flow` run too: key completeness
-(REPRO601–603), interprocedural determinism taint (REPRO111) and lock
-discipline (REPRO411/412 — attributes guarded by a class lock are
-never touched outside it), which has no per-file rule.
+Every run parses the tree once into a :class:`~repro.lintkit.flow.Project`,
+so the rules that follow definitions across files run with the rest.
 
 Intentional exceptions live in ``lint-baseline.txt`` (one justified
 entry per finding) or inline via

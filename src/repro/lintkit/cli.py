@@ -3,7 +3,7 @@
 Examples::
 
     repro-lint src
-    repro-lint src --select REPRO101,REPRO104
+    repro-lint src --select REPRO111,REPRO104
     repro-lint src --write-baseline          # seed lint-baseline.txt
     repro-lint --list-rules
     repro-lint src --format json
@@ -75,15 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--project",
-        action="store_true",
-        help=(
-            "run the project-wide dataflow rules too (key completeness, "
-            "flow-sensitive lock discipline, interprocedural taint); "
-            "parses the whole tree once and analyzes across files"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
@@ -106,8 +97,7 @@ def _list_rules() -> int:
     rules = all_rules()
     width = max(len(rule.id) for rule in rules)
     for rule in rules:
-        scope = ", ".join(rule.scopes) if rule.scopes else "all modules"
-        print(f"{rule.id.ljust(width)}  {rule.title}  [{scope}]")
+        print(f"{rule.id.ljust(width)}  {rule.title}  [{rule.scope_label()}]")
     return 0
 
 
@@ -138,9 +128,7 @@ def _main(args: argparse.Namespace) -> int:
 
     if args.write_baseline:
         target = args.baseline if args.baseline is not None else Path(DEFAULT_BASELINE)
-        findings = run(
-            paths, baseline=None, select=select, project=args.project
-        ).findings
+        findings = run(paths, baseline=None, select=select).findings
         count = write_baseline(target, findings)
         print(
             f"wrote {count} entr{'y' if count == 1 else 'ies'} to {target}; "
@@ -157,7 +145,7 @@ def _main(args: argparse.Namespace) -> int:
         elif args.baseline is not None:
             raise ConfigurationError(f"baseline file not found: {source}")
 
-    report = run(paths, baseline=baseline, select=select, project=args.project)
+    report = run(paths, baseline=baseline, select=select)
 
     if args.prune_baseline:
         if baseline is None:

@@ -1,4 +1,8 @@
-"""The analysis driver: walk files, run rules, apply suppressions.
+"""The analysis driver: parse the tree, run rules, apply suppressions.
+
+Every run parses its files into one :class:`~repro.lintkit.flow.Project`
+and runs every selected rule over it, so per-module and whole-tree
+rules share one pass and one parse.
 
 Inline suppression is supported next to the baseline file: a trailing
 ``# repro-lint: ignore[REPRO201] -- reason`` comment on the flagged
@@ -18,7 +22,8 @@ from repro.errors import ConfigurationError
 from repro.lintkit.baseline import Baseline, BaselineEntry
 from repro.lintkit.context import ModuleContext
 from repro.lintkit.findings import Finding
-from repro.lintkit.registry import ProjectRule, Rule, select_rules
+from repro.lintkit.flow import Project, project_for
+from repro.lintkit.registry import Rule, select_rules
 
 #: Inline suppression comment grammar.
 _INLINE_IGNORE = re.compile(
@@ -62,17 +67,16 @@ def _inline_suppressed(ctx: ModuleContext, finding: Finding) -> bool:
     return True
 
 
-def analyze_context(
-    ctx: ModuleContext, rules: Optional[Sequence[Rule]] = None
+def analyze_project(
+    project: Project, rules: Optional[Sequence[Rule]] = None
 ) -> List[Finding]:
-    """Run ``rules`` (default: all) over one parsed module."""
+    """Run ``rules`` (default: all) over ``project``, minus inline ignores."""
     active = list(rules) if rules is not None else select_rules()
+    by_path = {ctx.path: ctx for ctx in project.contexts}
     findings: List[Finding] = []
     for rule in active:
-        if rule.requires_project or not rule.applies_to(ctx.module):
-            continue
-        for finding in rule.check(ctx):
-            if not _inline_suppressed(ctx, finding):
+        for finding in rule.check_project(project):
+            if not _inline_suppressed(by_path[finding.path], finding):
                 findings.append(finding)
     findings.sort(key=Finding.sort_key)
     return findings
@@ -84,12 +88,14 @@ def analyze_source(
     module: Optional[str] = None,
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[Finding]:
-    """Analyze a source string (the fixture-test entry point).
+    """Analyze a source string as a one-module project (the fixture-test entry point).
 
     ``module`` places the snippet in a package for scope matching —
-    e.g. ``module="repro.core.fake"`` exercises the determinism rules.
+    e.g. ``module="repro.core.fake"`` puts it inside the determinism
+    perimeter.
     """
-    return analyze_context(ModuleContext.from_source(source, path, module), rules)
+    ctx = ModuleContext.from_source(source, path, module)
+    return analyze_project(Project([ctx]), rules)
 
 
 @dataclass
@@ -128,44 +134,21 @@ def run(
     paths: Iterable[Union[str, Path]],
     baseline: Optional[Baseline] = None,
     select: Optional[Iterable[str]] = None,
-    project: bool = False,
 ) -> Report:
     """Analyze every Python file under ``paths`` and apply the baseline.
 
-    With ``project=True`` the tree is additionally parsed into a
-    :class:`~repro.lintkit.flow.Project` and the project rules
-    (key completeness, lock discipline, interprocedural taint) run on
-    top of the per-file ones.  The project's contexts back the
-    per-file pass too, so the tree is parsed exactly once.
+    The files are parsed once into a (cached)
+    :class:`~repro.lintkit.flow.Project`, over which every selected
+    rule runs.
     """
     rules = select_rules(list(select) if select is not None else None)
     paths = list(paths)
     files = iter_python_files(paths)
-    all_findings: List[Finding] = []
-    if project:
-        from repro.lintkit import flow
-
-        proj = flow.project_for(files)
-        by_path = {ctx.path: ctx for ctx in proj.contexts}
-        for ctx in proj.contexts:
-            all_findings.extend(analyze_context(ctx, rules))
-        for rule in rules:
-            if not isinstance(rule, ProjectRule):
-                continue
-            for finding in rule.check_project(proj):
-                ctx = by_path.get(finding.path)
-                if ctx is None or not _inline_suppressed(ctx, finding):
-                    all_findings.append(finding)
-    else:
-        for file_path in files:
-            ctx = ModuleContext.from_path(str(file_path))
-            all_findings.extend(analyze_context(ctx, rules))
-    all_findings.sort(key=Finding.sort_key)
+    findings = analyze_project(project_for(files), rules)
     if baseline is None:
-        return Report(findings=all_findings, files_checked=len(files))
-    ran = {rule.id for rule in rules if project or not rule.requires_project}
+        return Report(findings=findings, files_checked=len(files))
     unsuppressed, suppressed, stale = baseline.partition(
-        all_findings, ran=ran, checked=paths
+        findings, ran={rule.id for rule in rules}, checked=paths
     )
     return Report(
         findings=unsuppressed,

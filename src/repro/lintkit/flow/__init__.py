@@ -1,22 +1,23 @@
 """``repro.lintkit.flow`` — project-wide dataflow analysis.
 
-The per-file rules (REPRO1xx-5xx) see one module at a time; the flow
-engine parses the whole tree once and builds three layers on top of
-the same :class:`~repro.lintkit.context.ModuleContext` objects:
+Most rules (REPRO1xx-5xx) look at one module at a time; the flow
+engine builds three layers on top of the same
+:class:`~repro.lintkit.context.ModuleContext` objects, for the rules
+that follow definitions across files:
 
 * a **symbol table** (:mod:`repro.lintkit.flow.symbols`) — every
   top-level function, class and method, addressable by project
   qualname (``repro.pipeline.keys.cache_key``,
   ``repro.service.jobs.JobSpec.result_key``);
 * a **call graph** (:mod:`repro.lintkit.flow.callgraph`) — resolved
-  call sites, queryable by caller and by callee;
+  call sites, queryable by caller;
 * per-function **flow summaries**
   (:mod:`repro.lintkit.flow.summaries`) — which parameters reach the
   return value, and which taint sources (wall clock, PRNGs) do,
   propagated through helper calls to a fixpoint.
 
 :mod:`repro.lintkit.flow.taint` defines the taint-source vocabulary
-shared with the per-file determinism rules.
+REPRO111 checks, directly and through the summaries.
 
 Everything hangs off a :class:`Project`: one parse of the tree,
 lazily-built layers, and a process-wide cache keyed on file stats so
@@ -69,10 +70,6 @@ class Project:
         if self._summaries is None:
             self._summaries = SummaryIndex(self)
         return self._summaries
-
-    def has_module(self, module: str) -> bool:
-        """Whether ``module`` (or a package containing it) was analyzed."""
-        return module in self.by_module
 
 
 #: Process-wide parse cache: file-stat signature -> Project.

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
-
-from repro.lintkit.flow.symbols import FunctionInfo
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lintkit.flow import Project
@@ -80,10 +78,6 @@ class CallGraph:
         """Every call site inside ``qualname``."""
         return list(self._by_caller.get(qualname, ()))
 
-    def calls_to(self, qualname: str) -> List[CallSite]:
-        """Every resolved call site targeting ``qualname``."""
-        return list(self._by_callee.get(qualname, ()))
-
     def callees(self, qualname: str) -> List[str]:
         """Resolved callee qualnames reachable in one hop, sorted."""
         return sorted(
@@ -93,7 +87,3 @@ class CallGraph:
     def callers(self, qualname: str) -> List[str]:
         """Caller qualnames with at least one resolved site, sorted."""
         return sorted({site.caller for site in self._by_callee.get(qualname, ())})
-
-    def functions_calling(self, info: FunctionInfo) -> Iterator[str]:
-        """Convenience: callers of an info record."""
-        return iter(self.callers(info.qualname))

@@ -7,12 +7,12 @@ Two source categories exist:
   an explicitly *seeded* ``random.Random(seed)``) and
   ``numpy.random.<fn>`` (except a *seeded* seedable constructor).
 
-:func:`source_category` classifies one call.  The per-file determinism
-rules (REPRO101–103, :mod:`repro.lintkit.rules.determinism`) flag the
-sources written inside the deterministic perimeter; the summary layer
-propagates the categories through assignments, expressions and helper
-calls, so ``REPRO111`` can ask "does this function's return value
-derive from a clock or a global PRNG, however indirectly?".
+:func:`source_category` classifies one call.  REPRO111
+(:mod:`repro.lintkit.rules.taintflow`) flags the sources written inside
+the determinism perimeter; the summary layer propagates the categories
+through assignments, expressions and helper calls, so REPRO111 can also
+ask "does this function's return value derive from a clock or a global
+PRNG, however indirectly?".
 """
 
 from __future__ import annotations

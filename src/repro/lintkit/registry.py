@@ -1,11 +1,12 @@
 """Pluggable rule registry.
 
 A rule is a class with an ``id`` (``REPROnnn``), a one-line ``title``,
-an optional tuple of module ``scopes`` it applies to, and a
-``check(ctx)`` generator yielding :class:`Finding` objects.  Rules
-self-register at import time via the :func:`register` decorator; the
-engine asks :func:`all_rules` for the active set, so adding a rule is
-one new module in :mod:`repro.lintkit.rules` — no engine changes.
+the modules it applies to (a tuple of ``scopes``, or the determinism
+``perimeter``) and either a per-module ``check(ctx)`` or a whole-tree
+``check_project(project)`` generator yielding :class:`Finding` objects.
+Rules self-register at import time via the :func:`register` decorator;
+the engine asks :func:`all_rules` for the active set, so adding a rule
+is one new module in :mod:`repro.lintkit.rules` — no engine changes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tupl
 from repro.errors import ConfigurationError
 from repro.lintkit.context import ModuleContext
 from repro.lintkit.findings import Finding, normalize_snippet
+from repro.lintkit.scopes import PERIMETER_LABEL, in_package, in_perimeter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lintkit.flow import Project
@@ -28,20 +30,37 @@ class Rule:
     id: str = ""
     #: One-line summary shown by ``repro-lint --list-rules``.
     title: str = ""
-    #: Module prefixes the rule applies to; ``None`` means every module.
+    #: Module packages the rule applies to; ``None`` means every module.
     scopes: Optional[Tuple[str, ...]] = None
-    #: Project rules need the whole-tree flow analysis (``--project``).
-    requires_project: bool = False
+    #: Apply to the determinism perimeter instead of ``scopes``.
+    perimeter: bool = False
 
     def applies_to(self, module: str) -> bool:
-        if self.scopes is None:
-            return True
-        return any(
-            module == scope or module.startswith(scope + ".") for scope in self.scopes
-        )
+        if self.perimeter:
+            return in_perimeter(module)
+        return self.scopes is None or in_package(module, self.scopes)
+
+    def scope_label(self) -> str:
+        """Where the rule applies, as ``repro-lint --list-rules`` prints it."""
+        if self.perimeter:
+            return PERIMETER_LABEL
+        return ", ".join(self.scopes) if self.scopes else "all modules"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        """Findings in one module the rule applies to."""
         raise NotImplementedError
+
+    def check_project(self, project: "Project") -> Iterator[Finding]:
+        """Findings over the whole project.
+
+        By default, :meth:`check` on every module the rule applies to.
+        Rules that follow definitions across files (key completeness,
+        lock discipline, interprocedural taint) override this and see
+        the symbol table, call graph and flow summaries.
+        """
+        for ctx in project.contexts:
+            if self.applies_to(ctx.module):
+                yield from self.check(ctx)
 
     def finding(self, ctx: ModuleContext, node: ast.AST, message: str) -> Finding:
         """Build a finding anchored at ``node``."""
@@ -55,25 +74,6 @@ class Rule:
             message=message,
             snippet=normalize_snippet(ctx.line(line)),
         )
-
-
-class ProjectRule(Rule):
-    """A rule over the whole project instead of one module.
-
-    Project rules run only in ``--project`` mode: they see the
-    :class:`~repro.lintkit.flow.Project` (symbol table, call graph,
-    flow summaries) and may anchor findings in any analyzed file.  The
-    per-file ``check`` is a no-op so a project rule in the default
-    rule set never fires accidentally on single-file runs.
-    """
-
-    requires_project = True
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: "Project") -> Iterator[Finding]:
-        raise NotImplementedError
 
 
 _REGISTRY: Dict[str, Rule] = {}

@@ -7,28 +7,18 @@ and the LRU replay runs as chunked array phases.  A Python-level
 ``for``/``while`` loop over those columns reintroduces exactly the
 per-fragment interpreter cost the batch core removed — silently, since
 the result stays bit-identical.  These rules make that regression loud
-inside the vectorized perimeter.
+inside the determinism perimeter (:mod:`repro.lintkit.scopes`).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 from repro.lintkit.context import ModuleContext
 from repro.lintkit.findings import Finding
 from repro.lintkit.registry import Rule, register
 from repro.raster.fragments import FragmentBuffer
-
-#: Modules that must stay array-native (the batch perimeter).
-VECTORIZED_SCOPES: Tuple[str, ...] = (
-    "repro.raster.batch",
-    "repro.texture.filtering",
-    "repro.cache.stream",
-    "repro.cache.batchlru",
-    "repro.texture.pages",
-    "repro.workloads.vt",
-)
 
 #: The per-fragment column names, taken from the buffer itself so the
 #: rule tracks schema changes.
@@ -68,8 +58,8 @@ def _first_column_mention(node: ast.expr) -> Optional[str]:
 @register
 class FragmentColumnLoopRule(Rule):
     id = "REPRO501"
-    title = "no Python loops over FragmentBuffer columns in the batch perimeter"
-    scopes = VECTORIZED_SCOPES
+    title = "no Python loops over FragmentBuffer columns in the determinism perimeter"
+    perimeter = True
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -3,8 +3,8 @@
 The scheduler and its helpers are the only truly multi-threaded code
 in the tree.  REPRO401 (per file) bans bare ``except:`` there.  Lock
 discipline — state shared between threads is touched only inside
-``with self.<lock>:`` — needs a whole class at once and is checked in
-project mode by REPRO411/412 (:mod:`repro.lintkit.rules.lockflow`),
+``with self.<lock>:`` — needs a whole class at once and is checked
+over the project by REPRO411/412 (:mod:`repro.lintkit.rules.lockflow`),
 which share this module's scope, mutation vocabulary and
 caller-holds-the-lock convention.
 """
@@ -12,14 +12,12 @@ caller-holds-the-lock convention.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 from repro.lintkit.context import ModuleContext
 from repro.lintkit.findings import Finding
 from repro.lintkit.registry import Rule, register
-
-#: Packages whose classes are exercised from multiple threads.
-CONCURRENT_SCOPES: Tuple[str, ...] = ("repro.service",)
+from repro.lintkit.scopes import SERVICE
 
 #: Method names that mutate their receiver in place.
 _MUTATING_METHODS = frozenset(
@@ -45,7 +43,7 @@ _MUTATING_METHODS = frozenset(
 class BareExceptRule(Rule):
     id = "REPRO401"
     title = "no bare `except:` in the service layer"
-    scopes = CONCURRENT_SCOPES
+    scopes = SERVICE
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

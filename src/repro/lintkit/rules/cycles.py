@@ -17,7 +17,6 @@ from typing import Iterator, Optional
 from repro.lintkit.context import ModuleContext
 from repro.lintkit.findings import Finding
 from repro.lintkit.registry import Rule, register
-from repro.lintkit.rules.determinism import DETERMINISTIC_SCOPES
 
 #: Identifier fragments that mark a value as cycle/latency-valued.
 _CYCLE_NAME = re.compile(
@@ -52,7 +51,7 @@ def _is_exempt_operand(node: ast.expr) -> bool:
 class CycleEqualityRule(Rule):
     id = "REPRO201"
     title = "no float ==/!= on cycle or latency values"
-    scopes = DETERMINISTIC_SCOPES
+    perimeter = True
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -87,7 +86,7 @@ def _contains_true_division(node: ast.AST) -> bool:
 class CycleDivisionRule(Rule):
     id = "REPRO202"
     title = "no true division assigned into cycle-valued names"
-    scopes = DETERMINISTIC_SCOPES
+    perimeter = True
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -1,47 +1,24 @@
-"""Determinism rules (REPRO1xx).
+"""Determinism rules (REPRO101, REPRO104).
 
-The golden-value tests pin exact cycle counts; the simulation core
-must therefore be a pure function of its inputs.  These rules forbid
-the classic nondeterminism sources inside the hot packages: wall-clock
-reads, global PRNG state, and iteration whose order depends on a
-``set``'s hash layout.  REPRO101–103 classify calls through
-:func:`repro.lintkit.flow.taint.source_category`, the same source
-vocabulary REPRO111 propagates across helper calls; they are its
-zero-hop case, kept per file so the core perimeter is checked without
-``--project``.
+The golden-value tests pin exact cycle counts; the simulation must
+therefore be a pure function of its inputs.  Wall-clock reads and
+global PRNG state inside the determinism perimeter are REPRO111's
+(:mod:`repro.lintkit.rules.taintflow`), at any call depth.  This
+module holds the two checks that are not taint: REPRO104 forbids
+iteration whose order depends on a ``set``'s hash layout inside the
+perimeter, and REPRO101 forbids duration arithmetic on an adjustable
+clock in the service layer.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 from repro.lintkit.context import ModuleContext
 from repro.lintkit.findings import Finding
-from repro.lintkit.flow.taint import (
-    RNG,
-    SEEDABLE_CONSTRUCTORS,
-    WALL_CLOCK,
-    source_category,
-)
 from repro.lintkit.registry import Rule, register
-
-#: Packages whose results must be bit-exact across runs.  The VT page
-#: table and workload driver join the core: the golden points pin the
-#: whole residency trajectory, frame by frame.
-DETERMINISTIC_SCOPES: Tuple[str, ...] = (
-    "repro.core",
-    "repro.cache",
-    "repro.raster",
-    "repro.texture.pages",
-    "repro.workloads.vt",
-)
-
-#: Scopes where only *duration arithmetic* on the wall clock is banned:
-#: the service layer legitimately stamps display timestamps with
-#: ``time.time()``, but subtracting two of them measures a duration
-#: that jumps with every NTP step — durations must be monotonic.
-DURATION_SCOPES: Tuple[str, ...] = ("repro.service",)
+from repro.lintkit.scopes import SERVICE
 
 #: Clock sources that step under adjustment (unlike the monotonic family).
 ADJUSTABLE_CLOCK_CALLS = frozenset(
@@ -56,41 +33,16 @@ ADJUSTABLE_CLOCK_CALLS = frozenset(
 )
 
 
-def _in_scope(module: str, scopes: Tuple[str, ...]) -> bool:
-    return any(
-        module == scope or module.startswith(scope + ".") for scope in scopes
-    )
-
-
 @register
-class WallClockRule(Rule):
+class WallClockDurationRule(Rule):
     id = "REPRO101"
-    title = (
-        "no wall-clock reads in the deterministic core; no wall-clock "
-        "duration arithmetic in the service layer"
-    )
-    scopes = DETERMINISTIC_SCOPES + DURATION_SCOPES
+    title = "no wall-clock duration arithmetic in the service layer"
+    #: The service layer legitimately stamps display timestamps with
+    #: ``time.time()``, but subtracting two of them measures a duration
+    #: that jumps with every NTP step — durations must be monotonic.
+    scopes = SERVICE
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if _in_scope(ctx.module, DETERMINISTIC_SCOPES):
-            yield from self._check_core(ctx)
-        elif _in_scope(ctx.module, DURATION_SCOPES):
-            yield from self._check_durations(ctx)
-
-    def _check_core(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = ctx.qualname(node.func)
-            if source_category(name, node) == WALL_CLOCK:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"wall-clock read `{name}()` makes simulation output "
-                    "run-dependent; derive times from the simulation clock",
-                )
-
-    def _check_durations(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Flag adjustable-clock reads used as arithmetic operands.
 
         ``time.time()`` alone (a display timestamp) is fine; the bug is
@@ -122,56 +74,6 @@ class WallClockRule(Rule):
                     )
 
 
-@register
-class StdlibRandomRule(Rule):
-    id = "REPRO102"
-    title = "no global `random` module state in the deterministic core"
-    scopes = DETERMINISTIC_SCOPES
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = ctx.qualname(node.func)
-            if name is None or not name.startswith("random."):
-                continue
-            if source_category(name, node) != RNG:
-                continue  # a locally seeded Random(seed) is reproducible
-            if name in SEEDABLE_CONSTRUCTORS:
-                message = f"`{name}()` without a seed is nondeterministic"
-            else:
-                message = (
-                    f"`{name}()` uses the process-global PRNG; thread a seeded "
-                    "generator through instead"
-                )
-            yield self.finding(ctx, node, message)
-
-
-@register
-class NumpyRandomRule(Rule):
-    id = "REPRO103"
-    title = "no unseeded numpy.random in the deterministic core"
-    scopes = DETERMINISTIC_SCOPES
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = ctx.qualname(node.func)
-            if name is None or not name.startswith("numpy.random."):
-                continue
-            if source_category(name, node) != RNG:
-                continue  # a seeded constructor is reproducible
-            if name in SEEDABLE_CONSTRUCTORS:
-                message = f"`{name}()` without an explicit seed draws OS entropy"
-            else:
-                message = (
-                    f"`{name}()` mutates numpy's global PRNG state; use a seeded "
-                    "`numpy.random.default_rng(seed)` generator"
-                )
-            yield self.finding(ctx, node, message)
-
-
 def _set_expression(node: ast.expr) -> Optional[str]:
     """Describe ``node`` if iterating it depends on set hash order."""
     if isinstance(node, ast.Set):
@@ -192,8 +94,8 @@ _ORDER_PRESERVING_WRAPPERS = frozenset({"enumerate", "list", "tuple", "iter", "r
 @register
 class SetIterationRule(Rule):
     id = "REPRO104"
-    title = "no iteration-order dependence on sets in the deterministic core"
-    scopes = DETERMINISTIC_SCOPES
+    title = "no iteration-order dependence on sets in the determinism perimeter"
+    perimeter = True
 
     def _iter_target(self, node: ast.expr) -> Optional[str]:
         described = _set_expression(node)

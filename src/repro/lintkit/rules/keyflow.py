@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterator, List, Mapping, Tuple
 
 from repro.lintkit.findings import Finding
 from repro.lintkit.flow.summaries import FIELD, PARAM, analyze_function
-from repro.lintkit.registry import ProjectRule, register
+from repro.lintkit.registry import Rule, register
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lintkit.flow import Project
@@ -91,7 +91,7 @@ def _module_prefix_present(project: "Project", qualname: str) -> bool:
     )
 
 
-class _KeyCompletenessRule(ProjectRule):
+class _KeyCompletenessRule(Rule):
     """Shared driver; subclasses only narrow the table by rule id."""
 
     def check_project(self, project: "Project") -> Iterator[Finding]:

@@ -1,8 +1,8 @@
 """Flow-sensitive lock discipline for the service layer (REPRO411/412).
 
-The one lock-discipline check; it runs in project mode only
-(``repro-lint --project``), because it needs whole classes and their
-private-helper call sites.  For each class in ``repro.service``:
+The one lock-discipline check; it reads the whole project, because
+it needs whole classes and their private-helper call sites.  For each
+class in ``repro.service``:
 
 * **locks are found by type or by use** — any attribute assigned a
   ``threading.Lock``/``RLock``/``Condition`` in ``__init__``
@@ -37,13 +37,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lintkit.findings import Finding
-from repro.lintkit.registry import ProjectRule, register
+from repro.lintkit.registry import Rule, register
 from repro.lintkit.rules.concurrency import (
-    CONCURRENT_SCOPES,
     _MUTATING_METHODS,
     _caller_holds_lock,
     _self_attribute,
 )
+from repro.lintkit.scopes import SERVICE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lintkit.context import ModuleContext
@@ -275,10 +275,10 @@ def _locked_method_fixpoint(
     return held
 
 
-class _LockFlowRule(ProjectRule):
+class _LockFlowRule(Rule):
     """Shared inference; subclasses pick writes (411) or reads (412)."""
 
-    scopes = CONCURRENT_SCOPES
+    scopes = SERVICE
     flag_writes = True
 
     def check_project(self, project: "Project") -> Iterator[Finding]:

@@ -16,7 +16,6 @@ from typing import Iterator, List
 from repro.lintkit.context import ModuleContext
 from repro.lintkit.findings import Finding
 from repro.lintkit.registry import Rule, register
-from repro.lintkit.rules.determinism import DETERMINISTIC_SCOPES
 
 #: Qualified names of the process-wide recorder accessor.
 _RECORDER_ACCESSORS = frozenset(
@@ -47,7 +46,7 @@ def _is_recorder_accessor(ctx: ModuleContext, node: ast.expr) -> bool:
 class RecorderAccessRule(Rule):
     id = "REPRO301"
     title = "hot paths resolve the recorder once (null-object pattern)"
-    scopes = DETERMINISTIC_SCOPES
+    perimeter = True
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         yield from self._walk(ctx, ctx.tree, loop_depth=0)

@@ -1,63 +1,88 @@
-"""Interprocedural determinism taint (REPRO111).
+"""Determinism taint (REPRO111): the one rule for the wall clock and global PRNGs.
 
-REPRO101 catches a wall-clock or global-PRNG call *written inside* the
-deterministic perimeter (``repro.core``/``cache``/``raster``
-and the deterministic texture/workload modules).  It cannot see the
-laundered version: a helper *outside* the perimeter returns
-``time.time()`` (or a ``random.random()``-derived value) and
-deterministic code calls the helper.
+Inside the determinism perimeter (:mod:`repro.lintkit.scopes`) no value
+may derive from the wall clock or a process-global PRNG, however it
+arrives:
 
-This rule closes that hole with the flow summaries: for every call
-from a perimeter function to a project function defined outside the
-perimeter, if the callee's return value derives from a taint source —
-directly or through further helpers, to a fixpoint — the *call site*
-is flagged.  Calls to functions inside the perimeter are skipped
-(REPRO101–103 already police their bodies), as are unresolved calls:
-a stdlib source called directly is REPRO101–103's finding.  Both
-sides classify sources through one vocabulary,
+* **depth 0** — a source call written in a perimeter module, anywhere
+  in it: function bodies, class bodies and module-level statements;
+* **depth 1 and more** — a call from a perimeter function to a project
+  function *outside* the perimeter whose return value derives from a
+  source, directly or through further helpers, to a fixpoint of the
+  flow summaries.  The *call site* is flagged.
+
+Calls to functions inside the perimeter are not followed: depth 0
+already checks their bodies.  Unresolved calls are not followed
+either: a stdlib source called directly is a depth-0 finding.  Both
+depths classify sources through one vocabulary,
 :func:`repro.lintkit.flow.taint.source_category`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+import ast
+from typing import TYPE_CHECKING, Iterator, Optional
 
+from repro.lintkit.context import ModuleContext
 from repro.lintkit.findings import Finding
-from repro.lintkit.flow.taint import describe
-from repro.lintkit.registry import ProjectRule, register
-from repro.lintkit.rules.determinism import DETERMINISTIC_SCOPES
+from repro.lintkit.flow.taint import (
+    SEEDABLE_CONSTRUCTORS,
+    WALL_CLOCK,
+    describe,
+    source_category,
+)
+from repro.lintkit.registry import Rule, register
+from repro.lintkit.scopes import in_perimeter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lintkit.flow import Project
 
 
-def _in_perimeter(module: str) -> bool:
-    return any(
-        module == scope or module.startswith(scope + ".")
-        for scope in DETERMINISTIC_SCOPES
+def _direct_message(name: Optional[str], category: str) -> str:
+    if category == WALL_CLOCK:
+        return (
+            f"wall-clock read `{name}()` makes simulation output "
+            "run-dependent; derive times from the simulation clock"
+        )
+    if name in SEEDABLE_CONSTRUCTORS:
+        return f"`{name}()` without an explicit seed draws OS entropy"
+    return (
+        f"`{name}()` uses a process-global PRNG; thread a seeded "
+        "generator through instead"
     )
 
 
 @register
-class InterproceduralTaintRule(ProjectRule):
+class DeterminismTaintRule(Rule):
     id = "REPRO111"
     title = (
-        "deterministic code must not call helpers whose return value "
-        "derives from the wall clock or a process-global PRNG"
+        "no value derived from the wall clock or a process-global PRNG "
+        "in the determinism perimeter, read directly or through helpers"
     )
-    scopes = DETERMINISTIC_SCOPES
+    perimeter = True
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        """Depth 0: source calls written anywhere in a perimeter module."""
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = ctx.qualname(node.func)
+            category = source_category(name, node)
+            if category is not None:
+                yield self.finding(ctx, node, _direct_message(name, category))
 
     def check_project(self, project: "Project") -> Iterator[Finding]:
+        yield from super().check_project(project)
         symbols = project.symbols
         for info in symbols.functions.values():
-            if not _in_perimeter(info.module):
+            if not in_perimeter(info.module):
                 continue
             ctx = project.by_module[info.module]
             for site in project.callgraph.calls_from(info.qualname):
                 if site.callee is None:
                     continue
                 callee = symbols.function(site.callee)
-                if callee is None or _in_perimeter(callee.module):
+                if callee is None or in_perimeter(callee.module):
                     continue
                 summary = project.summaries.summary(site.callee)
                 if summary is None or not summary.sources_to_return:

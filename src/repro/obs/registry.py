@@ -137,9 +137,6 @@ class Gauge(_Metric):
             self.value += amount
             self._touched = True
 
-    def dec(self, amount: float = 1) -> None:
-        self.inc(-amount)
-
     def _value_snapshot(self) -> float:
         return self.value
 
@@ -185,11 +182,6 @@ class Histogram(_Metric):
             self.min = value if self.min is None else min(self.min, value)
             self.max = value if self.max is None else max(self.max, value)
             self._touched = True
-
-    def bucket_counts(self) -> Dict[str, int]:
-        """Cumulative ``le``-keyed bucket counts (plus ``+Inf``)."""
-        with self._lock:
-            return self._cumulative()
 
     def _cumulative(self) -> Dict[str, int]:
         # Caller holds self._lock.

@@ -1,8 +1,8 @@
 """REPRO111 positive fixture: deterministic code calls a helper whose
-return value derives from the wall clock two calls away — invisible to
-the per-file REPRO101, caught interprocedurally."""
+return value derives from the wall clock two calls away, in a package
+outside the determinism perimeter."""
 
-from repro.util.clockutil import elapsed_tag
+from repro.obs.clockutil import elapsed_tag
 
 
 def step(state):

@@ -9,8 +9,9 @@ derived from live here, unchanged, so
 equivalence property tests can compare the shipped code against them
 bit for bit:
 
-* :mod:`tests.oracles.raster` — triangle setup (edge equations, the
-  top-left fill rule) and the one-triangle-at-a-time rasterizer;
+* :mod:`tests.oracles.raster` — triangle setup (bounding box,
+  degeneracy, edge equations, the top-left fill rule) and the
+  one-triangle-at-a-time rasterizer;
 * :mod:`tests.oracles.lru` — :class:`ReferenceLru`, the stepwise
   ``access`` walk and the scalar per-set replay;
 * :mod:`tests.oracles.replay` — the per-node cache replay the shared
@@ -18,7 +19,8 @@ bit for bit:
   node's fragments and a replay loop of its own;
 * :mod:`tests.oracles.routing` — per-triangle bounding-box routing:
   one box clamp and one scalar ``nodes_in_box`` query per triangle,
-  with each distribution family's scalar body;
+  with each distribution family's scalar body, and the per-pixel
+  ownership image;
 * :mod:`tests.oracles.kernel`, :mod:`tests.oracles.fifo`,
   :mod:`tests.oracles.bus` and :mod:`tests.oracles.event_machine` — the
   discrete-event kernel, its blocking bounded FIFO, the per-node
@@ -43,12 +45,18 @@ from tests.oracles.lru import ReferenceLru
 from tests.oracles.pages import ReferencePageTable
 from tests.oracles.raster import (
     EdgeEquations,
+    bounding_box,
+    is_degenerate,
     rasterize_scene_scalar,
     rasterize_triangle,
     triangle_setup,
 )
 from tests.oracles.replay import reference_replay, replay_node
-from tests.oracles.routing import reference_nodes_in_box, reference_route_triangles
+from tests.oracles.routing import (
+    owner_map,
+    reference_nodes_in_box,
+    reference_route_triangles,
+)
 from tests.oracles.stream import reference_interleave_stream, stream_columns, stream_rows
 
 __all__ = [
@@ -56,6 +64,9 @@ __all__ = [
     "EdgeEquations",
     "ReferenceLru",
     "ReferencePageTable",
+    "bounding_box",
+    "is_degenerate",
+    "owner_map",
     "rasterize_scene_scalar",
     "rasterize_triangle",
     "reference_event_machine",

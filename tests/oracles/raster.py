@@ -29,6 +29,18 @@ from repro.raster.raster import mip_level_for_scale
 from repro.texture.filtering import half_texel_index
 
 
+def bounding_box(triangle: Triangle) -> Tuple[float, float, float, float]:
+    """``(min_x, min_y, max_x, max_y)`` of a triangle in screen coordinates."""
+    xs = (triangle.v0.x, triangle.v1.x, triangle.v2.x)
+    ys = (triangle.v0.y, triangle.v1.y, triangle.v2.y)
+    return (min(xs), min(ys), max(xs), max(ys))
+
+
+def is_degenerate(triangle: Triangle) -> bool:
+    """True when the triangle has (numerically) zero area."""
+    return triangle.area() < 1e-12
+
+
 @dataclass(frozen=True)
 class EdgeEquations:
     """Edge functions of a positively-oriented triangle.
@@ -111,10 +123,10 @@ def rasterize_triangle(
     left to right), the order a hardware scanner visits them.  Returns
     ``None`` when the triangle covers no pixel centre.
     """
-    if triangle.is_degenerate():
+    if is_degenerate(triangle):
         return None
     equations = triangle_setup(triangle)
-    min_x, min_y, max_x, max_y = triangle.bounding_box()
+    min_x, min_y, max_x, max_y = bounding_box(triangle)
     # Pixel (i, j) has its centre at (i + 0.5, j + 0.5); find the pixel
     # range whose centres can fall inside the bounding box.
     x0 = max(0, int(math.ceil(min_x - 0.5)))

@@ -3,7 +3,7 @@
 The shipped :func:`repro.core.routing.route_triangles` reads every
 triangle's box in one column sweep and asks the distribution for all
 ``(triangle, node)`` pairs at once (``nodes_in_boxes``).  This module
-keeps the loop it replaced: one ``bounding_box()`` call, one scalar
+keeps the loop it replaced: one bounding box per triangle, one scalar
 clamp and one scalar node query per triangle, with each distribution
 family's scalar ``nodes_in_box`` body as it was.
 """
@@ -27,6 +27,7 @@ from repro.distribution import (
     morton_index,
 )
 from repro.geometry.scene import Scene
+from tests.oracles.raster import bounding_box
 
 
 def _block(dist: BlockInterleaved, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
@@ -98,12 +99,18 @@ def reference_nodes_in_box(
     return _NODES_IN_BOX[type(dist)](dist, x0, y0, x1, y1)
 
 
+def owner_map(dist: Distribution, width: int, height: int) -> np.ndarray:
+    """The full ``(height, width)`` ownership image: one owner per pixel."""
+    ys, xs = np.mgrid[0:height, 0:width]
+    return dist.owners(xs.ravel(), ys.ravel()).reshape(height, width)
+
+
 def reference_route_triangles(scene: Scene, dist: Distribution) -> List[np.ndarray]:
     """Bounding-box routing, per triangle: the nodes each triangle is sent to."""
     width, height = scene.width, scene.height
     routed: List[np.ndarray] = []
     for triangle in scene.triangles:
-        min_x, min_y, max_x, max_y = triangle.bounding_box()
+        min_x, min_y, max_x, max_y = bounding_box(triangle)
         x0 = min(width - 1, max(0, int(math.floor(min_x))))
         y0 = min(height - 1, max(0, int(math.floor(min_y))))
         x1 = min(width - 1, max(x0, int(math.ceil(max_x)) - 1))

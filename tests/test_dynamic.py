@@ -10,13 +10,14 @@ from repro.analysis.dynamic import (
 )
 from repro.distribution import AssignedTiles, TileGrid, lpt_assignment
 from repro.errors import ConfigurationError
+from tests.oracles import owner_map
 
 
 class TestTileGrid:
     def test_tile_count_and_ids(self):
         grid = TileGrid(16, 64, 48)
         assert grid.num_tiles == 4 * 3
-        owners = grid.owner_map(64, 48)
+        owners = owner_map(grid, 64, 48)
         assert owners[0, 0] == 0
         assert owners[0, 63] == 3
         assert owners[47, 63] == 11
@@ -27,7 +28,7 @@ class TestTileGrid:
 
     def test_every_tile_is_its_own_owner(self):
         grid = TileGrid(8, 64, 64)
-        owners = grid.owner_map(64, 64)
+        owners = owner_map(grid, 64, 64)
         assert len(np.unique(owners)) == grid.num_tiles
 
     def test_box_routing_matches_owner_map(self):
@@ -49,7 +50,7 @@ class TestAssignedTiles:
         grid = TileGrid(16, 64, 64)
         assignment = np.arange(grid.num_tiles) % 4
         dist = AssignedTiles(grid, assignment, 4)
-        owners = dist.owner_map(64, 64)
+        owners = owner_map(dist, 64, 64)
         assert owners[0, 0] == 0
         assert owners[0, 17] == 1
         assert set(np.unique(owners)) == {0, 1, 2, 3}
@@ -112,7 +113,7 @@ class TestDynamicStudy:
 
     def test_assignment_for_uses_every_processor(self, tiny_bench_scene):
         dist = dynamic_assignment_for(tiny_bench_scene, 16, 8)
-        owners = dist.owner_map(tiny_bench_scene.width, tiny_bench_scene.height)
+        owners = owner_map(dist, tiny_bench_scene.width, tiny_bench_scene.height)
         assert len(np.unique(owners)) == 8
 
     def test_render_contains_rows(self, tiny_bench_scene):

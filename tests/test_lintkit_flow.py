@@ -1,12 +1,12 @@
 """Tests for the project-wide dataflow engine (repro.lintkit.flow)
 and the rule families built on it (REPRO601/602, REPRO411/412,
-REPRO111), plus the baseline --prune machinery and the --project CLI.
+REPRO111), plus the baseline --prune machinery.
 
 Three layers:
 
 * engine unit tests over in-memory :class:`Project` objects (symbol
   resolution, call graph, label-flow summaries, taint propagation);
-* fixture-package tests driving ``run(project=True)`` over the
+* fixture-package tests driving ``run`` over the
   miniature trees in ``tests/lintkit_fixtures/`` (one polarity per
   package — see its README);
 * seeded-bug meta-tests: copy real source out of ``src/``, delete or
@@ -49,7 +49,7 @@ def make_project(**modules: str) -> Project:
 
 
 def fixture_findings(name: str, select):
-    report = run([FIXTURES / name / "src"], project=True, select=select)
+    report = run([FIXTURES / name / "src"], select=select)
     return report.findings
 
 
@@ -316,7 +316,7 @@ def test_keyflow_table_rot_is_flagged(tmp_path):
     target = tmp_path / "src" / "repro" / "pipeline" / "stages.py"
     target.parent.mkdir(parents=True)
     target.write_text("def some_other_stage(x):\n    return x\n")
-    report = run([tmp_path / "src"], project=True, select=["REPRO601"])
+    report = run([tmp_path / "src"], select=["REPRO601"])
     assert len(report.findings) == 1
     assert "no longer exists" in report.findings[0].message
 
@@ -325,11 +325,7 @@ def test_keyflow_skips_trees_without_the_mapped_modules(tmp_path):
     target = tmp_path / "src" / "repro" / "unrelated.py"
     target.parent.mkdir(parents=True)
     target.write_text("def f(x):\n    return x\n")
-    report = run(
-        [tmp_path / "src"],
-        project=True,
-        select=["REPRO601", "REPRO602"],
-    )
+    report = run([tmp_path / "src"], select=["REPRO601", "REPRO602"])
     assert report.findings == []
 
 
@@ -550,7 +546,7 @@ def test_project_findings_respect_inline_suppression(tmp_path):
     target = tmp_path / "src" / "repro" / "service" / "reaper.py"
     target.parent.mkdir(parents=True)
     target.write_text(text)
-    report = run([tmp_path / "src"], project=True, select=["REPRO411", "REPRO412"])
+    report = run([tmp_path / "src"], select=["REPRO411", "REPRO412"])
     assert report.findings == []
 
 
@@ -571,7 +567,7 @@ def test_seeded_bug_dropping_translator_from_replay_key_is_caught(tmp_path):
     )
     assert seeded != text, "the translator keying moved; update this seed"
     stages.write_text(seeded)
-    report = run([tmp_path / "src"], project=True, select=["REPRO601"])
+    report = run([tmp_path / "src"], select=["REPRO601"])
     assert [f.rule for f in report.findings] == ["REPRO601"]
     assert "'translator'" in report.findings[0].message
 
@@ -585,7 +581,7 @@ def test_seeded_bug_unlocked_lease_mutation_is_caught(tmp_path):
             "\n    def drop_fast(self, lease_id):\n"
             "        self._leases.pop(lease_id, None)\n"
         )
-    report = run([tmp_path / "src"], project=True, select=["REPRO411"])
+    report = run([tmp_path / "src"], select=["REPRO411"])
     assert [f.rule for f in report.findings] == ["REPRO411"]
     assert "_leases" in report.findings[0].message
 
@@ -604,9 +600,9 @@ def _clock_tree(tmp_path: Path) -> Path:
 def _baseline_file(tmp_path: Path) -> Path:
     baseline = tmp_path / "baseline.txt"
     baseline.write_text(
-        "REPRO101\tsrc/repro/cache/clocky.py\treturn time.time()\t"
+        "REPRO111\tsrc/repro/cache/clocky.py\treturn time.time()\t"
         "# boundary timestamp, never enters simulation\n"
-        "REPRO101\tsrc/repro/cache/gone.py\treturn time.monotonic()\t"
+        "REPRO111\tsrc/repro/cache/gone.py\treturn time.monotonic()\t"
         "# this module was deleted long ago\n"
     )
     return baseline
@@ -616,7 +612,7 @@ def test_prune_baseline_drops_stale_keeps_justifications(tmp_path):
     src = _clock_tree(tmp_path)
     baseline_path = _baseline_file(tmp_path)
     baseline = Baseline.load(baseline_path)
-    report = run([src], baseline=baseline, select=["REPRO101"])
+    report = run([src], baseline=baseline, select=["REPRO111"])
     assert report.findings == [] and len(report.suppressed) == 1
     assert [e.path for e in report.stale_entries] == ["src/repro/cache/gone.py"]
     removed = prune_baseline(baseline_path, report.stale_entries)
@@ -632,11 +628,11 @@ def test_cli_stale_warning_names_rule_and_justification(tmp_path, capsys):
     src = _clock_tree(tmp_path)
     baseline_path = _baseline_file(tmp_path)
     exit_code = lint_main(
-        [str(src), "--baseline", str(baseline_path), "--select", "REPRO101"]
+        [str(src), "--baseline", str(baseline_path), "--select", "REPRO111"]
     )
     captured = capsys.readouterr()
     assert exit_code == 0
-    assert "[REPRO101]" in captured.err
+    assert "[REPRO111]" in captured.err
     assert "this module was deleted long ago" in captured.err
     assert "--prune-baseline" in captured.err
 
@@ -650,7 +646,7 @@ def test_cli_prune_baseline_rewrites_file(tmp_path, capsys):
             "--baseline",
             str(baseline_path),
             "--select",
-            "REPRO101",
+            "REPRO111",
             "--prune-baseline",
         ]
     )
@@ -661,8 +657,7 @@ def test_cli_prune_baseline_rewrites_file(tmp_path, capsys):
 
 
 def test_entries_of_rules_that_did_not_run_are_not_stale(tmp_path):
-    # Neither a rule left out by ``select`` nor a project rule in a
-    # per-file run has had a chance to match its entry.
+    # A rule left out by ``select`` has had no chance to match its entry.
     src = _clock_tree(tmp_path)
     baseline_path = tmp_path / "baseline.txt"
     baseline_path.write_text(
@@ -672,19 +667,15 @@ def test_entries_of_rules_that_did_not_run_are_not_stale(tmp_path):
         "# single-threaded fixture\n"
     )
     baseline = Baseline.load(baseline_path)
-    assert run([src], baseline=baseline, select=["REPRO101"]).stale_entries == []
-    assert run([src], baseline=baseline).stale_entries == baseline.entries[:1]
-    assert (
-        run([src], baseline=baseline, project=True).stale_entries
-        == baseline.entries
-    )
+    assert run([src], baseline=baseline, select=["REPRO111"]).stale_entries == []
+    assert run([src], baseline=baseline).stale_entries == baseline.entries
     exit_code = lint_main(
         [
             str(src),
             "--baseline",
             str(baseline_path),
             "--select",
-            "REPRO101",
+            "REPRO111",
             "--prune-baseline",
         ]
     )
@@ -699,12 +690,12 @@ def test_entries_outside_the_checked_paths_are_not_stale(tmp_path):
     other.write_text("def f():\n    return 1\n")
     baseline_path = _baseline_file(tmp_path)
     baseline = Baseline.load(baseline_path)
-    narrow = run([src / "repro" / "core"], baseline=baseline, select=["REPRO101"])
+    narrow = run([src / "repro" / "core"], baseline=baseline, select=["REPRO111"])
     assert narrow.files_checked == 1 and narrow.stale_entries == []
-    single = run([other], baseline=baseline, select=["REPRO101"])
+    single = run([other], baseline=baseline, select=["REPRO111"])
     assert single.stale_entries == []
     # The whole tree covers both entries: the deleted module's is stale.
-    whole = run([src], baseline=baseline, select=["REPRO101"])
+    whole = run([src], baseline=baseline, select=["REPRO111"])
     assert [e.path for e in whole.stale_entries] == ["src/repro/cache/gone.py"]
     assert prune_baseline(baseline_path, narrow.stale_entries) == 0
 
@@ -723,7 +714,7 @@ def test_another_src_tree_leaves_the_baseline_alone(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# CLI --project + meta-tests over the shipped tree
+# CLI + the time budget over the shipped tree
 
 
 def test_cli_project_mode_reports_flow_findings(capsys):
@@ -731,7 +722,6 @@ def test_cli_project_mode_reports_flow_findings(capsys):
         [
             str(FIXTURES / "keyflow_missing" / "src"),
             "--no-baseline",
-            "--project",
             "--select",
             "REPRO601",
         ]
@@ -741,32 +731,11 @@ def test_cli_project_mode_reports_flow_findings(capsys):
     assert "translator" in captured.out
 
 
-def test_cli_without_project_flag_skips_flow_rules():
-    exit_code = lint_main(
-        [
-            str(FIXTURES / "keyflow_missing" / "src"),
-            "--no-baseline",
-            "--select",
-            "REPRO601",
-        ]
-    )
-    assert exit_code == 0
-
-
-def test_src_tree_is_project_lint_clean():
-    baseline = Baseline.load(REPO_ROOT / "lint-baseline.txt")
-    report = run([REPO_ROOT / "src"], baseline=baseline, project=True)
-    assert report.findings == [], "\n".join(f.render() for f in report.findings)
-    assert report.stale_entries == [], "stale baseline entries: " + "; ".join(
-        entry.render() for entry in report.stale_entries
-    )
-
-
 def test_project_pass_stays_inside_time_budget():
     import repro.lintkit.flow as flow
 
     flow._CACHE.clear()  # force a cold parse + summary build
     started = time.monotonic()
-    run([REPO_ROOT / "src"], project=True)
+    run([REPO_ROOT / "src"])
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"project analysis took {elapsed:.1f}s (budget 30s)"

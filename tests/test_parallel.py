@@ -1,5 +1,7 @@
 """Tests for parallel sweeps."""
 
+import os
+
 import pytest
 
 from repro import pipeline
@@ -7,7 +9,7 @@ from repro.analysis.parallel import keyed_tasks, run_tasks, worker_count
 from repro.errors import ConfigurationError
 
 
-@pytest.fixture(autouse=True)
+@pytest.fixture
 def _restore_artifact_store(monkeypatch):
     """Undo what a pooled ``run_tasks`` leaves behind.
 
@@ -48,7 +50,11 @@ def _kill_worker_once(value):
     return value * 2
 
 
+pooled = pytest.mark.usefixtures("_restore_artifact_store")
+
+
 class TestParallel:
+    @pooled
     def test_inline_matches_parallel(self):
         arguments = [(i,) for i in range(8)]
         assert run_tasks(_square, arguments, workers=0) == run_tasks(
@@ -79,6 +85,15 @@ class TestParallel:
         assert run_tasks(_square, [], workers=4) == []
         assert keyed_tasks(_square, [], workers=4) == {}
 
+    def test_empty_pooled_sweep_shares_no_artifacts(self):
+        # Nothing to fan out: no temporary disk tier is attached and no
+        # REPRO_ARTIFACT_DIR is exported (the conftest guard checks too).
+        disk_dir = pipeline.store().disk_dir
+        exported = os.environ.get(pipeline.ARTIFACT_DIR_ENV_VAR)
+        assert run_tasks(_square, [], workers=4) == []
+        assert pipeline.store().disk_dir == disk_dir
+        assert os.environ.get(pipeline.ARTIFACT_DIR_ENV_VAR) == exported
+
     def test_one_worker_runs_inline(self):
         # workers=1 must not pay for a pool: same code path as inline.
         arguments = [(i,) for i in range(4)]
@@ -89,11 +104,13 @@ class TestParallel:
             run_tasks(_raise_on_three, [(1,), (3,), (5,)], workers=0)
         assert excinfo.value.failing_arguments == (3,)
 
+    @pooled
     def test_failing_arguments_attached_across_processes(self):
         with pytest.raises(ValueError) as excinfo:
             run_tasks(_raise_on_three, [(1,), (3,), (5,)], workers=2)
         assert excinfo.value.failing_arguments == (3,)
 
+    @pooled
     def test_broken_pool_falls_back_inline(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_PARALLEL_MARKER", str(tmp_path / "marker"))
         with pytest.warns(RuntimeWarning, match="rerunning the sweep inline"):

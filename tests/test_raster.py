@@ -25,7 +25,7 @@ from repro.raster import (
 )
 from repro.texture.texture import MipmappedTexture
 from tests.conftest import quad
-from tests.oracles import rasterize_scene_scalar, triangle_setup
+from tests.oracles import bounding_box, rasterize_scene_scalar, triangle_setup
 
 
 def tri(coords, texture=0):
@@ -357,7 +357,7 @@ class TestCandidateCounters:
 
         rows = 0
         for triangle in scene.triangles:
-            _, min_y, _, max_y = triangle.bounding_box()
+            _, min_y, _, max_y = bounding_box(triangle)
             top = max(0, math.ceil(min_y - 0.5))
             bottom = min(scene.height - 1, math.floor(max_y - 0.5) + 1)
             rows += bottom - top + 1
