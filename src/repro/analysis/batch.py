@@ -6,12 +6,13 @@ or ``vt`` job (:func:`repro.service.jobs.machine_from_payload`)::
     {"family": "sli", "processors": 16, "size": 4,
      "cache": "perfect", "bus_ratio": 2.0, "fifo": 100}
 
-``family`` is ``block``/``sli``/``morton``/``bands``/``single``; the
-optional knobs are ``cache`` (lru/perfect/none), ``cache_kb``,
-``ways``, ``bus_ratio`` and ``fifo``.  These two factories turn an
-entry into the :class:`Distribution` and :class:`MachineConfig` that
-:func:`repro.core.machine.simulate_machine` runs.  A campaign of many
-points is a list of job payloads, run with
+``family`` names a :data:`FAMILIES` entry; the optional knobs are
+``cache`` (a :data:`repro.cache.models.CACHE_MODELS` name),
+``cache_kb``, ``ways``, ``bus_ratio`` and ``fifo``, with the defaults
+of :mod:`repro.core.config`.  These two factories turn an entry into
+the :class:`Distribution` and :class:`MachineConfig` that
+:func:`repro.core.machine.simulate_machine` runs, for jobs and sweeps
+alike.  A campaign of many points is a list of job payloads, run with
 :class:`repro.service.JobDispatcher`.
 """
 
@@ -19,8 +20,16 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.cache.config import CacheConfig
-from repro.core.config import MachineConfig
+from repro.cache.config import DEFAULT_CACHE, CacheConfig
+from repro.core.config import (
+    DEFAULT_BUS_RATIO,
+    DEFAULT_CACHE_MODEL,
+    DEFAULT_FAMILY,
+    DEFAULT_FIFO_CAPACITY,
+    DEFAULT_PROCESSORS,
+    DEFAULT_SIZE,
+    MachineConfig,
+)
 from repro.distribution.base import Distribution
 from repro.distribution.block import BlockInterleaved
 from repro.distribution.contiguous import ContiguousBands
@@ -29,23 +38,30 @@ from repro.distribution.single import SingleProcessor
 from repro.distribution.sli import ScanLineInterleaved
 from repro.errors import ConfigurationError
 
+#: Every distribution family a machine entry can name.
+FAMILIES = {
+    "block": BlockInterleaved,
+    "sli": ScanLineInterleaved,
+    "morton": MortonInterleaved,
+    "bands": ContiguousBands,
+    "single": SingleProcessor,
+}
+
 
 def distribution_from_spec(spec: Dict, screen_height: int) -> Distribution:
     """Build a distribution from one machine entry."""
-    family = spec.get("family", "block")
-    processors = int(spec.get("processors", 1))
-    size = int(spec.get("size", 16))
-    if family == "block":
-        return BlockInterleaved(processors, size)
-    if family == "sli":
-        return ScanLineInterleaved(processors, size)
-    if family == "morton":
-        return MortonInterleaved(processors, size)
-    if family == "bands":
-        return ContiguousBands(processors, screen_height)
-    if family == "single":
+    family = spec.get("family", DEFAULT_FAMILY)
+    if family not in FAMILIES:
+        raise ConfigurationError(
+            f"unknown distribution family {family!r}; choose from {', '.join(FAMILIES)}"
+        )
+    kind = FAMILIES[family]
+    processors = int(spec.get("processors", DEFAULT_PROCESSORS))
+    if kind is SingleProcessor:
         return SingleProcessor()
-    raise ConfigurationError(f"unknown distribution family {family!r}")
+    if kind is ContiguousBands:
+        return ContiguousBands(processors, screen_height)
+    return kind(processors, int(spec.get("size", DEFAULT_SIZE)))
 
 
 def machine_config_from_spec(spec: Dict, distribution: Distribution) -> MachineConfig:
@@ -53,13 +69,13 @@ def machine_config_from_spec(spec: Dict, distribution: Distribution) -> MachineC
     cache_config = None
     if "cache_kb" in spec or "ways" in spec:
         cache_config = CacheConfig(
-            total_bytes=int(spec.get("cache_kb", 16)) * 1024,
-            ways=int(spec.get("ways", 4)),
+            total_bytes=int(spec.get("cache_kb", DEFAULT_CACHE.total_bytes // 1024)) * 1024,
+            ways=int(spec.get("ways", DEFAULT_CACHE.ways)),
         )
     return MachineConfig(
         distribution=distribution,
-        cache=spec.get("cache", "lru"),
+        cache=spec.get("cache", DEFAULT_CACHE_MODEL),
         cache_config=cache_config,
-        bus_ratio=float(spec.get("bus_ratio", 1.0)),
-        fifo_capacity=int(spec.get("fifo", 10000)),
+        bus_ratio=float(spec.get("bus_ratio", DEFAULT_BUS_RATIO)),
+        fifo_capacity=int(spec.get("fifo", DEFAULT_FIFO_CAPACITY)),
     )

@@ -8,9 +8,9 @@ affects timing.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple
 
-from repro.analysis.load_balance import make_distribution
+from repro.analysis.batch import distribution_from_spec
 from repro.cache.config import CacheConfig
 from repro.core.config import MachineConfig, TimingConfig
 from repro.core.machine import simulate_machine
@@ -25,7 +25,7 @@ def buffer_sweep(
     sizes: Iterable[int],
     buffer_sizes: Iterable[int],
     num_processors: int = 64,
-    cache: Union[str, object] = "lru",
+    cache: str = "lru",
     cache_config: Optional[CacheConfig] = None,
     bus_ratio: float = 2.0,
 ) -> Dict[Tuple[int, int], float]:
@@ -45,7 +45,9 @@ def buffer_sweep(
 
     results: Dict[Tuple[int, int], float] = {}
     for size in sizes:
-        distribution = make_distribution(family, num_processors, size)
+        distribution = distribution_from_spec(
+            {"family": family, "processors": num_processors, "size": size}, scene.height
+        )
         routed = build_routed_work(
             scene, distribution, cache_spec=cache, cache_config=cache_config
         )

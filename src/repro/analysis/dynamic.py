@@ -15,11 +15,11 @@ exactly like small static tiles).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Union
+from typing import Iterable, List
 
 from repro.analysis.performance import SpeedupStudy
 from repro.analysis.tables import format_table
-from repro.core.config import DEFAULT_SETUP_CYCLES
+from repro.core.config import DEFAULT_BUS_RATIO, DEFAULT_SETUP_CYCLES
 from repro.core.routing import build_routed_work
 from repro.distribution.assigned import AssignedTiles, TileGrid, lpt_assignment
 from repro.distribution.block import BlockInterleaved
@@ -55,8 +55,8 @@ def compare_static_dynamic(
     scene: Scene,
     widths: Iterable[int],
     num_processors: int,
-    cache: Union[str, object] = "lru",
-    bus_ratio: float = 1.0,
+    cache: str = "lru",
+    bus_ratio: float = DEFAULT_BUS_RATIO,
 ) -> List[DynamicComparison]:
     """Run both machines for every tile width."""
     study = SpeedupStudy(scene, cache=cache, bus_ratio=bus_ratio)

@@ -13,12 +13,10 @@ from typing import Dict, Iterable
 
 import numpy as np
 
+from repro.analysis.batch import distribution_from_spec
 from repro.core.config import DEFAULT_SETUP_CYCLES
 from repro.core.routing import build_routed_work
 from repro.distribution.base import Distribution
-from repro.distribution.block import BlockInterleaved
-from repro.distribution.sli import ScanLineInterleaved
-from repro.errors import ConfigurationError
 from repro.geometry.scene import Scene
 
 
@@ -47,19 +45,6 @@ def imbalance_percent(
     return float((node_work.max() / average - 1.0) * 100.0)
 
 
-def make_distribution(family: str, num_processors: int, size: int) -> Distribution:
-    """Build a distribution from the sweep vocabulary.
-
-    ``family`` is ``"block"`` (size == block width in pixels) or
-    ``"sli"`` (size == adjacent lines per group).
-    """
-    if family == "block":
-        return BlockInterleaved(num_processors, size)
-    if family == "sli":
-        return ScanLineInterleaved(num_processors, size)
-    raise ConfigurationError(f"unknown distribution family {family!r}")
-
-
 def imbalance_sweep(
     scene: Scene,
     family: str,
@@ -70,7 +55,12 @@ def imbalance_sweep(
     """Imbalance for each tile size of a family — one Figure-5 bar group."""
     return {
         size: imbalance_percent(
-            scene, make_distribution(family, num_processors, size), setup_cycles
+            scene,
+            distribution_from_spec(
+                {"family": family, "processors": num_processors, "size": size},
+                scene.height,
+            ),
+            setup_cycles,
         )
         for size in sizes
     }

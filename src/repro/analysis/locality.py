@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple
 
+from repro.analysis.batch import distribution_from_spec
 from repro.cache.config import CacheConfig
-from repro.analysis.load_balance import make_distribution
 from repro.core.routing import build_routed_work
 from repro.distribution.base import Distribution
 from repro.distribution.single import SingleProcessor
@@ -57,7 +57,9 @@ def locality_sweep(
                     )
                 results[(size, count)] = solo_ratio
                 continue
-            distribution = make_distribution(family, count, size)
+            distribution = distribution_from_spec(
+                {"family": family, "processors": count, "size": size}, scene.height
+            )
             results[(size, count)] = texel_to_fragment_ratio(
                 scene, distribution, cache_config
             )

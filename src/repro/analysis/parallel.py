@@ -7,10 +7,12 @@ scale) identity — scenes are deterministic — so nothing heavyweight is
 pickled.
 
 Before pooling, the parent spills its in-memory pipeline artifacts to
-a shared on-disk store (creating a temporary one when
-``REPRO_ARTIFACT_DIR`` is unset) so workers hydrate already-computed
+a shared on-disk store so workers hydrate already-computed
 scene/routing/replay stages instead of recomputing them, and artifacts
-computed by one worker are visible to the others.
+computed by one worker are visible to the others.  When
+``REPRO_ARTIFACT_DIR`` is unset, that store is a temporary directory
+that lives only as long as the pool
+(:func:`repro.pipeline.shared_store`).
 
 Each pooled task ships its :mod:`repro.obs` registry snapshot back
 with its result, and the parent merges them, so ``--timings`` and
@@ -61,21 +63,6 @@ def worker_count() -> int:
     return parse_worker_count(raw, label=WORKERS_ENV_VAR)
 
 
-def share_artifacts() -> None:
-    """Spill the parent's pipeline artifacts to the shared disk tier.
-
-    Guarantees a ``REPRO_ARTIFACT_DIR`` exists (exported through the
-    environment so child processes inherit it) and flushes every
-    disk-eligible memory entry, so workers hydrate already-computed
-    stage prefixes instead of rebuilding them.  :func:`run_tasks`
-    calls it before creating its process pool.
-    """
-    from repro import pipeline
-
-    pipeline.ensure_shared_store()
-    pipeline.store().flush_to_disk()
-
-
 def run_tasks(
     fn: Callable,
     argument_tuples: Sequence[Tuple],
@@ -89,25 +76,30 @@ def run_tasks(
     attached as ``exc.failing_arguments``; if the pool itself breaks
     (a worker was killed), the sweep reruns inline with a warning.
     An empty sweep returns ``[]`` without a pool or a shared disk tier.
+    The pool runs inside :func:`repro.pipeline.shared_store`, so a
+    temporary tier is gone when it returns.
     """
+    from repro import pipeline
+
     if workers <= 1 or not argument_tuples:
         return _run_inline(fn, argument_tuples)
-    share_artifacts()
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (arguments, pool.submit(_reporting_task, fn, arguments))
-                for arguments in argument_tuples
-            ]
-            reports = []
-            for arguments, future in futures:
-                try:
-                    reports.append(future.result())
-                except BrokenProcessPool:
-                    raise
-                except Exception as exc:
-                    exc.failing_arguments = arguments
-                    raise
+        with pipeline.shared_store():
+            pipeline.store().flush_to_disk()
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [
+                    (arguments, pool.submit(_reporting_task, fn, arguments))
+                    for arguments in argument_tuples
+                ]
+                reports = []
+                for arguments, future in futures:
+                    try:
+                        reports.append(future.result())
+                    except BrokenProcessPool:
+                        raise
+                    except Exception as exc:
+                        exc.failing_arguments = arguments
+                        raise
     except BrokenProcessPool:
         warnings.warn(
             "sweep worker pool died; rerunning the sweep inline",

@@ -7,11 +7,11 @@ distributions pays for it once.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple
 
-from repro.analysis.load_balance import make_distribution
+from repro.analysis.batch import distribution_from_spec
 from repro.cache.config import CacheConfig
-from repro.core.config import DEFAULT_FIFO_CAPACITY, MachineConfig
+from repro.core.config import DEFAULT_BUS_RATIO, DEFAULT_FIFO_CAPACITY, MachineConfig
 from repro.core.machine import simulate_machine
 from repro.core.results import MachineResult
 from repro.distribution.base import Distribution
@@ -25,9 +25,9 @@ class SpeedupStudy:
     def __init__(
         self,
         scene: Scene,
-        cache: Union[str, object] = "lru",
+        cache: str = "lru",
         cache_config: Optional[CacheConfig] = None,
-        bus_ratio: float = 1.0,
+        bus_ratio: float = DEFAULT_BUS_RATIO,
         fifo_capacity: int = DEFAULT_FIFO_CAPACITY,
     ) -> None:
         self.scene = scene
@@ -74,7 +74,12 @@ class SpeedupStudy:
     ) -> Dict[Tuple[int, int], float]:
         """Speedup at every (size, processors) point — a Figure-7 panel."""
         return {
-            (size, count): self.speedup(make_distribution(family, count, size))
+            (size, count): self.speedup(
+                distribution_from_spec(
+                    {"family": family, "processors": count, "size": size},
+                    self.scene.height,
+                )
+            )
             for size in sizes
             for count in processor_counts
         }

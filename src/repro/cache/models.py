@@ -8,7 +8,7 @@ how many texels each such fetch moves across the bus.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Union
+from typing import Dict, Optional, Type
 
 import numpy as np
 
@@ -88,22 +88,24 @@ class NoCache(TextureCacheModel):
         pass
 
 
-def make_cache_model(
-    spec: Union[str, TextureCacheModel, None],
-    config: Optional[CacheConfig] = None,
-) -> TextureCacheModel:
-    """Build a cache model from a spec string.
+#: Every cache model a machine can name.
+CACHE_MODELS: Dict[str, Type[TextureCacheModel]] = {
+    "lru": RealCache,
+    "perfect": PerfectCache,
+    "none": NoCache,
+}
 
-    Accepted specs: ``"lru"`` (the 16 KB default or ``config``),
-    ``"perfect"``, ``"none"``, an existing model (returned as-is) or
-    ``None`` (the default LRU cache).
+
+def make_cache_model(name: str, config: Optional[CacheConfig] = None) -> TextureCacheModel:
+    """A fresh model of the cache named ``name`` in :data:`CACHE_MODELS`.
+
+    ``config`` is the geometry of an ``"lru"`` cache (default: the
+    paper's 16 KB 4-way cache); the other models have none.
     """
-    if isinstance(spec, TextureCacheModel):
-        return spec
-    if spec is None or spec == "lru":
+    if name not in CACHE_MODELS:
+        raise ConfigurationError(
+            f"unknown cache model {name!r}; choose from {', '.join(CACHE_MODELS)}"
+        )
+    if name == "lru":
         return RealCache(config or DEFAULT_CACHE)
-    if spec == "perfect":
-        return PerfectCache()
-    if spec == "none":
-        return NoCache()
-    raise ConfigurationError(f"unknown cache model spec {spec!r}")
+    return CACHE_MODELS[name]()

@@ -30,6 +30,8 @@ from pathlib import Path
 from typing import List, Optional
 
 import repro.analysis.experiments  # noqa: F401  (registers every spec in SPECS)
+from repro.analysis.batch import FAMILIES
+from repro.core import config
 from repro.errors import ConfigurationError, ReproError
 from repro.expfw.spec import PANEL_SEPARATOR, SPECS, require_spec
 from repro.workloads.scenes import DEFAULT_SCALE, SCALE_ENV_VAR, experiment_scale
@@ -72,17 +74,24 @@ _FLAGS = {
     "--scene": dict(help="benchmark scene name (default: truc640)"),
     "--path": dict(type=Path, help="trace file to write (dump-trace) or simulate (run)"),
     "--family": dict(
-        help="distribution family: block, sli, morton, bands or single (default: block)"
+        help=f"distribution family: {', '.join(FAMILIES)} "
+        f"(default: {config.DEFAULT_FAMILY})"
     ),
-    "--processors": dict(type=int, help="processor count (default: 16)"),
-    "--size": dict(type=int, help="tile size / SLI lines (default: 16)"),
+    "--processors": dict(
+        type=int, help=f"processor count (default: {config.DEFAULT_PROCESSORS})"
+    ),
+    "--size": dict(
+        type=int, help=f"tile size / SLI lines (default: {config.DEFAULT_SIZE})"
+    ),
     "--fifo": dict(
         type=int,
-        help="triangle FIFO capacity (default: 10000; small values force the "
-        "finite-FIFO timing path)",
+        help=f"triangle FIFO capacity (default: {config.DEFAULT_FIFO_CAPACITY}; "
+        "small values force the finite-FIFO timing path)",
     ),
     "--bus-ratio": dict(
-        type=float, help="texel-to-fragment bus bandwidth ratio (default: 1.0)"
+        type=float,
+        help="texel-to-fragment bus bandwidth ratio "
+        f"(default: {config.DEFAULT_BUS_RATIO})",
     ),
     "--host": dict(default="127.0.0.1", help="bind address (default: 127.0.0.1)"),
     "--port": dict(

@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional
 
 from repro.cache.config import CacheConfig
 from repro.distribution.base import Distribution
 from repro.errors import ConfigurationError
 
-if TYPE_CHECKING:
-    from repro.cache.models import TextureCacheModel
-
+#: The distribution of a machine point that names no family, processor
+#: count or tile size: 16 nodes of interleaved 16x16-pixel blocks.
+DEFAULT_FAMILY = "block"
+DEFAULT_PROCESSORS = 16
+DEFAULT_SIZE = 16
+#: The node cache a machine names by default (16 KB 4-way LRU).
+DEFAULT_CACHE_MODEL = "lru"
+#: Texels per pixel-cycle the texture bus sustains (the paper's 1x bus).
+DEFAULT_BUS_RATIO = 1.0
 #: The paper's "big enough" triangle buffer (Section 3.1).
 DEFAULT_FIFO_CAPACITY = 10000
 #: Setup engine rate: one triangle per 25 pixels (Chen et al. figure).
@@ -28,7 +34,7 @@ class TimingConfig:
     they mean on :class:`MachineConfig`, which validates through here.
     """
 
-    bus_ratio: float = 1.0
+    bus_ratio: float = DEFAULT_BUS_RATIO
     fifo_capacity: int = DEFAULT_FIFO_CAPACITY
     geometry_engines: int = 0
     geometry_cycles: float = 100.0
@@ -59,8 +65,8 @@ class MachineConfig:
     distribution:
         The static image distribution (carries the processor count).
     cache:
-        Cache model spec: ``"lru"`` (default, 16 KB 4-way), ``"perfect"``,
-        ``"none"``, or a prebuilt :class:`TextureCacheModel`.
+        Cache model name (:data:`repro.cache.models.CACHE_MODELS`):
+        ``"lru"`` (default, 16 KB 4-way), ``"perfect"`` or ``"none"``.
     cache_config:
         Geometry override for the ``"lru"`` spec.
     bus_ratio:
@@ -81,9 +87,9 @@ class MachineConfig:
     """
 
     distribution: Distribution
-    cache: Union[str, "TextureCacheModel"] = "lru"
+    cache: str = DEFAULT_CACHE_MODEL
     cache_config: Optional[CacheConfig] = None
-    bus_ratio: float = 1.0
+    bus_ratio: float = DEFAULT_BUS_RATIO
     fifo_capacity: int = DEFAULT_FIFO_CAPACITY
     setup_cycles: int = DEFAULT_SETUP_CYCLES
     geometry_engines: int = 0

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.cache.models import PerfectCache, TextureCacheModel, make_cache_model
+from repro.cache.models import PerfectCache, make_cache_model
 from repro.cache.stats import CacheRunResult
 from repro.cache.stream import DEFAULT_CHUNK, replay_fragments
 from repro.core.distributor import DistributorStream, interleave_stream
@@ -30,19 +30,12 @@ from repro.distribution.base import Distribution
 from repro.errors import ConfigurationError
 from repro.geometry.scene import Scene
 from repro.texture.filtering import TEXELS_PER_FRAGMENT, TrilinearFilter
-from repro.texture.pages import FrameLines, PageTable, build_frame_lines
+from repro.texture.pages import FrameLines
 
 if TYPE_CHECKING:
     from repro.cache.config import CacheConfig
     from repro.raster.fragments import FragmentBuffer
     from repro.texture.layout import TextureMemoryLayout
-
-#: Cache model spec accepted everywhere a machine is configured.
-CacheSpec = Union[str, TextureCacheModel, None]
-
-#: A virtual-texturing page table, or one frame's line table built
-#: through it (:func:`repro.texture.pages.build_frame_lines`).
-Translator = Union[PageTable, FrameLines]
 
 #: A stream's ``distribution.owners`` column (any integer type), or a
 #: zero-argument callable that computes it: the pipeline hands both
@@ -355,11 +348,11 @@ def compute_replay(
     distribution: Distribution,
     fragments: "FragmentBuffer",
     owners: Owners,
-    cache_spec: CacheSpec = "lru",
+    cache_spec: str = "lru",
     cache_config: Optional["CacheConfig"] = None,
     layout: Optional["TextureMemoryLayout"] = None,
     chunk_size: Optional[int] = None,
-    translator: Optional[Translator] = None,
+    translator: Optional[FrameLines] = None,
 ) -> ReplayResult:
     """Replay every node's fragment stream through its private cache.
 
@@ -376,12 +369,13 @@ def compute_replay(
 
     ``translator`` optionally rewrites the line-address stream before
     it reaches the cache model — the virtual-texturing page table maps
-    virtual lines onto its resident physical frames here.  Every node
-    gathers its rows from one frame-sized table of translated lines:
-    a :class:`~repro.texture.pages.FrameLines` built by the caller and
-    shared with its other replays of the frame, or, for a bare page
-    table, one built here.  Translation is pure (the table is frozen
-    within a frame), so per-node replay order cannot perturb it.
+    virtual lines onto its resident physical frames here.  It is one
+    frame's :class:`~repro.texture.pages.FrameLines`, built by the
+    caller through the page table
+    (:func:`~repro.texture.pages.build_frame_lines`) and shared with
+    its other replays of the frame: every node gathers its rows from
+    that table of translated lines.  Translation is pure (the table is
+    frozen within a frame), so per-node replay order cannot perturb it.
     """
     layout = layout or scene.memory_layout()
     tex_filter = TrilinearFilter(layout)
@@ -390,7 +384,6 @@ def compute_replay(
     frame_lines: Optional[np.ndarray] = None
     if translator is not None:
         address_lines = max(address_lines, translator.address_space_lines)
-    if isinstance(translator, FrameLines):
         frame_lines = translator.lines_for(fragments)
     n_proc = distribution.num_processors
     n_tri = scene.num_triangles
@@ -406,8 +399,6 @@ def compute_replay(
         zero = np.zeros(n_tri, dtype=np.int64)
         texels_per_node_tri = [zero for _ in range(n_proc)]
     else:
-        if isinstance(translator, PageTable):
-            frame_lines = build_frame_lines(translator, tex_filter, fragments, chunk).lines
         # Per-node cache replay, in each node's own stream order.
         order, bounds = partition_by_node(_owners_of(owners), n_proc)
         for node in range(n_proc):
@@ -484,14 +475,14 @@ def assemble_routed_work(
 def build_routed_work(
     scene: Scene,
     distribution: Distribution,
-    cache_spec: CacheSpec = "lru",
+    cache_spec: str = "lru",
     cache_config: Optional["CacheConfig"] = None,
     setup_cycles: int = 25,
     chunk_size: Optional[int] = None,
     layout: Optional["TextureMemoryLayout"] = None,
     route_by: str = "bbox",
     fragments: Optional["FragmentBuffer"] = None,
-    translator: Optional[Translator] = None,
+    translator: Optional[FrameLines] = None,
 ) -> RoutedWork:
     """Route a scene and replay every node's stream through its cache.
 
@@ -501,11 +492,10 @@ def build_routed_work(
     ``"coverage"`` (oracle routing, the ablation contrast).
     ``fragments`` overrides the scene's rasterisation — the early-Z
     ablation passes the depth-resolved survivor stream here.
-    ``translator`` rewrites line addresses through a virtual-texturing
-    page table before the cache sees them (:mod:`repro.texture.pages`);
-    a :class:`~repro.texture.pages.FrameLines` built from ``scene``'s
-    fragments lets several replays of one frame share its translated
-    lines.
+    ``translator`` is a :class:`~repro.texture.pages.FrameLines` built
+    from ``scene``'s fragments through a virtual-texturing page table
+    (:mod:`repro.texture.pages`): the cache sees its translated lines,
+    and several replays of one frame share them.
 
     Delegates to :func:`repro.pipeline.routed_work`, which memoizes
     the routing plan, the cache replay and the assembled work by

@@ -17,14 +17,14 @@ paper likewise idealises its distribution network).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.cache.models import TextureCacheModel, make_cache_model
+from repro.cache.models import make_cache_model
 from repro.cache.stats import CacheRunResult
 from repro.cache.stream import replay_fragments
-from repro.core.config import DEFAULT_SETUP_CYCLES
+from repro.core.config import DEFAULT_BUS_RATIO, DEFAULT_SETUP_CYCLES
 from repro.core.node import drain_node
 from repro.core.results import MachineResult, NodeTimings
 from repro.core.routing import partition_by_node
@@ -59,9 +59,9 @@ def simulate_sort_last(
     scene: Scene,
     num_processors: int,
     chunk_size: int = 1,
-    cache: Union[str, TextureCacheModel] = "lru",
+    cache: str = "lru",
     cache_config: Optional["CacheConfig"] = None,
-    bus_ratio: float = 1.0,
+    bus_ratio: float = DEFAULT_BUS_RATIO,
     setup_cycles: int = DEFAULT_SETUP_CYCLES,
     baseline_cycles: Optional[float] = None,
 ) -> MachineResult:

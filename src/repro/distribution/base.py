@@ -51,11 +51,6 @@ class Distribution(ABC):
         setup, which is precisely the small-triangle overhead).
         """
 
-    def nodes_in_box(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
-        """Sorted unique processors whose tiles intersect one pixel box."""
-        corners = (np.array([value], dtype=np.int64) for value in (x0, y0, x1, y1))
-        return self.nodes_in_boxes(*corners)[1]
-
     @abstractmethod
     def describe(self) -> str:
         """Human-readable label, e.g. ``block16x64``."""

@@ -1,10 +1,9 @@
-"""Project call graph: resolved call sites, by caller and by callee.
+"""Project call graph: resolved call sites, by caller.
 
 Built once per :class:`~repro.lintkit.flow.Project` from the symbol
 table.  Every syntactic call inside every indexed function is recorded
-as a :class:`CallSite`; sites whose callee resolves to a project
-function additionally land in the caller/callee indices.  Unresolved
-sites (builtins, stdlib, method calls on values) keep their dotted
+as a :class:`CallSite`, with its callee's project qualname when it
+resolves to a project function.  Unresolved sites (builtins, stdlib, method calls on values) keep their dotted
 name when the import table can produce one, so rules can still match
 them against vocabularies like the wall-clock call set.
 """
@@ -36,12 +35,11 @@ class CallSite:
 
 
 class CallGraph:
-    """Call sites indexed by caller and by resolved callee."""
+    """Call sites indexed by caller."""
 
     def __init__(self) -> None:
         self.sites: List[CallSite] = []
         self._by_caller: Dict[str, List[CallSite]] = {}
-        self._by_callee: Dict[str, List[CallSite]] = {}
 
     @classmethod
     def build(cls, project: "Project") -> "CallGraph":
@@ -71,19 +69,7 @@ class CallGraph:
     def _add(self, site: CallSite) -> None:
         self.sites.append(site)
         self._by_caller.setdefault(site.caller, []).append(site)
-        if site.callee is not None:
-            self._by_callee.setdefault(site.callee, []).append(site)
 
     def calls_from(self, qualname: str) -> List[CallSite]:
         """Every call site inside ``qualname``."""
         return list(self._by_caller.get(qualname, ()))
-
-    def callees(self, qualname: str) -> List[str]:
-        """Resolved callee qualnames reachable in one hop, sorted."""
-        return sorted(
-            {site.callee for site in self._by_caller.get(qualname, ()) if site.callee}
-        )
-
-    def callers(self, qualname: str) -> List[str]:
-        """Caller qualnames with at least one resolved site, sorted."""
-        return sorted({site.caller for site in self._by_callee.get(qualname, ())})

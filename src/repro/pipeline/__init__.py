@@ -44,8 +44,8 @@ from repro.pipeline.store import (
     ARTIFACT_ENTRIES_ENV_VAR,
     ArtifactStore,
     configure,
-    ensure_shared_store,
     render_stats,
+    shared_store,
     stats,
     store,
 )
@@ -55,12 +55,12 @@ __all__ = [
     "ARTIFACT_ENTRIES_ENV_VAR",
     "ArtifactStore",
     "configure",
-    "ensure_shared_store",
     "fragments_artifact",
     "render_stats",
     "reset",
     "routed_work",
     "scene_artifact",
+    "shared_store",
     "stage_timer",
     "stats",
     "store",

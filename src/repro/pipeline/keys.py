@@ -34,32 +34,22 @@ def distribution_key(distribution) -> str:
     return distribution.fingerprint()
 
 
-def cache_key(cache_spec, cache_config) -> Optional[str]:
-    """Identity of a cache model spec, or None when not keyable.
-
-    Prebuilt model objects carry mutable replay state, so work computed
-    against them is never cached.
-    """
-    if not isinstance(cache_spec, str):
-        return None
+def cache_key(cache_spec: str, cache_config) -> str:
+    """Identity of a cache model name and its optional geometry."""
     if cache_config is None:
         return cache_spec
     return f"{cache_spec}#{spec_fingerprint(cache_config)}"
 
 
-def translator_key(translator) -> Optional[str]:
-    """Identity of a line-address translator (``"direct"`` when absent).
+def translator_key(translator) -> str:
+    """Identity of a replay's line translation.
 
-    A translator must expose a ``cache_key()`` describing its *current*
-    mapping (the virtual-texturing page table does); anything without
-    one is treated as stateful and makes the replay uncacheable.
+    ``"direct"`` when absent, else the mapping the
+    :class:`~repro.texture.pages.FrameLines` was translated through.
     """
     if translator is None:
         return "direct"
-    key = getattr(translator, "cache_key", None)
-    if key is None:
-        return None
-    return str(key())
+    return translator.cache_key()
 
 
 def layout_key(scene, layout) -> Optional[str]:

@@ -7,9 +7,10 @@ hundreds of sweep points that share a prefix — every Figure-7 point of
 one scene shares the scene and its rasterisation; every FIFO size of
 one machine shares the whole routed work — compute that prefix once.
 
-Inputs that have no content identity (hand-built scenes, prebuilt
-cache model objects, fragment-stream overrides) fall back to direct
-computation: correctness never depends on the cache, only speed.
+Inputs that have no content identity (hand-built scenes, layouts
+without block-shape knobs, fragment-stream overrides) fall back to
+direct computation: correctness never depends on the cache, only
+speed.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ def routed_work(
     routing mode or setup cost (a setup sweep shares its replay); the
     assembled :class:`~repro.core.routing.RoutedWork` is memoized in
     memory only, since it is cheap to reassemble from its parents.
-    ``translator`` (a virtual-texturing page table, or one frame's
-    line table built through it) joins the replay key through its
-    current-mapping ``cache_key()``, so a memoized replay can never
+    ``translator`` (one frame's line table, built through a
+    virtual-texturing page table) joins the replay key through the
+    mapping it was translated through, so a memoized replay can never
     leak across residency states.
 
     Both stages read the stream's ``distribution.owners``; they get one
@@ -119,13 +120,7 @@ def routed_work(
     cache_part = keys.cache_key(cache_spec, cache_config)
     layout_part = keys.layout_key(scene, layout)
     translator_part = keys.translator_key(translator)
-    cacheable = (
-        scene_id is not None
-        and fragments is None
-        and cache_part is not None
-        and layout_part is not None
-        and translator_part is not None
-    )
+    cacheable = scene_id is not None and fragments is None and layout_part is not None
     owners = None
 
     def frame():

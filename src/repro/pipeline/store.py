@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import os
 import pickle
+import shutil
 import tempfile
 import threading
 from collections import OrderedDict, defaultdict
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.registry import parse_qualified, registry
@@ -179,10 +181,10 @@ class ArtifactStore:
             return
         publish("stored_bytes", stage, len(payload))
 
-    def attach_disk(self, disk_dir: os.PathLike) -> None:
-        """Point the disk tier at ``disk_dir`` without dropping memory."""
+    def attach_disk(self, disk_dir: Optional[os.PathLike]) -> None:
+        """Point the disk tier at ``disk_dir``, or detach it (``None``); memory stays."""
         with self._lock:
-            self.disk_dir = Path(disk_dir)
+            self.disk_dir = None if disk_dir is None else Path(disk_dir)
 
     def flush_to_disk(self) -> int:
         """Spill every disk-eligible memory entry; returns the count.
@@ -258,26 +260,36 @@ def store() -> ArtifactStore:
     return _store
 
 
-def ensure_shared_store() -> Path:
-    """Guarantee a disk tier exists and return its directory.
+@contextmanager
+def shared_store() -> Iterator[Path]:
+    """A disk tier for the ``with`` block; yields its directory.
 
-    If no ``REPRO_ARTIFACT_DIR`` is configured, a temporary directory
-    is created, exported through the environment (so worker processes
-    inherit it) and removed at interpreter exit.  Called by
-    :func:`repro.analysis.parallel.run_tasks` before fanning out, so
-    workers hydrate stage prefixes instead of rebuilding them.
+    A configured tier (``REPRO_ARTIFACT_DIR`` or :func:`configure`) is
+    used as is and kept.  Otherwise a temporary directory is attached
+    and exported through ``REPRO_ARTIFACT_DIR`` (so worker processes
+    inherit it) for the block only: on exit it is detached, the
+    variable is put back and the directory removed, so the process's
+    later artifacts stay in memory.
+    :func:`repro.analysis.parallel.run_tasks` holds one around its
+    pool, so workers hydrate stage prefixes instead of rebuilding them.
     """
     current = store()
     if current.disk_dir is not None:
-        return current.disk_dir
-    import atexit
-    import shutil
-
-    temp = Path(tempfile.mkdtemp(prefix="repro-artifacts-"))
-    os.environ[ARTIFACT_DIR_ENV_VAR] = str(temp)
-    atexit.register(shutil.rmtree, temp, ignore_errors=True)
+        yield current.disk_dir
+        return
+    exported = os.environ.get(ARTIFACT_DIR_ENV_VAR)
+    temp = tempfile.mkdtemp(prefix="repro-artifacts-")
+    os.environ[ARTIFACT_DIR_ENV_VAR] = temp
     current.attach_disk(temp)
-    return temp
+    try:
+        yield Path(temp)
+    finally:
+        current.attach_disk(None)
+        if exported is None:
+            del os.environ[ARTIFACT_DIR_ENV_VAR]
+        else:
+            os.environ[ARTIFACT_DIR_ENV_VAR] = exported
+        shutil.rmtree(temp, ignore_errors=True)
 
 
 def configure(

@@ -14,7 +14,8 @@ exist:
   machine vocabulary of :func:`machine_from_payload`;
 * ``vt`` — run one virtual-texturing pan sequence (``{"vt_scene":
   "vt-quake", "vt_pages": 16, "vt_residency": 0.5, "vt_frames": 3,
-  ...}`` plus the same machine vocabulary).
+  ...}`` plus the same machine vocabulary); an omitted VT knob is the
+  VT scene spec's own.
 
 A field the job's kind does not read is rejected, not dropped.
 
@@ -55,9 +56,6 @@ STATES = (QUEUED, RUNNING, DONE, FAILED, TIMED_OUT)
 #: States a job never leaves.
 TERMINAL_STATES = (DONE, FAILED, TIMED_OUT)
 
-_FAMILIES = ("block", "sli", "morton", "bands", "single")
-_CACHES = ("lru", "perfect", "none")
-
 #: The field that names each job kind, in precedence order.
 _KIND_NAMES = {"experiment": "experiment", "vt": "vt_scene", "simulate": "scene"}
 _MACHINE_FIELDS = ("family", "processors", "size", "cache", "cache_kb", "ways", "bus_ratio", "fifo")
@@ -91,20 +89,23 @@ def _monotonic_now() -> float:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """Declarative description of one unit of work (content identity)."""
+    """Declarative description of one unit of work (content identity).
+
+    :func:`spec_from_payload` fills the fields its kind reads.
+    """
 
     kind: str
     scale: float
     experiment: Optional[str] = None
     scene: Optional[str] = None
-    family: str = "block"
-    processors: int = 16
-    size: int = 16
-    cache: str = "lru"
+    family: Optional[str] = None
+    processors: Optional[int] = None
+    size: Optional[int] = None
+    cache: Optional[str] = None
     cache_kb: Optional[int] = None
     ways: Optional[int] = None
-    bus_ratio: float = 1.0
-    fifo: int = 10000
+    bus_ratio: Optional[float] = None
+    fifo: Optional[int] = None
     vt_scene: Optional[str] = None
     vt_pages: Optional[int] = None
     vt_residency: Optional[float] = None
@@ -122,8 +123,8 @@ class JobSpec:
         from repro.workloads.scenes import SCENE_SPECS
 
         geometry = ""
-        if self.cache_kb is not None or self.ways is not None:
-            geometry = f"#{self.cache_kb or 16}kb{self.ways or 4}w"
+        if self.cache_kb is not None:
+            geometry = f"#{self.cache_kb}kb{self.ways}w"
         if self.kind == "vt":
             from repro.pipeline.keys import spec_fingerprint
             from repro.workloads.vt import VT_SCENE_SPECS
@@ -149,12 +150,11 @@ class JobSpec:
         (what a worker receives in its lease)."""
         if self.kind == "experiment":
             return {"experiment": self.experiment, "scale": self.scale}
-        payload = {
+        return {
             name: value
             for name, value in asdict(self).items()
             if value is not None and name not in ("kind", "experiment")
         }
-        return payload
 
 
 def spec_from_payload(payload: Dict) -> JobSpec:
@@ -194,27 +194,25 @@ def spec_from_payload(payload: Dict) -> JobSpec:
         scale = scale_param.validate(payload.get("scale", scale_param.default))
         return JobSpec(kind="experiment", experiment=name, scale=scale)
 
-    scale = _number(payload, "scale", default=0.25)
+    from repro.workloads.scenes import DEFAULT_SCALE
+
+    scale = _number(payload, "scale", default=DEFAULT_SCALE)
     if not 0 < scale <= 1:
         raise ConfigurationError(f"scale must be in (0, 1], got {scale}")
     machine = machine_from_payload(payload)
     if kind == "vt":
         from repro.texture.pages import VirtualTextureConfig
-        from repro.workloads.vt import VT_SCENE_NAMES, VT_SCENE_SPECS
+        from repro.workloads.vt import require_vt_spec
 
-        vt_scene = payload["vt_scene"]
-        if vt_scene not in VT_SCENE_SPECS:
-            raise ConfigurationError(
-                f"unknown VT scene {vt_scene!r}; choose from {', '.join(VT_SCENE_NAMES)}"
-            )
-        vt_pages = _integer(payload, "vt_pages", default=16, minimum=1)
-        vt_residency = _number(payload, "vt_residency", default=0.5)
-        vt_frames = _integer(payload, "vt_frames", default=3, minimum=1)
+        vt_spec = require_vt_spec(payload["vt_scene"])
+        vt_pages = _integer(payload, "vt_pages", default=vt_spec.page_lines, minimum=1)
+        vt_residency = _number(payload, "vt_residency", default=vt_spec.residency)
+        vt_frames = _integer(payload, "vt_frames", default=vt_spec.frames, minimum=1)
         # One source of truth for page-size/residency legality.
         VirtualTextureConfig(vt_pages, vt_residency)
         return JobSpec(
             kind="vt",
-            vt_scene=vt_scene,
+            vt_scene=vt_spec.name,
             vt_pages=vt_pages,
             vt_residency=vt_residency,
             vt_frames=vt_frames,
@@ -235,33 +233,29 @@ def machine_from_payload(payload: Dict) -> Dict:
     """Validate the machine fields of a payload, defaults filled in.
 
     The result is the machine vocabulary of
-    :func:`repro.analysis.batch.machine_config_from_spec`; ``cache_kb``
-    and ``ways`` appear only when the payload sets them.
+    :func:`repro.analysis.batch.machine_config_from_spec`, with the
+    defaults of :mod:`repro.core.config`; ``cache_kb`` and ``ways``
+    appear, both of them, only when the payload sets either.
     """
-    family = payload.get("family", "block")
-    if family not in _FAMILIES:
-        raise ConfigurationError(
-            f"unknown family {family!r}; choose from {', '.join(_FAMILIES)}"
-        )
-    cache = payload.get("cache", "lru")
-    if cache not in _CACHES:
-        raise ConfigurationError(
-            f"unknown cache {cache!r}; choose from {', '.join(_CACHES)}"
-        )
+    from repro.analysis.batch import FAMILIES
+    from repro.cache.config import DEFAULT_CACHE
+    from repro.cache.models import CACHE_MODELS
+    from repro.core import config
+
     machine = {
-        "family": family,
-        "processors": _integer(payload, "processors", default=16, minimum=1),
-        "size": _integer(payload, "size", default=16, minimum=1),
-        "cache": cache,
-        "bus_ratio": _number(payload, "bus_ratio", default=1.0),
-        "fifo": _integer(payload, "fifo", default=10000, minimum=1),
+        "family": _choice(payload, "family", config.DEFAULT_FAMILY, FAMILIES),
+        "processors": _integer(payload, "processors", config.DEFAULT_PROCESSORS, minimum=1),
+        "size": _integer(payload, "size", config.DEFAULT_SIZE, minimum=1),
+        "cache": _choice(payload, "cache", config.DEFAULT_CACHE_MODEL, CACHE_MODELS),
+        "bus_ratio": _number(payload, "bus_ratio", config.DEFAULT_BUS_RATIO),
+        "fifo": _integer(payload, "fifo", config.DEFAULT_FIFO_CAPACITY, minimum=1),
     }
     if not machine["bus_ratio"] > 0:
         raise ConfigurationError(f"bus_ratio must be positive, got {machine['bus_ratio']}")
-    if "cache_kb" in payload:
-        machine["cache_kb"] = _integer(payload, "cache_kb", default=16, minimum=1)
-    if "ways" in payload:
-        machine["ways"] = _integer(payload, "ways", default=4, minimum=1)
+    if "cache_kb" in payload or "ways" in payload:
+        kb = DEFAULT_CACHE.total_bytes // 1024
+        machine["cache_kb"] = _integer(payload, "cache_kb", kb, minimum=1)
+        machine["ways"] = _integer(payload, "ways", DEFAULT_CACHE.ways, minimum=1)
     return machine
 
 
@@ -292,6 +286,13 @@ def parse_submission(payload: Dict) -> Tuple[JobSpec, Dict]:
     if "retries" in payload:
         options["retries"] = _integer(payload, "retries", default=0, minimum=0)
     return spec, options
+
+
+def _choice(payload: Dict, name: str, default: str, names) -> str:
+    raw = payload.get(name, default)
+    if not isinstance(raw, str) or raw not in names:
+        raise ConfigurationError(f"unknown {name} {raw!r}; choose from {', '.join(names)}")
+    return raw
 
 
 def _number(payload: Dict, name: str, default: float) -> float:

@@ -325,10 +325,10 @@ class FrameLines:
     Row ``i`` of ``lines`` holds the eight translated line addresses of
     fragment ``i`` of ``fragments``, in submission order.  ``key`` and
     ``address_space_lines`` are the page table's ``cache_key()`` and
-    physical line space when the table was built, so the value can be
-    handed to a replay wherever a page table is accepted as a
-    translator, and it keys the replay exactly as that page table
-    would: the translated lines are the same.
+    physical line space when the table was built.  This is the one
+    form a replay's translator takes
+    (:func:`repro.core.routing.compute_replay`), and it keys the replay
+    by the mapping it was translated through.
     """
 
     key: str

@@ -41,6 +41,7 @@ from repro.geometry.scene import Scene
 from repro.texture.filtering import TrilinearFilter
 from repro.texture.pages import PageTable, VirtualTextureConfig, build_frame_lines
 from repro.workloads.generator import SceneSpec
+from repro.workloads.scenes import DEFAULT_SCALE
 from repro.workloads.sequence import pan_sequence
 
 
@@ -219,7 +220,7 @@ class VtSequenceResult:
 def run_vt_sequence(
     spec: Union[VtSceneSpec, str],
     machine: Optional[Mapping[str, object]] = None,
-    scale: float = 0.25,
+    scale: float = DEFAULT_SCALE,
     page_lines: Optional[int] = None,
     residency: Optional[float] = None,
     frames: Optional[int] = None,
@@ -229,11 +230,11 @@ def run_vt_sequence(
     """Run one VT pan sequence through one machine configuration.
 
     ``machine`` is the same vocabulary as :mod:`repro.analysis.batch`
-    entries (``family``/``processors``/``size``/``cache``/...);
-    ``page_lines``/``residency``/``frames`` override the spec's VT
-    knobs; ``scenes`` lets sweep drivers share prebuilt pan frames
-    across the (page, residency, family) grid — frames depend only on
-    (spec, scale), never on the VT or machine point.
+    entries (``family``/``processors``/``size``/``cache``/...), with
+    the same defaults; ``page_lines``/``residency``/``frames`` override
+    the spec's VT knobs; ``scenes`` lets a sweep share prebuilt pan
+    frames across the (page, residency, family) grid — frames depend
+    only on (spec, scale), never on the VT or machine point.
     """
     from repro.analysis.batch import distribution_from_spec, machine_config_from_spec
     from repro.core.machine import simulate_machine
@@ -246,8 +247,6 @@ def run_vt_sequence(
     if frames is not None:
         spec = replace(spec, frames=frames)
     machine_spec = dict(machine or {})
-    machine_spec.setdefault("family", "block")
-    machine_spec.setdefault("processors", 16)
 
     sequence = scenes if scenes is not None else vt_frames(spec, scale)
     if len(sequence) < spec.frames:

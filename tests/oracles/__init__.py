@@ -53,6 +53,7 @@ from tests.oracles.raster import (
 )
 from tests.oracles.replay import reference_replay, replay_node
 from tests.oracles.routing import (
+    nodes_in_box,
     owner_map,
     reference_nodes_in_box,
     reference_route_triangles,
@@ -66,6 +67,7 @@ __all__ = [
     "ReferencePageTable",
     "bounding_box",
     "is_degenerate",
+    "nodes_in_box",
     "owner_map",
     "rasterize_scene_scalar",
     "rasterize_triangle",

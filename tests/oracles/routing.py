@@ -99,6 +99,12 @@ def reference_nodes_in_box(
     return _NODES_IN_BOX[type(dist)](dist, x0, y0, x1, y1)
 
 
+def nodes_in_box(dist: Distribution, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
+    """The shipped ``nodes_in_boxes`` asked about one pixel box: its nodes."""
+    corners = (np.array([value], dtype=np.int64) for value in (x0, y0, x1, y1))
+    return dist.nodes_in_boxes(*corners)[1]
+
+
 def owner_map(dist: Distribution, width: int, height: int) -> np.ndarray:
     """The full ``(height, width)`` ownership image: one owner per pixel."""
     ys, xs = np.mgrid[0:height, 0:width]

@@ -14,7 +14,7 @@ from repro.analysis import (
     texel_to_fragment_ratio,
     work_distribution,
 )
-from repro.analysis.load_balance import make_distribution
+from repro.analysis.batch import FAMILIES
 from repro.distribution import BlockInterleaved, ScanLineInterleaved
 from repro.errors import ConfigurationError
 
@@ -54,11 +54,12 @@ class TestLoadBalance:
         assert set(sweep) == {8, 32}
         assert all(value >= 0 for value in sweep.values())
 
-    def test_make_distribution_vocabulary(self):
-        assert isinstance(make_distribution("block", 4, 16), BlockInterleaved)
-        assert isinstance(make_distribution("sli", 4, 2), ScanLineInterleaved)
+    def test_sweep_family_vocabulary(self, tiny_bench_scene):
+        # Sweeps build their distributions from the one family table.
+        for family in FAMILIES:
+            assert set(imbalance_sweep(tiny_bench_scene, family, [8], 4)) == {8}
         with pytest.raises(ConfigurationError):
-            make_distribution("hex", 4, 2)
+            imbalance_sweep(tiny_bench_scene, "hex", [8], 4)
 
 
 class TestLocality:

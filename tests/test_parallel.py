@@ -1,6 +1,7 @@
 """Tests for parallel sweeps."""
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -9,22 +10,13 @@ from repro.analysis.parallel import keyed_tasks, run_tasks, worker_count
 from repro.errors import ConfigurationError
 
 
-@pytest.fixture
-def _restore_artifact_store(monkeypatch):
-    """Undo what a pooled ``run_tasks`` leaves behind.
+def _store_state():
+    """The artifact store's disk tier and its exported directory."""
+    return pipeline.store().disk_dir, os.environ.get(pipeline.ARTIFACT_DIR_ENV_VAR)
 
-    Before pooling it exports a temporary ``REPRO_ARTIFACT_DIR`` and
-    attaches that disk tier to the process-wide store; left in place,
-    every later test in the session pickles each artifact it computes.
-    """
-    # setenv first, so the undo also covers a variable that was unset.
-    monkeypatch.setenv(pipeline.ARTIFACT_DIR_ENV_VAR, "")
-    monkeypatch.delenv(pipeline.ARTIFACT_DIR_ENV_VAR)
-    before = pipeline.store()
-    disk_dir = before.disk_dir
-    yield
-    if pipeline.store().disk_dir != disk_dir:
-        pipeline.configure(max_entries=before.max_entries, disk_dir=disk_dir)
+
+def _exported_artifact_dir(_value):
+    return os.environ.get(pipeline.ARTIFACT_DIR_ENV_VAR)
 
 
 def _square(value):
@@ -50,16 +42,39 @@ def _kill_worker_once(value):
     return value * 2
 
 
-pooled = pytest.mark.usefixtures("_restore_artifact_store")
-
-
 class TestParallel:
-    @pooled
     def test_inline_matches_parallel(self):
         arguments = [(i,) for i in range(8)]
+        before = _store_state()
         assert run_tasks(_square, arguments, workers=0) == run_tasks(
             _square, arguments, workers=2
         )
+        assert _store_state() == before
+
+    def test_a_temporary_tier_lives_only_as_long_as_the_pool(self, monkeypatch):
+        monkeypatch.delenv(pipeline.ARTIFACT_DIR_ENV_VAR, raising=False)
+        before = pipeline.store()
+        pipeline.configure(max_entries=before.max_entries)
+        try:
+            shared = run_tasks(_exported_artifact_dir, [(0,), (1,)], workers=2)
+            # One directory, exported to every worker, removed afterwards.
+            assert shared[0] is not None and shared == [shared[0]] * 2
+            assert not Path(shared[0]).exists()
+            assert _store_state() == (None, None)
+        finally:
+            pipeline.configure(max_entries=before.max_entries, disk_dir=before.disk_dir)
+
+    def test_a_configured_tier_is_shared_and_kept(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(pipeline.ARTIFACT_DIR_ENV_VAR, str(tmp_path))
+        before = pipeline.store()
+        pipeline.configure(max_entries=before.max_entries, disk_dir=tmp_path)
+        try:
+            shared = run_tasks(_exported_artifact_dir, [(0,), (1,)], workers=2)
+            assert shared == [str(tmp_path)] * 2
+            assert _store_state() == (tmp_path, str(tmp_path))
+            assert tmp_path.is_dir()
+        finally:
+            pipeline.configure(max_entries=before.max_entries, disk_dir=before.disk_dir)
 
     def test_keyed_results(self):
         keyed = keyed_tasks(_square, [("a", (3,)), ("b", (4,))], workers=0)
@@ -88,11 +103,9 @@ class TestParallel:
     def test_empty_pooled_sweep_shares_no_artifacts(self):
         # Nothing to fan out: no temporary disk tier is attached and no
         # REPRO_ARTIFACT_DIR is exported (the conftest guard checks too).
-        disk_dir = pipeline.store().disk_dir
-        exported = os.environ.get(pipeline.ARTIFACT_DIR_ENV_VAR)
+        before = _store_state()
         assert run_tasks(_square, [], workers=4) == []
-        assert pipeline.store().disk_dir == disk_dir
-        assert os.environ.get(pipeline.ARTIFACT_DIR_ENV_VAR) == exported
+        assert _store_state() == before
 
     def test_one_worker_runs_inline(self):
         # workers=1 must not pay for a pool: same code path as inline.
@@ -104,15 +117,17 @@ class TestParallel:
             run_tasks(_raise_on_three, [(1,), (3,), (5,)], workers=0)
         assert excinfo.value.failing_arguments == (3,)
 
-    @pooled
     def test_failing_arguments_attached_across_processes(self):
+        before = _store_state()
         with pytest.raises(ValueError) as excinfo:
             run_tasks(_raise_on_three, [(1,), (3,), (5,)], workers=2)
         assert excinfo.value.failing_arguments == (3,)
+        assert _store_state() == before
 
-    @pooled
     def test_broken_pool_falls_back_inline(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_PARALLEL_MARKER", str(tmp_path / "marker"))
+        before = _store_state()
         with pytest.warns(RuntimeWarning, match="rerunning the sweep inline"):
             results = run_tasks(_kill_worker_once, [(1,), (2,)], workers=2)
         assert results == [2, 4]
+        assert _store_state() == before

@@ -315,16 +315,20 @@ class TestCrossProcessHydration:
         assert stats["replay"]["disk_hits"] == 1
         assert stats["scene"]["misses"] == 0
 
-    def test_ensure_shared_store_creates_and_exports_dir(self, monkeypatch):
-        # setenv first, so the undo removes the directory the store exports.
-        monkeypatch.setenv(pipeline.ARTIFACT_DIR_ENV_VAR, "")
-        monkeypatch.delenv(pipeline.ARTIFACT_DIR_ENV_VAR)
+    def test_shared_store_exports_a_temporary_dir_for_the_block(self, monkeypatch):
+        monkeypatch.delenv(pipeline.ARTIFACT_DIR_ENV_VAR, raising=False)
         pipeline.configure()
-        path = pipeline.ensure_shared_store()
-        assert path.is_dir()
-        assert os.environ[pipeline.ARTIFACT_DIR_ENV_VAR] == str(path)
-        # Idempotent: a second call returns the same directory.
-        assert pipeline.ensure_shared_store() == path
+        with pipeline.shared_store() as path:
+            assert path.is_dir()
+            assert os.environ[pipeline.ARTIFACT_DIR_ENV_VAR] == str(path)
+            assert pipeline.store().disk_dir == path
+            # Inside the block the tier is configured, so it is reused.
+            with pipeline.shared_store() as inner:
+                assert inner == path
+            assert path.is_dir()
+        assert not path.exists()
+        assert pipeline.ARTIFACT_DIR_ENV_VAR not in os.environ
+        assert pipeline.store().disk_dir is None
 
 
 def _stage_hit_probe(scale):

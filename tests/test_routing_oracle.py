@@ -41,7 +41,7 @@ from repro.geometry.triangle import Triangle
 from repro.geometry.vertex import Vertex
 from repro.texture.texture import MipmappedTexture
 from repro.workloads.scenes import build_scene
-from tests.oracles import reference_nodes_in_box, reference_route_triangles
+from tests.oracles import nodes_in_box, reference_nodes_in_box, reference_route_triangles
 
 FAMILIES = ("block", "sli", "single", "bands", "morton", "tiles", "assigned")
 PROCESSORS = (1, 3, 6, 64)
@@ -169,7 +169,7 @@ def test_nodes_in_boxes_equals_the_scalar_queries(family, processors, size, boxe
     ]
     assert list(zip(box.tolist(), node.tolist())) == expected
     for corner in corners:
-        assert dist.nodes_in_box(*corner).tolist() == (
+        assert nodes_in_box(dist, *corner).tolist() == (
             reference_nodes_in_box(dist, *corner).tolist()
         )
 

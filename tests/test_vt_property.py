@@ -28,10 +28,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.batch import distribution_from_spec, machine_config_from_spec
+from repro.cache.stream import DEFAULT_CHUNK
 from repro.core.machine import simulate_machine
 from repro.core.routing import build_routed_work
 from repro.errors import ConfigurationError
-from repro.texture.pages import PageTable, VirtualTextureConfig
+from repro.pipeline import fragments_artifact
+from repro.texture.filtering import TrilinearFilter
+from repro.texture.pages import PageTable, VirtualTextureConfig, build_frame_lines
 from repro.workloads.vt import require_vt_spec, vt_frames
 from tests.oracles import ReferencePageTable
 
@@ -113,10 +116,13 @@ def test_identity_vt_machine_run_matches_direct_path(frames, layout, family, siz
     distribution = distribution_from_spec(spec, scene.height)
     config = machine_config_from_spec(spec, distribution)
     table = PageTable(layout.total_lines, VirtualTextureConfig(16, 1.0))
+    frame = build_frame_lines(
+        table, TrilinearFilter(layout), fragments_artifact(scene), DEFAULT_CHUNK
+    )
 
     direct = simulate_machine(_routed(scene, layout, config, distribution), config.timing)
     via_vt = simulate_machine(
-        _routed(scene, layout, config, distribution, translator=table), config.timing
+        _routed(scene, layout, config, distribution, translator=frame), config.timing
     )
     assert via_vt.cycles == direct.cycles
     assert via_vt.cache.miss_rate == direct.cache.miss_rate

@@ -175,6 +175,18 @@ def test_vt_job_spec_roundtrip():
     assert spec.result_key() == spec_from_payload(payload).result_key()
 
 
+@pytest.mark.parametrize("name", sorted(VT_SCENE_SPECS))
+def test_vt_job_knobs_default_to_the_scene_spec(name):
+    spec = spec_from_payload({"vt_scene": name})
+    scene = VT_SCENE_SPECS[name]
+    assert (spec.vt_pages, spec.vt_residency, spec.vt_frames) == (
+        scene.page_lines,
+        scene.residency,
+        scene.frames,
+    )
+    assert f"/res={scene.residency:g}/" in spec.result_key()
+
+
 def test_vt_job_validation():
     with pytest.raises(ConfigurationError):
         spec_from_payload({"vt_scene": "no-such", "scale": SCALE})
