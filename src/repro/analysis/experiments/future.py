@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.analysis.experiments.common import register_scale_specs
 from repro.analysis.tables import format_table
+from repro.core.config import DEFAULT_GEOMETRY_CYCLES
 from repro.distribution import BlockInterleaved
 from repro.workloads import build_scene
 
@@ -57,7 +58,7 @@ def extension_geometry_stage(
     scale: float,
     num_processors: int = 16,
     engines=(1, 2, 4, 8, 16),
-    geometry_cycles: float = 100.0,
+    geometry_cycles: float = DEFAULT_GEOMETRY_CYCLES,
 ) -> str:
     """Balanced-machine study: when does geometry become the bottleneck?
 

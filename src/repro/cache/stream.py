@@ -18,9 +18,11 @@ from repro.errors import ConfigurationError
 from repro.raster.fragments import FragmentBuffer
 from repro.texture.filtering import TEXELS_PER_FRAGMENT, TrilinearFilter
 
-#: Fragments per replay chunk; 8 line addresses each keeps peak memory
-#: around a few tens of megabytes.
-DEFAULT_CHUNK = 1 << 18
+#: Fragments per replay chunk.  Two nodes replay at once, each thread
+#: in its own malloc arena, so the chunk's temporaries (8 line addresses
+#: a fragment and the cache's passes over them) count twice; ``1 << 16``
+#: keeps the second arena a few percent of a frame's resident set.
+DEFAULT_CHUNK = 1 << 16
 
 
 def replay_fragments(

@@ -22,6 +22,11 @@ DEFAULT_BUS_RATIO = 1.0
 DEFAULT_FIFO_CAPACITY = 10000
 #: Setup engine rate: one triangle per 25 pixels (Chen et al. figure).
 DEFAULT_SETUP_CYCLES = 25
+#: Geometry engines feeding the machine: none, the paper's ideal
+#: geometry stage.
+DEFAULT_GEOMETRY_ENGINES = 0
+#: Per-triangle transform cycles of one geometry engine.
+DEFAULT_GEOMETRY_CYCLES = 100.0
 
 
 @dataclass(frozen=True)
@@ -36,8 +41,8 @@ class TimingConfig:
 
     bus_ratio: float = DEFAULT_BUS_RATIO
     fifo_capacity: int = DEFAULT_FIFO_CAPACITY
-    geometry_engines: int = 0
-    geometry_cycles: float = 100.0
+    geometry_engines: int = DEFAULT_GEOMETRY_ENGINES
+    geometry_cycles: float = DEFAULT_GEOMETRY_CYCLES
 
     def __post_init__(self) -> None:
         if not self.bus_ratio > 0:
@@ -92,8 +97,8 @@ class MachineConfig:
     bus_ratio: float = DEFAULT_BUS_RATIO
     fifo_capacity: int = DEFAULT_FIFO_CAPACITY
     setup_cycles: int = DEFAULT_SETUP_CYCLES
-    geometry_engines: int = 0
-    geometry_cycles: float = 100.0
+    geometry_engines: int = DEFAULT_GEOMETRY_ENGINES
+    geometry_cycles: float = DEFAULT_GEOMETRY_CYCLES
 
     def __post_init__(self) -> None:
         self.timing  # validates the four timing fields

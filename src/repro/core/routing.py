@@ -17,8 +17,11 @@ everything.
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -343,6 +346,64 @@ def compute_routing_plan(
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the host's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def replay_nodes(
+    replay_node: Callable[[int], CacheRunResult], num_nodes: int
+) -> List[CacheRunResult]:
+    """``replay_node(n)`` for every node, on this thread and at most one helper.
+
+    Nodes share no state, so the calling thread and one helper thread
+    both ``drain()`` the nodes, each taking the next index from one
+    shared counter; the runs come back as a list in node order.
+    The helper starts only when the process may run on two CPUs and
+    there are two nodes to share; otherwise the calling thread drains
+    them all alone.  A node that raises stops its thread, and the other
+    thread replays no node above it; once the helper has been joined,
+    the exception of the lowest failing node is raised here.  Every
+    node below that one was taken earlier and has run, so it is the
+    exception a node-by-node loop raises.
+    """
+    runs: Dict[int, CacheRunResult] = {}
+    failures: Dict[int, BaseException] = {}
+    lock = threading.Lock()  # guards ``failures``
+    # ``next`` on a count is one C call, so the two threads never take
+    # the same index.
+    claim = itertools.count()
+
+    def drain() -> None:
+        for node in claim:
+            with lock:
+                stop = node >= num_nodes or any(failed < node for failed in failures)
+            if stop:
+                return
+            try:
+                runs[node] = replay_node(node)
+            except BaseException as exc:  # re-raised on the calling thread
+                with lock:
+                    failures[node] = exc
+                return
+
+    helper = None
+    if num_nodes >= 2 and _usable_cpus() >= 2:
+        helper = threading.Thread(target=drain, name="replay-helper", daemon=True)
+        helper.start()
+    try:
+        drain()
+    finally:
+        if helper is not None:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return [runs[node] for node in range(num_nodes)]
+
+
 def compute_replay(
     scene: Scene,
     distribution: Distribution,
@@ -365,7 +426,11 @@ def compute_replay(
     frame-sized ``int64`` index; each node's replay gathers only
     ``u``, ``v`` and ``triangle``, chunk by chunk, straight from the
     frame's buffer, and looks the mip levels and texture ids up in the
-    buffer's per-triangle tables.
+    buffer's per-triangle tables.  Each node has its own cache model
+    and compulsory-miss array, and reads the filter, the layout and the
+    fragments without writing them, so two nodes replay at once
+    (:func:`replay_nodes`); their runs are merged in node order, so the
+    result is the node-by-node loop's, bit for bit.
 
     ``translator`` optionally rewrites the line-address stream before
     it reaches the cache model — the virtual-texturing page table maps
@@ -401,7 +466,8 @@ def compute_replay(
     else:
         # Per-node cache replay, in each node's own stream order.
         order, bounds = partition_by_node(_owners_of(owners), n_proc)
-        for node in range(n_proc):
+
+        def replay_node(node: int) -> CacheRunResult:
             model = make_cache_model(cache_spec, cache_config)
             if model.texels_per_fetch != 1:
                 # Line fills carry however many texels the layout's
@@ -413,7 +479,7 @@ def compute_replay(
                 # The stable partition leaves a node that owns the whole
                 # frame its rows in order, so it reads slices, not copies.
                 rows = None
-            run = replay_fragments(
+            return replay_fragments(
                 fragments,
                 tex_filter,
                 model,
@@ -422,6 +488,9 @@ def compute_replay(
                 rows=rows,
                 lines=frame_lines,
             )
+
+        # Merged in node order, whichever thread replayed each node.
+        for run in replay_nodes(replay_node, n_proc):
             total_cache = total_cache.merged_with(run)
             texels_per_node_tri.append(run.texels_by_triangle)
 

@@ -11,7 +11,10 @@ derive the same key are by construction computing the same artifact.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from repro.texture.layout import TextureMemoryLayout
 
 
 def fingerprint(text: str) -> str:
@@ -52,7 +55,7 @@ def translator_key(translator) -> str:
     return translator.cache_key()
 
 
-def layout_key(scene, layout) -> Optional[str]:
+def layout_key(scene, layout: Optional["TextureMemoryLayout"]) -> str:
     """Identity of a texture-memory layout *for this scene's textures*.
 
     ``None`` (the scene's own block-linear layout) maps to ``default``.
@@ -63,8 +66,5 @@ def layout_key(scene, layout) -> Optional[str]:
     """
     if layout is None:
         return "default"
-    block_shape = getattr(layout, "block_shape", None)
-    bytes_per_texel = getattr(layout, "bytes_per_texel", None)
-    if block_shape is None or bytes_per_texel is None:
-        return None
-    return f"block{block_shape[0]}x{block_shape[1]}/b{bytes_per_texel}"
+    width, height = layout.block_shape
+    return f"block{width}x{height}/b{layout.bytes_per_texel}"

@@ -7,10 +7,9 @@ hundreds of sweep points that share a prefix — every Figure-7 point of
 one scene shares the scene and its rasterisation; every FIFO size of
 one machine shares the whole routed work — compute that prefix once.
 
-Inputs that have no content identity (hand-built scenes, layouts
-without block-shape knobs, fragment-stream overrides) fall back to
-direct computation: correctness never depends on the cache, only
-speed.
+Inputs that have no content identity (hand-built scenes,
+fragment-stream overrides) fall back to direct computation:
+correctness never depends on the cache, only speed.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ def routed_work(
     cache_part = keys.cache_key(cache_spec, cache_config)
     layout_part = keys.layout_key(scene, layout)
     translator_part = keys.translator_key(translator)
-    cacheable = scene_id is not None and fragments is None and layout_part is not None
+    cacheable = scene_id is not None and fragments is None
     owners = None
 
     def frame():

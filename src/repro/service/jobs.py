@@ -185,11 +185,14 @@ def spec_from_payload(payload: Dict) -> JobSpec:
         raise ConfigurationError(
             f"{kind} jobs do not read {', '.join(sorted(map(repr, unread)))}"
         )
+    name_field = _KIND_NAMES[kind]
+    name = payload[name_field]
+    if not isinstance(name, str):
+        raise ConfigurationError(f"{name_field} must be a name, got {name!r}")
 
     if kind == "experiment":
         from repro.expfw.spec import require_spec
 
-        name = payload["experiment"]
         scale_param = require_spec(name).space.param("scale")
         scale = scale_param.validate(payload.get("scale", scale_param.default))
         return JobSpec(kind="experiment", experiment=name, scale=scale)
@@ -204,7 +207,7 @@ def spec_from_payload(payload: Dict) -> JobSpec:
         from repro.texture.pages import VirtualTextureConfig
         from repro.workloads.vt import require_vt_spec
 
-        vt_spec = require_vt_spec(payload["vt_scene"])
+        vt_spec = require_vt_spec(name)
         vt_pages = _integer(payload, "vt_pages", default=vt_spec.page_lines, minimum=1)
         vt_residency = _number(payload, "vt_residency", default=vt_spec.residency)
         vt_frames = _integer(payload, "vt_frames", default=vt_spec.frames, minimum=1)
@@ -221,12 +224,11 @@ def spec_from_payload(payload: Dict) -> JobSpec:
         )
     from repro.workloads.scenes import SCENE_NAMES, SCENE_SPECS
 
-    scene = payload["scene"]
-    if scene not in SCENE_SPECS:
+    if name not in SCENE_SPECS:
         raise ConfigurationError(
-            f"unknown scene {scene!r}; choose from {', '.join(SCENE_NAMES)}"
+            f"unknown scene {name!r}; choose from {', '.join(SCENE_NAMES)}"
         )
-    return JobSpec(kind="simulate", scene=scene, scale=scale, **machine)
+    return JobSpec(kind="simulate", scene=name, scale=scale, **machine)
 
 
 def machine_from_payload(payload: Dict) -> Dict:

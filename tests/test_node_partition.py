@@ -10,12 +10,19 @@ Three walls:
   every distribution class, on both key widths and through a page
   table;
 * ``Distribution.owners`` answers in ``int32`` with the ``int64``
-  arithmetic's values, and ``routed_work`` calls it at most once.
+  arithmetic's values, and ``routed_work`` calls it at most once;
+* the replay on two threads (:func:`replay_nodes`) equals the replay on
+  one, raises what the one-thread replay raises, and leaves no thread
+  behind.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,6 +38,7 @@ from repro.core.routing import (
     build_routed_work,
     compute_replay,
     partition_by_node,
+    replay_nodes,
 )
 from repro.distribution import (
     AssignedTiles,
@@ -42,9 +50,10 @@ from repro.distribution import (
     TileGrid,
 )
 from repro.distribution.base import processor_grid
+from repro.errors import ConfigurationError
 from repro.raster.fragments import FRAGMENTS_FORMAT, FragmentBuffer
 from repro.texture.filtering import TrilinearFilter
-from repro.texture.pages import PageTable, VirtualTextureConfig, build_frame_lines
+from repro.texture.pages import FrameLines, PageTable, VirtualTextureConfig, build_frame_lines
 from repro.workloads.scenes import build_scene
 from tests.oracles import reference_replay
 
@@ -337,3 +346,140 @@ def test_memoized_hits_skip_owners_and_store_the_same_keys():
     assert store.contains("replay", replay)
     assert store.contains("routed", f"{plan}|{replay}|setup25|{spy.describe()}")
     assert len(store) == 4
+
+
+# -- two replay threads ----------------------------------------------
+
+
+def on_cpus(patch, cpus):
+    """Limit the process to ``cpus`` CPUs; returns the list of threads started."""
+    started = []
+    real_thread = threading.Thread
+
+    class SpyThread(real_thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    patch.setattr(threading, "Thread", SpyThread)
+    return started
+
+
+def replay_on_cpus(cpus, *args, **kwargs):
+    """``compute_replay(*args, **kwargs)`` on ``cpus`` CPUs, and the threads it started."""
+    with pytest.MonkeyPatch.context() as patch:
+        started = on_cpus(patch, cpus)
+        return compute_replay(*args, **kwargs), started
+
+
+def frame_lines(scene, fragments):
+    """A VT frame's translated line table, through a page table that remaps."""
+    layout = scene.memory_layout()
+    table = PageTable(layout.total_lines, VirtualTextureConfig(8, 0.5))
+    table.observe(np.random.default_rng(183).integers(0, layout.total_lines, size=20000))
+    table.advance_frame()
+    assert not table.identity
+    return build_frame_lines(table, TrilinearFilter(layout), fragments, DEFAULT_CHUNK)
+
+
+def machines(scene):
+    """1P, 4P and 64P, and an 8P assignment that leaves five nodes empty."""
+    grid = TileGrid(16, scene.width, scene.height)
+    sparse = np.random.default_rng(184).choice([1, 4, 6], size=grid.num_tiles)
+    return [
+        SingleProcessor(),
+        BlockInterleaved(4, 16),
+        BlockInterleaved(64, 4),
+        AssignedTiles(grid, sparse, 8),
+    ]
+
+
+@pytest.mark.parametrize("paged", [False, True], ids=["lru", "vt"])
+def test_two_threads_replay_what_one_thread_replays(scene, paged):
+    fragments = scene.fragments()
+    translator = frame_lines(scene, fragments) if paged else None
+    threads = threading.active_count()
+    for distribution in machines(scene):
+        owners = owners_of(distribution, fragments)
+        one, one_started = replay_on_cpus(
+            1, scene, distribution, fragments, owners, translator=translator
+        )
+        two, two_started = replay_on_cpus(
+            2, scene, distribution, fragments, owners, translator=translator
+        )
+        assert one_started == []
+        assert len(two_started) == (distribution.num_processors >= 2), distribution
+        assert_same_replay(two, one)
+        assert threading.active_count() == threads
+    empty = np.bincount(owners_of(machines(scene)[-1], fragments), minlength=8) == 0
+    assert empty.sum() == 5
+
+
+def test_a_failing_node_raises_what_one_thread_raises(scene):
+    fragments = scene.fragments()
+    distribution = BlockInterleaved(4, 16)
+    owners = owners_of(distribution, fragments)
+    good = frame_lines(scene, fragments)
+    lines = good.lines.astype(np.int64)
+    lines[np.flatnonzero(owners == 2)[0]] = -1  # node 2 reads a negative line
+    bad = FrameLines(good.key, good.address_space_lines, lines, fragments)
+    threads = threading.active_count()
+    for cpus in (1, 2):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            replay_on_cpus(cpus, scene, distribution, fragments, owners, translator=bad)
+        assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_lowest_failing_node_is_raised(cpus):
+    """Nodes 5 and 9 fail; a node-by-node loop would raise node 5's error.
+
+    On two threads node 5 fails only after node 9 has, so the helper
+    raises first.
+    """
+    nine_failed = threading.Event()
+
+    def replay_node(node):
+        if node == 5:
+            nine_failed.wait(timeout=10 if cpus == 2 else 0)
+        if node in (5, 9):
+            if node == 9:
+                nine_failed.set()
+            raise ValueError(node)
+        return node
+
+    with pytest.MonkeyPatch.context() as patch:
+        started = on_cpus(patch, cpus)
+        with pytest.raises(ValueError) as info:
+            replay_nodes(replay_node, 12)
+    assert info.value.args == (5,)
+    assert len(started) == cpus - 1
+    assert nine_failed.is_set() == (cpus == 2)
+    with pytest.MonkeyPatch.context() as patch:
+        on_cpus(patch, cpus)
+        assert replay_nodes(lambda node: node * node, 12) == [n * n for n in range(12)]
+
+
+def test_every_node_is_replayed_once_under_fast_thread_switches():
+    """A lost or doubled claim of the shared counter would show in the call counts."""
+    calls = Counter()
+
+    def replay_node(node):
+        calls[threading.current_thread().name, node] += 1
+        return node
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            started = on_cpus(patch, 2)
+            runs = [replay_nodes(replay_node, 500) for _ in range(20)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == 20
+    assert runs == [list(range(500))] * 20
+    per_node = Counter()
+    for (_thread, node), count in calls.items():
+        per_node[node] += count
+    assert per_node == Counter({node: 20 for node in range(500)})

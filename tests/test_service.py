@@ -170,6 +170,11 @@ class TestJobSpec:
         with pytest.raises(ConfigurationError, match="'scene' or a 'vt_scene'"):
             spec_from_payload({"scale": 0.5})
 
+    @pytest.mark.parametrize("field", ["experiment", "scene", "vt_scene"])
+    def test_rejects_a_name_that_is_not_a_string(self, field):
+        with pytest.raises(ConfigurationError, match=f"{field} must be a name"):
+            spec_from_payload({field: ["x"]})
+
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigurationError, match="scale"):
             spec_from_payload({"experiment": "table1", "scale": 2.0})
